@@ -274,7 +274,7 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 	b.Run("sharded-4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var counter valfile.ReadCounter
-			res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{Counter: &counter, Shards: 4})
+			res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Shards: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,9 +300,7 @@ func BenchmarkShardedSpiderMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{
-					Counter: &counter, Shards: shards,
-				})
+				res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -329,7 +327,7 @@ func BenchmarkShardedStreaming(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{
+		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{
 			Counter: &counter, Source: src, Shards: 4,
 		})
 		src.Close()
@@ -663,9 +661,7 @@ func BenchmarkPartialSpiderMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.ShardedPartialSpiderMerge(cands, ind.ShardedPartialMergeOptions{
-					Threshold: 0.9, Counter: &counter, Shards: shards,
-				})
+				res, err := ind.PartialSpiderMerge(cands, 0.9, ind.SpiderMergeOptions{Counter: &counter, Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -814,16 +810,34 @@ func BenchmarkParallelBruteForce(b *testing.B) {
 }
 
 // BenchmarkAblation_ResemblancePretest measures the Dasu et al. sketch
-// filter (Sec 6): candidates pruned by min-hash containment estimates.
+// filter (Sec 6): candidates pruned by min-hash containment estimates,
+// built by internal/sketch at signature sizes K ∈ {16, 64, 256} and cut
+// at full estimated containment. Each size sketches its own copy of the
+// attributes, so the shared benchmark dataset stays sketch-free.
 func BenchmarkAblation_ResemblancePretest(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for _, size := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("sketch=%d", size), func(b *testing.B) {
+			attrs := make(map[int]*ind.Attribute, len(ds.Attrs))
+			copies := make([]*ind.Attribute, 0, len(ds.Attrs))
+			for _, a := range ds.Attrs {
+				c := *a
+				attrs[a.ID] = &c
+				copies = append(copies, &c)
+			}
+			cands := make([]ind.Candidate, len(ds.Candidates))
+			for i, c := range ds.Candidates {
+				cands[i] = ind.Candidate{Dep: attrs[c.Dep.ID], Ref: attrs[c.Ref.ID]}
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kept, _, err := ind.ResemblancePretest(ds.DB, ds.Candidates, ind.ResemblanceOptions{SketchSize: size})
-				if err != nil {
+				for _, a := range copies {
+					a.Sketch = nil // the build is part of the measured pretest
+				}
+				if err := ind.BuildAttributeSketches(ds.DB, copies, sketch.Config{K: size}, 0); err != nil {
 					b.Fatal(err)
 				}
+				kept, _ := ind.SketchPretest(cands, ind.SketchPretestOptions{MinContainment: 1})
 				res, err := ind.BruteForce(kept, ind.BruteForceOptions{})
 				if err != nil {
 					b.Fatal(err)
@@ -914,9 +928,12 @@ func BenchmarkNaryOverlap(b *testing.B) {
 // BenchmarkKMVShardPlan compares shard boundary planners on the
 // Zipf-skewed key population of datagen.Skewed: min/max planning splits
 // the key span evenly and piles nearly all items into one shard, KMV
-// sample planning splits the estimated value mass. The skew-max/mean
-// metric (1.0 = perfectly even) lands in BENCH_ci.json via the custom
-// metric capture, so the CI bench artifact tracks shard balance.
+// sample planning splits the estimated value mass. The planner follows
+// the input — attributes with KMV samples plan by mass, the same
+// attributes with their sketches stripped plan by min/max. The
+// skew-max/mean metric (1.0 = perfectly even) lands in BENCH_ci.json via
+// the custom metric capture, so the CI bench artifact tracks shard
+// balance.
 func BenchmarkKMVShardPlan(b *testing.B) {
 	db := datagen.Skewed(datagen.SkewedConfig{Seed: 42, Rows: 20000})
 	dir := b.TempDir()
@@ -924,31 +941,35 @@ func BenchmarkKMVShardPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var keys []*ind.Attribute
+	var keys, stripped []*ind.Attribute
 	for _, a := range attrs {
 		if a.Ref.Column == "id" || a.Ref.Column == "fk" {
 			keys = append(keys, a)
-		}
-	}
-	var cands []ind.Candidate
-	for _, d := range keys {
-		for _, r := range keys {
-			if d != r {
-				cands = append(cands, ind.Candidate{Dep: d, Ref: r})
-			}
+			bare := *a
+			bare.Sketch = nil
+			stripped = append(stripped, &bare)
 		}
 	}
 	for _, p := range []struct {
-		name    string
-		planner ind.ShardPlanner
-	}{{"minmax", ind.PlannerMinMax}, {"kmv", ind.PlannerKMV}} {
+		name  string
+		attrs []*ind.Attribute
+	}{{"minmax", stripped}, {"kmv", keys}} {
+		var cands []ind.Candidate
+		for _, d := range p.attrs {
+			for _, r := range p.attrs {
+				if d != r {
+					cands = append(cands, ind.Candidate{Dep: d, Ref: r})
+				}
+			}
+		}
 		b.Run("planner="+p.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := ind.ShardedSpiderMerge(cands, ind.ShardedMergeOptions{
-					Shards: 4, Planner: p.planner,
-				})
+				res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Shards: 4})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if res.Stats.ShardPlanner != p.name {
+					b.Fatalf("planned by %q, want %q", res.Stats.ShardPlanner, p.name)
 				}
 				if i == b.N-1 {
 					var total, max int64

@@ -34,8 +34,6 @@ func main() {
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
 	streaming := flag.Bool("streaming", false, "stream values from sort spill runs, skipping value files (spider-merge)")
 	shards := flag.Int("shards", 0, "value-range shards merged concurrently (spider-merge; 0/1 = single merge)")
-	mergeWorkers := flag.Int("mergeworkers", 0, "shard worker pool size (0 = min(shards, GOMAXPROCS))")
-	shardPlan := flag.String("shardplan", "auto", "shard boundary planner: auto|minmax|kmv (sharded spider-merge)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 	narySequential := flag.Bool("nary-sequential", false, "disable overlapped n-ary levels (spider-merge; run one level at a time)")
@@ -58,12 +56,6 @@ func main() {
 	}
 
 	algorithm, err := parseAlgorithm(*algo)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
-		os.Exit(1)
-	}
-
-	planner, err := parsePlanner(*shardPlan)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
 		os.Exit(1)
@@ -93,8 +85,6 @@ func main() {
 			Algorithm:               algorithm,
 			Streaming:               *streaming,
 			Shards:                  *shards,
-			MergeWorkers:            *mergeWorkers,
-			Planner:                 planner,
 			ExportWorkers:           *exportWorkers,
 			SketchPrefilter:         *sketchOn,
 			SketchMinContainment:    *sketchContainment,
@@ -129,8 +119,6 @@ func main() {
 		ExportWorkers:           *exportWorkers,
 		Streaming:               *streaming,
 		Shards:                  *shards,
-		MergeWorkers:            *mergeWorkers,
-		Planner:                 planner,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
 		SketchK:                 *sketchK,
@@ -183,7 +171,6 @@ func main() {
 		if naryAlgo == spider.SpiderMerge {
 			naryOpts.Streaming = *streaming
 			naryOpts.Shards = *shards
-			naryOpts.MergeWorkers = *mergeWorkers
 			naryOpts.SequentialLevels = *narySequential
 		}
 		naryINDs, naryStats, err := spider.FindNaryINDs(db, naryOpts)
@@ -219,8 +206,6 @@ func main() {
 		}
 		if embAlgo == spider.SpiderMerge {
 			embOpts.Shards = *shards
-			embOpts.MergeWorkers = *mergeWorkers
-			embOpts.Planner = planner
 		}
 		embINDs, embStats, err := spider.FindEmbeddedINDsWith(db, embOpts)
 		if err != nil {
@@ -271,17 +256,6 @@ func printStats(st spider.Stats, approach string) {
 	if st.ShardPlanFallback != "" {
 		fmt.Printf("shard plan fallback: %s\n", st.ShardPlanFallback)
 	}
-}
-
-func parsePlanner(s string) (spider.ShardPlanner, error) {
-	for _, p := range []spider.ShardPlanner{
-		spider.PlannerAuto, spider.PlannerMinMax, spider.PlannerKMV,
-	} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown shard planner %q (auto|minmax|kmv)", s)
 }
 
 func openDatabase(csvDir, data string, scale float64, seed int64) (*spider.Database, error) {

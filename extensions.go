@@ -51,15 +51,9 @@ type PartialOptions struct {
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
+	// Boundaries follow the KMV samples SketchPrefilter builds, and the
+	// min/max key range without them; see Options.Shards.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS).
-	MergeWorkers int
-	// Planner selects the shard boundary planning strategy (sharded runs
-	// only); see Options.Planner. KMV planning needs SketchPrefilter (the
-	// samples ride the sketches) and otherwise falls back to min/max with
-	// a note in Stats.ShardPlanFallback.
-	Planner ShardPlanner
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially.
 	ExportWorkers int
@@ -145,25 +139,26 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
 		},
 	}
-	var streamSrc *ind.SorterSource
-	var sharedSrc *ind.RunsSource
+	var streamSrc ind.CursorSource
 	switch {
 	case exportFiles:
 		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
 			return nil, Stats{}, err
 		}
 	case opts.Shards > 1:
-		sharedSrc, err = ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
+		src, err := ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		defer sharedSrc.Close()
+		defer src.Close()
+		streamSrc = src
 	default:
-		streamSrc, err = ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
+		src, err := ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		defer streamSrc.Close()
+		defer src.Close()
+		streamSrc = src
 	}
 
 	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{PartialThreshold: opts.Threshold})
@@ -179,25 +174,12 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	}
 
 	var res *ind.PartialResult
-	switch {
-	case opts.Algorithm == BruteForce:
+	if opts.Algorithm == BruteForce {
 		res, err = ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS})
-	case opts.Shards > 1:
-		smOpts := ind.ShardedPartialMergeOptions{
-			Threshold: opts.Threshold, Counter: &counter, Store: readDS,
-			Shards: opts.Shards, Workers: opts.MergeWorkers,
-			Planner: opts.Planner.internal(),
-		}
-		if sharedSrc != nil {
-			smOpts.Source = sharedSrc
-		}
-		res, err = ind.ShardedPartialSpiderMerge(cands, smOpts)
-	default:
-		smOpts := ind.PartialMergeOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS}
-		if streamSrc != nil {
-			smOpts.Source = streamSrc
-		}
-		res, err = ind.PartialSpiderMerge(cands, smOpts)
+	} else {
+		res, err = ind.PartialSpiderMerge(cands, opts.Threshold, ind.SpiderMergeOptions{
+			Counter: &counter, Source: streamSrc, Store: readDS, Shards: opts.Shards,
+		})
 	}
 	if err != nil {
 		return nil, Stats{}, err
@@ -282,11 +264,6 @@ type NaryOptions struct {
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS). With overlapped levels (the SpiderMerge
-	// default) it also bounds the concurrent table-pair merge fronts
-	// within a level.
-	MergeWorkers int
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
 	// GOMAXPROCS, 1 extracts sequentially. With overlapped levels it
 	// also bounds concurrent speculative next-level extractions.
@@ -368,7 +345,6 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 		WorkDir:          opts.WorkDir,
 		Streaming:        opts.Streaming,
 		Shards:           opts.Shards,
-		MergeWorkers:     opts.MergeWorkers,
 		ExportWorkers:    opts.ExportWorkers,
 		SequentialLevels: opts.SequentialLevels,
 		Sort:             extsort.Config{Format: opts.Format.internal()},
@@ -441,11 +417,6 @@ type EmbeddedOptions struct {
 	// into that many disjoint ranges merged concurrently; 0 or 1 keeps
 	// the single merge.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS).
-	MergeWorkers int
-	// Planner selects the shard boundary planner; see Options.Planner.
-	Planner ShardPlanner
 	// Format selects the on-disk encoding of the exported and derived
 	// value files; see Options.Format.
 	Format Format
@@ -501,13 +472,11 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	}
 	var counter valfile.ReadCounter
 	embOpts := ind.EmbeddedOptions{
-		Counter:      &counter,
-		Algorithm:    engine,
-		Store:        readDS,
-		Shards:       opts.Shards,
-		MergeWorkers: opts.MergeWorkers,
-		Planner:      opts.Planner.internal(),
-		Format:       opts.Format.internal(),
+		Counter:   &counter,
+		Algorithm: engine,
+		Store:     readDS,
+		Shards:    opts.Shards,
+		Format:    opts.Format.internal(),
 	}
 	if opts.Store.inMemory() {
 		// Derived value sets join the base exports in the same in-memory

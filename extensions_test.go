@@ -93,7 +93,7 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 		"spider-merge":         {Threshold: 0.9, Algorithm: SpiderMerge},
 		"sharded":              {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 4},
 		"streaming":            {Threshold: 0.9, Algorithm: SpiderMerge, Streaming: true},
-		"sharded streaming":    {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 3, Streaming: true, MergeWorkers: 2},
+		"sharded streaming":    {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 3, Streaming: true},
 		"sequential exporters": {Threshold: 0.9, Algorithm: SpiderMerge, ExportWorkers: 1},
 	} {
 		got, stats, err := FindPartialINDs(db, opts)

@@ -230,7 +230,7 @@ func Table2(cfg Config) ([]Row, error) {
 			return nil, err
 		}
 		if err := run("spider-merge (sharded x4)", func(c *valfile.ReadCounter) (*ind.Result, error) {
-			return ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{Counter: c, Shards: 4})
+			return ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: c, Shards: 4})
 		}); err != nil {
 			ds.Close()
 			return nil, err
@@ -262,7 +262,7 @@ func Table2(cfg Config) ([]Row, error) {
 			return nil, err
 		}
 		if err := runPartial("partial σ=0.9 (partial merge)", func(c *valfile.ReadCounter) (*ind.PartialResult, error) {
-			return ind.PartialSpiderMerge(pcands, ind.PartialMergeOptions{Threshold: 0.9, Counter: c})
+			return ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: c})
 		}); err != nil {
 			ds.Close()
 			return nil, err
@@ -588,7 +588,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 
 	for _, shards := range []int{1, 2, 4} {
 		var c valfile.ReadCounter
-		res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{Counter: &c, Shards: shards})
+		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &c, Shards: shards})
 		if err != nil {
 			return nil, err
 		}
@@ -614,9 +614,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	out.PartialBruteDuration = pb.Stats.Duration
 	for _, shards := range []int{1, 2, 4} {
 		var c valfile.ReadCounter
-		res, err := ind.ShardedPartialSpiderMerge(pcands, ind.ShardedPartialMergeOptions{
-			Threshold: 0.9, Counter: &c, Shards: shards,
-		})
+		res, err := ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: &c, Shards: shards})
 		if err != nil {
 			return nil, err
 		}

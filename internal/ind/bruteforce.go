@@ -36,11 +36,12 @@ type Stats struct {
 	// spider package), not by the engines themselves.
 	CandidatesPruned int
 	SketchBytes      int64
-	// Sharded-engine observability. ShardPlanner names the boundary
-	// planning strategy that produced the shard ranges ("explicit",
-	// "kmv", "minmax", "single"); ShardPlanFallback records why a
-	// planning mode degraded (sketch samples absent, boundary sample
-	// collapsed to one shard) instead of hiding the collapse.
+	// Sharded-merge observability. ShardPlanner names the boundary
+	// planning strategy that produced the shard ranges ("kmv" when every
+	// attribute carries a KMV sample, else "minmax"); ShardPlanFallback
+	// records why the plan degraded (samples support fewer shards,
+	// boundary sample collapsed to one shard) instead of hiding the
+	// collapse.
 	// ShardItemsRead and ShardDurations hold per-shard items-read counts
 	// and wall times, indexed by shard, so skew is measurable; all are
 	// empty on unsharded runs.

@@ -212,15 +212,3 @@ func sourceOrStore(src CursorSource, ds store.Dataset, counter *valfile.ReadCoun
 	}
 	return FileSource{Counter: counter}
 }
-
-// rangeSourceOrStore is sourceOrStore for the sharded engine, which
-// needs range-restricted opens.
-func rangeSourceOrStore(src RangeSource, ds store.Dataset, counter *valfile.ReadCounter) RangeSource {
-	if src != nil {
-		return src
-	}
-	if ds != nil {
-		return StoreSource{DS: ds, Counter: counter}
-	}
-	return FileSource{Counter: counter}
-}

@@ -126,11 +126,6 @@ type EmbeddedOptions struct {
 	// into that many disjoint ranges merged concurrently; 0 or 1 keeps
 	// the single merge. Output is identical at any shard count.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS).
-	MergeWorkers int
-	// Planner (EmbeddedMerge only) selects the shard boundary planner.
-	Planner ShardPlanner
 	// Format selects the encoding of the derived value files.
 	Format valfile.Format
 }
@@ -229,15 +224,7 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 		for i, c := range cands {
 			pairs[i] = Candidate{Dep: c.d.attr, Ref: c.r}
 		}
-		var mres *Result
-		if opts.Shards > 1 {
-			mres, err = ShardedSpiderMerge(pairs, ShardedMergeOptions{
-				Counter: opts.Counter, Store: opts.Store, Shards: opts.Shards,
-				Workers: opts.MergeWorkers, Planner: opts.Planner,
-			})
-		} else {
-			mres, err = SpiderMerge(pairs, SpiderMergeOptions{Counter: opts.Counter, Store: opts.Store})
-		}
+		mres, err := SpiderMerge(pairs, SpiderMergeOptions{Counter: opts.Counter, Store: opts.Store, Shards: opts.Shards})
 		if err != nil {
 			return nil, err
 		}

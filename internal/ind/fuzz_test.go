@@ -140,7 +140,9 @@ func FuzzAlgorithmOne(f *testing.F) {
 
 // FuzzPartialMerge derives a small attribute universe plus a threshold
 // from raw bytes and cross-checks the one-pass partial merge — unsharded
-// and sharded — against a naive per-candidate coverage oracle. Run with
+// and sharded — against a naive per-candidate coverage oracle. It also
+// pins exact mode as the miss budget 0: at σ = 1 the partial merge must
+// return exactly the exact SpiderMerge's INDs on the same input. Run with
 // go test -fuzz=FuzzPartialMerge.
 func FuzzPartialMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0xff, 4, 5, 6, 7, 8, 9, 10, 11}, byte(90))
@@ -161,15 +163,28 @@ func FuzzPartialMerge(f *testing.F) {
 			}
 		}
 		src := memSource(sets)
-		got, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: sigma, Source: src})
+		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{
-			Threshold: sigma, Source: src, Shards: 3,
-		})
+		sharded, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Source: src, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
+		}
+		full, err := PartialSpiderMerge(cands, 1, SpiderMergeOptions{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := SpiderMerge(cands, SpiderMergeOptions{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fullINDs []IND
+		for _, m := range full.Satisfied {
+			fullINDs = append(fullINDs, m.IND)
+		}
+		if !reflect.DeepEqual(fullINDs, exact.Satisfied) {
+			t.Errorf("σ=1 merge = %v, exact merge = %v", fullINDs, exact.Satisfied)
 		}
 
 		var want []PartialMatch

@@ -121,11 +121,6 @@ type NaryOptions struct {
 	// keeps the single-threaded merge. Output is identical at any shard
 	// count.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS). With overlapped levels (the NaryMerge
-	// default) it also bounds how many independent table-pair merge
-	// fronts run concurrently within a level.
-	MergeWorkers int
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
 	// GOMAXPROCS, 1 extracts sequentially. With overlapped levels it also
 	// bounds concurrent speculative next-level extractions.
@@ -471,30 +466,28 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 		Workers: naryWorkers(opts.ExportWorkers),
 		Format:  opts.Sort.Format,
 	}
-	if opts.Shards > 1 {
-		smOpts := ShardedMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards, Workers: opts.MergeWorkers}
-		if opts.Streaming {
-			src, err := StreamAttributesShared(db, eligible, exportCfg, counter)
-			if err != nil {
-				return nil, err
-			}
-			defer src.Close()
-			smOpts.Source = src
-		} else if err := ExportAttributes(db, eligible, exportCfg); err != nil {
+	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards}
+	switch {
+	case opts.Streaming && opts.Shards > 1:
+		// Shards need replayable runs: each reopens every attribute over
+		// its own range.
+		src, err := StreamAttributesShared(db, eligible, exportCfg, counter)
+		if err != nil {
 			return nil, err
 		}
-		return ShardedSpiderMerge(cands, smOpts)
-	}
-	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store}
-	if opts.Streaming {
+		defer src.Close()
+		smOpts.Source = src
+	case opts.Streaming:
 		src, err := StreamAttributes(db, eligible, exportCfg, counter)
 		if err != nil {
 			return nil, err
 		}
 		defer src.Close()
 		smOpts.Source = src
-	} else if err := ExportAttributes(db, eligible, exportCfg); err != nil {
-		return nil, err
+	default:
+		if err := ExportAttributes(db, eligible, exportCfg); err != nil {
+			return nil, err
+		}
 	}
 	return SpiderMerge(cands, smOpts)
 }

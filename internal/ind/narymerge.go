@@ -208,10 +208,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 		if err != nil {
 			return nil, err
 		}
-		return ShardedSpiderMerge(pairs, ShardedMergeOptions{
-			Counter: counter, Source: src,
-			Shards: m.opts.Shards, Workers: m.opts.MergeWorkers,
-		})
+		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Source: src, Shards: m.opts.Shards})
 	case m.opts.Streaming:
 		src := NewSorterSource(counter)
 		defer src.Close()
@@ -280,13 +277,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 		if err != nil {
 			return nil, err
 		}
-		if m.opts.Shards > 1 {
-			return ShardedSpiderMerge(pairs, ShardedMergeOptions{
-				Counter: counter, Store: m.opts.Store,
-				Shards: m.opts.Shards, Workers: m.opts.MergeWorkers,
-			})
-		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store})
+		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store, Shards: m.opts.Shards})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 //   - Within a level, candidates over distinct (dependent table,
 //     referenced table) pairs share no tuple streams and no verdict
 //     dependencies; they are verified as concurrent merge fronts,
-//     bounded by MergeWorkers.
+//     bounded by GOMAXPROCS.
 //
 //   - Across levels, candidate generation decomposes exactly by table
 //     pair: the MIND join and every projection of an arity-(k+1)
@@ -77,7 +77,7 @@ func (o *overlapVerifier) verifyLevel(arity int, cands []naryCand) ([]bool, erro
 		return out, nil
 	}
 	groups := groupCands(cands)
-	err := runShards(len(groups), naryWorkers(o.m.opts.MergeWorkers), func(i int) error {
+	err := runShards(len(groups), 0, func(i int) error {
 		g := groups[i]
 		verdicts, err := o.m.verifyCands(arity, g.cands)
 		if err != nil {

@@ -31,9 +31,7 @@ func TestEnginesNilCounterSafe(t *testing.T) {
 			return SinglePassBlocked(cands, BlockedOptions{DepBlock: 2, RefBlock: 2})
 		}},
 		{"spider-merge", func() (*Result, error) { return SpiderMerge(cands, SpiderMergeOptions{}) }},
-		{"sharded-merge", func() (*Result, error) {
-			return ShardedSpiderMerge(cands, ShardedMergeOptions{Shards: 2})
-		}},
+		{"sharded-merge", func() (*Result, error) { return SpiderMerge(cands, SpiderMergeOptions{Shards: 2}) }},
 	}
 	for _, e := range engines {
 		res, err := e.run()
@@ -62,11 +60,11 @@ func TestPartialEnginesNilCounterSafe(t *testing.T) {
 	if want.Stats.ItemsRead != 0 {
 		t.Errorf("brute-force-partial: nil Counter must disable counting, got %d", want.Stats.ItemsRead)
 	}
-	merge, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: 0.8})
+	merge, err := PartialSpiderMerge(cands, 0.8, SpiderMergeOptions{})
 	if err != nil {
 		t.Fatalf("partial-merge with nil Counter: %v", err)
 	}
-	sharded, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{Threshold: 0.8, Shards: 2})
+	sharded, err := PartialSpiderMerge(cands, 0.8, SpiderMergeOptions{Shards: 2})
 	if err != nil {
 		t.Fatalf("sharded-partial-merge with nil Counter: %v", err)
 	}

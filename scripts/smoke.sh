@@ -33,20 +33,26 @@ for fmt in text block; do
       || fail "expected exact IND missing for: -format $fmt $args"
   done
 
-  # Partial INDs: xrefs.gene covers 9 of its 10 distinct values in
-  # genes.gene_id — satisfied at σ = 0.9, invisible to exact discovery.
-  echo "+ indfind -csv $data -format $fmt -algo spider-merge -partial 0.9"
-  out=$("$bin" -csv "$data" -format "$fmt" -algo spider-merge -partial 0.9)
-  grep -q "xrefs.gene ⊆ genes.gene_id" <<<"$out" \
-    || fail "expected partial IND xrefs.gene ⊆ genes.gene_id missing (-format $fmt)"
+  # Partial and n-ary runs, on one merge and on four value-range shards.
+  for shards in "" "-shards 4"; do
+    # Partial INDs: xrefs.gene covers 9 of its 10 distinct values in
+    # genes.gene_id — satisfied at σ = 0.9, invisible to exact discovery.
+    echo "+ indfind -csv $data -format $fmt -algo spider-merge -partial 0.9 $shards"
+    # shellcheck disable=SC2086
+    out=$("$bin" -csv "$data" -format "$fmt" -algo spider-merge -partial 0.9 $shards)
+    grep -q "xrefs.gene ⊆ genes.gene_id" <<<"$out" \
+      || fail "expected partial IND xrefs.gene ⊆ genes.gene_id missing (-format $fmt $shards)"
 
-  # N-ary: (gene_id, tax_id) of transcripts matches genes row-wise, so
-  # level 2 must verify at least one IND.
-  echo "+ indfind -csv $data -format $fmt -algo spider-merge -nary 2"
-  out=$("$bin" -csv "$data" -format "$fmt" -algo spider-merge -nary 2)
-  grep -Eq "n-ary INDs \(arity 2\.\.2\): [1-9]" <<<"$out" \
-    || fail "no arity-2 INDs discovered (-format $fmt)"
-  grep -q "transcripts.gene_id" <<<"$out" || fail "arity-2 IND does not involve transcripts.gene_id (-format $fmt)"
+    # N-ary: (gene_id, tax_id) of transcripts matches genes row-wise, so
+    # level 2 must verify at least one IND.
+    echo "+ indfind -csv $data -format $fmt -algo spider-merge -nary 2 $shards"
+    # shellcheck disable=SC2086
+    out=$("$bin" -csv "$data" -format "$fmt" -algo spider-merge -nary 2 $shards)
+    grep -Eq "n-ary INDs \(arity 2\.\.2\): [1-9]" <<<"$out" \
+      || fail "no arity-2 INDs discovered (-format $fmt $shards)"
+    grep -q "transcripts.gene_id" <<<"$out" \
+      || fail "arity-2 IND does not involve transcripts.gene_id (-format $fmt $shards)"
+  done
 done
 
 # Storage backends: the same exact, partial and n-ary discoveries must

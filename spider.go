@@ -132,49 +132,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ShardPlanner selects how sharded merges plan their range boundaries.
-type ShardPlanner int
-
-const (
-	// PlannerAuto (the default) plans boundaries from KMV sketch value
-	// samples when every attribute carries one (equal estimated mass per
-	// shard), and falls back to even min/max splitting otherwise.
-	PlannerAuto ShardPlanner = iota
-	// PlannerMinMax always splits the global min/max key range into
-	// equal-width shards, regardless of the value distribution.
-	PlannerMinMax
-	// PlannerKMV insists on sample-based planning; when samples are
-	// unavailable it still falls back to min/max but records why in
-	// Stats.ShardPlanFallback.
-	PlannerKMV
-)
-
-// String names the planner.
-func (p ShardPlanner) String() string {
-	switch p {
-	case PlannerAuto:
-		return "auto"
-	case PlannerMinMax:
-		return "minmax"
-	case PlannerKMV:
-		return "kmv"
-	default:
-		return fmt.Sprintf("ShardPlanner(%d)", int(p))
-	}
-}
-
-// internal maps the public planner onto the engine enum.
-func (p ShardPlanner) internal() ind.ShardPlanner {
-	switch p {
-	case PlannerMinMax:
-		return ind.PlannerMinMax
-	case PlannerKMV:
-		return ind.PlannerKMV
-	default:
-		return ind.PlannerAuto
-	}
-}
-
 // Format selects the on-disk encoding of exported value files and spill
 // runs. Readers auto-detect the encoding per file, so results are
 // identical under either format — only the I/O profile changes.
@@ -245,18 +202,12 @@ type Options struct {
 	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges and runs one independent heap merge per
-	// range concurrently; 0 or 1 keeps the single-threaded merge. The IND
-	// output is identical regardless of the shard count.
+	// range on min(Shards, GOMAXPROCS) workers; 0 or 1 keeps the
+	// single-threaded merge. Boundaries balance shards by estimated value
+	// mass when SketchPrefilter built KMV samples, and split the min/max
+	// key range evenly otherwise. The IND output is identical regardless
+	// of the shard count.
 	Shards int
-	// MergeWorkers bounds the shard worker pool; 0 selects
-	// min(Shards, GOMAXPROCS).
-	MergeWorkers int
-	// Planner selects the shard boundary planning strategy (sharded
-	// SpiderMerge only). PlannerAuto balances shards by estimated value
-	// mass using the KMV sketch samples built by SketchPrefilter; without
-	// sketches it splits the min/max key range evenly. The IND output is
-	// identical under every planner — only the per-shard load changes.
-	Planner ShardPlanner
 	// SketchPrefilter enables the per-attribute sketch pre-filter: a
 	// KMV min-hash signature plus a partitioned bloom filter, built for
 	// every attribute in the same streaming pass that extracts its
@@ -328,10 +279,10 @@ type Stats struct {
 	CandidatesPruned int
 	SketchBytes      int64
 	// Sharded-run observability (empty on unsharded runs). ShardPlanner
-	// names the boundary strategy that actually ran ("explicit", "kmv",
-	// "minmax", "single"); ShardPlanFallback records why a requested
-	// strategy degraded — e.g. KMV samples absent, or the boundary sample
-	// collapsing the run to one shard — instead of hiding the collapse.
+	// names the boundary strategy that ran ("kmv" when every attribute
+	// carries a KMV sample, else "minmax"); ShardPlanFallback records why
+	// the plan degraded — e.g. the boundary sample collapsing the run to
+	// one shard — instead of hiding the collapse.
 	// ShardItemsRead and ShardDurations break the merge work down per
 	// shard, so load skew is measurable.
 	ShardPlanner      string
@@ -493,6 +444,9 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	if opts.Streaming && opts.Algorithm != SpiderMerge {
 		return nil, fmt.Errorf("spider: Streaming requires Algorithm SpiderMerge (cursors are read once)")
 	}
+	if opts.Shards > 1 && opts.Algorithm != SpiderMerge {
+		return nil, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
+	}
 	if opts.SketchMinContainment < 0 || opts.SketchMinContainment > 1 {
 		// > 1 would silently prune every candidate (estimates cap at 1).
 		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
@@ -529,8 +483,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
 		Format: opts.Format.internal(),
 	}
-	var streamSrc *ind.SorterSource
-	var sharedSrc *ind.RunsSource
+	var streamSrc ind.CursorSource
 	switch {
 	case exportFiles:
 		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
@@ -539,17 +492,19 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	case opts.Streaming && opts.Shards > 1:
 		// Sharded streaming freezes each attribute's sorter into
 		// shareable runs that every shard replays over its own range.
-		sharedSrc, err = ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
+		src, err := ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
 			return nil, err
 		}
-		defer sharedSrc.Close()
+		defer src.Close()
+		streamSrc = src
 	case opts.Streaming:
-		streamSrc, err = ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
+		src, err := ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
 			return nil, err
 		}
-		defer streamSrc.Close()
+		defer src.Close()
+		streamSrc = src
 	case opts.SketchPrefilter:
 		// Engines that never extract value sets (SQL, in-memory,
 		// baselines) still get sketches, from a direct column scan.
@@ -588,22 +543,9 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 			DepBlock: opts.DepBlock, RefBlock: opts.RefBlock, Counter: &counter, Store: readDS,
 		})
 	case SpiderMerge:
-		if opts.Shards > 1 {
-			smOpts := ind.ShardedMergeOptions{
-				Counter: &counter, Store: readDS, Shards: opts.Shards, Workers: opts.MergeWorkers,
-				Planner: opts.Planner.internal(),
-			}
-			if sharedSrc != nil {
-				smOpts.Source = sharedSrc
-			}
-			res, err = ind.ShardedSpiderMerge(cands, smOpts)
-			break
-		}
-		smOpts := ind.SpiderMergeOptions{Counter: &counter, Store: readDS}
-		if streamSrc != nil {
-			smOpts.Source = streamSrc
-		}
-		res, err = ind.SpiderMerge(cands, smOpts)
+		res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{
+			Counter: &counter, Source: streamSrc, Store: readDS, Shards: opts.Shards,
+		})
 	case SQLJoin, SQLMinus, SQLNotIn:
 		variant := map[Algorithm]ind.SQLVariant{
 			SQLJoin: ind.SQLJoin, SQLMinus: ind.SQLMinus, SQLNotIn: ind.SQLNotIn,

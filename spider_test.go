@@ -382,3 +382,32 @@ func TestSketchMinContainmentValidation(t *testing.T) {
 		t.Error("FindPartialINDs accepted SketchMinContainment > 1")
 	}
 }
+
+// TestShardsRequireSpiderMerge: every discovery entry point rejects
+// Shards > 1 on an engine that cannot shard, instead of silently running
+// unsharded.
+func TestShardsRequireSpiderMerge(t *testing.T) {
+	db := demoDatabase(t)
+	for name, run := range map[string]func() error{
+		"FindINDs": func() error {
+			_, err := FindINDs(db, Options{Algorithm: SinglePass, Shards: 2})
+			return err
+		},
+		"FindPartialINDs": func() error {
+			_, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Algorithm: BruteForce, Shards: 2})
+			return err
+		},
+		"FindNaryINDs": func() error {
+			_, _, err := FindNaryINDs(db, NaryOptions{MaxArity: 2, Algorithm: InMemory, Shards: 2})
+			return err
+		},
+		"FindEmbeddedINDsWith": func() error {
+			_, _, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: BruteForce, Shards: 2})
+			return err
+		},
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s accepted Shards > 1 without SpiderMerge", name)
+		}
+	}
+}
