@@ -34,6 +34,7 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
+	"spider/internal/store"
 	"spider/internal/valfile"
 )
 
@@ -316,29 +317,9 @@ func BenchmarkShardedSpiderMerge(b *testing.B) {
 }
 
 // BenchmarkShardedStreaming runs the fully streaming sharded pipeline:
-// frozen spill runs replayed once per shard, no value files at all.
-func BenchmarkShardedStreaming(b *testing.B) {
-	ds := benchDataset(b, "uniprot")
-	for i := 0; i < b.N; i++ {
-		var counter valfile.ReadCounter
-		src, err := ind.StreamAttributesShared(ds.DB, ds.Attrs, ind.ExportConfig{
-			Sort: extsort.Config{TempDir: b.TempDir()},
-		}, &counter)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{
-			Counter: &counter, Source: src, Shards: 4,
-		})
-		src.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportRun(b, res)
-		}
-	}
-}
+// the spill backend's frozen runs replayed once per shard, no value
+// files at all.
+func BenchmarkShardedStreaming(b *testing.B) { benchSpill(b, 4) }
 
 // BenchmarkExportWorkers sweeps the attribute-export worker pool on the
 // UniProt dataset: extraction is embarrassingly parallel per attribute.
@@ -364,19 +345,32 @@ func BenchmarkExportWorkers(b *testing.B) {
 
 // BenchmarkStreamingSpiderMerge runs the fully streaming pipeline —
 // values flow from the relation store through external-sort spill runs
-// straight into the heap merge, never materializing value files.
-func BenchmarkStreamingSpiderMerge(b *testing.B) {
+// (the spill backend) straight into the heap merge, never materializing
+// value files.
+func BenchmarkStreamingSpiderMerge(b *testing.B) { benchSpill(b, 1) }
+
+// benchSpill exports the UniProt attributes into a fresh spill dataset
+// and merges them at the given shard count, once per iteration.
+func benchSpill(b *testing.B, shards int) {
 	ds := benchDataset(b, "uniprot")
+	// Export copies so the cached dataset's Paths stay valid.
+	attrs := make([]*ind.Attribute, len(ds.Attrs))
+	for i, a := range ds.Attrs {
+		cp := *a
+		attrs[i] = &cp
+	}
+	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{
-			Sort: extsort.Config{TempDir: b.TempDir()},
-		}, &counter)
-		if err != nil {
-			b.Fatal(err)
+		spill := extsort.NewSpill()
+		err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{
+			Dataset: spill, Sort: extsort.Config{TempDir: b.TempDir()},
+		})
+		var res *ind.Result
+		if err == nil {
+			res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: spill, Shards: shards})
 		}
-		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Source: src})
-		src.Close()
+		spill.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -862,10 +856,31 @@ func BenchmarkSubstrate_ExternalSort(b *testing.B) {
 	cfg := extsort.Config{MaxInMemory: 8192, TempDir: dir}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := extsort.SortToFile(vals, fmt.Sprintf("%s/out-%d.val", dir, i), cfg); err != nil {
+		if err := sortToFile(vals, fmt.Sprintf("%s/out-%d.val", dir, i), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sortToFile sorts the bag vals into a sorted distinct value file at
+// path.
+func sortToFile(vals []string, path string, cfg extsort.Config) error {
+	s := extsort.New(cfg)
+	defer s.Discard() // reclaims spill runs when Add fails mid-stream
+	for _, v := range vals {
+		if err := s.Add(v); err != nil {
+			return err
+		}
+	}
+	w, err := store.CreateFile(path, cfg.Format)
+	if err != nil {
+		return err
+	}
+	if _, _, _, err := s.DrainTo(w, nil); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 func BenchmarkSubstrate_SQLJoinQuery(b *testing.B) {

@@ -32,14 +32,13 @@ func main() {
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
 	workers := flag.Int("workers", 0, "worker pool size (brute-force-parallel; 0 = GOMAXPROCS)")
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
-	streaming := flag.Bool("streaming", false, "stream values from sort spill runs, skipping value files (spider-merge)")
 	shards := flag.Int("shards", 0, "value-range shards merged concurrently (spider-merge; 0/1 = single merge)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 	narySequential := flag.Bool("nary-sequential", false, "disable overlapped n-ary levels (spider-merge; run one level at a time)")
 	embedded := flag.Bool("embedded", false, "also discover embedded INDs (transformed values; -algo spider-merge selects the merge-front engine)")
 	workDir := flag.String("workdir", "", "directory for sorted value files (temporary when empty)")
-	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot (mem/snapshot never write value files)")
+	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot|spill (mem/snapshot/spill never write value files; spill replays sort runs in place)")
 	formatName := flag.String("format", "text", "value-file encoding: text|block (block = columnar binary with front coding)")
 	sketchOn := flag.Bool("sketch", false, "enable the sketch pre-filter (min-hash + bloom; sound on the exact path)")
 	sketchContainment := flag.Float64("sketch-containment", 0,
@@ -77,13 +76,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "indfind: -out persists exact result sets only (not -partial runs)")
 		os.Exit(1)
 	}
+	if *out != "" && backend.String() == "spill" {
+		fmt.Fprintln(os.Stderr, "indfind: -out needs value sets that outlive the run (not -backend spill)")
+		os.Exit(1)
+	}
 
 	if *partial > 0 {
 		partials, stats, err := spider.FindPartialINDs(db, spider.PartialOptions{
 			Threshold:               *partial,
 			WorkDir:                 *workDir,
 			Algorithm:               algorithm,
-			Streaming:               *streaming,
 			Shards:                  *shards,
 			ExportWorkers:           *exportWorkers,
 			SketchPrefilter:         *sketchOn,
@@ -117,7 +119,6 @@ func main() {
 		RefBlock:                *refBlock,
 		Workers:                 *workers,
 		ExportWorkers:           *exportWorkers,
-		Streaming:               *streaming,
 		Shards:                  *shards,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
@@ -169,7 +170,6 @@ func main() {
 			},
 		}
 		if naryAlgo == spider.SpiderMerge {
-			naryOpts.Streaming = *streaming
 			naryOpts.Shards = *shards
 			naryOpts.SequentialLevels = *narySequential
 		}

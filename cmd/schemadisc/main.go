@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "built-in dataset seed")
 	soft := flag.Float64("soft", 1.0, "accession heuristic threshold (1.0 strict; paper also used 0.9998)")
 	maxINDs := flag.Int("maxinds", 40, "maximum INDs to list (0 = all)")
-	backendName := flag.String("backend", "fs", "storage backend for the IND discovery pass: fs|mem|snapshot")
+	backendName := flag.String("backend", "fs", "storage backend for the IND discovery pass: fs|mem|snapshot|spill")
 	flag.Parse()
 
 	backend, err := spider.ParseBackend(*backendName, "", spider.FormatText)

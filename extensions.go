@@ -9,7 +9,6 @@ import (
 	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/sketch"
-	"spider/internal/store"
 	"spider/internal/valfile"
 )
 
@@ -45,9 +44,6 @@ type PartialOptions struct {
 	// pass over all attributes via the count-carrying k-way heap merge).
 	// Both return identical results.
 	Algorithm Algorithm
-	// Streaming (SpiderMerge only) streams sorted values directly from
-	// external-sort spill runs instead of materializing value files.
-	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
@@ -103,13 +99,12 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: partial IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	if opts.Algorithm != SpiderMerge && (opts.Streaming || opts.Shards > 1) {
-		return nil, Stats{}, fmt.Errorf("spider: Streaming and Shards require Algorithm SpiderMerge")
+	if opts.Algorithm != SpiderMerge && opts.Shards > 1 {
+		return nil, Stats{}, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
 	}
 
-	exportFiles := !opts.Streaming
 	workDir := opts.WorkDir
-	if exportFiles && workDir == "" && opts.Store.needsDir() {
+	if workDir == "" && opts.Store.needsDir() {
 		tmp, err := os.MkdirTemp("", "spider-partial-*")
 		if err != nil {
 			return nil, Stats{}, err
@@ -117,10 +112,8 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	var writeDS, readDS store.Dataset
-	if opts.Store != nil {
-		writeDS, readDS = opts.Store.datasets(workDir)
-	}
+	writeDS, readDS, release := opts.Store.datasets(workDir)
+	defer release()
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {
 		return nil, Stats{}, err
@@ -128,8 +121,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 
 	// Extraction, hoisted before candidate generation so that sketches
 	// (built in the same pass) exist by the time the pre-filter runs.
-	var counter valfile.ReadCounter
-	exportCfg := ind.ExportConfig{
+	err = ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir, Workers: workerPool(opts.ExportWorkers),
 		Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
@@ -138,27 +130,9 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 		SketchConfig: sketch.Config{
 			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
 		},
-	}
-	var streamSrc ind.CursorSource
-	switch {
-	case exportFiles:
-		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
-			return nil, Stats{}, err
-		}
-	case opts.Shards > 1:
-		src, err := ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer src.Close()
-		streamSrc = src
-	default:
-		src, err := ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer src.Close()
-		streamSrc = src
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{PartialThreshold: opts.Threshold})
@@ -173,12 +147,13 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 		cands, sketchStats = ind.SketchPretest(cands, ind.SketchPretestOptions{MinContainment: cut})
 	}
 
+	var counter valfile.ReadCounter
 	var res *ind.PartialResult
 	if opts.Algorithm == BruteForce {
 		res, err = ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS})
 	} else {
 		res, err = ind.PartialSpiderMerge(cands, opts.Threshold, ind.SpiderMergeOptions{
-			Counter: &counter, Source: streamSrc, Store: readDS, Shards: opts.Shards,
+			Counter: &counter, Store: readDS, Shards: opts.Shards,
 		})
 	}
 	if err != nil {
@@ -257,9 +232,6 @@ type NaryOptions struct {
 	// WorkDir upgrades only the unary seed to the file-backed SpiderMerge
 	// path; temporary when empty.
 	WorkDir string
-	// Streaming (SpiderMerge only) streams sorted tuples directly from
-	// external-sort spill runs instead of materializing value files.
-	Streaming bool
 	// Shards (SpiderMerge only) partitions each level's value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
@@ -336,14 +308,13 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	default:
 		return nil, NaryStats{}, fmt.Errorf("spider: n-ary discovery supports InMemory or SpiderMerge, not %v", opts.Algorithm)
 	}
-	if engine != ind.NaryMerge && (opts.Streaming || opts.Shards > 1) {
-		return nil, NaryStats{}, fmt.Errorf("spider: Streaming and Shards require Algorithm SpiderMerge")
+	if engine != ind.NaryMerge && opts.Shards > 1 {
+		return nil, NaryStats{}, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
 	}
 	inOpts := ind.NaryOptions{
 		MaxArity:         opts.MaxArity,
 		Algorithm:        engine,
 		WorkDir:          opts.WorkDir,
-		Streaming:        opts.Streaming,
 		Shards:           opts.Shards,
 		ExportWorkers:    opts.ExportWorkers,
 		SequentialLevels: opts.SequentialLevels,
@@ -353,7 +324,9 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	// work directory managed inside DiscoverNary); any other store maps
 	// onto the write (scratch) and read (engine) dataset pair.
 	if opts.Store != nil && !(opts.Store.needsDir() && opts.WorkDir == "") {
-		inOpts.Scratch, inOpts.Store = opts.Store.datasets(opts.WorkDir)
+		var release func()
+		inOpts.Scratch, inOpts.Store, release = opts.Store.datasets(opts.WorkDir)
+		defer release()
 	}
 	if opts.LevelProgress != nil {
 		inOpts.LevelProgress = func(p ind.LevelProgress) {
@@ -449,7 +422,7 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		engine = ind.EmbeddedMerge
 	}
 	workDir := opts.WorkDir
-	if workDir == "" && !opts.Store.inMemory() {
+	if workDir == "" && !opts.Store.noValueFiles() {
 		tmp, err := os.MkdirTemp("", "spider-embedded-*")
 		if err != nil {
 			return nil, Stats{}, err
@@ -457,10 +430,8 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	var writeDS, readDS store.Dataset
-	if opts.Store != nil {
-		writeDS, readDS = opts.Store.datasets(workDir)
-	}
+	writeDS, readDS, release := opts.Store.datasets(workDir)
+	defer release()
 	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir,
@@ -478,9 +449,9 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		Shards:    opts.Shards,
 		Format:    opts.Format.internal(),
 	}
-	if opts.Store.inMemory() {
-		// Derived value sets join the base exports in the same in-memory
-		// dataset; the snapshot read side faults them in on first open.
+	if opts.Store.noValueFiles() {
+		// Derived value sets join the base exports in the same dataset;
+		// the snapshot read side faults them in on first open.
 		embOpts.Scratch = writeDS
 	} else {
 		embOpts.Dir = workDir + "/derived"

@@ -79,7 +79,7 @@ func TestFindPartialINDsBadThreshold(t *testing.T) {
 
 // The partial path must route through every engine configuration with
 // identical results: brute force, the one-pass merge, sharded, and the
-// streaming pipeline.
+// streaming pipeline (the spill backend), which brute force reads too.
 func TestFindPartialINDsEngineAgreement(t *testing.T) {
 	db := dirtyDatabase(t)
 	want, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9})
@@ -92,8 +92,9 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 	for name, opts := range map[string]PartialOptions{
 		"spider-merge":         {Threshold: 0.9, Algorithm: SpiderMerge},
 		"sharded":              {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 4},
-		"streaming":            {Threshold: 0.9, Algorithm: SpiderMerge, Streaming: true},
-		"sharded streaming":    {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 3, Streaming: true},
+		"streaming":            {Threshold: 0.9, Algorithm: SpiderMerge, Store: NewSpillStore()},
+		"sharded streaming":    {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 3, Store: NewSpillStore()},
+		"brute-force spill":    {Threshold: 0.9, Store: NewSpillStore()},
 		"sequential exporters": {Threshold: 0.9, Algorithm: SpiderMerge, ExportWorkers: 1},
 	} {
 		got, stats, err := FindPartialINDs(db, opts)
@@ -107,10 +108,7 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 			t.Errorf("%s: ItemsRead not counted", name)
 		}
 	}
-	// Streaming and sharding require the merge engine.
-	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Streaming: true}); err == nil {
-		t.Error("Streaming without SpiderMerge must fail")
-	}
+	// Sharding requires the merge engine.
 	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Shards: 2}); err == nil {
 		t.Error("Shards without SpiderMerge must fail")
 	}
@@ -239,10 +237,10 @@ func TestFindNaryINDs(t *testing.T) {
 	}
 
 	// The merge-backed engine must return the same INDs and level counts,
-	// at any shard count, with and without streaming extraction.
+	// at any shard count, on the value-file and spill backends.
 	for _, opts := range []NaryOptions{
 		{MaxArity: 2, Algorithm: SpiderMerge},
-		{MaxArity: 2, Algorithm: SpiderMerge, Streaming: true, Shards: 2},
+		{MaxArity: 2, Algorithm: SpiderMerge, Store: NewSpillStore(), Shards: 2},
 		{MaxArity: 2, Algorithm: SpiderMerge, Shards: 3, ExportWorkers: 2},
 	} {
 		merged, mergedStats, err := FindNaryINDs(db, opts)
@@ -264,9 +262,6 @@ func TestFindNaryINDs(t *testing.T) {
 	// Unsupported engine selections must be rejected.
 	if _, _, err := FindNaryINDs(db, NaryOptions{MaxArity: 2, Algorithm: SinglePass}); err == nil {
 		t.Error("unsupported n-ary algorithm must fail")
-	}
-	if _, _, err := FindNaryINDs(db, NaryOptions{MaxArity: 2, Streaming: true}); err == nil {
-		t.Error("Streaming without SpiderMerge must fail")
 	}
 }
 

@@ -64,13 +64,13 @@ func TestExactINDsIdenticalAcrossFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, format := range []Format{FormatText, FormatBlock} {
-				for _, streaming := range []bool{false, true} {
+				for _, backend := range []*Store{nil, NewSpillStore()} {
 					for _, shards := range []int{1, 4} {
 						opts := Options{
 							Algorithm: SpiderMerge, Format: format,
-							Streaming: streaming, Shards: shards,
+							Store: backend, Shards: shards,
 						}
-						label := fmt.Sprintf("%v/streaming=%v/shards=%d", format, streaming, shards)
+						label := fmt.Sprintf("%v/backend=%v/shards=%d", format, backend, shards)
 						got, err := FindINDs(mk(), opts)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
@@ -78,7 +78,7 @@ func TestExactINDsIdenticalAcrossFormats(t *testing.T) {
 						if !reflect.DeepEqual(got.INDs, want.INDs) {
 							t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
 						}
-						if format == FormatBlock && !streaming && got.Stats.BytesRead == 0 && len(got.INDs) > 0 {
+						if format == FormatBlock && backend == nil && got.Stats.BytesRead == 0 && len(got.INDs) > 0 {
 							t.Errorf("%s: BytesRead = 0 with results delivered", label)
 						}
 					}
@@ -100,13 +100,13 @@ func TestPartialINDsIdenticalAcrossFormats(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, format := range []Format{FormatText, FormatBlock} {
-					for _, streaming := range []bool{false, true} {
+					for _, backend := range []*Store{nil, NewSpillStore()} {
 						for _, shards := range []int{1, 4} {
 							opts := PartialOptions{
 								Threshold: sigma, Algorithm: SpiderMerge, Format: format,
-								Streaming: streaming, Shards: shards,
+								Store: backend, Shards: shards,
 							}
-							label := fmt.Sprintf("σ=%v/%v/streaming=%v/shards=%d", sigma, format, streaming, shards)
+							label := fmt.Sprintf("σ=%v/%v/backend=%v/shards=%d", sigma, format, backend, shards)
 							got, _, err := FindPartialINDs(mk(), opts)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
@@ -133,13 +133,13 @@ func TestNaryINDsIdenticalAcrossFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, format := range []Format{FormatText, FormatBlock} {
-				for _, streaming := range []bool{false, true} {
+				for _, backend := range []*Store{nil, NewSpillStore()} {
 					for _, shards := range []int{1, 4} {
 						opts := NaryOptions{
 							MaxArity: 3, Algorithm: SpiderMerge, Format: format,
-							Streaming: streaming, Shards: shards,
+							Store: backend, Shards: shards,
 						}
-						label := fmt.Sprintf("%v/streaming=%v/shards=%d", format, streaming, shards)
+						label := fmt.Sprintf("%v/backend=%v/shards=%d", format, backend, shards)
 						got, st, err := FindNaryINDs(mk(), opts)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)

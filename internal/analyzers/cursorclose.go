@@ -9,13 +9,13 @@ import (
 )
 
 // CursorClose enforces the resource invariant behind every engine:
-// a Cursor, valfile.Reader/Writer, blockfile.Reader/Writer,
-// extsort.MergeCursor/Runs/Sorter or
-// cursor source obtained in a function must be released on every path —
-// closed (or discarded) before each return, or handed off to an owner
-// (returned, stored in a field/map, passed to another function). In a
-// batch run a leaked cursor is a failed test; in the planned long-lived
-// indserved daemon it is fd exhaustion in production.
+// a Cursor, valfile.Reader/Writer, blockfile.Reader/Writer or
+// extsort.MergeCursor/Runs/Sorter/Spill obtained in a function must be
+// released on every path — closed (or discarded) before each return, or
+// handed off to an owner (returned, stored in a field/map, passed to
+// another function). In a batch run a leaked cursor is a failed test; in
+// the planned long-lived indserved daemon it is fd exhaustion in
+// production.
 //
 // The analysis is intra-procedural and document-ordered: a release
 // counts for a return only if it appears earlier in the source, which is

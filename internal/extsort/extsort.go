@@ -37,9 +37,9 @@ type Config struct {
 	// abandoned promptly without finishing its I/O; the caller still runs
 	// Discard to remove any spill runs already written.
 	Cancel <-chan struct{}
-	// Format selects the value-file encoding for spill runs and final
-	// output (WriteTo and friends). The zero value is the text format;
-	// readers auto-detect, so mixed-format runs merge fine.
+	// Format selects the value-file encoding for spill runs. The zero
+	// value is the text format; readers auto-detect, so mixed-format runs
+	// merge fine.
 	Format valfile.Format
 }
 
@@ -149,75 +149,14 @@ func (s *Sorter) cleanup() {
 	s.runs = nil
 }
 
-// WriteTo merges buffered values and spill runs into a sorted distinct
-// value file at path, removing the temporary runs. It returns the number
-// of distinct values and the maximum value ("" when empty), which the
-// max-value pretest of Sec 4.1 consumes. The Sorter cannot be reused.
-func (s *Sorter) WriteTo(path string) (n int, max string, err error) {
-	return s.WriteToObserved(path, nil)
-}
-
-// WriteToObserved is WriteTo with a tap: observe (may be nil) is called
-// once per distinct value, in sorted order, as it is written. This lets
-// callers derive per-attribute summaries — the sketch pre-filter's KMV
-// and bloom structures — in the same single pass that materializes the
-// value file, touching each distinct value once instead of rescanning
-// the file or the base table.
-func (s *Sorter) WriteToObserved(path string, observe func(string)) (n int, max string, err error) {
-	return s.WriteToFile(path, observe, nil)
-}
-
-// WriteToFile is the general form of WriteTo: observe (may be nil) taps
-// every distinct value in sorted order, and finish (may be nil) runs
-// after the last value but before the writer closes — the window in
-// which block-format callers embed sections derived from the full value
-// stream, such as the attribute sketch (Writer.SetSection). Block
-// outputs always carry a RunMetaSection recording the sorter's
-// provenance.
-func (s *Sorter) WriteToFile(path string, observe func(string), finish func(*valfile.Writer) error) (n int, max string, err error) {
-	if s.closed {
-		return 0, "", fmt.Errorf("extsort: WriteTo after finish")
-	}
-	w, err := store.CreateFile(path, s.cfg.Format)
-	if err != nil {
-		s.Discard()
-		return 0, "", err
-	}
-	fail := func(err error) (int, string, error) {
-		w.Close()
-		os.Remove(path)
-		return 0, "", err
-	}
-	_, max, meta, err := s.DrainTo(w, observe)
-	if err != nil {
-		return fail(err)
-	}
-	if w.Format() == valfile.FormatBlock {
-		if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
-			return fail(err)
-		}
-	}
-	if finish != nil {
-		if err := finish(w); err != nil {
-			return fail(err)
-		}
-	}
-	n = w.Len()
-	if err := w.Close(); err != nil {
-		return 0, "", err
-	}
-	return n, max, nil
-}
-
 // Sink receives a sorted distinct value stream; store.ValueWriter and
 // *valfile.Writer both satisfy it.
 type Sink interface {
 	Append(v string) error
 }
 
-// DrainTo merges buffered values and spill runs into sink, the
-// storage-agnostic core of WriteTo: it appends every distinct value in
-// sorted order (tapped by observe, which may be nil), removes the
+// DrainTo merges buffered values and spill runs into sink: it appends
+// every distinct value in sorted order (tapped by observe, which may be nil), removes the
 // temporary runs, and returns the count, the maximum value ("" when
 // empty) and the sorter's provenance for callers that persist a
 // RunMetaSection. It neither sets sections nor closes the sink; the
@@ -356,45 +295,18 @@ func (s *Sorter) Discard() {
 	s.cleanup()
 }
 
-// MergeCursor streams the sorter's final sorted distinct value set
+// MergeCursor streams a frozen sorter's sorted distinct value set
 // directly from its spill runs and in-memory tail, without materializing
-// the merged file. It satisfies the same Next/Err/Close contract as a
-// valfile.Reader, so the IND engines can consume spill runs in place.
-// A cursor opened from a Runs handle may additionally be bounded to a
-// value range.
+// the merged file, bounded to a value range. It satisfies the same
+// Next/Err/Close contract as a valfile.Reader, so the IND engines can
+// consume spill runs in place.
 type MergeCursor struct {
-	s       *Sorter // single-shot owner; nil for Runs-backed cursors
 	m       *merger
 	counter *valfile.ReadCounter
 	bounds  valfile.Range
 	err     error
 	done    bool
 	closed  bool
-}
-
-// Cursor finishes the sorter and returns a streaming cursor over its
-// sorted distinct values. Intermediate merge passes still run when the
-// number of runs exceeds FanIn, keeping open files bounded. The Sorter
-// cannot be reused; Close removes the spill runs. counter (may be nil)
-// is incremented once per delivered distinct value.
-func (s *Sorter) Cursor(counter *valfile.ReadCounter) (*MergeCursor, error) {
-	if s.closed {
-		return nil, fmt.Errorf("extsort: Cursor after finish")
-	}
-	s.closed = true
-	sortDedup(&s.buf)
-	for len(s.runs) > s.cfg.FanIn {
-		if err := s.mergePass(); err != nil {
-			s.cleanup()
-			return nil, err
-		}
-	}
-	m, err := newMerger(s.runs, s.buf, "")
-	if err != nil {
-		s.cleanup()
-		return nil, err
-	}
-	return &MergeCursor{s: s, m: m, counter: counter}, nil
 }
 
 // Next returns the next distinct value in sorted order, restricted to the
@@ -430,8 +342,7 @@ func (c *MergeCursor) Next() (string, bool) {
 func (c *MergeCursor) Err() error { return c.err }
 
 // Close releases the run readers, flushing the bytes they read into the
-// cursor's counter; cursors owning their sorter also remove its spill
-// runs (Runs-backed cursors leave them for the Runs handle).
+// cursor's counter. The spill runs stay with their Runs handle.
 func (c *MergeCursor) Close() error {
 	if c.closed {
 		return nil
@@ -439,18 +350,15 @@ func (c *MergeCursor) Close() error {
 	c.closed = true
 	c.counter.AddBytes(c.m.bytesRead())
 	c.m.close()
-	if c.s != nil {
-		c.s.cleanup()
-	}
 	return nil
 }
 
 // Runs is a finished sorter's frozen output: its spill runs plus the
-// sorted in-memory tail. Unlike Cursor's single-shot stream, a Runs
-// handle can be opened any number of times — concurrently, each cursor
-// optionally bounded to a value range — which is exactly the per-shard
-// replay the sharded merge engine needs. Close removes the spill runs;
-// it must not be called before every opened cursor is closed.
+// sorted in-memory tail. A Runs handle can be opened any number of
+// times — concurrently, each cursor optionally bounded to a value
+// range — which is exactly the per-shard replay the sharded merge
+// engine needs. Close removes the spill runs; it must not be called
+// before every opened cursor is closed.
 type Runs struct {
 	runs   []string
 	mem    []string
@@ -538,26 +446,6 @@ func (r *Runs) Close() error {
 	}
 	r.runs, r.mem = nil, nil
 	return nil
-}
-
-// Sorted merges everything in memory and returns the sorted distinct set;
-// convenient for tests and small attributes.
-func (s *Sorter) Sorted() ([]string, error) {
-	if s.closed {
-		return nil, fmt.Errorf("extsort: Sorted after finish")
-	}
-	s.closed = true
-	defer s.cleanup()
-	out := append([]string(nil), s.buf...)
-	for _, run := range s.runs {
-		vals, err := store.ReadFileValues(run)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
-	}
-	sortDedup(&out)
-	return out, nil
 }
 
 // merger k-way merges sorted run files plus one in-memory sorted slice.
@@ -680,17 +568,4 @@ func (m *merger) close() {
 			r.Close()
 		}
 	}
-}
-
-// SortToFile is a convenience that sorts vals (a bag, unsorted, with
-// duplicates) into a sorted distinct value file at path using cfg.
-func SortToFile(vals []string, path string, cfg Config) (int, string, error) {
-	s := New(cfg)
-	defer s.Discard() // reclaims spill runs when Add fails mid-stream
-	for _, v := range vals {
-		if err := s.Add(v); err != nil {
-			return 0, "", err
-		}
-	}
-	return s.WriteTo(path)
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,30 +27,46 @@ func sortedDistinct(vals []string) []string {
 	return out
 }
 
+// sliceSink collects a drained value stream.
+type sliceSink []string
+
+func (s *sliceSink) Append(v string) error {
+	*s = append(*s, v)
+	return nil
+}
+
+// sortAll pushes the bag vals through a sorter configured by cfg and
+// drains its sorted distinct set into a slice.
+func sortAll(vals []string, cfg Config) (sorted []string, max string, err error) {
+	s := New(cfg)
+	defer s.Discard() // reclaims spill runs when Add fails mid-stream
+	for _, v := range vals {
+		if err := s.Add(v); err != nil {
+			return nil, "", err
+		}
+	}
+	var sink sliceSink
+	n, max, _, err := s.DrainTo(&sink, nil)
+	if err == nil && n != len(sink) {
+		err = fmt.Errorf("DrainTo reported %d values, delivered %d", n, len(sink))
+	}
+	return sink, max, err
+}
+
 func TestInMemorySmall(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.val")
-	vals := []string{"b", "a", "c", "a", "b"}
-	n, max, err := SortToFile(vals, path, Config{TempDir: t.TempDir()})
+	got, max, err := sortAll([]string{"b", "a", "c", "a", "b"}, Config{TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 || max != "c" {
-		t.Errorf("n=%d max=%q, want 3/c", n, max)
-	}
-	got, err := valfile.ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("file = %v", got)
+	if max != "c" || !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Errorf("sorted = %v max=%q, want [a b c]/c", got, max)
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.val")
-	n, max, err := SortToFile(nil, path, Config{TempDir: t.TempDir()})
-	if err != nil || n != 0 || max != "" {
-		t.Errorf("empty sort: n=%d max=%q err=%v", n, max, err)
+	got, max, err := sortAll(nil, Config{TempDir: t.TempDir()})
+	if err != nil || len(got) != 0 || max != "" {
+		t.Errorf("empty sort: %v max=%q err=%v", got, max, err)
 	}
 }
 
@@ -66,29 +81,18 @@ func TestSpillingMatchesInMemory(t *testing.T) {
 	for _, maxMem := range []int{1, 7, 64, 1000, 100000} {
 		t.Run(fmt.Sprintf("maxMem=%d", maxMem), func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, "out.val")
-			n, max, err := SortToFile(vals, path, Config{MaxInMemory: maxMem, TempDir: dir})
+			got, max, err := sortAll(vals, Config{MaxInMemory: maxMem, TempDir: dir})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if n != len(want) {
-				t.Errorf("n = %d, want %d", n, len(want))
 			}
 			if max != want[len(want)-1] {
 				t.Errorf("max = %q, want %q", max, want[len(want)-1])
 			}
-			got, err := valfile.ReadAll(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !reflect.DeepEqual(got, want) {
 				t.Error("spilled result differs from in-memory reference")
 			}
-			// Spill runs must be removed after WriteTo.
-			runs, _ := filepath.Glob(filepath.Join(dir, "extsort-run-*"))
-			if len(runs) != 0 {
-				t.Errorf("leftover runs: %v", runs)
-			}
+			// Spill runs must be removed after DrainTo.
+			assertNoRuns(t, dir)
 		})
 	}
 }
@@ -104,13 +108,16 @@ func TestSorted(t *testing.T) {
 	if s.Added() != 7 {
 		t.Errorf("Added = %d", s.Added())
 	}
-	got, err := s.Sorted()
-	if err != nil {
+	var got sliceSink
+	if _, _, meta, err := s.DrainTo(&got, nil); err != nil {
 		t.Fatal(err)
+	} else if meta.Added != 7 || meta.SpillRuns != 2 {
+		t.Errorf("RunMeta = %+v, want 7 added over 2 spill runs", meta)
 	}
-	if !reflect.DeepEqual(got, []string{"a", "b", "m", "q", "z"}) {
-		t.Errorf("Sorted = %v", got)
+	if !reflect.DeepEqual([]string(got), []string{"a", "b", "m", "q", "z"}) {
+		t.Errorf("sorted = %v", got)
 	}
+	assertNoRuns(t, dir)
 }
 
 func TestUseAfterFinish(t *testing.T) {
@@ -119,17 +126,18 @@ func TestUseAfterFinish(t *testing.T) {
 	if err := s.Add("x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.WriteTo(filepath.Join(dir, "a.val")); err != nil {
+	var sink sliceSink
+	if _, _, _, err := s.DrainTo(&sink, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Add("y"); err == nil {
-		t.Error("Add after WriteTo must fail")
+		t.Error("Add after DrainTo must fail")
 	}
-	if _, _, err := s.WriteTo(filepath.Join(dir, "b.val")); err == nil {
-		t.Error("second WriteTo must fail")
+	if _, _, _, err := s.DrainTo(&sink, nil); err == nil {
+		t.Error("second DrainTo must fail")
 	}
-	if _, err := s.Sorted(); err == nil {
-		t.Error("Sorted after WriteTo must fail")
+	if _, err := s.Freeze(); err == nil {
+		t.Error("Freeze after DrainTo must fail")
 	}
 }
 
@@ -143,27 +151,17 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
-// Property: for any input bag and any spill threshold, the output file is
-// the sorted distinct set of the input.
-func TestSortToFileProperty(t *testing.T) {
+// Property: for any input bag and any spill threshold, the drained
+// stream is the sorted distinct set of the input.
+func TestDrainToProperty(t *testing.T) {
 	dir := t.TempDir()
-	i := 0
 	f := func(vals []string, memSeed uint8) bool {
-		i++
 		maxMem := int(memSeed)%17 + 1
-		path := filepath.Join(dir, fmt.Sprintf("p%d.val", i))
-		n, _, err := SortToFile(vals, path, Config{MaxInMemory: maxMem, TempDir: dir})
+		got, _, err := sortAll(vals, Config{MaxInMemory: maxMem, TempDir: dir})
 		if err != nil {
 			return false
 		}
 		want := sortedDistinct(vals)
-		if n != len(want) {
-			return false
-		}
-		got, err := valfile.ReadAll(path)
-		if err != nil {
-			return false
-		}
 		if len(got) != len(want) {
 			return false
 		}
@@ -179,36 +177,32 @@ func TestSortToFileProperty(t *testing.T) {
 	}
 }
 
-// TestCursorStreamsSortedDistinct checks the streaming merge cursor
-// against the materializing WriteTo path: same values, same order, and
-// the spill runs are removed once the cursor is closed.
+// TestCursorStreamsSortedDistinct checks the merge cursor over frozen
+// runs against DrainTo: same values, same order, counted once each,
+// with an intermediate merge pass in between (FanIn 4), and the spill
+// runs removed once the Runs handle is closed.
 func TestCursorStreamsSortedDistinct(t *testing.T) {
 	dir := t.TempDir()
 	vals := make([]string, 0, 600)
 	for i := 0; i < 600; i++ {
 		vals = append(vals, fmt.Sprintf("v%03d", i%137))
 	}
-	fileSorter := New(Config{MaxInMemory: 32, TempDir: dir})
-	streamSorter := New(Config{MaxInMemory: 32, FanIn: 4, TempDir: dir})
-	for _, v := range vals {
-		if err := fileSorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-		if err := streamSorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(dir, "out.val")
-	if _, _, err := fileSorter.WriteTo(path); err != nil {
-		t.Fatal(err)
-	}
-	want, err := valfile.ReadAll(path)
+	want, _, err := sortAll(vals, Config{MaxInMemory: 32, TempDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	s := New(Config{MaxInMemory: 32, FanIn: 4, TempDir: dir})
+	for _, v := range vals {
+		if err := s.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, err := s.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var counter valfile.ReadCounter
-	cur, err := streamSorter.Cursor(&counter)
+	cur, err := runs.OpenRange(valfile.Range{}, &counter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,24 +221,15 @@ func TestCursorStreamsSortedDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cursor yielded %d values, WriteTo %d; streams differ", len(got), len(want))
+		t.Fatalf("cursor yielded %d values, DrainTo %d; streams differ", len(got), len(want))
 	}
 	if counter.Total() != int64(len(want)) {
 		t.Errorf("counted %d items, want %d", counter.Total(), len(want))
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := runs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "extsort-run-") {
-			t.Errorf("spill run %s not removed after Close", e.Name())
-		}
-	}
-	// A finished sorter cannot produce another cursor.
-	if _, err := streamSorter.Cursor(nil); err == nil {
-		t.Error("Cursor after finish must fail")
-	}
+	assertNoRuns(t, dir)
 }
 
 // TestDiscard removes spill runs without producing output.
@@ -264,8 +249,8 @@ func TestDiscard(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("Discard left %d files behind", len(entries))
 	}
-	if _, _, err := s.WriteTo(filepath.Join(dir, "x.val")); err == nil {
-		t.Error("WriteTo after Discard must fail")
+	if _, _, _, err := s.DrainTo(&sliceSink{}, nil); err == nil {
+		t.Error("DrainTo after Discard must fail")
 	}
 }
 
@@ -380,7 +365,7 @@ func TestFreezeAfterFinish(t *testing.T) {
 	if err := s.Add("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sorted(); err != nil {
+	if _, _, _, err := s.DrainTo(&sliceSink{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Freeze(); err == nil {
@@ -388,10 +373,10 @@ func TestFreezeAfterFinish(t *testing.T) {
 	}
 }
 
-// TestWriteToObserved pins the observer tap: it sees every distinct
+// TestDrainToObserved pins the observer tap: it sees every distinct
 // value exactly once, in sorted order, on both the in-memory and the
-// spilling path, and the written file is unchanged.
-func TestWriteToObserved(t *testing.T) {
+// spilling path, and the drained stream is unchanged.
+func TestDrainToObserved(t *testing.T) {
 	for _, maxInMem := range []int{4, 1 << 16} { // spilling and in-memory
 		dir := t.TempDir()
 		s := New(Config{TempDir: dir, MaxInMemory: maxInMem})
@@ -402,8 +387,8 @@ func TestWriteToObserved(t *testing.T) {
 			}
 		}
 		var seen []string
-		path := filepath.Join(dir, "out.val")
-		n, max, err := s.WriteToObserved(path, func(v string) { seen = append(seen, v) })
+		var got sliceSink
+		n, max, _, err := s.DrainTo(&got, func(v string) { seen = append(seen, v) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,12 +399,8 @@ func TestWriteToObserved(t *testing.T) {
 		if n != len(want) || max != "f" {
 			t.Errorf("maxInMem=%d: n=%d max=%q", maxInMem, n, max)
 		}
-		got, err := valfile.ReadAll(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("maxInMem=%d: file %v, want %v", maxInMem, got, want)
+		if !reflect.DeepEqual([]string(got), want) {
+			t.Errorf("maxInMem=%d: drained %v, want %v", maxInMem, got, want)
 		}
 	}
 }
@@ -446,13 +427,13 @@ func TestCancelAbortsSorter(t *testing.T) {
 	s.Discard()
 	assertNoRuns(t, dir)
 
-	// WriteTo and Freeze on freshly canceled sorters abort up front.
+	// DrainTo and Freeze on freshly canceled sorters abort up front.
 	s2 := New(Config{TempDir: dir, Cancel: cancel})
 	if err := s2.Add("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s2.WriteTo(filepath.Join(dir, "out.val")); err != ErrCanceled {
-		t.Fatalf("WriteTo after cancel = %v, want ErrCanceled", err)
+	if _, _, _, err := s2.DrainTo(&sliceSink{}, nil); err != ErrCanceled {
+		t.Fatalf("DrainTo after cancel = %v, want ErrCanceled", err)
 	}
 	s3 := New(Config{TempDir: dir, Cancel: cancel})
 	if _, err := s3.Freeze(); err != ErrCanceled {
@@ -461,8 +442,9 @@ func TestCancelAbortsSorter(t *testing.T) {
 	assertNoRuns(t, dir)
 }
 
-// TestCancelMidMerge: cancellation between spilling and writing aborts
-// the final merge, removes the partial output, and cleans the runs.
+// TestCancelMidMerge: cancellation between spilling and draining aborts
+// the final merge before any value reaches the sink, and cleans the
+// runs.
 func TestCancelMidMerge(t *testing.T) {
 	dir := t.TempDir()
 	cancel := make(chan struct{})
@@ -473,12 +455,12 @@ func TestCancelMidMerge(t *testing.T) {
 		}
 	}
 	close(cancel)
-	out := filepath.Join(dir, "out.val")
-	if _, _, err := s.WriteTo(out); err != ErrCanceled {
-		t.Fatalf("WriteTo = %v, want ErrCanceled", err)
+	var sink sliceSink
+	if _, _, _, err := s.DrainTo(&sink, nil); err != ErrCanceled {
+		t.Fatalf("DrainTo = %v, want ErrCanceled", err)
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("canceled merge left output file (stat err %v)", err)
+	if len(sink) != 0 {
+		t.Fatalf("canceled merge delivered %d values", len(sink))
 	}
 	assertNoRuns(t, dir)
 }
@@ -500,8 +482,8 @@ func assertNoRuns(t *testing.T, dir string) {
 // spill (and by intermediate merge passes) must itself be
 // block-framed, so replaying frozen runs gets the same front-coded,
 // checksummed framing as final exports. An earlier draft of the block
-// format wired only the final WriteTo output, leaving spill runs in
-// the text encoding.
+// format wired only the final output file, leaving spill runs in the
+// text encoding.
 func TestSpillRunsCarryConfiguredFormat(t *testing.T) {
 	for _, format := range []valfile.Format{valfile.FormatText, valfile.FormatBlock} {
 		dir := t.TempDir()
@@ -529,7 +511,14 @@ func TestSpillRunsCarryConfiguredFormat(t *testing.T) {
 			}
 		}
 		out := filepath.Join(dir, "out.val")
-		if _, _, err := s.WriteTo(out); err != nil {
+		w, err := store.CreateFile(out, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.DrainTo(w, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if have, err := valfile.DetectFormat(out); err != nil || have != format {
@@ -540,7 +529,7 @@ func TestSpillRunsCarryConfiguredFormat(t *testing.T) {
 
 // TestDrainToMemDataset drains a spilling sorter straight into an
 // in-memory dataset: the storage-seam path the mem and snapshot
-// backends use instead of WriteTo's file target.
+// backends use.
 func TestDrainToMemDataset(t *testing.T) {
 	vals := []string{"pear", "apple", "fig", "apple", "kiwi", "fig", "plum", "lime"}
 	s := New(Config{MaxInMemory: 2, TempDir: t.TempDir()})

@@ -42,7 +42,7 @@ type Attribute struct {
 	MinCanonical string
 	MaxCanonical string
 	// Path is the sorted distinct value file, "" until exported to a
-	// filesystem dataset (in-memory backends leave it empty).
+	// filesystem dataset (other backends leave it empty).
 	Path string
 	// Key is the attribute's staging key inside the dataset it was
 	// exported to, "" until exported.
@@ -129,10 +129,9 @@ type ExportConfig struct {
 	Workers int
 	// Sketches additionally builds each attribute's pre-filter sketch
 	// (KMV min-hash signature + partitioned bloom filter) in the same
-	// streaming pass — during the final merge for file exports (each
-	// distinct value observed once), or during the column scan on the
-	// streaming paths. File exports persist the sketch next to the value
-	// file under the sketch.FileSuffix name.
+	// streaming pass, observing each distinct value once as it is
+	// staged. The sketch is persisted as a section of the value set
+	// (a sketch.FileSuffix sidecar next to text value files).
 	Sketches bool
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
@@ -224,66 +223,93 @@ func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error
 // into ds, deriving and persisting its sketch in the same pass when
 // configured.
 func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds store.Dataset) error {
-	sorter, err := fillSorter(db, a, cfg.Sort, nil)
+	sorter, err := fillSorter(db, a, cfg.Sort)
 	if err != nil {
 		return err
 	}
-	defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
 	// The sketch taps the final merge rather than the raw column scan:
 	// each distinct value is observed exactly once, so the builder does
-	// per-distinct work instead of per-row work.
+	// per-distinct work instead of per-row work. The finished sketch is
+	// staged as a section of the value set itself: block files embed it,
+	// text files persist the byte-identical sidecar, memory and spill
+	// datasets keep the payload in their section map.
 	builder, observe := sketchObserver(cfg, a)
-	key := attrFileName(a)
-	w, err := ds.Create(key)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		w.Close()
-		removeIfPresent(ds, key)
-		return err
-	}
-	n, max, meta, err := sorter.DrainTo(w, observe)
-	if err != nil {
-		return abort(err)
-	}
-	// The run metadata always rides along; backends that cannot carry it
-	// (the text encoding) drop it, exactly as before the storage seam.
-	if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
-		return abort(err)
-	}
-	// The finished sketch is staged as a section of the value set itself:
-	// block files embed it, text files persist the byte-identical sidecar,
-	// memory datasets keep the payload in their section map.
+	var sections func(store.ValueWriter) error
 	if builder != nil {
-		a.Sketch = builder.Finish()
-		var buf bytes.Buffer
-		if err := a.Sketch.Encode(&buf); err != nil {
-			return abort(err)
-		}
-		if err := w.SetSection(valfile.SketchSection, buf.Bytes()); err != nil {
-			return abort(err)
+		sections = func(w store.ValueWriter) error {
+			a.Sketch = builder.Finish()
+			var buf bytes.Buffer
+			if err := a.Sketch.Encode(&buf); err != nil {
+				return err
+			}
+			return w.SetSection(valfile.SketchSection, buf.Bytes())
 		}
 	}
-	if err := w.Close(); err != nil {
-		removeIfPresent(ds, key)
+	n, max, err := stageSorted(ds, a, attrFileName(a), sorter, observe, sections)
+	if err != nil {
 		return err
 	}
 	if n != a.Distinct {
 		return fmt.Errorf("ind: %s: exported %d distinct values, stats say %d", a.Ref, n, a.Distinct)
 	}
-	a.Key = key
-	if fs, ok := ds.(*store.FS); ok {
-		a.Path = fs.Path(key)
-	}
 	a.MaxCanonical = max
 	return nil
 }
 
-// removeIfPresent is the best-effort cleanup of a failed staging; the
-// key may or may not have become visible, so absence is not an error.
-func removeIfPresent(ds store.Dataset, key string) {
-	_ = ds.Remove(key)
+// stageSorted finishes sorter into ds under key and points a at it —
+// the one way a sorted value set enters a dataset. A spill dataset
+// adopts the frozen runs in place; every other backend receives the
+// drained stream through Create. Either way observe (may be nil) sees
+// every distinct value in sorted order, the run metadata rides along as
+// a section (backends that cannot carry it, like the text encoding,
+// drop it), and sections (may be nil) attaches further sections once
+// the stream is complete. On error nothing stays behind: the key is
+// removed and the sorter's spill runs are reclaimed. It returns the
+// distinct count and the maximum value ("" when empty).
+func stageSorted(ds store.Dataset, a *Attribute, key string, sorter *extsort.Sorter, observe func(string), sections func(store.ValueWriter) error) (n int, max string, err error) {
+	defer sorter.Discard() // no-op once drained or frozen; reclaims runs on early error
+	var (
+		w    store.ValueWriter
+		meta extsort.RunMeta
+	)
+	if sp, ok := ds.(*extsort.Spill); ok {
+		if w, max, meta, err = sp.Stage(key, sorter, observe); err != nil {
+			return 0, "", err
+		}
+	} else {
+		if w, err = ds.Create(key); err != nil {
+			return 0, "", err
+		}
+		if _, max, meta, err = sorter.DrainTo(w, observe); err != nil {
+			return 0, "", abortStaging(ds, key, w, err)
+		}
+	}
+	if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
+		return 0, "", abortStaging(ds, key, w, err)
+	}
+	if sections != nil {
+		if err := sections(w); err != nil {
+			return 0, "", abortStaging(ds, key, w, err)
+		}
+	}
+	n = w.Len()
+	if err := w.Close(); err != nil {
+		_ = ds.Remove(key) // best effort: the key may never have become visible
+		return 0, "", err
+	}
+	a.Key, a.Path = key, ""
+	if fs, ok := ds.(*store.FS); ok {
+		a.Path = fs.Path(key)
+	}
+	return n, max, nil
+}
+
+// abortStaging closes a failed staging writer and removes whatever of
+// the key became visible, returning err.
+func abortStaging(ds store.Dataset, key string, w store.ValueWriter, err error) error {
+	w.Close()
+	_ = ds.Remove(key) // best effort: the key may never have become visible
+	return err
 }
 
 // LoadSketches fills Attribute.Sketch from the sketches persisted in
@@ -322,31 +348,26 @@ func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
 }
 
 // fillSorter pushes the attribute's non-null canonical values through a
-// fresh external sorter. observe (may be nil) additionally receives
-// every scanned canonical value — the raw bag, duplicates included —
-// which is how the streaming paths derive sketches without a second
-// pass (the sketch builder tolerates duplicates).
-func fillSorter(db *relstore.Database, a *Attribute, cfg extsort.Config, observe func(string)) (*extsort.Sorter, error) {
+// fresh external sorter. On error the sorter's spill runs are removed.
+func fillSorter(db *relstore.Database, a *Attribute, cfg extsort.Config) (*extsort.Sorter, error) {
 	t := db.Table(a.Ref.Table)
 	if t == nil {
 		return nil, fmt.Errorf("ind: unknown table %q", a.Ref.Table)
 	}
 	sorter := extsort.New(cfg)
 	var addErr error
-	if _, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
+	_, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
 		if addErr != nil || v.IsNull() {
 			return
 		}
-		c := v.Canonical()
-		if observe != nil {
-			observe(c)
-		}
-		addErr = sorter.Add(c)
-	}); err != nil {
-		return nil, err
+		addErr = sorter.Add(v.Canonical())
+	})
+	if err == nil {
+		err = addErr
 	}
-	if addErr != nil {
-		return nil, addErr
+	if err != nil {
+		sorter.Discard()
+		return nil, err
 	}
 	return sorter, nil
 }
@@ -359,76 +380,6 @@ func sketchObserver(cfg ExportConfig, a *Attribute) (*sketch.Builder, func(strin
 	}
 	b := sketch.NewBuilder(cfg.SketchConfig, a.Distinct)
 	return b, b.Add
-}
-
-// StreamAttributes loads every attribute's values into an external sorter
-// and returns a SorterSource streaming the sorted distinct sets directly
-// from the spill runs — the fully streaming pipeline for single-read
-// engines (SpiderMerge), which never materializes final value files.
-// Attribute.Path stays empty; cfg.Dir is unused. Extraction runs on the
-// same bounded worker pool as ExportAttributes (cfg.Workers). counter may
-// be nil.
-func StreamAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*SorterSource, error) {
-	cfg.Sort.Format = cfg.Format
-	src := NewSorterSource(counter)
-	var mu sync.Mutex
-	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		builder, observe := sketchObserver(cfg, a)
-		sorter, err := fillSorter(db, a, cfg.Sort, observe)
-		if err != nil {
-			return err
-		}
-		if builder != nil {
-			a.Sketch = builder.Finish()
-		}
-		mu.Lock()
-		src.Add(a, sorter)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	return src, nil
-}
-
-// StreamAttributesShared is the sharded-engine variant of
-// StreamAttributes: every attribute's sorter is frozen into shareable
-// runs (extsort.Runs) that can be opened any number of times and
-// range-restricted, so S shards can each replay the spill runs over
-// their own slice of the value space. Freezing (final sort and
-// deduplication of the in-memory tail, intermediate merge passes) runs
-// on the extraction worker pool. Attribute.Path stays empty; cfg.Dir is
-// unused. counter may be nil.
-func StreamAttributesShared(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*RunsSource, error) {
-	cfg.Sort.Format = cfg.Format
-	src := NewRunsSource(counter)
-	var mu sync.Mutex
-	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		builder, observe := sketchObserver(cfg, a)
-		sorter, err := fillSorter(db, a, cfg.Sort, observe)
-		if err != nil {
-			return err
-		}
-		defer sorter.Discard() // no-op once Freeze moved ownership to runs
-		if builder != nil {
-			a.Sketch = builder.Finish()
-		}
-		runs, err := sorter.Freeze()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		src.Add(a, runs)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	return src, nil
 }
 
 // attrFileName builds a stable, filesystem-safe file name for an attribute.

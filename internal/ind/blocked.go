@@ -23,12 +23,9 @@ type BlockedOptions struct {
 	RefBlock int
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter. Cursors are reopened once per block, so single-shot
-	// sources (such as SorterSource) are unsuitable here.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil.
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path. Cursors are reopened once per
+	// block.
 	Store store.Dataset
 }
 
@@ -57,7 +54,7 @@ func SinglePassBlocked(cands []Candidate, opts BlockedOptions) (*Result, error) 
 			if len(block) == 0 {
 				continue
 			}
-			res, err := SinglePass(block, SinglePassOptions{Counter: opts.Counter, Source: opts.Source, Store: opts.Store})
+			res, err := SinglePass(block, SinglePassOptions{Counter: opts.Counter, Store: opts.Store})
 			if err != nil {
 				return nil, err
 			}

@@ -75,11 +75,8 @@ type BruteForceOptions struct {
 	// Transitivity enables the Bell & Brockhausen inference of Sec 4.1,
 	// skipping tests whose outcome follows from already decided ones.
 	Transitivity bool
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil.
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path.
 	Store store.Dataset
 }
 
@@ -91,7 +88,7 @@ func BruteForce(cands []Candidate, opts BruteForceOptions) (*Result, error) {
 	res := &Result{}
 	res.Stats.Candidates = len(cands)
 	res.Stats.MaxOpenFiles = 2 // one dependent plus one referenced file
-	src := sourceOrStore(opts.Source, opts.Store, opts.Counter)
+	src := newSource(opts.Store, opts.Counter)
 	var filter *TransitivityFilter
 	if opts.Transitivity {
 		filter = NewTransitivityFilter()
@@ -139,7 +136,7 @@ func BruteForce(cands []Candidate, opts BruteForceOptions) (*Result, error) {
 // behind; stop with false the moment the referenced cursor passes a
 // dependent value (early stop), or with true when all dependent values
 // found a match.
-func testCandidate(c Candidate, src CursorSource, st *Stats) (bool, error) {
+func testCandidate(c Candidate, src source, st *Stats) (bool, error) {
 	dep, err := src.Open(c.Dep)
 	if err != nil {
 		return false, err

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -36,7 +35,7 @@ func TestStoreSource(t *testing.T) {
 	mem := store.NewMem()
 	mem.SetValues("a.val", []string{"x", "y"})
 	var counter valfile.ReadCounter
-	src := StoreSource{DS: mem, Counter: &counter}
+	src := newSource(mem, &counter)
 	a := &Attribute{ID: 7, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Key: "a.val"}
 	cur, err := src.Open(a)
 	if err != nil {
@@ -56,6 +55,8 @@ func TestStoreSource(t *testing.T) {
 	}
 }
 
+// TestFileSourceRoundTrip: with no Store the engines read exported
+// value files by path.
 func TestFileSourceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.val")
@@ -64,7 +65,7 @@ func TestFileSourceRoundTrip(t *testing.T) {
 	}
 	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Path: path}
 	var counter valfile.ReadCounter
-	cur, err := FileSource{Counter: &counter}.Open(a)
+	cur, err := newSource(nil, &counter).Open(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +75,14 @@ func TestFileSourceRoundTrip(t *testing.T) {
 	if counter.Total() != 3 {
 		t.Errorf("counted %d items", counter.Total())
 	}
-	if _, err := (FileSource{}).Open(&Attribute{Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
+	if _, err := newSource(nil, nil).Open(&Attribute{Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
 		t.Error("unexported attribute must fail")
 	}
 }
 
 func TestMemSourceFixture(t *testing.T) {
-	src := memSource(map[int][]string{7: {"x", "y"}})
 	a := &Attribute{ID: 7, Ref: relstore.ColumnRef{Table: "t", Column: "a"}}
+	src := newSource(memSource([]*Attribute{a}, map[int][]string{7: {"x", "y"}}), nil)
 	cur, err := src.Open(a)
 	if err != nil {
 		t.Fatal(err)
@@ -91,31 +92,6 @@ func TestMemSourceFixture(t *testing.T) {
 	}
 	if _, err := src.Open(&Attribute{ID: 8, Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
 		t.Error("missing set must fail")
-	}
-}
-
-func TestSorterSourceSingleShot(t *testing.T) {
-	src := NewSorterSource(nil)
-	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}}
-	sorter := extsort.New(extsort.Config{MaxInMemory: 2, TempDir: t.TempDir()})
-	for _, v := range []string{"b", "a", "c", "a", "b"} {
-		if err := sorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src.Add(a, sorter)
-	cur, err := src.Open(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, cur); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("values = %v", got)
-	}
-	if _, err := src.Open(a); err == nil {
-		t.Error("reopening a consumed sorter must fail")
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

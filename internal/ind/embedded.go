@@ -236,7 +236,7 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 			})
 		}
 	} else {
-		src := sourceOrStore(nil, opts.Store, opts.Counter)
+		src := newSource(opts.Store, opts.Counter)
 		for _, c := range cands {
 			sat, err := testCandidate(Candidate{Dep: c.d.attr, Ref: c.r}, src, &res.Stats)
 			if err != nil {
@@ -313,25 +313,15 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 				sorter.Discard()
 				return nil, addErr
 			}
+			derived := &Attribute{
+				ID:           nextID,
+				Ref:          derivedRef(a.Ref, tr.Name),
+				Kind:         a.Kind,
+				MinCanonical: min,
+			}
 			key := fmt.Sprintf("derived_%05d_%s.val", nextID, tr.Name)
-			w, err := scratch.Create(key)
+			n, max, err := stageSorted(scratch, derived, key, sorter, nil, nil)
 			if err != nil {
-				sorter.Discard()
-				return nil, err
-			}
-			n, max, meta, err := sorter.DrainTo(w, nil)
-			if err != nil {
-				w.Close()
-				removeIfPresent(scratch, key)
-				return nil, err
-			}
-			if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
-				w.Close()
-				removeIfPresent(scratch, key)
-				return nil, err
-			}
-			if err := w.Close(); err != nil {
-				removeIfPresent(scratch, key)
 				return nil, err
 			}
 			if n < opts.MinValues {
@@ -340,19 +330,7 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 				}
 				continue
 			}
-			derived := &Attribute{
-				ID:           nextID,
-				Ref:          derivedRef(a.Ref, tr.Name),
-				Kind:         a.Kind,
-				NonNull:      n,
-				Distinct:     n,
-				MinCanonical: min,
-				MaxCanonical: max,
-				Key:          key,
-			}
-			if fs, ok := scratch.(*store.FS); ok {
-				derived.Path = fs.Path(key)
-			}
+			derived.NonNull, derived.Distinct, derived.MaxCanonical = n, n, max
 			deriveds = append(deriveds, derivedAttr{
 				attr:      derived,
 				orig:      a.Ref,

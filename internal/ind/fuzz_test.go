@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -162,20 +163,20 @@ func FuzzPartialMerge(f *testing.F) {
 				}
 			}
 		}
-		src := memSource(sets)
-		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Source: src})
+		mem := memSource(attrs, sets)
+		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Store: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Source: src, Shards: 3})
+		sharded, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Store: mem, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := PartialSpiderMerge(cands, 1, SpiderMergeOptions{Source: src})
+		full, err := PartialSpiderMerge(cands, 1, SpiderMergeOptions{Store: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := SpiderMerge(cands, SpiderMergeOptions{Source: src})
+		exact, err := SpiderMerge(cands, SpiderMergeOptions{Store: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +222,9 @@ func FuzzPartialMerge(f *testing.F) {
 }
 
 // FuzzNaryMerge derives a random tuple database from raw bytes and
-// cross-checks the merge-backed n-ary engine — files and streaming,
-// unsharded and sharded — against the in-memory tuple-set reference.
+// cross-checks the merge-backed n-ary engine — value files and the spill
+// backend, unsharded and sharded — against the in-memory tuple-set
+// reference.
 // Run with go test -fuzz=FuzzNaryMerge.
 func FuzzNaryMerge(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 1, 2, 3, 4, 5, 6, 1, 2, 3}, byte(2))
@@ -242,10 +244,14 @@ func FuzzNaryMerge(f *testing.F) {
 		opts := NaryOptions{
 			MaxArity:  maxArity,
 			Algorithm: NaryMerge,
-			Streaming: knobs&1 != 0,
 			Shards:    1 + int(knobs>>1)%3,
 		}
-		if !opts.Streaming {
+		spill := knobs&1 != 0
+		if spill {
+			sp := extsort.NewSpill()
+			defer sp.Close()
+			opts.Store, opts.Scratch = sp, sp
+		} else {
 			opts.WorkDir = t.TempDir()
 		}
 		got, err := DiscoverNary(db, opts)
@@ -253,8 +259,8 @@ func FuzzNaryMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-			t.Errorf("merge engine differs (streaming=%v shards=%d):\ngot  %v\nwant %v",
-				opts.Streaming, opts.Shards, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
+			t.Errorf("merge engine differs (spill=%v shards=%d):\ngot  %v\nwant %v",
+				spill, opts.Shards, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
 		}
 		if !reflect.DeepEqual(got.Stats.SatisfiedByArity, want.Stats.SatisfiedByArity) {
 			t.Errorf("level counts differ: %v vs %v",

@@ -4,34 +4,24 @@ import (
 	"fmt"
 
 	"spider/internal/store"
-	"spider/internal/valfile"
 )
 
-// memSource serves ID-keyed in-memory value sets through a store.Mem
-// dataset — the storage-seam replacement for the ad-hoc MemorySource
-// fixture the tests used to carry. Attributes resolve to keys by ID, so
-// fixtures need not assign Key or Path.
-func memSource(sets map[int][]string) memIDSource {
+// memSource loads ID-keyed in-memory value sets into a store.Mem under
+// each attribute's dataset key, so the fixture serves any engine as its
+// Store. Attributes that were never exported get a plain key assigned.
+func memSource(attrs []*Attribute, sets map[int][]string) *store.Mem {
 	mem := store.NewMem()
-	for id, vals := range sets {
-		mem.SetValues(memKey(id), vals)
+	for _, a := range attrs {
+		mem.SetValues(fixtureKey(a), sets[a.ID])
 	}
-	return memIDSource{ds: mem}
+	return mem
 }
 
-func memKey(id int) string { return fmt.Sprintf("a%05d.val", id) }
-
-// memIDSource adapts a dataset keyed by attribute ID to the engines'
-// source interfaces.
-type memIDSource struct {
-	ds      store.Dataset
-	counter *valfile.ReadCounter
-}
-
-func (s memIDSource) Open(a *Attribute) (Cursor, error) {
-	return s.OpenRange(a, valfile.Range{})
-}
-
-func (s memIDSource) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, error) {
-	return s.ds.OpenRange(memKey(a.ID), s.counter, bounds)
+// fixtureKey returns the attribute's dataset key, assigning a plain
+// ID-derived one when the attribute was never exported.
+func fixtureKey(a *Attribute) string {
+	if a.StoreKey() == "" {
+		a.Key = fmt.Sprintf("a%05d.val", a.ID)
+	}
+	return a.StoreKey()
 }

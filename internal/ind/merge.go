@@ -30,14 +30,10 @@ import (
 type SpiderMergeOptions struct {
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter. An unsharded run opens each attribute exactly once, so
-	// single-shot sources (SorterSource) work there. A sharded run opens
-	// attributes once per shard through OpenRange, so with Shards > 1
-	// Source must also be a RangeSource.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil.
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path. An unsharded run opens each
+	// attribute once; a sharded run opens it once per shard, each open
+	// bounded to the shard's value range.
 	Store store.Dataset
 	// Shards is S, the number of disjoint value ranges merged
 	// concurrently on min(S, GOMAXPROCS) workers; 0 or 1 runs one merge
@@ -212,20 +208,16 @@ func newMergeTable(cands []Candidate) *mergeTable {
 // when non-nil, replaces the planned shard boundaries.
 func runMerge(cands []Candidate, sigma float64, opts SpiderMergeOptions, bounds []string) (*mergeTable, error) {
 	t := newMergeTable(cands)
-	src := sourceOrStore(opts.Source, opts.Store, opts.Counter)
+	src := newSource(opts.Store, opts.Counter)
 	if opts.Shards <= 1 && bounds == nil {
-		m := newMerger(t, t.rows, src, sigma, nil)
+		m := newMerger(t, t.rows, src.Open, sigma, nil)
 		err := m.run()
 		m.closeAll()
 		t.stats = m.stats
 		return t, err
 	}
 
-	rsrc, ok := src.(RangeSource)
-	if !ok {
-		return nil, fmt.Errorf("ind: a sharded merge needs a RangeSource, got %T", src)
-	}
-	plan, err := planShards(t.attrs, rsrc, opts.Shards, bounds)
+	plan, err := planShards(t.attrs, src, opts.Shards, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +231,8 @@ func runMerge(cands []Candidate, sigma float64, opts SpiderMergeOptions, bounds 
 	err = runShards(n, 0, func(i int) error {
 		shardStart := time.Now()
 		shardRows[i] = slices.Clone(t.rows)
-		m := newMerger(t, shardRows[i], shardSource{src: rsrc, bounds: plan.ranges[i], reads: &shardReads[i]}, sigma, &plan.ranges[i])
+		shard := shardSource{src: src, bounds: plan.ranges[i], reads: &shardReads[i]}
+		m := newMerger(t, shardRows[i], shard.Open, sigma, &plan.ranges[i])
 		err := m.run()
 		m.closeAll()
 		shardStats[i] = m.stats
@@ -280,24 +273,25 @@ type mergeSlot struct {
 	member      bool // in the current merge group
 }
 
-// merger is one k-way merge over a table's rows.
+// merger is one k-way merge over a table's rows; open supplies each
+// involved attribute's cursor.
 type merger struct {
-	src     CursorSource
+	open    func(*Attribute) (Cursor, error)
 	attrs   []*Attribute
 	rows    []mergeRow
 	slots   []mergeSlot
 	pending []int32
 	front   mergeFront
 	stats   Stats
-	open    int
+	nOpen   int
 }
 
 // newMerger prepares a merge over rows. With within set, rows whose
 // dependent provably has no values in the range are left out: their
 // counts stay 0/0, which is the range's exact contribution.
-func newMerger(t *mergeTable, rows []mergeRow, src CursorSource, sigma float64, within *valfile.Range) *merger {
+func newMerger(t *mergeTable, rows []mergeRow, open func(*Attribute) (Cursor, error), sigma float64, within *valfile.Range) *merger {
 	m := &merger{
-		src: src, attrs: t.attrs, rows: rows,
+		open: open, attrs: t.attrs, rows: rows,
 		slots:   make([]mergeSlot, len(t.attrs)),
 		pending: make([]int32, 0, len(rows)),
 	}
@@ -308,8 +302,7 @@ func newMerger(t *mergeTable, rows []mergeRow, src CursorSource, sigma float64, 
 		d := &m.slots[row.dep]
 		if d.n == 0 {
 			d.lo = int32(len(m.pending))
-			// Exact mode never reads Distinct: on streamed tuple
-			// attributes it is only an upper bound.
+			// Exact mode keeps a budget of 0: the first miss refutes.
 			if sigma > 0 {
 				d.budget = missBudget(sigma, t.attrs[row.dep].Distinct)
 			}
@@ -330,7 +323,7 @@ func (m *merger) run() error {
 		if m.slots[s].n == 0 && m.slots[s].refs == 0 {
 			continue
 		}
-		cur, err := m.src.Open(m.attrs[s])
+		cur, err := m.open(m.attrs[s])
 		if err != nil {
 			return err
 		}
@@ -339,9 +332,9 @@ func (m *merger) run() error {
 		// values in range) open no file and must not distort the Sec 4.2
 		// open-files metric.
 		if _, empty := cur.(emptyCursor); !empty {
-			m.open++
+			m.nOpen++
 			m.stats.FilesOpened++
-			m.stats.MaxOpenFiles = max(m.stats.MaxOpenFiles, m.open)
+			m.stats.MaxOpenFiles = max(m.stats.MaxOpenFiles, m.nOpen)
 		}
 	}
 	for s := range m.slots {
@@ -454,7 +447,7 @@ func (m *merger) closeCursor(s int32) {
 		cur.Close()
 		m.slots[s].cur = nil
 		if _, empty := cur.(emptyCursor); !empty {
-			m.open--
+			m.nOpen--
 		}
 	}
 }
@@ -519,13 +512,13 @@ func (f *mergeFront) pop() int32 {
 	return top
 }
 
-// shardSource views a RangeSource through one shard's bounds. Attributes
+// shardSource views a source through one shard's bounds. Attributes
 // whose [MinCanonical, MaxCanonical] span provably misses the range are
 // served a canned empty cursor without touching the underlying source —
 // value domains are typically localized (integers here, accession
 // strings there), so most shards open only a fraction of the attributes.
 type shardSource struct {
-	src    RangeSource
+	src    source
 	bounds valfile.Range
 	// reads tallies the items this shard read — the global Counter cannot
 	// attribute reads to shards once they run concurrently.
@@ -592,7 +585,7 @@ type shardPlan struct {
 // shards, into the half-open ranges the shards merge over. Planning uses
 // the attributes' KMV samples when every non-empty attribute carries one
 // and min/max order statistics otherwise.
-func planShards(attrs []*Attribute, src RangeSource, shards int, bounds []string) (shardPlan, error) {
+func planShards(attrs []*Attribute, src source, shards int, bounds []string) (shardPlan, error) {
 	plan := shardPlan{planner: "explicit"}
 	if bounds == nil {
 		if kmv, ok := kmvBoundaries(attrs, shards); ok {
@@ -650,24 +643,21 @@ func kmvBoundaries(attrs []*Attribute, shards int) ([]string, bool) {
 
 // shardBoundaries picks at most shards-1 strictly ascending boundary
 // values from cheap order statistics of the attributes: every
-// attribute's canonical minimum and maximum plus, when the source
-// implements BoundarySampler, spill-run fronts. Quantiles of the pooled
+// attribute's canonical minimum and maximum plus the dataset's samples
+// (block-index first values, spill-run fronts). Quantiles of the pooled
 // sample approximate an even split of the merged value space; skewed
 // samples collapse into fewer (still correct) shards.
-func shardBoundaries(attrs []*Attribute, src RangeSource, shards int) ([]string, error) {
-	sampler, _ := src.(BoundarySampler)
+func shardBoundaries(attrs []*Attribute, src source, shards int) ([]string, error) {
 	var sample []string
 	for _, a := range attrs {
 		if a.Distinct > 0 || a.NonNull > 0 {
 			sample = append(sample, a.MinCanonical, a.MaxCanonical)
 		}
-		if sampler != nil {
-			vs, err := sampler.SampleBounds(a, 4)
-			if err != nil {
-				return nil, err
-			}
-			sample = append(sample, vs...)
+		vs, err := src.Sample(a, 4)
+		if err != nil {
+			return nil, err
 		}
+		sample = append(sample, vs...)
 	}
 	sort.Strings(sample)
 	sample = slices.Compact(sample)

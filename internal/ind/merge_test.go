@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,16 +34,13 @@ func randomAttrs(t *testing.T, rng *rand.Rand, dir string, nAttrs int) ([]*Attri
 		for j := 0; j < size; j++ {
 			set[fmt.Sprintf("v%02d", rng.Intn(13))] = struct{}{}
 		}
-		vals := make([]string, 0, len(set))
+		sorted := make([]string, 0, len(set))
 		for v := range set {
-			vals = append(vals, v)
+			sorted = append(sorted, v)
 		}
+		sort.Strings(sorted)
 		path := filepath.Join(dir, fmt.Sprintf("%03d.val", i))
-		n, _, err := extsort.SortToFile(vals, path, extsort.Config{TempDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sorted, err := valfile.ReadAll(path)
+		n, err := valfile.WriteAll(path, sorted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,46 +95,38 @@ func shuffledSorter(t *testing.T, rng *rand.Rand, dir string, vals []string) *ex
 	return sorter
 }
 
-// sharedRunsSource builds a replayable RunsSource over frozen spill runs
-// of every attribute; counter may be nil.
-func sharedRunsSource(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string, counter *valfile.ReadCounter) *RunsSource {
+// spillSource stages every attribute's values, shuffled and duplicated
+// through a tiny-budget sorter, as frozen spill runs under the
+// attribute's dataset key (assigning one to attributes without).
+func spillSource(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string) *extsort.Spill {
 	t.Helper()
-	src := NewRunsSource(counter)
+	sp := extsort.NewSpill()
 	for _, a := range attrs {
-		runs, err := shuffledSorter(t, rng, dir, sets[a.ID]).Freeze()
+		w, _, _, err := sp.Stage(fixtureKey(a), shuffledSorter(t, rng, dir, sets[a.ID]), nil)
 		if err != nil {
+			sp.Close()
 			t.Fatal(err)
 		}
-		src.Add(a, runs)
+		if err := w.Close(); err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
 	}
-	return src
-}
-
-// sorterSource builds a single-shot SorterSource streaming every
-// attribute straight out of its sorter; counter may be nil.
-func sorterSource(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string, counter *valfile.ReadCounter) *SorterSource {
-	t.Helper()
-	src := NewSorterSource(counter)
-	for _, a := range attrs {
-		src.Add(a, shuffledSorter(t, rng, dir, sets[a.ID]))
-	}
-	return src
+	return sp
 }
 
 // checkMergeDifferential is the merge kernel's differential test. Every
-// row of the mode × S × source table runs on one database and must
+// row of the mode × S × backend table runs on one database and must
 // return exactly the oracle's output: Reference in exact mode (a miss
 // budget of 0), BruteForcePartial at σ ∈ {0.5, 0.8, 1} — same satisfied
-// sets, coverages and Missing counts. Sources are the exported value
-// files, the in-memory dataset, replayable spill runs and single-shot
-// sorter cursors; sharded rows must refuse the sorter source, which
-// cannot reopen an attribute per range.
+// sets, coverages and Missing counts. Backends are the exported value
+// files, the in-memory dataset and replayable spill runs.
 func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string) {
 	t.Helper()
 	cands := allPairs(attrs)
-	var runsC valfile.ReadCounter
-	runs := sharedRunsSource(t, rng, dir, attrs, sets, &runsC)
-	defer runs.Close()
+	mem := memSource(attrs, sets)
+	spill := spillSource(t, rng, dir, attrs, sets)
+	defer spill.Close()
 	for _, sigma := range []float64{0, 0.5, 0.8, 1} {
 		var wantExact *Result
 		var wantPartial *PartialResult
@@ -150,26 +140,16 @@ func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*A
 			}
 		}
 		for _, shards := range []int{1, 2, 4, 7} {
-			for _, source := range []string{"files", "memory", "runs", "sorter"} {
+			for _, source := range []string{"files", "memory", "spill"} {
 				name := fmt.Sprintf("σ=%g/S=%d/%s", sigma, shards, source)
 				var c valfile.ReadCounter
 				counter := &c
 				opts := SpiderMergeOptions{Counter: counter, Shards: shards}
 				switch source {
 				case "memory":
-					mem := memSource(sets)
-					mem.counter = counter
-					opts.Source = mem
-				case "runs":
-					runsC.Reset()
-					counter = &runsC
-					opts.Counter, opts.Source = counter, runs
-				case "sorter":
-					sorter := NewSorterSource(counter)
-					if shards == 1 {
-						sorter = sorterSource(t, rng, dir, attrs, sets, counter)
-					}
-					opts.Source = sorter
+					opts.Store = mem
+				case "spill":
+					opts.Store = spill
 				}
 				var stats Stats
 				var err error
@@ -198,15 +178,6 @@ func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*A
 							t.Errorf("%s read %d items, brute force %d", name, c.Total(), bfC.Total())
 						}
 					}
-				}
-				if sorter, ok := opts.Source.(*SorterSource); ok {
-					sorter.Close()
-				}
-				if source == "sorter" && shards > 1 {
-					if err == nil {
-						t.Errorf("%s: a sharded merge over a single-shot source must fail", name)
-					}
-					continue
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -291,12 +262,13 @@ func TestShardedSpiderMergePropertyAgreement(t *testing.T) {
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
 			cands := allPairs(attrs)
 			for _, sigma := range []float64{0, 0.8} {
-				single, err := runMerge(cands, sigma, SpiderMergeOptions{Source: memSource(sets)}, nil)
+				mem := memSource(attrs, sets)
+				single, err := runMerge(cands, sigma, SpiderMergeOptions{Store: mem}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, shards := range []int{2, 4, 7} {
-					sharded, err := runMerge(cands, sigma, SpiderMergeOptions{Source: memSource(sets), Shards: shards}, nil)
+					sharded, err := runMerge(cands, sigma, SpiderMergeOptions{Store: mem, Shards: shards}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -451,34 +423,34 @@ func TestSpiderMergeStatsGolden(t *testing.T) {
 	}
 }
 
-// errInjected is the fault faultySource's cursors report.
+// errInjected is the fault faultyDataset's cursors report.
 var errInjected = errors.New("injected cursor fault")
 
-// faultySource wraps a RangeSource and fails the run's failAt-th
-// delivered item, counting cursor opens and closes.
-type faultySource struct {
-	src           RangeSource
+// faultyDataset wraps a dataset and fails the failAt-th item delivered
+// by any of its cursors, counting cursor opens and closes.
+type faultyDataset struct {
+	store.Dataset
 	failAt        int64
 	items         atomic.Int64
 	opens, closes atomic.Int64
 }
 
-func (s *faultySource) Open(a *Attribute) (Cursor, error) {
-	return s.OpenRange(a, valfile.Range{})
+func (d *faultyDataset) Open(key string, counter *valfile.ReadCounter) (store.Cursor, error) {
+	return d.OpenRange(key, counter, valfile.Range{})
 }
 
-func (s *faultySource) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, error) {
-	cur, err := s.src.OpenRange(a, bounds)
+func (d *faultyDataset) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (store.Cursor, error) {
+	cur, err := d.Dataset.OpenRange(key, counter, bounds)
 	if err != nil {
 		return nil, err
 	}
-	s.opens.Add(1)
-	return &faultyCursor{Cursor: cur, src: s}, nil
+	d.opens.Add(1)
+	return &faultyCursor{Cursor: cur, ds: d}, nil
 }
 
 type faultyCursor struct {
-	Cursor
-	src *faultySource
+	store.Cursor
+	ds  *faultyDataset
 	err error
 }
 
@@ -486,7 +458,7 @@ func (c *faultyCursor) Next() (string, bool) {
 	if c.err != nil {
 		return "", false
 	}
-	if c.src.items.Add(1) == c.src.failAt {
+	if c.ds.items.Add(1) == c.ds.failAt {
 		c.err = errInjected
 		return "", false
 	}
@@ -501,43 +473,60 @@ func (c *faultyCursor) Err() error {
 }
 
 func (c *faultyCursor) Close() error {
-	c.src.closes.Add(1)
+	c.ds.closes.Add(1)
 	return c.Cursor.Close()
 }
 
-// TestMergeCursorErrorPath injects a cursor fault mid-merge: exact and
-// partial runs, inline and sharded, must all return the fault, close
-// every cursor they opened and leave no goroutine behind.
+// TestMergeCursorErrorPath injects a cursor fault mid-merge over the
+// memory and spill backends: exact and partial runs, inline and
+// sharded, must all return the fault, close every cursor they opened,
+// leave no goroutine behind, and — once the call's spill dataset is
+// closed, as every entry point does on return — no spill run on disk.
 func TestMergeCursorErrorPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	attrs, sets := randomAttrs(t, rng, t.TempDir(), 12)
 	cands := allPairs(attrs)
-	for _, failAt := range []int64{1, 25} {
-		for _, sigma := range []float64{0, 0.8} {
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("fail@%d/σ=%g/S=%d", failAt, sigma, shards)
-				src := &faultySource{src: memSource(sets), failAt: failAt}
-				before := runtime.NumGoroutine()
-				opts := SpiderMergeOptions{Source: src, Shards: shards}
-				var err error
-				if sigma == 0 {
-					_, err = SpiderMerge(cands, opts)
-				} else {
-					_, err = PartialSpiderMerge(cands, sigma, opts)
-				}
-				if !errors.Is(err, errInjected) {
-					t.Errorf("%s: err = %v, want the injected fault", name, err)
-				}
-				if opens, closes := src.opens.Load(), src.closes.Load(); opens == 0 || opens != closes {
-					t.Errorf("%s: %d cursors opened, %d closed", name, opens, closes)
-				}
-				// Finished workers may still be unwinding past wg.Done.
-				deadline := time.Now().Add(2 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if after := runtime.NumGoroutine(); after > before {
-					t.Errorf("%s: %d goroutines before, %d after", name, before, after)
+	for _, backend := range []string{"mem", "spill"} {
+		for _, failAt := range []int64{1, 25} {
+			for _, sigma := range []float64{0, 0.8} {
+				for _, shards := range []int{1, 4} {
+					name := fmt.Sprintf("%s/fail@%d/σ=%g/S=%d", backend, failAt, sigma, shards)
+					workDir := t.TempDir()
+					before := runtime.NumGoroutine()
+					var ds *faultyDataset
+					err := func() error {
+						var base store.Dataset = memSource(attrs, sets)
+						if backend == "spill" {
+							spill := spillSource(t, rng, workDir, attrs, sets)
+							defer spill.Close()
+							base = spill
+						}
+						ds = &faultyDataset{Dataset: base, failAt: failAt}
+						opts := SpiderMergeOptions{Store: ds, Shards: shards}
+						if sigma == 0 {
+							_, err := SpiderMerge(cands, opts)
+							return err
+						}
+						_, err := PartialSpiderMerge(cands, sigma, opts)
+						return err
+					}()
+					if !errors.Is(err, errInjected) {
+						t.Errorf("%s: err = %v, want the injected fault", name, err)
+					}
+					if opens, closes := ds.opens.Load(), ds.closes.Load(); opens == 0 || opens != closes {
+						t.Errorf("%s: %d cursors opened, %d closed", name, opens, closes)
+					}
+					// Finished workers may still be unwinding past wg.Done.
+					deadline := time.Now().Add(2 * time.Second)
+					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if after := runtime.NumGoroutine(); after > before {
+						t.Errorf("%s: %d goroutines before, %d after", name, before, after)
+					}
+					if runs, _ := filepath.Glob(filepath.Join(workDir, "extsort-run-*")); len(runs) != 0 {
+						t.Errorf("%s: %d spill runs outlived the call", name, len(runs))
+					}
 				}
 			}
 		}
@@ -565,7 +554,8 @@ func TestShardedSpiderMergeExplicitBoundaries(t *testing.T) {
 	cands := allPairs(attrs)
 	want := Reference(cands, sets)
 
-	res, err := spiderMerge(cands, SpiderMergeOptions{Source: memSource(sets)}, []string{"c", "n"})
+	mem := memSource(attrs, sets)
+	res, err := spiderMerge(cands, SpiderMergeOptions{Store: mem}, []string{"c", "n"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +566,7 @@ func TestShardedSpiderMergeExplicitBoundaries(t *testing.T) {
 		t.Errorf("plan = %q over %d shards, want explicit over 3", res.Stats.ShardPlanner, len(res.Stats.ShardItemsRead))
 	}
 
-	if _, err := spiderMerge(cands, SpiderMergeOptions{Source: memSource(sets)}, []string{"n", "c"}); err == nil {
+	if _, err := spiderMerge(cands, SpiderMergeOptions{Store: mem}, []string{"n", "c"}); err == nil {
 		t.Error("descending boundaries must be rejected")
 	}
 }
@@ -631,7 +621,7 @@ func withoutSketches(attrs []*Attribute) []*Attribute {
 // engine: on random databases, the attributes with KMV value samples
 // (planned by mass) and the same attributes with their sketches stripped
 // (planned by min/max) return byte-identical satisfied sets at
-// S ∈ {1, 2, 4, 7}, over both value files and shared spill runs — and
+// S ∈ {1, 2, 4, 7}, over both value files and the spill backend — and
 // Stats faithfully records which planner produced the boundaries.
 func TestShardPlannerPropertyAgreement(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -669,9 +659,9 @@ func TestShardPlannerPropertyAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					src := sharedRunsSource(t, rng, dir, attrs, sets, nil)
-					gotStream, err := SpiderMerge(cands, SpiderMergeOptions{Source: src, Shards: shards})
-					src.Close()
+					spill := spillSource(t, rng, dir, attrs, sets)
+					gotStream, err := SpiderMerge(cands, SpiderMergeOptions{Store: spill, Shards: shards})
+					spill.Close()
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -104,10 +104,6 @@ type NaryOptions struct {
 	// temporary directory when WorkDir is empty. The caller owns a
 	// non-empty WorkDir.
 	WorkDir string
-	// Streaming (NaryMerge only) streams sorted tuples directly from
-	// external-sort spill runs instead of materializing per-level value
-	// files.
-	Streaming bool
 	// Store serves the unary attributes' value sets to the merge engines
 	// (and, unless Scratch is set, receives the unary seed's exports);
 	// nil exports to and reads the sorted value files under WorkDir.
@@ -260,11 +256,11 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	if opts.MaxCandidatesPerLevel <= 0 {
 		opts.MaxCandidatesPerLevel = 100_000
 	}
-	if opts.Algorithm != NaryMerge && (opts.Streaming || opts.Shards > 1) {
-		return nil, fmt.Errorf("ind: Streaming and Shards require the NaryMerge engine, not %v", opts.Algorithm)
+	if opts.Algorithm != NaryMerge && opts.Shards > 1 {
+		return nil, fmt.Errorf("ind: Shards require the NaryMerge engine, not %v", opts.Algorithm)
 	}
 	workDir := opts.WorkDir
-	if opts.Algorithm == NaryMerge && workDir == "" && !opts.Streaming && opts.Scratch == nil {
+	if opts.Algorithm == NaryMerge && workDir == "" && opts.Scratch == nil {
 		tmp, err := os.MkdirTemp("", "spider-nary-*")
 		if err != nil {
 			return nil, err
@@ -449,8 +445,8 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 }
 
 // mergeUnarySeed verifies the unary seed candidates with the requested
-// export mode (value files, spill-run streams) and shard count — the same
-// plumbing FindINDs uses, reusing the real attribute value sets.
+// backend and shard count — the same plumbing FindINDs uses, reusing
+// the real attribute value sets.
 func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, workDir string, counter *valfile.ReadCounter) (*Result, error) {
 	// Exports go to the write side: Scratch when the caller split the
 	// dataset into a writable scratch and a read-only serving view
@@ -459,37 +455,17 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 	if opts.Scratch != nil {
 		seedDS = opts.Scratch
 	}
-	exportCfg := ExportConfig{
+	err := ExportAttributes(db, eligible, ExportConfig{
 		Dir:     workDir,
 		Dataset: seedDS,
 		Sort:    extsort.Config{TempDir: workDir, Format: opts.Sort.Format},
 		Workers: naryWorkers(opts.ExportWorkers),
 		Format:  opts.Sort.Format,
+	})
+	if err != nil {
+		return nil, err
 	}
-	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards}
-	switch {
-	case opts.Streaming && opts.Shards > 1:
-		// Shards need replayable runs: each reopens every attribute over
-		// its own range.
-		src, err := StreamAttributesShared(db, eligible, exportCfg, counter)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		smOpts.Source = src
-	case opts.Streaming:
-		src, err := StreamAttributes(db, eligible, exportCfg, counter)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		smOpts.Source = src
-	default:
-		if err := ExportAttributes(db, eligible, exportCfg); err != nil {
-			return nil, err
-		}
-	}
-	return SpiderMerge(cands, smOpts)
+	return SpiderMerge(cands, SpiderMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards})
 }
 
 func pairDeps(pairs []pairKey) []relstore.ColumnRef {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/value"
 )
@@ -420,7 +421,7 @@ func TestDiscoverNaryTruncationKeepsLowerArities(t *testing.T) {
 
 // The merge-backed engine must produce byte-identical satisfied sets and
 // level counts to the in-memory tuple-set reference, across shard counts,
-// file vs streaming extraction, and arities, on random databases.
+// the value-file and spill backends, and arities, on random databases.
 func TestNaryMergeMatchesTupleSets(t *testing.T) {
 	dbs := []*relstore.Database{}
 	for seed := int64(0); seed < 3; seed++ {
@@ -434,16 +435,19 @@ func TestNaryMergeMatchesTupleSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			higherArity += len(want.Satisfied)
-			for _, streaming := range []bool{false, true} {
+			for _, backend := range []string{"files", "spill"} {
 				for _, shards := range []int{1, 2, 4} {
-					name := fmt.Sprintf("seed=%d arity=%d streaming=%v shards=%d", seed, maxArity, streaming, shards)
+					name := fmt.Sprintf("seed=%d arity=%d backend=%s shards=%d", seed, maxArity, backend, shards)
 					opts := NaryOptions{
 						MaxArity:  maxArity,
 						Algorithm: NaryMerge,
-						Streaming: streaming,
 						Shards:    shards,
 					}
-					if !streaming {
+					if backend == "spill" {
+						sp := extsort.NewSpill()
+						opts.Store, opts.Scratch = sp, sp
+						defer sp.Close()
+					} else {
 						opts.WorkDir = t.TempDir()
 					}
 					got, err := DiscoverNary(db, opts)
@@ -512,13 +516,10 @@ func TestNarySeparatorBytesDoNotConflateTuples(t *testing.T) {
 	}
 }
 
-// The merge engine must reject sharding/streaming combined with the
-// tuple-sets engine, mirroring the unary API contracts.
+// The merge engine must reject sharding combined with the tuple-sets
+// engine, mirroring the unary API contracts.
 func TestDiscoverNaryOptionValidation(t *testing.T) {
 	db := naryDB(t)
-	if _, err := DiscoverNary(db, NaryOptions{Streaming: true}); err == nil {
-		t.Error("Streaming without NaryMerge must fail")
-	}
 	if _, err := DiscoverNary(db, NaryOptions{Shards: 2}); err == nil {
 		t.Error("Shards without NaryMerge must fail")
 	}

@@ -177,108 +177,40 @@ func (m *mergeLevelVerifier) verifyCands(arity int, cands []naryCand) ([]bool, e
 	return out, nil
 }
 
-// runMerge extracts every list's encoded tuple stream in the configured
-// mode (per-level value files, or spill-run streaming) and decides the
-// level's candidates in one SpiderMerge — sharded when requested.
+// runMerge stages every list's encoded tuple stream into the scratch
+// dataset and decides the level's candidates in one SpiderMerge —
+// sharded when requested. The level's tuple sets are removed once it is
+// decided, so storage stays bounded by one level. Keys draw from an
+// atomic sequence: concurrent groups at the same arity share the
+// dataset and must never collide.
 func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Candidate, counter *valfile.ReadCounter) (*Result, error) {
-	workers := naryWorkers(m.opts.ExportWorkers)
 	sortCfg := m.sortConfig()
-	switch {
-	case m.opts.Streaming && m.opts.Shards > 1:
-		// Sharded streaming: freeze each list's sorter into shareable
-		// runs every shard replays over its own range.
-		src := NewRunsSource(counter)
-		defer src.Close()
-		var mu sync.Mutex
-		err := runShards(len(lists), workers, func(i int) error {
-			sorter, err := m.listSorter(arity, lists[i], sortCfg)
-			if err != nil {
-				return err
+	keys := make([]string, len(lists))
+	defer func() {
+		for _, k := range keys {
+			if k != "" {
+				m.scratch.Remove(k)
 			}
-			defer sorter.Discard() // no-op once Freeze moved ownership to runs
-			runs, err := sorter.Freeze()
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			src.Add(lists[i].attr, runs)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Source: src, Shards: m.opts.Shards})
-	case m.opts.Streaming:
-		src := NewSorterSource(counter)
-		defer src.Close()
-		var mu sync.Mutex
-		err := runShards(len(lists), workers, func(i int) error {
-			sorter, err := m.listSorter(arity, lists[i], sortCfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			src.Add(lists[i].attr, sorter)
-			mu.Unlock()
-			return nil
-		})
+	}()
+	err := runShards(len(lists), naryWorkers(m.opts.ExportWorkers), func(i int) error {
+		sorter, err := m.listSorter(arity, lists[i], sortCfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Source: src})
-	default:
-		// Per-level tuple sets staged into the scratch dataset, removed
-		// once the level is decided so storage stays bounded by one
-		// level. Keys draw from an atomic sequence: concurrent groups at
-		// the same arity share the dataset and must never collide.
-		keys := make([]string, len(lists))
-		defer func() {
-			for _, k := range keys {
-				if k != "" {
-					m.scratch.Remove(k)
-				}
-			}
-		}()
-		err := runShards(len(lists), workers, func(i int) error {
-			sorter, err := m.listSorter(arity, lists[i], sortCfg)
-			if err != nil {
-				return err
-			}
-			defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
-			key := fmt.Sprintf("nary_l%02d_%06d.val", arity, m.seq.Add(1))
-			w, err := m.scratch.Create(key)
-			if err != nil {
-				return err
-			}
-			n, _, meta, err := sorter.DrainTo(w, nil)
-			if err != nil {
-				w.Close()
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
-				w.Close()
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			if err := w.Close(); err != nil {
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			keys[i] = key
-			lists[i].attr.Key = key
-			if fs, ok := m.scratch.(*store.FS); ok {
-				lists[i].attr.Path = fs.Path(key)
-			}
-			lists[i].attr.Distinct = n
-			return nil
-		})
+		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, m.seq.Add(1))
+		n, _, err := stageSorted(m.scratch, lists[i].attr, key, sorter, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store, Shards: m.opts.Shards})
+		keys[i] = key
+		lists[i].attr.Distinct = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store, Shards: m.opts.Shards})
 }
 
 // listSorter produces the list's sorted tuple stream: a speculative
@@ -304,7 +236,7 @@ func (m *mergeLevelVerifier) listSorter(arity int, l *tupleList, cfg extsort.Con
 // encoded tuple through a fresh external sorter, and fills the synthetic
 // attribute's statistics (the sharded engine's range pruning reads
 // NonNull/Distinct/Min/Max; Distinct is refined to the exact count when
-// a value file is written). A cancel channel in cfg aborts the scan
+// the tuple set is staged). A cancel channel in cfg aborts the scan
 // promptly (speculative extractions are cancelled at level barriers).
 func (m *mergeLevelVerifier) fillTupleSorter(l *tupleList, cfg extsort.Config) (*extsort.Sorter, error) {
 	tab := m.db.Table(l.table)
@@ -350,8 +282,8 @@ func (m *mergeLevelVerifier) fillTupleSorter(l *tupleList, cfg extsort.Config) (
 	a := l.attr
 	a.Rows = tab.RowCount()
 	a.NonNull = added
-	// Distinct is an upper bound until a value file reports the exact
-	// count; the merge paths only rely on Distinct > 0 ⇔ values exist.
+	// Distinct is an upper bound until staging reports the exact count;
+	// the merge paths only rely on Distinct > 0 ⇔ values exist.
 	a.Distinct = added
 	a.MinCanonical = min
 	a.MaxCanonical = max

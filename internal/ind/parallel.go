@@ -21,13 +21,9 @@ type ParallelOptions struct {
 	Workers int
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter. A non-nil Source must be safe for concurrent Open
-	// calls.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil; it
-	// must be safe for concurrent opens (all backends are).
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path. It must be safe for concurrent
+	// opens (all backends are).
 	Store store.Dataset
 }
 
@@ -37,7 +33,7 @@ func BruteForceParallel(cands []Candidate, opts ParallelOptions) (*Result, error
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	src := sourceOrStore(opts.Source, opts.Store, opts.Counter)
+	src := newSource(opts.Store, opts.Counter)
 
 	var (
 		wg          sync.WaitGroup

@@ -26,11 +26,8 @@ type PartialOptions struct {
 	Threshold float64
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil.
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path.
 	Store store.Dataset
 }
 
@@ -62,7 +59,7 @@ func BruteForcePartial(cands []Candidate, opts PartialOptions) (*PartialResult, 
 	res := &PartialResult{}
 	res.Stats.Candidates = len(cands)
 	res.Stats.MaxOpenFiles = 2
-	src := sourceOrStore(opts.Source, opts.Store, opts.Counter)
+	src := newSource(opts.Store, opts.Counter)
 	for _, c := range cands {
 		if c.Dep.StoreKey() == "" || c.Ref.StoreKey() == "" {
 			return nil, fmt.Errorf("ind: candidate %s has unexported attributes", c)
@@ -106,7 +103,7 @@ func BruteForcePartial(cands []Candidate, opts PartialOptions) (*PartialResult, 
 // aborts early — reporting the full dependent cardinality as missing
 // beyond the budget — once the candidate can no longer reach the
 // threshold.
-func partialTest(c Candidate, src CursorSource, threshold float64, st *Stats) (matched, missing int, err error) {
+func partialTest(c Candidate, src source, threshold float64, st *Stats) (matched, missing int, err error) {
 	dep, err := src.Open(c.Dep)
 	if err != nil {
 		return 0, 0, err

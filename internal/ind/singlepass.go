@@ -13,11 +13,8 @@ import (
 type SinglePassOptions struct {
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Source provides each attribute's value cursor; nil selects Store,
-	// then the sorted value files written by ExportAttributes, counted
-	// by Counter.
-	Source CursorSource
-	// Store serves the attributes' value sets when Source is nil.
+	// Store serves the attributes' value sets; nil reads the value files
+	// ExportAttributes wrote, by path.
 	Store store.Dataset
 }
 
@@ -34,7 +31,7 @@ type SinglePassOptions struct {
 // that overhead.
 func SinglePass(cands []Candidate, opts SinglePassOptions) (*Result, error) {
 	start := time.Now()
-	sp, err := newSinglePass(cands, sourceOrStore(opts.Source, opts.Store, opts.Counter))
+	sp, err := newSinglePass(cands, newSource(opts.Store, opts.Counter))
 	if err != nil {
 		return nil, err
 	}
@@ -95,12 +92,12 @@ type singlePass struct {
 
 	satisfied []IND
 	stats     Stats
-	src       CursorSource
+	src       source
 	open      int
 	err       error
 }
 
-func newSinglePass(cands []Candidate, src CursorSource) (*singlePass, error) {
+func newSinglePass(cands []Candidate, src source) (*singlePass, error) {
 	sp := &singlePass{
 		deps: make(map[int]*depObj),
 		refs: make(map[int]*refObj),

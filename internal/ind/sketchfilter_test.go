@@ -185,10 +185,10 @@ func TestExportPersistsSketches(t *testing.T) {
 	}
 }
 
-// TestStreamingSketchesMatchExport: the raw-scan tee of the streaming
-// paths and the distinct-stream tee of the file export must produce
-// bit-identical sketches (the builder is duplicate-tolerant and the
-// bloom is sized from the same Distinct stat).
+// TestStreamingSketchesMatchExport: exports into the spill backend
+// build their sketches while staging the frozen runs, and must produce
+// bit-identical sketches to the value-file export — in the attributes
+// and in the persisted sketch sections.
 func TestStreamingSketchesMatchExport(t *testing.T) {
 	db := randomDB(22)
 	exported, err := CollectAttributes(db)
@@ -200,34 +200,35 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		streamed, err := CollectAttributes(db)
+		spilled, err := CollectAttributes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := StreamAttributes(db, streamed, ExportConfig{
-			Sort: extsort.Config{TempDir: t.TempDir()}, Workers: workers, Sketches: true,
-		}, nil)
+		sp := extsort.NewSpill()
+		err = ExportAttributes(db, spilled, ExportConfig{
+			Dataset: sp, Sort: extsort.Config{MaxInMemory: 8, TempDir: t.TempDir()}, Workers: workers, Sketches: true,
+		})
+		if err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
+		loaded := make([]*Attribute, len(spilled))
+		for i, a := range spilled {
+			bare := *a
+			bare.Sketch = nil
+			loaded[i] = &bare
+		}
+		err = LoadSketches(sp, loaded)
+		sp.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.Close()
-		shared, err := CollectAttributes(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssrc, err := StreamAttributesShared(db, shared, ExportConfig{
-			Sort: extsort.Config{TempDir: t.TempDir()}, Workers: workers, Sketches: true,
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssrc.Close()
 		for i := range exported {
-			if !reflect.DeepEqual(streamed[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: streaming sketch differs from export sketch", workers, exported[i].Ref)
+			if !reflect.DeepEqual(spilled[i].Sketch, exported[i].Sketch) {
+				t.Fatalf("workers=%d: %s: spill sketch differs from export sketch", workers, exported[i].Ref)
 			}
-			if !reflect.DeepEqual(shared[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: shared-runs sketch differs from export sketch", workers, exported[i].Ref)
+			if !reflect.DeepEqual(loaded[i].Sketch, exported[i].Sketch) {
+				t.Fatalf("workers=%d: %s: persisted spill sketch differs from export sketch", workers, exported[i].Ref)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func TestTransitivityFilterChainInference(t *testing.T) {
 
 	res, err := BruteForce(cands, BruteForceOptions{
 		Transitivity: true,
-		Source:       memSource(sets),
+		Store:        memSource(attrs, sets),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTransitivityFilterChainRefutation(t *testing.T) {
 	}
 	res, err := BruteForce(cands, BruteForceOptions{
 		Transitivity: true,
-		Source:       memSource(sets),
+		Store:        memSource(append(attrs, x), sets),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package spider
 
 import (
+	"errors"
 	"fmt"
 
 	"spider/internal/ind"
@@ -16,12 +17,21 @@ import (
 // membership, containment, IND-lookup and re-verification queries
 // without re-running discovery.
 
+// ErrSpillResult is returned by SaveResultSet for runs on the spill
+// backend: their value sets lived in spill runs that were removed when
+// the discovery call returned, so a saved catalog would point at
+// nothing.
+var ErrSpillResult = errors.New("spider: SaveResultSet: the spill backend removes its value sets when discovery returns; use the fs backend to persist a result set")
+
 // SaveResultSet persists the run's attribute catalog and verified INDs
 // at path (conventionally INDS.json inside the run's work directory).
-// It requires a run whose attributes were exported to a dataset — any
-// file-backed or in-memory run; the streaming paths never stage value
-// sets and cannot be persisted.
+// It requires a run whose attributes were exported to a dataset that
+// outlives the call — any file-backed or in-memory run. Spill-backed
+// runs return ErrSpillResult.
 func (r *Result) SaveResultSet(path string) error {
+	if r.spilled {
+		return ErrSpillResult
+	}
 	if len(r.attrs) == 0 {
 		return fmt.Errorf("spider: SaveResultSet: result carries no attribute catalog (not produced by FindINDs?)")
 	}

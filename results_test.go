@@ -1,6 +1,8 @@
 package spider
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -52,5 +54,22 @@ func TestSaveResultSetWithoutCatalog(t *testing.T) {
 	r := &Result{}
 	if err := r.SaveResultSet(t.TempDir() + "/x.json"); err == nil {
 		t.Error("empty result accepted")
+	}
+}
+
+// TestSaveResultSetSpill: a spill-backed run's value sets are gone once
+// FindINDs returns, so saving its result set fails with the named error
+// and writes nothing.
+func TestSaveResultSetSpill(t *testing.T) {
+	res, err := FindINDs(demoDatabase(t), Options{Algorithm: SpiderMerge, Store: NewSpillStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "INDS.json")
+	if err := res.SaveResultSet(path); !errors.Is(err, ErrSpillResult) {
+		t.Fatalf("SaveResultSet = %v, want ErrSpillResult", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("spill result set written anyway (stat err %v)", err)
 	}
 }

@@ -2,7 +2,7 @@
 # End-to-end smoke test: build cmd/indfind and profile the CSV tables in
 # examples/data in exact, partial and n-ary modes — in both value-file
 # encodings (-format text and -format block) and across the storage
-# backends (-backend fs|mem|snapshot) — asserting that each mode
+# backends (-backend fs|mem|snapshot|spill) — asserting that each mode
 # discovers the INDs planted in the data and exits zero. CI runs this on
 # every push; it is also handy locally:
 #
@@ -24,7 +24,7 @@ for fmt in text block; do
     "-algo brute-force" \
     "-algo spider-merge" \
     "-algo spider-merge -sketch" \
-    "-algo spider-merge -streaming -shards 4 -sketch" \
+    "-algo spider-merge -backend spill -shards 4 -sketch" \
     "-algo in-memory"; do
     echo "+ indfind -csv $data -format $fmt $args"
     # shellcheck disable=SC2086
@@ -56,9 +56,10 @@ for fmt in text block; do
 done
 
 # Storage backends: the same exact, partial and n-ary discoveries must
-# hold with the value sets staged in memory or served from a read-only
-# snapshot — no value files ever touch disk on these paths.
-for backend in mem snapshot; do
+# hold with the value sets staged in memory, served from a read-only
+# snapshot, or replayed from frozen sort runs — no value files ever
+# touch disk on these paths.
+for backend in mem snapshot spill; do
   echo "+ indfind -csv $data -backend $backend -algo spider-merge"
   out=$("$bin" -csv "$data" -backend "$backend" -algo spider-merge)
   grep -q "transcripts.gene_id ⊆ genes.gene_id" <<<"$out" \
@@ -74,6 +75,12 @@ for backend in mem snapshot; do
   grep -Eq "n-ary INDs \(arity 2\.\.2\): [1-9]" <<<"$out" \
     || fail "no arity-2 INDs discovered (-backend $backend)"
 done
+
+# A spill-backed run removes its value sets on return, so -out must be
+# refused before discovery starts.
+if "$bin" -csv "$data" -backend spill -algo spider-merge -out "$(dirname "$bin")/x.json" >/dev/null 2>&1; then
+  fail "-out with -backend spill must exit non-zero"
+fi
 
 # valconvert -backend mem stages the conversion in memory and verifies
 # it against the source without writing a destination file.

@@ -15,8 +15,9 @@
 // Beyond the paper it adds modern extensions: a parallel brute force, an
 // in-memory baseline, and SpiderMerge — a k-way heap merge over streaming
 // value cursors that keeps the single-pass I/O optimum without its
-// synchronisation overhead, optionally consuming external-sort spill runs
-// directly (Options.Streaming) with parallel attribute export.
+// synchronisation overhead — with parallel attribute export into one of
+// four storage backends (Options.Store): value files, memory, a
+// read-only snapshot, or external-sort spill runs replayed in place.
 //
 // Quick start:
 //
@@ -37,7 +38,6 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
-	"spider/internal/store"
 	"spider/internal/valfile"
 	"spider/internal/value"
 )
@@ -196,10 +196,6 @@ type Options struct {
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
 	ExportWorkers int
-	// Streaming (SpiderMerge only) streams sorted values directly from
-	// external-sort spill runs instead of materializing one value file
-	// per attribute — export and verification become a single pipeline.
-	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges and runs one independent heap merge per
 	// range on min(Shards, GOMAXPROCS) workers; 0 or 1 keeps the
@@ -238,10 +234,9 @@ type Options struct {
 	// identical under either format.
 	Format Format
 	// Store selects the dataset backend extraction writes to and the
-	// engines read from (NewFSStore, NewMemStore, NewSnapshotStore).
-	// nil keeps the historical layout: value files under WorkDir. The
-	// Streaming paths bypass the store — they serve cursors straight
-	// from sort runs.
+	// engines read from: NewFSStore, NewMemStore, NewSnapshotStore or
+	// NewSpillStore. nil keeps the historical layout: value files under
+	// WorkDir.
 	Store *Store
 }
 
@@ -299,10 +294,12 @@ type Result struct {
 	Stats Stats
 
 	// Persistence state for SaveResultSet: the attribute catalog of the
-	// run, the dataset name, and the algorithm that produced the INDs.
+	// run, the dataset name, the algorithm that produced the INDs, and
+	// whether the value sets were spill runs removed at return.
 	attrs     []*ind.Attribute
 	dataset   string
 	algorithm string
+	spilled   bool
 }
 
 // Database wraps a loaded data source.
@@ -441,9 +438,6 @@ func GeneratePDB(cfg DatasetConfig) *Database {
 // FindINDs discovers all satisfied unary INDs of db using the selected
 // algorithm.
 func FindINDs(db *Database, opts Options) (*Result, error) {
-	if opts.Streaming && opts.Algorithm != SpiderMerge {
-		return nil, fmt.Errorf("spider: Streaming requires Algorithm SpiderMerge (cursors are read once)")
-	}
 	if opts.Shards > 1 && opts.Algorithm != SpiderMerge {
 		return nil, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
 	}
@@ -451,7 +445,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		// > 1 would silently prune every candidate (estimates cap at 1).
 		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
 	}
-	exportFiles := needsFiles(opts.Algorithm) && !opts.Streaming
+	exportFiles := needsFiles(opts.Algorithm)
 	workDir := opts.WorkDir
 	if exportFiles && workDir == "" && opts.Store.needsDir() {
 		tmp, err := os.MkdirTemp("", "spider-*")
@@ -461,50 +455,30 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	var writeDS, readDS store.Dataset
-	if opts.Store != nil {
-		writeDS, readDS = opts.Store.datasets(workDir)
-	}
+	writeDS, readDS, release := opts.Store.datasets(workDir)
+	defer release()
 
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {
 		return nil, err
 	}
 
-	// Extraction. Value cursors come from exported files, or — with
-	// Streaming — straight from external-sort spill runs built here,
-	// before candidate generation, so that sketches (derived in the same
-	// extraction pass) exist by the time the pre-filter runs.
+	// Extraction runs before candidate generation, so that sketches
+	// (derived in the same extraction pass) exist by the time the
+	// pre-filter runs.
 	var counter valfile.ReadCounter
-	exportCfg := ind.ExportConfig{
-		Dataset: writeDS,
-		Dir:     workDir, Workers: exportWorkers(opts),
-		Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
-		Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
-		Format: opts.Format.internal(),
-	}
-	var streamSrc ind.CursorSource
 	switch {
 	case exportFiles:
-		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
-			return nil, err
-		}
-	case opts.Streaming && opts.Shards > 1:
-		// Sharded streaming freezes each attribute's sorter into
-		// shareable runs that every shard replays over its own range.
-		src, err := ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
+		err := ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
+			Dataset: writeDS,
+			Dir:     workDir, Workers: exportWorkers(opts),
+			Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
+			Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
+			Format: opts.Format.internal(),
+		})
 		if err != nil {
 			return nil, err
 		}
-		defer src.Close()
-		streamSrc = src
-	case opts.Streaming:
-		src, err := ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		streamSrc = src
 	case opts.SketchPrefilter:
 		// Engines that never extract value sets (SQL, in-memory,
 		// baselines) still get sketches, from a direct column scan.
@@ -544,7 +518,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		})
 	case SpiderMerge:
 		res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{
-			Counter: &counter, Source: streamSrc, Store: readDS, Shards: opts.Shards,
+			Counter: &counter, Store: readDS, Shards: opts.Shards,
 		})
 	case SQLJoin, SQLMinus, SQLNotIn:
 		variant := map[Algorithm]ind.SQLVariant{
@@ -585,6 +559,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	out.attrs = attrs
 	out.dataset = db.rel.Name
 	out.algorithm = opts.Algorithm.String()
+	out.spilled = opts.Store.spill()
 	return out, nil
 }
 

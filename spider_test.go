@@ -102,30 +102,31 @@ func TestAlgorithmNames(t *testing.T) {
 	}
 }
 
-// TestSpiderMergeStreaming runs the fully streaming pipeline: no value
-// files are materialized, yet the results match the file-backed run.
+// TestSpiderMergeStreaming runs the fully streaming pipeline — the spill
+// backend: no value files are materialized, yet the results match the
+// file-backed run, and no spill run outlives the call. Frozen runs are
+// replayable, so a re-reading engine streams just as well.
 func TestSpiderMergeStreaming(t *testing.T) {
 	want, err := FindINDs(demoDatabase(t), Options{Algorithm: SpiderMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	got, err := FindINDs(demoDatabase(t), Options{Algorithm: SpiderMerge, Streaming: true, WorkDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.INDs, want.INDs) {
-		t.Errorf("streaming INDs = %v, want %v", got.INDs, want.INDs)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("streaming run left %d files in the work dir", len(entries))
-	}
-	if _, err := FindINDs(demoDatabase(t), Options{Algorithm: BruteForce, Streaming: true}); err == nil {
-		t.Error("Streaming with a re-reading algorithm must fail")
+	for _, algo := range []Algorithm{SpiderMerge, BruteForce} {
+		dir := t.TempDir()
+		got, err := FindINDs(demoDatabase(t), Options{Algorithm: algo, Store: NewSpillStore(), WorkDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.INDs, want.INDs) {
+			t.Errorf("%v over spill: INDs = %v, want %v", algo, got.INDs, want.INDs)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%v over spill left %d files in the work dir", algo, len(entries))
+		}
 	}
 }
 
@@ -149,18 +150,18 @@ func TestSpiderMergeMatchesInMemoryOnDatasets(t *testing.T) {
 			}
 			for _, opts := range []Options{
 				{Algorithm: SpiderMerge},
-				{Algorithm: SpiderMerge, Streaming: true},
+				{Algorithm: SpiderMerge, Store: NewSpillStore()},
 			} {
 				got, err := FindINDs(db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got.INDs, want.INDs) {
-					t.Errorf("streaming=%v: INDs = %v, want %v", opts.Streaming, got.INDs, want.INDs)
+					t.Errorf("%v: INDs = %v, want %v", opts.Store, got.INDs, want.INDs)
 				}
 				if got.Stats.Candidates != want.Stats.Candidates || got.Stats.Satisfied != want.Stats.Satisfied {
-					t.Errorf("streaming=%v: stats = %+v, want candidates %d satisfied %d",
-						opts.Streaming, got.Stats, want.Stats.Candidates, want.Stats.Satisfied)
+					t.Errorf("%v: stats = %+v, want candidates %d satisfied %d",
+						opts.Store, got.Stats, want.Stats.Candidates, want.Stats.Satisfied)
 				}
 			}
 		})
@@ -332,8 +333,8 @@ func TestSketchPrefilterIdenticalINDs(t *testing.T) {
 	}
 	cases := []Options{
 		{Algorithm: SpiderMerge},
-		{Algorithm: SpiderMerge, Streaming: true},
-		{Algorithm: SpiderMerge, Streaming: true, Shards: 3},
+		{Algorithm: SpiderMerge, Store: NewSpillStore()},
+		{Algorithm: SpiderMerge, Store: NewSpillStore(), Shards: 3},
 		{Algorithm: SpiderMerge, Shards: 2},
 		{Algorithm: BruteForce},
 		{Algorithm: SinglePass},
@@ -342,7 +343,8 @@ func TestSketchPrefilterIdenticalINDs(t *testing.T) {
 	}
 	for _, opts := range cases {
 		opts.SketchPrefilter = true
-		name := fmt.Sprintf("%v/stream=%v/shards=%d", opts.Algorithm, opts.Streaming, opts.Shards)
+		// The stream axis is the spill backend.
+		name := fmt.Sprintf("%v/stream=%v/shards=%d", opts.Algorithm, opts.Store.spill(), opts.Shards)
 		t.Run(name, func(t *testing.T) {
 			res, err := FindINDs(db, opts)
 			if err != nil {

@@ -3,6 +3,7 @@ package spider
 import (
 	"fmt"
 
+	"spider/internal/extsort"
 	"spider/internal/store"
 )
 
@@ -11,7 +12,7 @@ import (
 // option structs (a nil *Store) keeps the historical behaviour: sorted
 // value files under the run's work directory.
 //
-// Three backends exist:
+// Four backends exist:
 //
 //   - NewFSStore: value files on disk, in the text or block encoding —
 //     the paper's layout. Extraction output survives the run and can be
@@ -23,9 +24,15 @@ import (
 //     read through an immutable read-only snapshot that caches each
 //     value set on first use — the serving shape a long-lived IND
 //     service needs, safe for any number of concurrent readers.
+//   - NewSpillStore: no value files at all. Each attribute's value set
+//     stays in its external sort's frozen spill runs, which the engines
+//     replay in place; extraction and verification become one pipeline.
+//     The runs live for one discovery call and are removed when it
+//     returns, so a spill-backed result cannot be saved.
 //
 // A Store value may be reused across calls; the mem and snapshot
-// backends then accumulate and re-serve the same attribute value sets.
+// backends then accumulate and re-serve the same attribute value sets,
+// while the spill backend starts empty on every call.
 type Store struct {
 	kind   storeKind
 	dir    string
@@ -39,6 +46,7 @@ const (
 	storeKindFS storeKind = iota
 	storeKindMem
 	storeKindSnapshot
+	storeKindSpill
 )
 
 // NewFSStore returns a filesystem-backed store rooted at dir, writing
@@ -61,9 +69,18 @@ func NewSnapshotStore() *Store {
 	return &Store{kind: storeKindSnapshot, mem: store.NewMem()}
 }
 
-// ParseBackend maps a backend name ("fs", "mem" or "snapshot"; "" means
-// fs) onto a store; dir and format configure the fs backend and are
-// ignored by the others.
+// NewSpillStore returns a store that keeps every extracted value set in
+// the frozen spill runs of its external sort, replayed in place by the
+// engines and removed when the discovery call returns. Spill runs are
+// written in the run's Format under its WorkDir (the system temporary
+// directory when empty).
+func NewSpillStore() *Store {
+	return &Store{kind: storeKindSpill}
+}
+
+// ParseBackend maps a backend name ("fs", "mem", "snapshot" or "spill";
+// "" means fs) onto a store; dir and format configure the fs backend
+// and are ignored by the others.
 func ParseBackend(name, dir string, format Format) (*Store, error) {
 	switch name {
 	case "", "fs":
@@ -72,8 +89,10 @@ func ParseBackend(name, dir string, format Format) (*Store, error) {
 		return NewMemStore(), nil
 	case "snapshot":
 		return NewSnapshotStore(), nil
+	case "spill":
+		return NewSpillStore(), nil
 	default:
-		return nil, fmt.Errorf("spider: unknown backend %q (want fs, mem or snapshot)", name)
+		return nil, fmt.Errorf("spider: unknown backend %q (want fs, mem, snapshot or spill)", name)
 	}
 }
 
@@ -87,6 +106,8 @@ func (s *Store) String() string {
 		return "mem"
 	case storeKindSnapshot:
 		return "snapshot"
+	case storeKindSpill:
+		return "spill"
 	default:
 		return "fs"
 	}
@@ -98,28 +119,43 @@ func (s *Store) needsDir() bool {
 	return s == nil || (s.kind == storeKindFS && s.dir == "")
 }
 
-// inMemory reports whether extraction output never touches the
-// filesystem (the mem and snapshot backends).
-func (s *Store) inMemory() bool {
+// noValueFiles reports whether extraction never writes value files
+// (the mem, snapshot and spill backends).
+func (s *Store) noValueFiles() bool {
 	return s != nil && s.kind != storeKindFS
 }
 
+// spill reports whether the store is the spill backend.
+func (s *Store) spill() bool {
+	return s != nil && s.kind == storeKindSpill
+}
+
 // datasets resolves the store to its extraction-side and engine-side
-// datasets for one run rooted at workDir. For the snapshot backend the
-// two differ: writes land in the backing memory, reads go through a
-// fresh read-only snapshot of it.
-func (s *Store) datasets(workDir string) (write, read store.Dataset) {
+// datasets for one call rooted at workDir, plus the release the call
+// must defer. A nil store resolves to nil datasets: value files under
+// workDir, read back by path. For the snapshot backend the two differ:
+// writes land in the backing memory, reads go through a fresh read-only
+// snapshot of it. The spill backend creates a fresh spill dataset whose
+// release removes every run, so no spill file outlives the call.
+func (s *Store) datasets(workDir string) (write, read store.Dataset, release func()) {
+	noop := func() {}
+	if s == nil {
+		return nil, nil, noop
+	}
 	switch s.kind {
 	case storeKindMem:
-		return s.mem, s.mem
+		return s.mem, s.mem, noop
 	case storeKindSnapshot:
-		return s.mem, store.NewSnapshot(s.mem)
+		return s.mem, store.NewSnapshot(s.mem), noop
+	case storeKindSpill:
+		sp := extsort.NewSpill()
+		return sp, sp, func() { sp.Close() }
 	default:
 		dir := s.dir
 		if dir == "" {
 			dir = workDir
 		}
 		fs := store.NewFS(dir, s.format.internal())
-		return fs, fs
+		return fs, fs, noop
 	}
 }
