@@ -23,8 +23,10 @@
 package spider
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -899,6 +901,45 @@ func BenchmarkSubstrate_SQLJoinQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ind.RunSQL(ds.DB, []ind.Candidate{c}, ind.SQLOptions{Variant: ind.SQLJoin}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubstrate_CSVLoad times ingest, the paper's step-1 import
+// (Fig. 1): LoadCSVDir on UniProt-shaped tables dumped as CSV, then the
+// statistics of every column that candidate generation reads. Scale 2
+// (≈25k rows) is a tenth of the tables the end-to-end uniprot-csv
+// workload loads, large enough for the parse and statistics pools to
+// matter.
+func BenchmarkSubstrate_CSVLoad(b *testing.B) {
+	src := datagen.UniProt(datagen.UniProtConfig{Seed: benchCfg().Seed, Scale: 2})
+	dir := b.TempDir()
+	var csvBytes int64
+	for _, t := range src.Tables() {
+		var buf bytes.Buffer
+		if err := t.DumpCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, t.Name+".csv"), buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		csvBytes += int64(buf.Len())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := relstore.NewDatabase("uniprot")
+		if _, err := db.LoadCSVDir(dir); err != nil {
+			b.Fatal(err)
+		}
+		for _, ref := range db.Columns() {
+			if _, err := db.ColumnStats(ref); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i == b.N-1 {
+			b.ReportMetric(float64(db.TotalRows()), "rows/op")
+			b.ReportMetric(float64(csvBytes)/1e6, "MB/op")
 		}
 	}
 }

@@ -4,11 +4,20 @@
 // handling, per-column statistics (non-null count, distinct count,
 // uniqueness, canonical min/max) and declared constraints (primary keys,
 // foreign keys) used as the gold standard in Sec 5.
+//
+// The store parses and computes statistics in parallel. LoadCSVDir
+// parses its files concurrently and then registers the tables in file
+// name order, and a table's column statistics are computed one column
+// per worker. Both pools hold GOMAXPROCS workers, and neither changes
+// what is loaded or computed.
 package relstore
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"spider/internal/value"
 )
@@ -56,14 +65,13 @@ type Table struct {
 // ColumnStats summarises one column for candidate generation (Sec 2: the
 // pretest on distinct cardinalities; Sec 4.1: the max-value pretest).
 type ColumnStats struct {
-	Rows          int
-	NonNull       int
-	Distinct      int
-	Unique        bool // every non-null value occurs exactly once
-	MinCanonical  string
-	MaxCanonical  string
-	HasNonNull    bool
-	ObservedKinds map[value.Kind]int
+	Rows         int
+	NonNull      int
+	Distinct     int
+	Unique       bool // every non-null value occurs exactly once
+	MinCanonical string
+	MaxCanonical string
+	HasNonNull   bool
 }
 
 // Database is a catalog of tables plus declared foreign keys.
@@ -82,11 +90,14 @@ func NewDatabase(name string) *Database {
 // CreateTable adds a table with the given columns. It fails on duplicate
 // table or column names and on empty schemas.
 func (db *Database) CreateTable(name string, cols []Column) (*Table, error) {
+	return db.register(newTable(name, cols))
+}
+
+// newTable validates the schema and returns an empty table that belongs
+// to no database yet.
+func newTable(name string, cols []Column) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("relstore: empty table name")
-	}
-	if _, ok := db.tables[name]; ok {
-		return nil, fmt.Errorf("relstore: table %q already exists", name)
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relstore: table %q has no columns", name)
@@ -101,10 +112,36 @@ func (db *Database) CreateTable(name string, cols []Column) (*Table, error) {
 		}
 		idx[c.Name] = i
 	}
-	t := &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx, statsDirty: true}
-	db.tables[name] = t
-	db.order = append(db.order, name)
+	return &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx, statsDirty: true}, nil
+}
+
+// register adds a table built off the catalog, passing on the error of
+// the call that built it.
+func (db *Database) register(t *Table, err error) (*Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := db.add(t); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// add registers tables in the given order. When any name is already
+// taken, in the database or among tables, it registers none of them.
+func (db *Database) add(tables ...*Table) error {
+	names := make(map[string]bool, len(tables))
+	for _, t := range tables {
+		if _, ok := db.tables[t.Name]; ok || names[t.Name] {
+			return fmt.Errorf("relstore: table %q already exists", t.Name)
+		}
+		names[t.Name] = true
+	}
+	for _, t := range tables {
+		db.tables[t.Name] = t
+		db.order = append(db.order, t.Name)
+	}
+	return nil
 }
 
 // MustCreateTable is CreateTable for statically known schemas (generators,
@@ -248,42 +285,70 @@ func (t *Table) ScanColumn(name string, fn func(value.Value)) (int, error) {
 	return len(t.rows), nil
 }
 
-// computeStats refreshes per-column statistics if rows changed.
+// computeStats refreshes per-column statistics if rows changed. Columns
+// are independent, so each is computed on its own worker.
 func (t *Table) computeStats() {
 	if !t.statsDirty && t.stats != nil {
 		return
 	}
 	stats := make([]ColumnStats, len(t.Columns))
-	for ci := range t.Columns {
-		s := ColumnStats{Rows: len(t.rows), ObservedKinds: make(map[value.Kind]int)}
-		counts := make(map[string]int)
-		for _, r := range t.rows {
-			v := r[ci]
-			if v.IsNull() {
-				s.ObservedKinds[value.Null]++
-				continue
-			}
-			s.NonNull++
-			s.ObservedKinds[v.Kind()]++
-			c := v.Canonical()
-			counts[c]++
-			if !s.HasNonNull {
-				s.MinCanonical, s.MaxCanonical, s.HasNonNull = c, c, true
-				continue
-			}
-			if c < s.MinCanonical {
-				s.MinCanonical = c
-			}
-			if c > s.MaxCanonical {
-				s.MaxCanonical = c
-			}
-		}
-		s.Distinct = len(counts)
-		s.Unique = s.HasNonNull && s.Distinct == s.NonNull
-		stats[ci] = s
-	}
+	parallel(len(t.Columns), func(ci int) { stats[ci] = t.columnStats(ci) })
 	t.stats = stats
 	t.statsDirty = false
+}
+
+// columnStats computes the statistics of column ci.
+func (t *Table) columnStats(ci int) ColumnStats {
+	s := ColumnStats{Rows: len(t.rows)}
+	distinct := make(map[string]struct{})
+	for _, r := range t.rows {
+		v := r[ci]
+		if v.IsNull() {
+			continue
+		}
+		s.NonNull++
+		c := v.Canonical()
+		distinct[c] = struct{}{}
+		if !s.HasNonNull {
+			s.MinCanonical, s.MaxCanonical, s.HasNonNull = c, c, true
+			continue
+		}
+		if c < s.MinCanonical {
+			s.MinCanonical = c
+		}
+		if c > s.MaxCanonical {
+			s.MaxCanonical = c
+		}
+	}
+	s.Distinct = len(distinct)
+	s.Unique = s.HasNonNull && s.Distinct == s.NonNull
+	return s
+}
+
+// parallel calls fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
+// goroutines and returns when all calls have returned.
+func parallel(n int, fn func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // DistinctCanonical returns the sorted set s(a) of distinct canonical

@@ -2,9 +2,11 @@ package relstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -364,5 +366,172 @@ func TestStatsConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceStats is the column statistics loop computed sequentially, the
+// reference the parallel computeStats must reproduce.
+func referenceStats(t *Table, ci int) ColumnStats {
+	s := ColumnStats{Rows: t.RowCount()}
+	counts := make(map[string]int)
+	for i := 0; i < t.RowCount(); i++ {
+		v := t.Row(i)[ci]
+		if v.IsNull() {
+			continue
+		}
+		s.NonNull++
+		c := v.Canonical()
+		counts[c]++
+		if !s.HasNonNull || c < s.MinCanonical {
+			s.MinCanonical = c
+		}
+		if !s.HasNonNull || c > s.MaxCanonical {
+			s.MaxCanonical = c
+		}
+		s.HasNonNull = true
+	}
+	s.Distinct = len(counts)
+	s.Unique = s.HasNonNull && s.Distinct == s.NonNull
+	return s
+}
+
+// writeCSVDir writes files (name → content) into a new directory.
+func writeCSVDir(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLoadCSVDirParallelDeterminism: on a 20-file directory the
+// concurrent loader registers the tables in sorted file name order, gives
+// every table the kinds and rows a one-file-at-a-time load gives it, and
+// every column the statistics the sequential reference computes. The
+// files differ in size so that parses finish out of name order.
+func TestLoadCSVDirParallelDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	files := make(map[string]string)
+	var names []string
+	for f := 0; f < 20; f++ {
+		name := fmt.Sprintf("t%02d", (f*7)%20) // written out of name order
+		var b strings.Builder
+		b.WriteString("id,code,mass,flag,empty\n")
+		for r := 0; r < 50+((20-f)*37)%200; r++ {
+			mass := fmt.Sprintf("%d.5", r%13)
+			if r%11 == 0 {
+				mass = ""
+			}
+			fmt.Fprintf(&b, "%d,%c%d,%s,%v,\n", r*f, 'A'+rune(r%5), r%17, mass, r%3 == 0)
+		}
+		files[name+".csv"] = b.String()
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dir := writeCSVDir(t, files)
+
+	db := NewDatabase("par")
+	tables, err := db.LoadCSVDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tb := range db.Tables() {
+		got = append(got, tb.Name)
+	}
+	if !reflect.DeepEqual(got, names) {
+		t.Fatalf("Tables() = %v, want %v", got, names)
+	}
+	for i, tb := range tables {
+		if tb != db.Table(names[i]) {
+			t.Fatalf("returned table %d is %q, want %q", i, tb.Name, names[i])
+		}
+	}
+	var wantRefs []ColumnRef
+	for _, n := range names {
+		for _, c := range []string{"id", "code", "mass", "flag", "empty"} {
+			wantRefs = append(wantRefs, ColumnRef{n, c})
+		}
+	}
+	if refs := db.Columns(); !reflect.DeepEqual(refs, wantRefs) {
+		t.Fatalf("Columns() = %v, want %v", refs, wantRefs)
+	}
+
+	seq := NewDatabase("seq")
+	for _, n := range names {
+		if _, err := seq.LoadCSVFile(filepath.Join(dir, n+".csv"), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		tb, want := db.Table(n), seq.Table(n)
+		if !reflect.DeepEqual(tb.Columns, want.Columns) {
+			t.Errorf("%s: columns %v, want %v", n, tb.Columns, want.Columns)
+		}
+		if !reflect.DeepEqual(tb.rows, want.rows) {
+			t.Errorf("%s: rows differ from a sequential load", n)
+		}
+		for ci, c := range tb.Columns {
+			s, err := db.ColumnStats(ColumnRef{n, c.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := referenceStats(tb, ci); s != ref {
+				t.Errorf("%s.%s: stats %+v, want %+v", n, c.Name, s, ref)
+			}
+		}
+	}
+}
+
+// TestLoadCSVDirAllOrNothing: with two malformed files the error names
+// the first one in file name order, and a failed load, whether a file
+// fails to parse or a table name is taken, registers no table.
+func TestLoadCSVDirAllOrNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	dir := writeCSVDir(t, map[string]string{
+		"a.csv": "k\n1\n2\n",
+		"b.csv": "x,y\n1\n",
+		"c.csv": "k\n3\n",
+		"d.csv": "",
+		"e.csv": "k\n4\n",
+	})
+	db := NewDatabase("bad")
+	_, err := db.LoadCSVDir(dir)
+	if err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("err = %v, want the error of b.csv", err)
+	}
+	if n := len(db.Tables()); n != 0 {
+		t.Errorf("failed load left %d tables behind", n)
+	}
+
+	good := writeCSVDir(t, map[string]string{"a.csv": "k\n1\n", "c.csv": "k\n3\n"})
+	db = NewDatabase("taken")
+	db.MustCreateTable("c", []Column{{Name: "k", Kind: value.Int}})
+	if _, err := db.LoadCSVDir(good); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("err = %v, want a taken table name", err)
+	}
+	if n := len(db.Tables()); n != 1 {
+		t.Errorf("database holds %d tables, want only the one created before", n)
+	}
+}
+
+// TestLoadedRowsAreCapped: loaded rows share one slab, and appending to
+// a row copies it instead of overwriting the next row.
+func TestLoadedRowsAreCapped(t *testing.T) {
+	db := NewDatabase("slab")
+	tab, err := db.loadCSV(strings.NewReader("a,b\n1,x\n2,y\n"), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := tab.Row(0)
+	if cap(r0) != len(r0) {
+		t.Fatalf("row cap %d, want %d", cap(r0), len(r0))
+	}
+	_ = append(r0, value.NewInt(99))
+	if got := tab.Row(1)[0].Int(); got != 2 {
+		t.Errorf("append to row 0 overwrote row 1: %d", got)
 	}
 }

@@ -244,21 +244,88 @@ func Parse(raw string, kind Kind) Value {
 // Infer guesses the narrowest kind that can represent raw: INTEGER, then
 // FLOAT, then BOOLEAN, then VARCHAR. Empty strings carry no information and
 // infer as NULL.
+//
+// Infer runs once per loaded field, so it never lets strconv fail: a
+// failed parse allocates a *strconv.NumError holding a copy of the input.
+// ParseInt is tried only on an optionally signed run of decimal digits,
+// the only text it accepts in base 10, and ParseFloat only when the first
+// byte can begin a float literal.
 func Infer(raw string) Kind {
 	if raw == "" {
 		return Null
 	}
-	if _, err := strconv.ParseInt(raw, 10, 64); err == nil {
-		return Int
+	if isDecimal(raw) {
+		if _, err := strconv.ParseInt(raw, 10, 64); err == nil {
+			return Int
+		}
 	}
-	if _, err := strconv.ParseFloat(raw, 64); err == nil {
-		return Float
+	if mayStartFloat(raw[0]) {
+		if _, err := strconv.ParseFloat(raw, 64); err == nil {
+			return Float
+		}
 	}
-	switch strings.ToLower(raw) {
-	case "true", "false":
+	if isBoolWord(raw) {
 		return Bool
 	}
 	return String
+}
+
+// isDecimal reports whether s is an optional sign followed by one or more
+// ASCII digits.
+func isDecimal(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// mayStartFloat reports whether c can be the first byte of text that
+// strconv.ParseFloat accepts: a digit (also of a 0x hex literal), a sign,
+// a decimal point, or the first letter of inf, infinity or nan.
+func mayStartFloat(c byte) bool {
+	switch {
+	case c >= '0' && c <= '9':
+		return true
+	case c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
+}
+
+// isBoolWord reports whether s is "true" or "false" in any ASCII case.
+// No non-ASCII rune lowercases to a letter of either word, so this
+// matches strings.ToLower(s) == "true" || == "false" without allocating.
+func isBoolWord(s string) bool {
+	switch len(s) {
+	case 4:
+		return asciiFold(s, "true")
+	case 5:
+		return asciiFold(s, "false")
+	}
+	return false
+}
+
+// asciiFold reports whether s equals the lowercase ASCII word w once its
+// ASCII upper-case letters are lowered. len(s) must equal len(w).
+func asciiFold(s, w string) bool {
+	for i := 0; i < len(w); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != w[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // WidenKind returns the narrowest kind that can hold both a and b, used by

@@ -2,6 +2,7 @@ package value
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -269,5 +270,52 @@ func TestParseKind(t *testing.T) {
 	}
 	if _, ok := ParseKind(""); ok {
 		t.Error("empty kind accepted")
+	}
+}
+
+// inferReference is the straightforward Infer that FuzzInfer pins the
+// allocation-free one to: try both numeric parses, then compare the
+// lower-cased text against the boolean words.
+func inferReference(raw string) Kind {
+	if raw == "" {
+		return Null
+	}
+	if _, err := strconv.ParseInt(raw, 10, 64); err == nil {
+		return Int
+	}
+	if _, err := strconv.ParseFloat(raw, 64); err == nil {
+		return Float
+	}
+	switch strings.ToLower(raw) {
+	case "true", "false":
+		return Bool
+	}
+	return String
+}
+
+// FuzzInfer: Infer gives every string the kind inferReference gives it.
+// The seeds cover Unicode case folding (ſ folds to s but lowercases to
+// itself), the float spellings strconv accepts beyond digits, lone signs
+// and points, and the boolean spellings Infer must not widen.
+func FuzzInfer(f *testing.F) {
+	for _, s := range []string{
+		"ſ", "falſe", "Inf", "-infinity", "nan", "0x1p-2", "1_000",
+		"+", "-", ".", "TRUE", "yes", "P12345",
+		"NaN", "infinity", ".5", "+7", "99999999999999999999",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Infer(s), inferReference(s); got != want {
+			t.Fatalf("Infer(%q) = %v, want %v", s, got, want)
+		}
+	})
+}
+
+func TestInferAllocations(t *testing.T) {
+	for _, s := range []string{"P12345", "3.14", "-infinity", "FALSE", "ſ"} {
+		if n := testing.AllocsPerRun(100, func() { Infer(s) }); n != 0 {
+			t.Errorf("Infer(%q) allocates %.0f times per call", s, n)
+		}
 	}
 }

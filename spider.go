@@ -39,7 +39,6 @@ import (
 	"spider/internal/relstore"
 	"spider/internal/sketch"
 	"spider/internal/valfile"
-	"spider/internal/value"
 )
 
 // ColumnRef names a column as table.column.
@@ -316,37 +315,8 @@ func NewDatabase(name string) *Database {
 // inferred from the data (integers, floats, booleans, otherwise text);
 // empty strings load as NULL.
 func (d *Database) AddTable(name string, columns []string, rows [][]string) error {
-	kinds := make([]value.Kind, len(columns))
-	for _, row := range rows {
-		if len(row) != len(columns) {
-			return fmt.Errorf("spider: table %q: row has %d fields, want %d", name, len(row), len(columns))
-		}
-		for i, f := range row {
-			kinds[i] = value.WidenKind(kinds[i], value.Infer(f))
-		}
-	}
-	cols := make([]relstore.Column, len(columns))
-	for i, c := range columns {
-		k := kinds[i]
-		if k == value.Null {
-			k = value.String
-		}
-		cols[i] = relstore.Column{Name: c, Kind: k}
-	}
-	tab, err := d.rel.CreateTable(name, cols)
-	if err != nil {
-		return err
-	}
-	vals := make([]value.Value, len(cols))
-	for _, row := range rows {
-		for i, f := range row {
-			vals[i] = value.Parse(f, cols[i].Kind)
-		}
-		if err := tab.Insert(vals); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := d.rel.AddRecords(name, columns, rows)
+	return err
 }
 
 // DeclareForeignKey records a known foreign key, used as the gold standard
@@ -387,7 +357,8 @@ func (d *Database) RowCount(table string) int {
 }
 
 // LoadCSVDir loads every *.csv file of dir as one table each (header
-// row + data rows, types inferred).
+// row + data rows, types inferred). The files are parsed concurrently;
+// the tables are cataloged in sorted file name order.
 func LoadCSVDir(name, dir string) (*Database, error) {
 	d := NewDatabase(name)
 	if _, err := d.rel.LoadCSVDir(dir); err != nil {

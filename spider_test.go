@@ -1,6 +1,7 @@
 package spider
 
 import (
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,6 +35,75 @@ func TestAddTableValidation(t *testing.T) {
 	}
 	if err := db.AddTable("t", []string{"a"}, nil); err == nil {
 		t.Error("duplicate table must fail")
+	}
+}
+
+// TestAddTableMatchesLoadCSVDir: AddTable and LoadCSVDir type the same
+// records through one ingest path, so both give identical kinds, rows
+// and column statistics.
+func TestAddTableMatchesLoadCSVDir(t *testing.T) {
+	tables := map[string][][]string{
+		"mixed": {
+			{"id", "ratio", "flag", "code", "none", "special"},
+			{"1", "2", "TRUE", "P12345", "", "inf"},
+			{"2", "2.5", "false", "7", "", "-infinity"},
+			{"3", "", "False", "1_000", "", "0x1p-2"},
+			{"-4", "1e3", "", "ſ", "", "nan"},
+		},
+		"small": {{"k"}, {"10"}, {"20"}},
+	}
+	dir := t.TempDir()
+	added := NewDatabase("recs")
+	for _, name := range []string{"mixed", "small"} {
+		recs := tables[name]
+		if err := added.AddTable(name, recs[0], recs[1:]); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(filepath.Join(dir, name+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := csv.NewWriter(f)
+		if err := w.WriteAll(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, err := LoadCSVDir("csv", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mixed", "small"} {
+		a, l := added.rel.Table(name), loaded.rel.Table(name)
+		if !reflect.DeepEqual(a.Columns, l.Columns) {
+			t.Errorf("%s: AddTable columns %v, LoadCSVDir columns %v", name, a.Columns, l.Columns)
+		}
+		if a.RowCount() != l.RowCount() {
+			t.Fatalf("%s: AddTable %d rows, LoadCSVDir %d", name, a.RowCount(), l.RowCount())
+		}
+		// Values are compared by kind and rendering: NaN != NaN.
+		for i := 0; i < a.RowCount(); i++ {
+			for j, av := range a.Row(i) {
+				if lv := l.Row(i)[j]; av.Kind() != lv.Kind() || av.String() != lv.String() {
+					t.Errorf("%s row %d col %d: AddTable %v (%v), LoadCSVDir %v (%v)", name, i, j, av, av.Kind(), lv, lv.Kind())
+				}
+			}
+		}
+	}
+	for _, ref := range added.rel.Columns() {
+		as, err := added.rel.ColumnStats(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := loaded.rel.ColumnStats(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if as != ls {
+			t.Errorf("%s: AddTable stats %+v, LoadCSVDir stats %+v", ref, as, ls)
+		}
 	}
 }
 
