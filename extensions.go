@@ -124,7 +124,6 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	err = ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir, Workers: workerPool(opts.ExportWorkers),
-		Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
 		Format:   opts.Format.internal(),
 		Sketches: opts.SketchPrefilter,
 		SketchConfig: sketch.Config{
@@ -435,7 +434,6 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir,
-		Sort:    extsort.Config{Format: opts.Format.internal()},
 		Format:  opts.Format.internal(),
 	})
 	if err != nil {

@@ -1,10 +1,12 @@
 // Package extsort provides external merge sort with duplicate elimination.
 // It plays the role of the RDBMS sort in the paper's database-external
-// approaches (Sec 3): "We first extract from the database the sorted sets
-// of distinct values of each attribute using SQL" — here, each attribute's
-// bag of values v(a) is pushed through a Sorter, which spills sorted
+// approaches (Sec 3) for the value sets that are not in-memory columns:
+// the encoded tuple sets of n-ary discovery and the derived sets of
+// embedded INDs are pushed through a Sorter, which spills sorted
 // deduplicated runs to disk when its memory budget is exceeded and k-way
-// merges them into the final sorted distinct set s(a).
+// merges them into the final sorted distinct set. A column's set s(a)
+// is sorted in memory by relstore and enters the same staging path as a
+// Presorted sorter, with no runs.
 package extsort
 
 import (
@@ -59,6 +61,8 @@ type Sorter struct {
 	runs   []string
 	added  int64
 	closed bool
+	// presorted marks a buffer that is already sorted and distinct.
+	presorted bool
 }
 
 // New returns a Sorter with the given configuration.
@@ -75,10 +79,24 @@ func New(cfg Config) *Sorter {
 	return &Sorter{cfg: cfg}
 }
 
+// Presorted returns a sorter that holds vals, which must be sorted and
+// distinct, as its in-memory buffer, so it drains, freezes and stages
+// like any sorter but never spills, merges or sorts again. added is the
+// number of values vals was deduplicated from, reported as
+// RunMeta.Added. The sorter takes vals and refuses Add.
+func Presorted(vals []string, added int64) *Sorter {
+	s := New(Config{})
+	s.buf, s.added, s.presorted = vals, added, true
+	return s
+}
+
 // Add buffers one value, spilling a run if the memory budget is reached.
 func (s *Sorter) Add(v string) error {
 	if s.closed {
 		return fmt.Errorf("extsort: Add after finish")
+	}
+	if s.presorted {
+		return fmt.Errorf("extsort: Add to a presorted sorter")
 	}
 	s.buf = append(s.buf, v)
 	s.added++
@@ -141,6 +159,14 @@ func sortDedup(vals *[]string) {
 	*vals = out
 }
 
+// sortBuf sorts and deduplicates the in-memory buffer unless it came
+// presorted.
+func (s *Sorter) sortBuf() {
+	if !s.presorted {
+		sortDedup(&s.buf)
+	}
+}
+
 // cleanup removes all spill runs.
 func (s *Sorter) cleanup() {
 	for _, p := range s.runs {
@@ -171,7 +197,7 @@ func (s *Sorter) DrainTo(sink Sink, observe func(string)) (n int, max string, me
 		return 0, "", RunMeta{}, ErrCanceled
 	}
 
-	sortDedup(&s.buf)
+	s.sortBuf()
 	meta = RunMeta{Added: s.added, SpillRuns: len(s.runs)}
 
 	// Intermediate merge passes keep the final fan-in bounded.
@@ -377,7 +403,7 @@ func (s *Sorter) Freeze() (*Runs, error) {
 		s.cleanup()
 		return nil, ErrCanceled
 	}
-	sortDedup(&s.buf)
+	s.sortBuf()
 	for len(s.runs) > s.cfg.FanIn {
 		if err := s.mergePass(); err != nil {
 			s.cleanup()

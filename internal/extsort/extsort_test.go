@@ -580,3 +580,36 @@ func TestDrainToMemDataset(t *testing.T) {
 		t.Fatalf("RunMeta section not carried by the mem dataset (ok=%v, err=%v)", ok, err)
 	}
 }
+
+// TestPresorted: a presorted sorter drains and freezes its values as
+// given, reports the added count it was built with and no spill runs,
+// and refuses further values.
+func TestPresorted(t *testing.T) {
+	vals := []string{"apple", "fig", "kiwi"}
+	s := Presorted(append([]string(nil), vals...), 5)
+	if err := s.Add("pear"); err == nil {
+		t.Error("Add to a presorted sorter must fail")
+	}
+	var got []string
+	n, max, meta, err := s.DrainTo(sinkFunc(func(v string) error { got = append(got, v); return nil }), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 || max != "kiwi" || meta != (RunMeta{Added: 5}) || !reflect.DeepEqual(got, vals) {
+		t.Errorf("DrainTo = (%d, %q, %+v, %v), want (3, kiwi, {Added:5}, %v)", n, max, meta, got, vals)
+	}
+
+	runs, err := Presorted(append([]string(nil), vals...), 5).Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runs.Close()
+	if n, max, err := runs.scan(nil); n != 3 || max != "kiwi" || err != nil || len(runs.runs) != 0 {
+		t.Errorf("frozen presorted sorter: n=%d max=%q err=%v runs=%d", n, max, err, len(runs.runs))
+	}
+}
+
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(string) error
+
+func (f sinkFunc) Append(v string) error { return f(v) }

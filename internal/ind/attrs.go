@@ -118,13 +118,14 @@ type ExportConfig struct {
 	// dataset rooted at Dir in the configured Format — the historical
 	// files-on-disk layout.
 	Dataset store.Dataset
-	// Dir receives one value file per attribute when Dataset is nil; it
-	// also hosts the sorter's spill runs unless Sort.TempDir overrides.
+	// Dir receives one value file per attribute when Dataset is nil.
 	Dir string
-	// Sort configures the external sorter.
+	// Sort is not read: column exports stage the sorted set relstore
+	// made in memory, with no external sort. The field stays for the
+	// callers that still set it.
 	Sort extsort.Config
 	// Workers bounds the export worker pool. Attributes are independent —
-	// each worker scans its own column and writes its own file — so
+	// each worker stages its own column's set into its own file — so
 	// extraction scales with cores. Zero or one exports sequentially.
 	Workers int
 	// Sketches additionally builds each attribute's pre-filter sketch
@@ -136,18 +137,22 @@ type ExportConfig struct {
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
 	SketchConfig sketch.Config
-	// Format selects the value-file encoding (and the spill-run encoding,
-	// via Sort.Format). The zero value is the text format. Block-format
-	// exports embed the sketch inside the value file instead of writing a
-	// sidecar, so one attribute is one file open.
+	// Format selects the value-file encoding. The zero value is the
+	// text format. Block-format exports embed the sketch inside the
+	// value file instead of writing a sidecar, so one attribute is one
+	// file open.
 	Format valfile.Format
 }
 
-// ExportAttributes writes each attribute's sorted distinct value file into
-// cfg.Dir and fills Attribute.Path. This is the paper's extraction step:
+// ExportAttributes stages each attribute's sorted distinct value set
+// into cfg.Dataset (value files in cfg.Dir when it is nil) and fills
+// Attribute.Key and Attribute.Path. This is the paper's extraction step:
 // "All value sets are extracted from the database and stored in sorted
 // files" (Sec 3.2), with the sort performed once per attribute rather than
-// once per IND test — the first optimization of Sec 1.2. With
+// once per IND test — the first optimization of Sec 1.2. The sort is the
+// column pass that computed the attribute's statistics: the export takes
+// the sorted set the table kept (relstore.Table.DistinctCanonical) and
+// stages it as it is, with no external sort and no spill runs. With
 // cfg.Workers > 1 the attributes are exported by a bounded worker pool.
 func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig) error {
 	ds := cfg.Dataset
@@ -161,11 +166,7 @@ func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfi
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return fmt.Errorf("ind: %w", err)
 		}
-		if cfg.Sort.TempDir == "" {
-			cfg.Sort.TempDir = cfg.Dir
-		}
 	}
-	cfg.Sort.Format = cfg.Format
 	return forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
 		return exportAttribute(db, a, cfg, ds)
 	})
@@ -219,15 +220,15 @@ func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error
 	return firstErr
 }
 
-// exportAttribute extracts, sorts and stages one attribute's value set
-// into ds, deriving and persisting its sketch in the same pass when
-// configured.
+// exportAttribute stages one attribute's sorted value set into ds,
+// deriving and persisting its sketch in the same pass when configured.
 func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds store.Dataset) error {
-	sorter, err := fillSorter(db, a, cfg.Sort)
+	vals, err := distinctValues(db, a)
 	if err != nil {
 		return err
 	}
-	// The sketch taps the final merge rather than the raw column scan:
+	sorter := extsort.Presorted(vals, int64(a.NonNull))
+	// The sketch taps the staged stream rather than the raw column scan:
 	// each distinct value is observed exactly once, so the builder does
 	// per-distinct work instead of per-row work. The finished sketch is
 	// staged as a section of the value set itself: block files embed it,
@@ -347,29 +348,14 @@ func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
 	return nil
 }
 
-// fillSorter pushes the attribute's non-null canonical values through a
-// fresh external sorter. On error the sorter's spill runs are removed.
-func fillSorter(db *relstore.Database, a *Attribute, cfg extsort.Config) (*extsort.Sorter, error) {
+// distinctValues returns the attribute's sorted distinct canonical
+// values, the set its table's column pass made.
+func distinctValues(db *relstore.Database, a *Attribute) ([]string, error) {
 	t := db.Table(a.Ref.Table)
 	if t == nil {
 		return nil, fmt.Errorf("ind: unknown table %q", a.Ref.Table)
 	}
-	sorter := extsort.New(cfg)
-	var addErr error
-	_, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
-		if addErr != nil || v.IsNull() {
-			return
-		}
-		addErr = sorter.Add(v.Canonical())
-	})
-	if err == nil {
-		err = addErr
-	}
-	if err != nil {
-		sorter.Discard()
-		return nil, err
-	}
-	return sorter, nil
+	return t.DistinctCanonical(a.Ref.Column)
 }
 
 // sketchObserver returns a builder and its observe function when cfg

@@ -458,7 +458,6 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 	err := ExportAttributes(db, eligible, ExportConfig{
 		Dir:     workDir,
 		Dataset: seedDS,
-		Sort:    extsort.Config{TempDir: workDir, Format: opts.Sort.Format},
 		Workers: naryWorkers(opts.ExportWorkers),
 		Format:  opts.Sort.Format,
 	})

@@ -1,13 +1,10 @@
 package ind
 
 import (
-	"fmt"
-
 	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
 	"spider/internal/valfile"
-	"spider/internal/value"
 )
 
 // This file wires the internal/sketch summaries into candidate
@@ -106,28 +103,24 @@ func SketchPretest(cands []Candidate, opts SketchPretestOptions) ([]Candidate, S
 	return out, st
 }
 
-// BuildAttributeSketches fills Attribute.Sketch by scanning each
-// attribute's column directly — the fallback for paths that never export
-// value files (the SQL and in-memory engines). workers bounds the scan
-// pool as in ExportAttributes. Attributes that already carry a sketch
-// are skipped.
+// BuildAttributeSketches fills Attribute.Sketch from each attribute's
+// sorted distinct values — the fallback for paths that never export
+// value files (the SQL and in-memory engines). It takes the set the
+// column pass made, as an export does, and observes each distinct value
+// once. workers bounds the pool as in ExportAttributes. Attributes that
+// already carry a sketch are skipped.
 func BuildAttributeSketches(db *relstore.Database, attrs []*Attribute, cfg sketch.Config, workers int) error {
 	return forEachAttribute(attrs, workers, func(a *Attribute) error {
 		if a.Sketch != nil {
 			return nil
 		}
-		t := db.Table(a.Ref.Table)
-		if t == nil {
-			return fmt.Errorf("ind: unknown table %q", a.Ref.Table)
+		vals, err := distinctValues(db, a)
+		if err != nil {
+			return err
 		}
 		b := sketch.NewBuilder(cfg, a.Distinct)
-		if _, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
-			if v.IsNull() {
-				return
-			}
-			b.Add(v.Canonical())
-		}); err != nil {
-			return err
+		for _, v := range vals {
+			b.Add(v)
 		}
 		a.Sketch = b.Finish()
 		return nil

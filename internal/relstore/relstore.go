@@ -10,12 +10,18 @@
 // name order, and a table's column statistics are computed one column
 // per worker. Both pools hold GOMAXPROCS workers, and neither changes
 // what is loaded or computed.
+//
+// One column pass serves statistics and extraction alike: it sorts the
+// column's canonical values once into the sorted distinct set s(a),
+// the paper's SELECT DISTINCT … ORDER BY (Sec 3), and reads the
+// statistics off that set. The table keeps each set next to its
+// statistics until DistinctCanonical hands it over.
 package relstore
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,8 +64,12 @@ type Table struct {
 	rows     [][]value.Value
 	colIndex map[string]int
 
-	statsDirty bool
-	stats      []ColumnStats
+	// mu guards the column pass cache. stats is nil until the pass has
+	// run and again once Insert changes the rows. sets[i] is column
+	// i's sorted distinct set from that pass, nil once handed over.
+	mu    sync.Mutex
+	stats []ColumnStats
+	sets  [][]string
 }
 
 // ColumnStats summarises one column for candidate generation (Sec 2: the
@@ -112,7 +122,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 		idx[c.Name] = i
 	}
-	return &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx, statsDirty: true}, nil
+	return &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx}, nil
 }
 
 // register adds a table built off the catalog, passing on the error of
@@ -211,14 +221,16 @@ func (db *Database) Resolve(ref ColumnRef) (*Table, int, error) {
 	return t, i, nil
 }
 
-// ColumnStats computes (and caches per table) statistics for ref.
+// ColumnStats computes (and caches per table) statistics for ref. The
+// first call runs the column pass on every column of ref's table, which
+// keeps each column's sorted set until DistinctCanonical takes it or
+// the rows change.
 func (db *Database) ColumnStats(ref ColumnRef) (ColumnStats, error) {
 	t, i, err := db.Resolve(ref)
 	if err != nil {
 		return ColumnStats{}, err
 	}
-	t.computeStats()
-	return t.stats[i], nil
+	return t.columnStats()[i], nil
 }
 
 // ColumnKind returns the declared kind of ref.
@@ -249,13 +261,17 @@ func (t *Table) ColumnIndex(name string) int {
 }
 
 // Insert appends a row. The row must have exactly one value per column;
-// values are accepted as-is (the loader performs kind coercion).
+// values are accepted as-is (the loader performs kind coercion). It
+// drops the cached statistics and sorted sets. Insert must not run
+// concurrently with the table's readers.
 func (t *Table) Insert(row []value.Value) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("relstore: table %q: row has %d values, want %d", t.Name, len(row), len(t.Columns))
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.rows = append(t.rows, append([]value.Value(nil), row...))
-	t.statsDirty = true
+	t.stats, t.sets = nil, nil
 	return nil
 }
 
@@ -285,44 +301,42 @@ func (t *Table) ScanColumn(name string, fn func(value.Value)) (int, error) {
 	return len(t.rows), nil
 }
 
-// computeStats refreshes per-column statistics if rows changed. Columns
-// are independent, so each is computed on its own worker.
-func (t *Table) computeStats() {
-	if !t.statsDirty && t.stats != nil {
-		return
+// columnStats returns the statistics of every column, running the
+// column pass first when the rows changed since the last one. Columns
+// are independent, so each is computed on its own worker. Concurrent
+// callers wait for one pass.
+func (t *Table) columnStats() []ColumnStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stats == nil {
+		stats := make([]ColumnStats, len(t.Columns))
+		sets := make([][]string, len(t.Columns))
+		parallel(len(t.Columns), func(ci int) { sets[ci], stats[ci] = t.columnPass(ci) })
+		t.stats, t.sets = stats, sets
 	}
-	stats := make([]ColumnStats, len(t.Columns))
-	parallel(len(t.Columns), func(ci int) { stats[ci] = t.columnStats(ci) })
-	t.stats = stats
-	t.statsDirty = false
+	return t.stats
 }
 
-// columnStats computes the statistics of column ci.
-func (t *Table) columnStats(ci int) ColumnStats {
-	s := ColumnStats{Rows: len(t.rows)}
-	distinct := make(map[string]struct{})
+// columnPass canonicalizes the non-null values of column ci once,
+// sorts them and drops the duplicates. It returns the sorted distinct
+// set, never nil, and the statistics read off it: NonNull is the count
+// before deduplication, Distinct the count after, and the bounds are
+// its first and last values.
+func (t *Table) columnPass(ci int) ([]string, ColumnStats) {
+	vals := make([]string, 0, len(t.rows))
 	for _, r := range t.rows {
-		v := r[ci]
-		if v.IsNull() {
-			continue
-		}
-		s.NonNull++
-		c := v.Canonical()
-		distinct[c] = struct{}{}
-		if !s.HasNonNull {
-			s.MinCanonical, s.MaxCanonical, s.HasNonNull = c, c, true
-			continue
-		}
-		if c < s.MinCanonical {
-			s.MinCanonical = c
-		}
-		if c > s.MaxCanonical {
-			s.MaxCanonical = c
+		if v := r[ci]; !v.IsNull() {
+			vals = append(vals, v.Canonical())
 		}
 	}
-	s.Distinct = len(distinct)
+	s := ColumnStats{Rows: len(t.rows), NonNull: len(vals)}
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	if s.Distinct = len(vals); s.Distinct > 0 {
+		s.MinCanonical, s.MaxCanonical, s.HasNonNull = vals[0], vals[s.Distinct-1], true
+	}
 	s.Unique = s.HasNonNull && s.Distinct == s.NonNull
-	return s
+	return vals, s
 }
 
 // parallel calls fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
@@ -352,23 +366,24 @@ func parallel(n int, fn func(i int)) {
 }
 
 // DistinctCanonical returns the sorted set s(a) of distinct canonical
-// encodings of the column's non-null values. It is the in-memory analogue
-// of the sorted value files and backs the reference IND checker in tests.
+// encodings of the column's non-null values, the in-memory analogue of
+// the sorted value files. The caller owns the slice. The set the
+// statistics pass made is handed over and dropped from the table, so
+// it costs nothing the first time; a later call runs the column pass
+// again.
 func (t *Table) DistinctCanonical(name string) ([]string, error) {
 	i, ok := t.colIndex[name]
 	if !ok {
 		return nil, fmt.Errorf("relstore: table %q: unknown column %q", t.Name, name)
 	}
-	set := make(map[string]struct{})
-	for _, r := range t.rows {
-		if v := r[i]; !v.IsNull() {
-			set[v.Canonical()] = struct{}{}
-		}
+	t.mu.Lock()
+	var vals []string
+	if t.sets != nil {
+		vals, t.sets[i] = t.sets[i], nil
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	t.mu.Unlock()
+	if vals == nil {
+		vals, _ = t.columnPass(i)
 	}
-	sort.Strings(out)
-	return out, nil
+	return vals, nil
 }

@@ -201,6 +201,34 @@ func TestDistinctCanonical(t *testing.T) {
 	}
 }
 
+// TestColumnPassHandOver: an Insert after the statistics drops the
+// sets they kept, DistinctCanonical hands over a kept set, and a later
+// call runs the column pass again.
+func TestColumnPassHandOver(t *testing.T) {
+	db, tab := newTestDB(t)
+	ref := ColumnRef{"proteins", "accession"}
+	if _, err := db.ColumnStats(ref); err != nil {
+		t.Fatal(err)
+	}
+	tab.MustInsert(value.NewInt(4), value.NewString("Q00001"), value.NewNull())
+	want := []string{"P12345", "P67890", "Q00001"}
+	if got, _ := tab.DistinctCanonical("accession"); !reflect.DeepEqual(got, want) {
+		t.Errorf("DistinctCanonical after Insert = %v, want %v", got, want)
+	}
+	if s, _ := db.ColumnStats(ref); s != referenceStats(tab, 1) {
+		t.Errorf("stats after Insert %+v, want %+v", s, referenceStats(tab, 1))
+	}
+
+	first, _ := tab.DistinctCanonical("accession")
+	if tab.sets[1] != nil {
+		t.Error("the handed-over set is still cached")
+	}
+	first[0] = "changed"
+	if again, _ := tab.DistinctCanonical("accession"); !reflect.DeepEqual(again, want) {
+		t.Errorf("second DistinctCanonical = %v, want %v", again, want)
+	}
+}
+
 func TestScanColumn(t *testing.T) {
 	_, tab := newTestDB(t)
 	var nulls, vals int

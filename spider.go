@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"spider/internal/datagen"
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
@@ -443,7 +442,6 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		err := ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
 			Dataset: writeDS,
 			Dir:     workDir, Workers: exportWorkers(opts),
-			Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
 			Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
 			Format: opts.Format.internal(),
 		})
@@ -452,7 +450,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		}
 	case opts.SketchPrefilter:
 		// Engines that never extract value sets (SQL, in-memory,
-		// baselines) still get sketches, from a direct column scan.
+		// baselines) still get sketches, from the columns' sorted sets.
 		if err := ind.BuildAttributeSketches(db.rel, attrs, opts.sketchConfig(), exportWorkers(opts)); err != nil {
 			return nil, err
 		}
