@@ -35,24 +35,19 @@ func TestExactINDsIdenticalAcrossBackends(t *testing.T) {
 			}
 			for backend, mkStore := range storeBackends() {
 				for _, algo := range []Algorithm{BruteForce, BruteForceParallel, SinglePass, SinglePassBlocked, SpiderMerge} {
-					for _, shards := range []int{1, 4} {
-						if shards > 1 && algo != SpiderMerge {
-							continue
-						}
-						opts := Options{Algorithm: algo, Shards: shards, Store: mkStore()}
-						label := fmt.Sprintf("%s/%v/shards=%d", backend, algo, shards)
-						got, err := FindINDs(mk(), opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got.INDs, want.INDs) {
-							t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
-						}
-						// Spill cursors count only bytes read from run files;
-						// value sets that fit the sort buffer read none.
-						if got.Stats.BytesRead == 0 && len(got.INDs) > 0 && backend != "spill" {
-							t.Errorf("%s: BytesRead = 0 with results delivered", label)
-						}
+					opts := Options{Algorithm: algo, Store: mkStore()}
+					label := fmt.Sprintf("%s/%v", backend, algo)
+					got, err := FindINDs(mk(), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got.INDs, want.INDs) {
+						t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
+					}
+					// Spill cursors count only bytes read from run files;
+					// value sets that fit the sort buffer read none.
+					if got.Stats.BytesRead == 0 && len(got.INDs) > 0 && backend != "spill" {
+						t.Errorf("%s: BytesRead = 0 with results delivered", label)
 					}
 				}
 			}
@@ -72,21 +67,14 @@ func TestPartialINDsIdenticalAcrossBackends(t *testing.T) {
 			}
 			for backend, mkStore := range storeBackends() {
 				for _, algo := range []Algorithm{BruteForce, SpiderMerge} {
-					for _, shards := range []int{1, 4} {
-						if shards > 1 && algo != SpiderMerge {
-							continue
-						}
-						opts := PartialOptions{
-							Threshold: 0.5, Algorithm: algo, Shards: shards, Store: mkStore(),
-						}
-						label := fmt.Sprintf("%s/%v/shards=%d", backend, algo, shards)
-						got, _, err := FindPartialINDs(mk(), opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got, ref) {
-							t.Errorf("%s: partials = %v, want %v", label, got, ref)
-						}
+					opts := PartialOptions{Threshold: 0.5, Algorithm: algo, Store: mkStore()}
+					label := fmt.Sprintf("%s/%v", backend, algo)
+					got, _, err := FindPartialINDs(mk(), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got, ref) {
+						t.Errorf("%s: partials = %v, want %v", label, got, ref)
 					}
 				}
 			}
@@ -105,18 +93,12 @@ func TestNaryINDsIdenticalAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			for backend, mkStore := range storeBackends() {
-				for _, shards := range []int{1, 4} {
-					opts := NaryOptions{
-						MaxArity: 3, Algorithm: SpiderMerge, Shards: shards, Store: mkStore(),
-					}
-					label := fmt.Sprintf("%s/shards=%d", backend, shards)
-					got, _, err := FindNaryINDs(mk(), opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("%s: n-ary INDs = %v, want %v", label, got, ref)
-					}
+				got, _, err := FindNaryINDs(mk(), NaryOptions{MaxArity: 3, Algorithm: SpiderMerge, Store: mkStore()})
+				if err != nil {
+					t.Fatalf("%s: %v", backend, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: n-ary INDs = %v, want %v", backend, got, ref)
 				}
 			}
 		})

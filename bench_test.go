@@ -13,9 +13,6 @@
 //	                       event-driven single pass (UniProt, scale 0.25)
 //	BenchmarkExportWorkers, BenchmarkStreamingSpiderMerge — parallel
 //	                       attribute export and the streaming cursor path
-//	BenchmarkShardedSpiderMerge, BenchmarkShardedStreaming — the sharded
-//	                       engine: S value-range shards, one heap merge
-//	                       each, on a worker pool
 //
 // Times are not comparable to the paper's absolute numbers (its datasets
 // are ~100x larger and ran on a 2005 commercial RDBMS); the shapes — who
@@ -272,57 +269,7 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 			}
 		}
 	})
-	// The acceptance comparison for the sharded engine: 4 value-range
-	// shards merged concurrently must beat the single-threaded merge by
-	// ≥2x wall clock on a multi-core runner, with identical INDs.
-	b.Run("sharded-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var counter valfile.ReadCounter
-			res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Shards: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				reportRun(b, res)
-			}
-		}
-	})
 }
-
-// BenchmarkShardedSpiderMerge sweeps the shard count on the UniProt
-// dataset at scale 0.25. Each shard runs an independent heap merge over
-// one slice of the value space; satisfied counts must not move.
-func BenchmarkShardedSpiderMerge(b *testing.B) {
-	cfg := benchCfg()
-	cfg.UniProtScale = 0.25
-	ds := benchDatasetScaled(b, "uniprot-0.25", "uniprot", cfg)
-	base, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var counter valfile.ReadCounter
-				res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.Satisfied != base.Stats.Satisfied {
-					b.Fatalf("sharding changed results: %d vs %d", res.Stats.Satisfied, base.Stats.Satisfied)
-				}
-				if i == b.N-1 {
-					reportRun(b, res)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedStreaming runs the fully streaming sharded pipeline:
-// the spill backend's frozen runs replayed once per shard, no value
-// files at all.
-func BenchmarkShardedStreaming(b *testing.B) { benchSpill(b, 4) }
 
 // BenchmarkExportWorkers sweeps the attribute-export worker pool on the
 // UniProt dataset: extraction is embarrassingly parallel per attribute.
@@ -350,11 +297,7 @@ func BenchmarkExportWorkers(b *testing.B) {
 // values flow from the relation store through external-sort spill runs
 // (the spill backend) straight into the heap merge, never materializing
 // value files.
-func BenchmarkStreamingSpiderMerge(b *testing.B) { benchSpill(b, 1) }
-
-// benchSpill exports the UniProt attributes into a fresh spill dataset
-// and merges them at the given shard count, once per iteration.
-func benchSpill(b *testing.B, shards int) {
+func BenchmarkStreamingSpiderMerge(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	// Export copies so the cached dataset's Paths stay valid.
 	attrs := make([]*ind.Attribute, len(ds.Attrs))
@@ -371,7 +314,7 @@ func benchSpill(b *testing.B, shards int) {
 		})
 		var res *ind.Result
 		if err == nil {
-			res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: spill, Shards: shards})
+			res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: spill})
 		}
 		spill.Close()
 		if err != nil {
@@ -647,31 +590,26 @@ func BenchmarkBruteForcePartial(b *testing.B) {
 
 // BenchmarkPartialSpiderMerge tests every candidate in one pass; the
 // acceptance bar is ≥3x fewer items read than BenchmarkBruteForcePartial,
-// with identical results at every shard count.
+// with identical results.
 func BenchmarkPartialSpiderMerge(b *testing.B) {
 	_, cands := partialBenchCands(b)
 	base, err := ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: 0.9})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var counter valfile.ReadCounter
-				res, err := ind.PartialSpiderMerge(cands, 0.9, ind.SpiderMergeOptions{Counter: &counter, Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.Satisfied != base.Stats.Satisfied {
-					b.Fatalf("partial merge (S=%d) changed results: %d vs %d",
-						shards, res.Stats.Satisfied, base.Stats.Satisfied)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(counter.Total()), "items/op")
-					b.ReportMetric(float64(res.Stats.Satisfied), "INDs")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		var counter valfile.ReadCounter
+		res, err := ind.PartialSpiderMerge(cands, 0.9, ind.SpiderMergeOptions{Counter: &counter})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Satisfied != base.Stats.Satisfied {
+			b.Fatalf("partial merge changed results: %d vs %d", res.Stats.Satisfied, base.Stats.Satisfied)
+		}
+		if i == b.N-1 {
+			b.ReportMetric(float64(counter.Total()), "items/op")
+			b.ReportMetric(float64(res.Stats.Satisfied), "INDs")
+		}
 	}
 }
 
@@ -761,29 +699,25 @@ func BenchmarkNaryTupleSets(b *testing.B) {
 }
 
 // BenchmarkNaryMerge times the merge-backed n-ary engine on UniProt
-// across shard counts: every level is one (sharded) heap merge over
+// and SCOP: every level is one heap merge over
 // sorted encoded-tuple streams, so peak memory is bounded by the extsort
 // buffers rather than the distinct-tuple sets B/op of the baseline.
 func BenchmarkNaryMerge(b *testing.B) {
 	for _, name := range []string{"uniprot", "scop"} {
 		ds := benchDataset(b, name)
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{
-						MaxArity: 3, Algorithm: ind.NaryMerge, Shards: shards,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == b.N-1 {
-						b.ReportMetric(float64(len(res.Satisfied)), "nary-INDs")
-						b.ReportMetric(float64(res.Stats.ItemsRead), "items/op")
-					}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if i == b.N-1 {
+					b.ReportMetric(float64(len(res.Satisfied)), "nary-INDs")
+					b.ReportMetric(float64(res.Stats.ItemsRead), "items/op")
+				}
+			}
+		})
 	}
 }
 
@@ -991,108 +925,6 @@ func uniprotCSVDir(b *testing.B) (string, int64) {
 	return dir, csvBytes
 }
 
-// --- Pipeline saturation: overlapped levels, KMV planning, embedded merge ---
-
-// BenchmarkNaryOverlap isolates the overlapped level schedule: the same
-// merge-backed n-ary run with levels forced strictly one-at-a-time
-// (sequential) vs the default overlap, where independent table-pair
-// groups merge concurrently and the next level's tuple streams are
-// extracted speculatively as each group's verdicts finalize. Workers
-// default to GOMAXPROCS: on a single-core runner the win comes from the
-// smaller per-group heaps alone; with cores the concurrency compounds it.
-func BenchmarkNaryOverlap(b *testing.B) {
-	for _, name := range []string{"uniprot", "scop"} {
-		ds := benchDataset(b, name)
-		for _, mode := range []struct {
-			name string
-			seq  bool
-		}{{"sequential", true}, {"overlap", false}} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{
-						MaxArity:         3,
-						Algorithm:        ind.NaryMerge,
-						SequentialLevels: mode.seq,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == b.N-1 {
-						b.ReportMetric(float64(len(res.Satisfied)), "nary-INDs")
-						b.ReportMetric(float64(res.Stats.ItemsRead), "items/op")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKMVShardPlan compares shard boundary planners on the
-// Zipf-skewed key population of datagen.Skewed: min/max planning splits
-// the key span evenly and piles nearly all items into one shard, KMV
-// sample planning splits the estimated value mass. The planner follows
-// the input — attributes with KMV samples plan by mass, the same
-// attributes with their sketches stripped plan by min/max. The
-// skew-max/mean metric (1.0 = perfectly even) lands in BENCH_ci.json via
-// the custom metric capture, so the CI bench artifact tracks shard
-// balance.
-func BenchmarkKMVShardPlan(b *testing.B) {
-	db := datagen.Skewed(datagen.SkewedConfig{Seed: 42, Rows: 20000})
-	dir := b.TempDir()
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dir: dir, Sketches: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var keys, stripped []*ind.Attribute
-	for _, a := range attrs {
-		if a.Ref.Column == "id" || a.Ref.Column == "fk" {
-			keys = append(keys, a)
-			bare := *a
-			bare.Sketch = nil
-			stripped = append(stripped, &bare)
-		}
-	}
-	for _, p := range []struct {
-		name  string
-		attrs []*ind.Attribute
-	}{{"minmax", stripped}, {"kmv", keys}} {
-		var cands []ind.Candidate
-		for _, d := range p.attrs {
-			for _, r := range p.attrs {
-				if d != r {
-					cands = append(cands, ind.Candidate{Dep: d, Ref: r})
-				}
-			}
-		}
-		b.Run("planner="+p.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Shards: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.ShardPlanner != p.name {
-					b.Fatalf("planned by %q, want %q", res.Stats.ShardPlanner, p.name)
-				}
-				if i == b.N-1 {
-					var total, max int64
-					for _, n := range res.Stats.ShardItemsRead {
-						total += n
-						if n > max {
-							max = n
-						}
-					}
-					if total > 0 {
-						mean := float64(total) / float64(len(res.Stats.ShardItemsRead))
-						b.ReportMetric(float64(max)/mean, "skew-max/mean")
-					}
-					b.ReportMetric(float64(total), "items/op")
-				}
-			}
-		})
-	}
-}
-
 // --- Columnar block store: text vs block encoding ------------------------
 
 // BenchmarkBlockStore times writing and scanning one sorted value file
@@ -1188,18 +1020,15 @@ func BenchmarkNaryFormat(b *testing.B) {
 // BenchmarkEmbeddedMerge times embedded-IND discovery (the Sec 7
 // transform extension) with the per-candidate Algorithm 1 reference vs
 // the merge-front engine, which folds every derived value set into one
-// shared (optionally sharded) heap merge and reads each referenced file
-// at most once.
+// shared heap merge and reads each referenced file at most once.
 func BenchmarkEmbeddedMerge(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for _, e := range []struct {
-		name   string
-		algo   ind.EmbeddedEngine
-		shards int
+		name string
+		algo ind.EmbeddedEngine
 	}{
-		{"algorithm-one", ind.EmbeddedAlgorithmOne, 0},
-		{"merge", ind.EmbeddedMerge, 0},
-		{"merge-shards=4", ind.EmbeddedMerge, 4},
+		{"algorithm-one", ind.EmbeddedAlgorithmOne},
+		{"merge", ind.EmbeddedMerge},
 	} {
 		b.Run(e.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -1210,7 +1039,6 @@ func BenchmarkEmbeddedMerge(b *testing.B) {
 					Dir:       fmt.Sprintf("%s/run%d", dir, i),
 					Counter:   &counter,
 					Algorithm: e.algo,
-					Shards:    e.shards,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -36,10 +36,10 @@ type BenchEntry struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	Runs    int64   `json:"runs"`
 	// Metrics holds the benchmark's custom b.ReportMetric values by unit
-	// (e.g. "items/op", "skew-max/mean") plus the standard B/op and
+	// (e.g. "items/op") plus the standard B/op and
 	// allocs/op when present. Informational: regression gating compares
-	// ns_per_op only, but the trajectory file preserves work counters and
-	// shard-balance metrics for inspection.
+	// ns_per_op only, but the trajectory file preserves work counters for
+	// inspection.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

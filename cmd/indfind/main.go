@@ -32,10 +32,8 @@ func main() {
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
 	workers := flag.Int("workers", 0, "worker pool size (brute-force-parallel; 0 = GOMAXPROCS)")
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "value-range shards merged concurrently (spider-merge; 0/1 = single merge)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
-	narySequential := flag.Bool("nary-sequential", false, "disable overlapped n-ary levels (spider-merge; run one level at a time)")
 	embedded := flag.Bool("embedded", false, "also discover embedded INDs (transformed values; -algo spider-merge selects the merge-front engine)")
 	workDir := flag.String("workdir", "", "directory for sorted value files (temporary when empty)")
 	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot|spill (mem/snapshot/spill never write value files; spill replays sort runs in place)")
@@ -86,7 +84,6 @@ func main() {
 			Threshold:               *partial,
 			WorkDir:                 *workDir,
 			Algorithm:               algorithm,
-			Shards:                  *shards,
 			ExportWorkers:           *exportWorkers,
 			SketchPrefilter:         *sketchOn,
 			SketchMinContainment:    *sketchContainment,
@@ -102,11 +99,7 @@ func main() {
 		for _, p := range partials {
 			fmt.Println(p)
 		}
-		name := fmt.Sprintf("partial σ=%g %s", *partial, algorithm)
-		if *shards > 1 {
-			name = fmt.Sprintf("%s x%d shards", name, *shards)
-		}
-		printStats(stats, name)
+		printStats(stats, fmt.Sprintf("partial σ=%g %s", *partial, algorithm))
 		return
 	}
 
@@ -119,7 +112,6 @@ func main() {
 		RefBlock:                *refBlock,
 		Workers:                 *workers,
 		ExportWorkers:           *exportWorkers,
-		Shards:                  *shards,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
 		SketchK:                 *sketchK,
@@ -141,11 +133,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "indfind: result set written to %s\n", *out)
 	}
-	name := algorithm.String()
-	if *shards > 1 && algorithm == spider.SpiderMerge {
-		name = fmt.Sprintf("%s x%d shards", name, *shards)
-	}
-	printStats(res.Stats, name)
+	printStats(res.Stats, algorithm.String())
 
 	if *nary >= 2 {
 		// Mirror the -partial wiring: -algo spider-merge selects the
@@ -169,10 +157,6 @@ func main() {
 					p.Arity, p.Candidates, p.Satisfied, p.ItemsRead, p.Duration.Round(1e6))
 			},
 		}
-		if naryAlgo == spider.SpiderMerge {
-			naryOpts.Shards = *shards
-			naryOpts.SequentialLevels = *narySequential
-		}
 		naryINDs, naryStats, err := spider.FindNaryINDs(db, naryOpts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "indfind: n-ary: %v\n", err)
@@ -186,11 +170,7 @@ func main() {
 			fmt.Printf("  truncated at arity %d (candidate cap); lower-arity results are complete\n",
 				naryStats.StoppedAtArity)
 		}
-		name := fmt.Sprintf("n-ary ≤%d %s", *nary, naryAlgo)
-		if *shards > 1 && naryAlgo == spider.SpiderMerge {
-			name = fmt.Sprintf("%s x%d shards", name, *shards)
-		}
-		printStats(naryStats.Stats, name)
+		printStats(naryStats.Stats, fmt.Sprintf("n-ary ≤%d %s", *nary, naryAlgo))
 	}
 
 	if *embedded {
@@ -198,16 +178,12 @@ func main() {
 		if algorithm == spider.SpiderMerge {
 			embAlgo = spider.SpiderMerge
 		}
-		embOpts := spider.EmbeddedOptions{
+		embINDs, embStats, err := spider.FindEmbeddedINDsWith(db, spider.EmbeddedOptions{
 			Algorithm: embAlgo,
 			WorkDir:   *workDir,
 			Format:    format,
 			Store:     backend,
-		}
-		if embAlgo == spider.SpiderMerge {
-			embOpts.Shards = *shards
-		}
-		embINDs, embStats, err := spider.FindEmbeddedINDsWith(db, embOpts)
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "indfind: embedded: %v\n", err)
 			os.Exit(1)
@@ -216,11 +192,7 @@ func main() {
 		for _, d := range embINDs {
 			fmt.Printf("  %s\n", d)
 		}
-		name := fmt.Sprintf("embedded %s", embAlgo)
-		if *shards > 1 && embAlgo == spider.SpiderMerge {
-			name = fmt.Sprintf("%s x%d shards", name, *shards)
-		}
-		printStats(embStats, name)
+		printStats(embStats, fmt.Sprintf("embedded %s", embAlgo))
 	}
 }
 
@@ -236,25 +208,6 @@ func printStats(st spider.Stats, approach string) {
 	if st.CandidatesPruned > 0 || st.SketchBytes > 0 {
 		fmt.Printf("sketch pre-filter: %d candidates pruned, %d sketch bytes\n",
 			st.CandidatesPruned, st.SketchBytes)
-	}
-	if len(st.ShardItemsRead) > 1 {
-		var total, max int64
-		for _, n := range st.ShardItemsRead {
-			total += n
-			if n > max {
-				max = n
-			}
-		}
-		mean := float64(total) / float64(len(st.ShardItemsRead))
-		skew := 0.0
-		if mean > 0 {
-			skew = float64(max) / mean
-		}
-		fmt.Printf("shard plan: %s planner, per-shard items %v, skew max/mean %.2f\n",
-			st.ShardPlanner, st.ShardItemsRead, skew)
-	}
-	if st.ShardPlanFallback != "" {
-		fmt.Printf("shard plan fallback: %s\n", st.ShardPlanFallback)
 	}
 }
 

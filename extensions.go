@@ -44,12 +44,6 @@ type PartialOptions struct {
 	// pass over all attributes via the count-carrying k-way heap merge).
 	// Both return identical results.
 	Algorithm Algorithm
-	// Shards (SpiderMerge only) partitions the canonical value space into
-	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
-	// single-threaded merge. The output is identical at any shard count.
-	// Boundaries follow the KMV samples SketchPrefilter builds, and the
-	// min/max key range without them; see Options.Shards.
-	Shards int
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially.
 	ExportWorkers int
@@ -99,10 +93,6 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: partial IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	if opts.Algorithm != SpiderMerge && opts.Shards > 1 {
-		return nil, Stats{}, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
-	}
-
 	workDir := opts.WorkDir
 	if workDir == "" && opts.Store.needsDir() {
 		tmp, err := os.MkdirTemp("", "spider-partial-*")
@@ -151,9 +141,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	if opts.Algorithm == BruteForce {
 		res, err = ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS})
 	} else {
-		res, err = ind.PartialSpiderMerge(cands, opts.Threshold, ind.SpiderMergeOptions{
-			Counter: &counter, Store: readDS, Shards: opts.Shards,
-		})
+		res, err = ind.PartialSpiderMerge(cands, opts.Threshold, ind.SpiderMergeOptions{Counter: &counter, Store: readDS})
 	}
 	if err != nil {
 		return nil, Stats{}, err
@@ -220,8 +208,8 @@ type NaryOptions struct {
 	MaxArity int
 	// Algorithm selects the verification engine: InMemory (the default;
 	// cached distinct-tuple hash sets) or SpiderMerge (one sorted
-	// encoded-tuple stream per candidate column list and a single —
-	// optionally sharded — heap merge per level, the same machinery
+	// encoded-tuple stream per candidate column list and a single heap
+	// merge per level, the same machinery
 	// FindINDs uses for unary INDs). Both return identical results; the
 	// merge engine's peak memory is bounded by the external-sort buffers
 	// instead of the tuple-set sizes. The zero value selects InMemory.
@@ -231,20 +219,9 @@ type NaryOptions struct {
 	// WorkDir upgrades only the unary seed to the file-backed SpiderMerge
 	// path; temporary when empty.
 	WorkDir string
-	// Shards (SpiderMerge only) partitions each level's value space into
-	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
-	// single-threaded merge. The output is identical at any shard count.
-	Shards int
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
-	// GOMAXPROCS, 1 extracts sequentially. With overlapped levels it
-	// also bounds concurrent speculative next-level extractions.
+	// GOMAXPROCS, 1 extracts sequentially.
 	ExportWorkers int
-	// SequentialLevels (SpiderMerge only) opts out of the overlapped
-	// pipeline: by default independent table-pair candidate groups are
-	// verified concurrently and the next level's tuple streams are
-	// extracted speculatively while the current level is still merging.
-	// Results are identical either way.
-	SequentialLevels bool
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in.
 	LevelProgress func(NaryLevelProgress)
@@ -307,17 +284,12 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	default:
 		return nil, NaryStats{}, fmt.Errorf("spider: n-ary discovery supports InMemory or SpiderMerge, not %v", opts.Algorithm)
 	}
-	if engine != ind.NaryMerge && opts.Shards > 1 {
-		return nil, NaryStats{}, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
-	}
 	inOpts := ind.NaryOptions{
-		MaxArity:         opts.MaxArity,
-		Algorithm:        engine,
-		WorkDir:          opts.WorkDir,
-		Shards:           opts.Shards,
-		ExportWorkers:    opts.ExportWorkers,
-		SequentialLevels: opts.SequentialLevels,
-		Sort:             extsort.Config{Format: opts.Format.internal()},
+		MaxArity:      opts.MaxArity,
+		Algorithm:     engine,
+		WorkDir:       opts.WorkDir,
+		ExportWorkers: opts.ExportWorkers,
+		Sort:          extsort.Config{Format: opts.Format.internal()},
 	}
 	// The nil fs-without-root case keeps the legacy plumbing (temporary
 	// work directory managed inside DiscoverNary); any other store maps
@@ -378,17 +350,13 @@ type EmbeddedOptions struct {
 	// Algorithm selects the engine: BruteForce (the default; one
 	// Algorithm 1 pass per derived candidate, re-reading referenced
 	// files) or SpiderMerge (every derived value set becomes one
-	// synthetic attribute and all candidates are decided in a single —
-	// optionally sharded — heap merge, reading each referenced file at
-	// most once). Results are identical.
+	// synthetic attribute and all candidates are decided in a single heap
+	// merge, reading each referenced file at most once). Results are
+	// identical.
 	Algorithm Algorithm
 	// WorkDir receives the exported and derived value files; temporary
 	// when empty.
 	WorkDir string
-	// Shards (SpiderMerge only) partitions the canonical value space
-	// into that many disjoint ranges merged concurrently; 0 or 1 keeps
-	// the single merge.
-	Shards int
 	// Format selects the on-disk encoding of the exported and derived
 	// value files; see Options.Format.
 	Format Format
@@ -412,9 +380,6 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	case BruteForce, SpiderMerge:
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: embedded IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
-	}
-	if opts.Shards > 1 && opts.Algorithm != SpiderMerge {
-		return nil, Stats{}, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
 	}
 	engine := ind.EmbeddedAlgorithmOne
 	if opts.Algorithm == SpiderMerge {
@@ -444,7 +409,6 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		Counter:   &counter,
 		Algorithm: engine,
 		Store:     readDS,
-		Shards:    opts.Shards,
 		Format:    opts.Format.internal(),
 	}
 	if opts.Store.noValueFiles() {

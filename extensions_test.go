@@ -78,7 +78,7 @@ func TestFindPartialINDsBadThreshold(t *testing.T) {
 }
 
 // The partial path must route through every engine configuration with
-// identical results: brute force, the one-pass merge, sharded, and the
+// identical results: brute force, the one-pass merge, and the
 // streaming pipeline (the spill backend), which brute force reads too.
 func TestFindPartialINDsEngineAgreement(t *testing.T) {
 	db := dirtyDatabase(t)
@@ -91,9 +91,7 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 	}
 	for name, opts := range map[string]PartialOptions{
 		"spider-merge":         {Threshold: 0.9, Algorithm: SpiderMerge},
-		"sharded":              {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 4},
 		"streaming":            {Threshold: 0.9, Algorithm: SpiderMerge, Store: NewSpillStore()},
-		"sharded streaming":    {Threshold: 0.9, Algorithm: SpiderMerge, Shards: 3, Store: NewSpillStore()},
 		"brute-force spill":    {Threshold: 0.9, Store: NewSpillStore()},
 		"sequential exporters": {Threshold: 0.9, Algorithm: SpiderMerge, ExportWorkers: 1},
 	} {
@@ -107,10 +105,6 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 		if stats.ItemsRead == 0 {
 			t.Errorf("%s: ItemsRead not counted", name)
 		}
-	}
-	// Sharding requires the merge engine.
-	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Shards: 2}); err == nil {
-		t.Error("Shards without SpiderMerge must fail")
 	}
 	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Algorithm: SinglePass}); err == nil {
 		t.Error("unsupported algorithm must fail")
@@ -237,11 +231,11 @@ func TestFindNaryINDs(t *testing.T) {
 	}
 
 	// The merge-backed engine must return the same INDs and level counts,
-	// at any shard count, on the value-file and spill backends.
+	// on the value-file and spill backends.
 	for _, opts := range []NaryOptions{
 		{MaxArity: 2, Algorithm: SpiderMerge},
-		{MaxArity: 2, Algorithm: SpiderMerge, Store: NewSpillStore(), Shards: 2},
-		{MaxArity: 2, Algorithm: SpiderMerge, Shards: 3, ExportWorkers: 2},
+		{MaxArity: 2, Algorithm: SpiderMerge, Store: NewSpillStore()},
+		{MaxArity: 2, Algorithm: SpiderMerge, ExportWorkers: 2},
 	} {
 		merged, mergedStats, err := FindNaryINDs(db, opts)
 		if err != nil {

@@ -65,22 +65,17 @@ func TestExactINDsIdenticalAcrossFormats(t *testing.T) {
 			}
 			for _, format := range []Format{FormatText, FormatBlock} {
 				for _, backend := range []*Store{nil, NewSpillStore()} {
-					for _, shards := range []int{1, 4} {
-						opts := Options{
-							Algorithm: SpiderMerge, Format: format,
-							Store: backend, Shards: shards,
-						}
-						label := fmt.Sprintf("%v/backend=%v/shards=%d", format, backend, shards)
-						got, err := FindINDs(mk(), opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got.INDs, want.INDs) {
-							t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
-						}
-						if format == FormatBlock && backend == nil && got.Stats.BytesRead == 0 && len(got.INDs) > 0 {
-							t.Errorf("%s: BytesRead = 0 with results delivered", label)
-						}
+					opts := Options{Algorithm: SpiderMerge, Format: format, Store: backend}
+					label := fmt.Sprintf("%v/backend=%v", format, backend)
+					got, err := FindINDs(mk(), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got.INDs, want.INDs) {
+						t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
+					}
+					if format == FormatBlock && backend == nil && got.Stats.BytesRead == 0 && len(got.INDs) > 0 {
+						t.Errorf("%s: BytesRead = 0 with results delivered", label)
 					}
 				}
 			}
@@ -101,19 +96,16 @@ func TestPartialINDsIdenticalAcrossFormats(t *testing.T) {
 				}
 				for _, format := range []Format{FormatText, FormatBlock} {
 					for _, backend := range []*Store{nil, NewSpillStore()} {
-						for _, shards := range []int{1, 4} {
-							opts := PartialOptions{
-								Threshold: sigma, Algorithm: SpiderMerge, Format: format,
-								Store: backend, Shards: shards,
-							}
-							label := fmt.Sprintf("σ=%v/%v/backend=%v/shards=%d", sigma, format, backend, shards)
-							got, _, err := FindPartialINDs(mk(), opts)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if !reflect.DeepEqual(got, ref) {
-								t.Errorf("%s: partials = %v, want %v", label, got, ref)
-							}
+						opts := PartialOptions{
+							Threshold: sigma, Algorithm: SpiderMerge, Format: format, Store: backend,
+						}
+						label := fmt.Sprintf("σ=%v/%v/backend=%v", sigma, format, backend)
+						got, _, err := FindPartialINDs(mk(), opts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("%s: partials = %v, want %v", label, got, ref)
 						}
 					}
 				}
@@ -134,23 +126,18 @@ func TestNaryINDsIdenticalAcrossFormats(t *testing.T) {
 			}
 			for _, format := range []Format{FormatText, FormatBlock} {
 				for _, backend := range []*Store{nil, NewSpillStore()} {
-					for _, shards := range []int{1, 4} {
-						opts := NaryOptions{
-							MaxArity: 3, Algorithm: SpiderMerge, Format: format,
-							Store: backend, Shards: shards,
-						}
-						label := fmt.Sprintf("%v/backend=%v/shards=%d", format, backend, shards)
-						got, st, err := FindNaryINDs(mk(), opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got, ref) {
-							t.Errorf("%s: n-ary INDs = %v, want %v", label, got, ref)
-						}
-						if len(st.BytesReadByArity) != len(st.ItemsReadByArity) {
-							t.Errorf("%s: BytesReadByArity has %d entries, ItemsReadByArity %d",
-								label, len(st.BytesReadByArity), len(st.ItemsReadByArity))
-						}
+					opts := NaryOptions{MaxArity: 3, Algorithm: SpiderMerge, Format: format, Store: backend}
+					label := fmt.Sprintf("%v/backend=%v", format, backend)
+					got, st, err := FindNaryINDs(mk(), opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got, ref) {
+						t.Errorf("%s: n-ary INDs = %v, want %v", label, got, ref)
+					}
+					if len(st.BytesReadByArity) != len(st.ItemsReadByArity) {
+						t.Errorf("%s: BytesReadByArity has %d entries, ItemsReadByArity %d",
+							label, len(st.BytesReadByArity), len(st.ItemsReadByArity))
 					}
 				}
 			}
@@ -191,9 +178,7 @@ func TestNaryBlockBytesBelowText(t *testing.T) {
 	mk := func() *Database { return GenerateUniProt(DatasetConfig{Seed: 42, Scale: 0.15}) }
 	tupleBytes := func(format Format) int64 {
 		t.Helper()
-		_, st, err := FindNaryINDs(mk(), NaryOptions{
-			MaxArity: 3, Algorithm: SpiderMerge, Format: format, SequentialLevels: true,
-		})
+		_, st, err := FindNaryINDs(mk(), NaryOptions{MaxArity: 3, Algorithm: SpiderMerge, Format: format})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,12 +8,13 @@ import (
 	"spider/internal/analyzers/framework"
 )
 
-// CancelLeak enforces the PR 6 goroutine discipline in the merge and
+// CancelLeak enforces the goroutine discipline in the merge and
 // external-sort layers: a goroutine that sends on a channel blocks
 // forever if its receiver has already given up — exactly how the
-// speculative next-level extractions leaked goroutines and spill files
-// until extsort grew Cancel plumbing. Every send inside a `go func`
-// must have a way out:
+// speculative n-ary extractions leaked goroutines and spill files until
+// they were cancelled; both the speculation and its cancel channel have
+// since been deleted, and the rule guards any worker added later. Every
+// send inside a `go func` must have a way out:
 //
 //   - the send sits in a select with a receive case (done/cancel) or a
 //     default (nonblocking), or

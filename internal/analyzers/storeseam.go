@@ -48,7 +48,6 @@ var storeSeamForbidden = []string{
 	"WriteAllFormat",
 	"ReadAll",
 	"ReadSection",
-	"SampleValues",
 }
 
 func runStoreSeam(pass *framework.Pass) error {
@@ -89,8 +88,6 @@ func storeSeamBlessed(name string) string {
 		return "ReadFileValues"
 	case "ReadSection":
 		return "FileSection"
-	case "SampleValues":
-		return "SampleFileValues"
 	}
 	return "*File*"
 }

@@ -32,9 +32,6 @@ func readEverything(path string, bounds valfile.Range) error {
 	if _, err := valfile.ReadAll(path); err != nil {
 		return err
 	}
-	if _, _, err := valfile.ReadSection(path, "SKCH"); err != nil {
-		return err
-	}
-	_, err := valfile.SampleValues(path, 8)
+	_, _, err := valfile.ReadSection(path, "SKCH")
 	return err
 }

@@ -44,8 +44,6 @@ func ReadAll(path string) ([]string, error) { return nil, nil }
 
 func ReadSection(path, tag string) (data []byte, ok bool, err error) { return nil, false, nil }
 
-func SampleValues(path string, max int) ([]string, error) { return nil, nil }
-
 // Format plumbing stays callable everywhere: it inspects encodings
 // without opening a value stream.
 

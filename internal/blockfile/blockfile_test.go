@@ -121,13 +121,6 @@ func TestMeta(t *testing.T) {
 	if r.Version() != Version {
 		t.Errorf("Version = %d, want %d", r.Version(), Version)
 	}
-	firsts := r.BlockFirstValues()
-	if len(firsts) != r.NumBlocks() || firsts[0] != vals[0] {
-		t.Errorf("BlockFirstValues = %d entries starting %q", len(firsts), firsts[0])
-	}
-	if !sort.StringsAreSorted(firsts) {
-		t.Errorf("BlockFirstValues not sorted")
-	}
 }
 
 func TestEmptyFileMeta(t *testing.T) {

@@ -134,7 +134,6 @@ func scan(path string) ([]string, error) {
 	_ = r.Count()
 	_ = r.First()
 	_ = r.Max()
-	_ = r.BlockFirstValues()
 	var out []string
 	for {
 		v, ok := r.Next()

@@ -394,17 +394,6 @@ func (r *Reader) NumBlocks() int { return len(r.index) }
 // Version returns the file's format version.
 func (r *Reader) Version() int { return int(r.version) }
 
-// BlockFirstValues returns the first value of every block — an
-// order-of-file-size-cheap sample of the value distribution used by
-// shard planning.
-func (r *Reader) BlockFirstValues() []string {
-	out := make([]string, len(r.index))
-	for i, e := range r.index {
-		out[i] = e.first
-	}
-	return out
-}
-
 // BytesRead returns the bytes read from the file so far, including the
 // header, footer, index, directory and any sections or blocks read.
 func (r *Reader) BytesRead() int64 { return r.bytes }

@@ -229,12 +229,6 @@ func Table2(cfg Config) ([]Row, error) {
 			ds.Close()
 			return nil, err
 		}
-		if err := run("spider-merge (sharded x4)", func(c *valfile.ReadCounter) (*ind.Result, error) {
-			return ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: c, Shards: 4})
-		}); err != nil {
-			ds.Close()
-			return nil, err
-		}
 		// The Sec 7 dirty-data extension: partial INDs at σ = 0.9, tested
 		// per candidate (brute force) and in one pass (partial merge).
 		// Candidates are regenerated with the σ-aware cardinality bound.
@@ -490,21 +484,18 @@ type AblationResult struct {
 	SketchBuildDuration    time.Duration
 	SketchMergeDuration    time.Duration
 	SketchItems            int64
-	// Sharded merge: the value space split S ways, one heap merge per
-	// shard on a worker pool. Satisfied must match SpiderMerge exactly.
-	Sharded []ShardedPoint
-	// Partial INDs at σ = 0.9 (Sec 7): the one-pass partial merge across
-	// shard counts vs the per-candidate brute force. Satisfied must match
-	// the brute-force baseline at every shard count.
+	// Partial INDs at σ = 0.9 (Sec 7): the one-pass partial merge vs the
+	// per-candidate brute force. Satisfied must match the brute-force
+	// baseline.
 	PartialBruteItems    int64
 	PartialBruteDuration time.Duration
-	PartialSharded       []ShardedPoint
+	PartialMerge         MergePoint
 	// N-ary discovery (Sec 6's multivalued INDs): the in-memory
-	// tuple-set reference vs the merge-backed engine across shard
-	// counts. Satisfied must match at every point.
+	// tuple-set reference vs the merge-backed engine. Satisfied must
+	// match.
 	NaryTupleSatisfied int
 	NaryTupleDuration  time.Duration
-	NarySharded        []ShardedPoint
+	NaryMerge          MergePoint
 	// Block-wise single pass (Sec 4.2): open files vs items read.
 	Blocked []BlockedPoint
 	// SQL early stop (what the paper wished the optimizer did): not-in
@@ -521,9 +512,8 @@ type BlockedPoint struct {
 	Duration     time.Duration
 }
 
-// ShardedPoint is one shard count of the sharded-merge ablation.
-type ShardedPoint struct {
-	Shards    int
+// MergePoint is one merge-engine run of an ablation.
+type MergePoint struct {
 	Satisfied int
 	ItemsRead int64
 	Duration  time.Duration
@@ -586,24 +576,6 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	out.SketchMergeDuration = smSketch.Stats.Duration
 	out.SketchItems = skC.Total()
 
-	for _, shards := range []int{1, 2, 4} {
-		var c valfile.ReadCounter
-		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &c, Shards: shards})
-		if err != nil {
-			return nil, err
-		}
-		if res.Stats.Satisfied != sm.Stats.Satisfied {
-			return nil, fmt.Errorf("experiments: sharding (S=%d) changed results: %d vs %d",
-				shards, res.Stats.Satisfied, sm.Stats.Satisfied)
-		}
-		out.Sharded = append(out.Sharded, ShardedPoint{
-			Shards:    shards,
-			Satisfied: res.Stats.Satisfied,
-			ItemsRead: c.Total(),
-			Duration:  res.Stats.Duration,
-		})
-	}
-
 	pcands, _ := ind.GenerateCandidates(ds.Attrs, ind.GenOptions{PartialThreshold: 0.9})
 	var pbC valfile.ReadCounter
 	pb, err := ind.BruteForcePartial(pcands, ind.PartialOptions{Threshold: 0.9, Counter: &pbC})
@@ -612,22 +584,19 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	}
 	out.PartialBruteItems = pbC.Total()
 	out.PartialBruteDuration = pb.Stats.Duration
-	for _, shards := range []int{1, 2, 4} {
-		var c valfile.ReadCounter
-		res, err := ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: &c, Shards: shards})
-		if err != nil {
-			return nil, err
-		}
-		if res.Stats.Satisfied != pb.Stats.Satisfied {
-			return nil, fmt.Errorf("experiments: partial sharding (S=%d) changed results: %d vs %d",
-				shards, res.Stats.Satisfied, pb.Stats.Satisfied)
-		}
-		out.PartialSharded = append(out.PartialSharded, ShardedPoint{
-			Shards:    shards,
-			Satisfied: res.Stats.Satisfied,
-			ItemsRead: c.Total(),
-			Duration:  res.Stats.Duration,
-		})
+	var pmC valfile.ReadCounter
+	pm, err := ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: &pmC})
+	if err != nil {
+		return nil, err
+	}
+	if pm.Stats.Satisfied != pb.Stats.Satisfied {
+		return nil, fmt.Errorf("experiments: partial merge changed results: %d vs %d",
+			pm.Stats.Satisfied, pb.Stats.Satisfied)
+	}
+	out.PartialMerge = MergePoint{
+		Satisfied: pm.Stats.Satisfied,
+		ItemsRead: pmC.Total(),
+		Duration:  pm.Stats.Duration,
 	}
 
 	nt, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3})
@@ -636,23 +605,18 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	}
 	out.NaryTupleSatisfied = len(nt.Satisfied)
 	out.NaryTupleDuration = nt.Stats.Duration
-	for _, shards := range []int{1, 2, 4} {
-		res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{
-			MaxArity: 3, Algorithm: ind.NaryMerge, Shards: shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Satisfied) != len(nt.Satisfied) {
-			return nil, fmt.Errorf("experiments: n-ary merge (S=%d) changed results: %d vs %d",
-				shards, len(res.Satisfied), len(nt.Satisfied))
-		}
-		out.NarySharded = append(out.NarySharded, ShardedPoint{
-			Shards:    shards,
-			Satisfied: len(res.Satisfied),
-			ItemsRead: res.Stats.ItemsRead,
-			Duration:  res.Stats.Duration,
-		})
+	nm, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge})
+	if err != nil {
+		return nil, err
+	}
+	if len(nm.Satisfied) != len(nt.Satisfied) {
+		return nil, fmt.Errorf("experiments: n-ary merge changed results: %d vs %d",
+			len(nm.Satisfied), len(nt.Satisfied))
+	}
+	out.NaryMerge = MergePoint{
+		Satisfied: len(nm.Satisfied),
+		ItemsRead: nm.Stats.ItemsRead,
+		Duration:  nm.Stats.Duration,
 	}
 
 	for _, block := range []int{8, 32, 128, 0} {
@@ -781,31 +745,16 @@ func PrintAblations(w io.Writer, r *AblationResult) {
 	fmt.Fprintf(w, "  spider-merge over survivors: %s for %d items read (unfiltered: %s for %d)\n",
 		r.SketchMergeDuration.Round(time.Millisecond), r.SketchItems,
 		r.SpiderMergeDuration.Round(time.Millisecond), r.SpiderMergeItems)
-	fmt.Fprintln(w, "Ablation: sharded spider-merge (one heap merge per value-range shard)")
-	tws := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tws, "shards\tsatisfied\titems read\ttime")
-	for _, s := range r.Sharded {
-		fmt.Fprintf(tws, "%d\t%d\t%d\t%s\n", s.Shards, s.Satisfied, s.ItemsRead, s.Duration.Round(time.Millisecond))
-	}
-	tws.Flush()
 	fmt.Fprintln(w, "Ablation: partial INDs at σ=0.9 (Sec 7; one-pass merge vs per-candidate rescans)")
 	fmt.Fprintf(w, "  brute force: %s for %d items read\n",
 		r.PartialBruteDuration.Round(time.Millisecond), r.PartialBruteItems)
-	twp := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(twp, "shards\tsatisfied\titems read\ttime")
-	for _, s := range r.PartialSharded {
-		fmt.Fprintf(twp, "%d\t%d\t%d\t%s\n", s.Shards, s.Satisfied, s.ItemsRead, s.Duration.Round(time.Millisecond))
-	}
-	twp.Flush()
+	fmt.Fprintf(w, "  partial merge: %s for %d items read, %d satisfied\n",
+		r.PartialMerge.Duration.Round(time.Millisecond), r.PartialMerge.ItemsRead, r.PartialMerge.Satisfied)
 	fmt.Fprintln(w, "Ablation: n-ary INDs ≤3 (Sec 6; merge-backed levels vs in-memory tuple sets)")
 	fmt.Fprintf(w, "  tuple sets: %s for %d satisfied INDs\n",
 		r.NaryTupleDuration.Round(time.Millisecond), r.NaryTupleSatisfied)
-	twn := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(twn, "shards\tsatisfied\titems read\ttime")
-	for _, s := range r.NarySharded {
-		fmt.Fprintf(twn, "%d\t%d\t%d\t%s\n", s.Shards, s.Satisfied, s.ItemsRead, s.Duration.Round(time.Millisecond))
-	}
-	twn.Flush()
+	fmt.Fprintf(w, "  merge: %s for %d items read, %d satisfied INDs\n",
+		r.NaryMerge.Duration.Round(time.Millisecond), r.NaryMerge.ItemsRead, r.NaryMerge.Satisfied)
 	fmt.Fprintln(w, "Ablation: block-wise single pass (Sec 4.2; DepBlock 0 = unblocked)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "dep block\tmax open files\titems read\ttime")

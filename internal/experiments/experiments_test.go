@@ -68,15 +68,6 @@ func TestTable2Shape(t *testing.T) {
 	if pdbBF.Satisfied == 0 || pdbBF.Satisfied != pdbSP.Satisfied {
 		t.Errorf("pdb results: bf %d, blocked sp %d", pdbBF.Satisfied, pdbSP.Satisfied)
 	}
-	// The sharded merge must agree with its single-threaded counterpart
-	// on every dataset.
-	for _, ds := range []string{"uniprot", "scop", "pdb"} {
-		sm := byKey[ds+"/spider-merge"]
-		sh := byKey[ds+"/spider-merge (sharded x4)"]
-		if sm.Satisfied != sh.Satisfied {
-			t.Errorf("%s: sharded merge disagrees: %d vs %d", ds, sh.Satisfied, sm.Satisfied)
-		}
-	}
 	// The partial rows: the one-pass merge must agree with the brute
 	// force on satisfied INDs and never read more items; partial INDs at
 	// σ=0.9 are a superset of the exact ones.
@@ -225,35 +216,13 @@ func TestAblationsShape(t *testing.T) {
 	if r.SketchBytes == 0 {
 		t.Error("sketch bytes not accounted")
 	}
-	if len(r.Sharded) != 3 {
-		t.Fatalf("sharded points = %d", len(r.Sharded))
+	if r.PartialMerge.ItemsRead > r.PartialBruteItems {
+		t.Errorf("partial merge read %d items, brute force %d",
+			r.PartialMerge.ItemsRead, r.PartialBruteItems)
 	}
-	for _, s := range r.Sharded[1:] {
-		if s.Satisfied != r.Sharded[0].Satisfied {
-			t.Errorf("S=%d changed results: %d vs %d", s.Shards, s.Satisfied, r.Sharded[0].Satisfied)
-		}
-	}
-	if len(r.PartialSharded) != 3 {
-		t.Fatalf("partial sharded points = %d", len(r.PartialSharded))
-	}
-	for _, s := range r.PartialSharded {
-		if s.Satisfied != r.PartialSharded[0].Satisfied {
-			t.Errorf("partial S=%d changed results: %d vs %d",
-				s.Shards, s.Satisfied, r.PartialSharded[0].Satisfied)
-		}
-		if s.ItemsRead > r.PartialBruteItems {
-			t.Errorf("partial merge (S=%d) read %d items, brute force %d",
-				s.Shards, s.ItemsRead, r.PartialBruteItems)
-		}
-	}
-	if len(r.NarySharded) != 3 {
-		t.Fatalf("n-ary sharded points = %d", len(r.NarySharded))
-	}
-	for _, s := range r.NarySharded {
-		if s.Satisfied != r.NaryTupleSatisfied {
-			t.Errorf("n-ary merge (S=%d) changed results: %d vs %d",
-				s.Shards, s.Satisfied, r.NaryTupleSatisfied)
-		}
+	if r.NaryMerge.Satisfied != r.NaryTupleSatisfied {
+		t.Errorf("n-ary merge changed results: %d vs %d",
+			r.NaryMerge.Satisfied, r.NaryTupleSatisfied)
 	}
 	smallest, unblocked := r.Blocked[0], r.Blocked[len(r.Blocked)-1]
 	if smallest.MaxOpenFiles >= unblocked.MaxOpenFiles {

@@ -11,7 +11,6 @@ package extsort
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -33,20 +32,11 @@ type Config struct {
 	// the paper's single-pass algorithm at 2560 attributes (Sec 4.2).
 	// Zero selects DefaultFanIn.
 	FanIn int
-	// Cancel, when non-nil, makes the sorter abort with ErrCanceled once
-	// the channel is closed. The check runs at every spill and
-	// periodically inside the merge loops, so a speculative sort is
-	// abandoned promptly without finishing its I/O; the caller still runs
-	// Discard to remove any spill runs already written.
-	Cancel <-chan struct{}
 	// Format selects the value-file encoding for spill runs. The zero
 	// value is the text format; readers auto-detect, so mixed-format runs
 	// merge fine.
 	Format valfile.Format
 }
-
-// ErrCanceled is returned by sorter operations after Config.Cancel fires.
-var ErrCanceled = errors.New("extsort: canceled")
 
 // DefaultMaxInMemory is the spill threshold when Config.MaxInMemory is 0.
 const DefaultMaxInMemory = 1 << 16
@@ -109,24 +99,8 @@ func (s *Sorter) Add(v string) error {
 // Added returns the number of values pushed so far (with duplicates).
 func (s *Sorter) Added() int64 { return s.added }
 
-// canceled reports whether Config.Cancel has fired.
-func (s *Sorter) canceled() bool {
-	if s.cfg.Cancel == nil {
-		return false
-	}
-	select {
-	case <-s.cfg.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 // spill sorts and deduplicates the buffer into a new run file.
 func (s *Sorter) spill() error {
-	if s.canceled() {
-		return ErrCanceled
-	}
 	if len(s.buf) == 0 {
 		return nil
 	}
@@ -193,9 +167,6 @@ func (s *Sorter) DrainTo(sink Sink, observe func(string)) (n int, max string, me
 	}
 	s.closed = true
 	defer s.cleanup()
-	if s.canceled() {
-		return 0, "", RunMeta{}, ErrCanceled
-	}
 
 	s.sortBuf()
 	meta = RunMeta{Added: s.added, SpillRuns: len(s.runs)}
@@ -229,10 +200,7 @@ func (s *Sorter) DrainTo(sink Sink, observe func(string)) (n int, max string, me
 		return 0, "", RunMeta{}, err
 	}
 	defer merge.close()
-	for out := 0; ; out++ {
-		if out%cancelCheckEvery == 0 && s.canceled() {
-			return 0, "", RunMeta{}, ErrCanceled
-		}
+	for {
 		v, ok, err := merge.nextDistinct()
 		if err != nil {
 			return 0, "", RunMeta{}, err
@@ -250,11 +218,6 @@ func (s *Sorter) DrainTo(sink Sink, observe func(string)) (n int, max string, me
 	}
 	return n, merge.lastOut, meta, nil
 }
-
-// cancelCheckEvery is how many merged values pass between cancellation
-// checks inside the merge loops — frequent enough to abandon a
-// speculative sort mid-file, rare enough to stay off the hot path.
-const cancelCheckEvery = 4096
 
 // mergePass merges the first FanIn runs into one new run, shrinking
 // len(s.runs) by FanIn-1 per call.
@@ -280,13 +243,7 @@ func (s *Sorter) mergePass() error {
 		merge.close()
 		return err
 	}
-	for out := 0; ; out++ {
-		if out%cancelCheckEvery == 0 && s.canceled() {
-			merge.close()
-			w.Close()
-			os.Remove(outPath)
-			return ErrCanceled
-		}
+	for {
 		v, ok, err := merge.nextDistinct()
 		if err != nil {
 			merge.close()
@@ -382,8 +339,7 @@ func (c *MergeCursor) Close() error {
 // Runs is a finished sorter's frozen output: its spill runs plus the
 // sorted in-memory tail. A Runs handle can be opened any number of
 // times — concurrently, each cursor optionally bounded to a value
-// range — which is exactly the per-shard replay the sharded merge
-// engine needs. Close removes the spill runs; it must not be called
+// range. Close removes the spill runs; it must not be called
 // before every opened cursor is closed.
 type Runs struct {
 	runs   []string
@@ -399,10 +355,6 @@ func (s *Sorter) Freeze() (*Runs, error) {
 		return nil, fmt.Errorf("extsort: Freeze after finish")
 	}
 	s.closed = true
-	if s.canceled() {
-		s.cleanup()
-		return nil, ErrCanceled
-	}
 	s.sortBuf()
 	for len(s.runs) > s.cfg.FanIn {
 		if err := s.mergePass(); err != nil {
@@ -429,36 +381,6 @@ func (r *Runs) OpenRange(bounds valfile.Range, counter *valfile.ReadCounter) (*M
 		return nil, err
 	}
 	return &MergeCursor{m: m, counter: counter, bounds: bounds}, nil
-}
-
-// Sample returns cheap order statistics for shard boundary selection:
-// samples from every spill run (for block-format runs, block-index
-// first values — a whole distribution sketch read without touching any
-// value block; for text runs, the first value) plus up to k evenly
-// spaced values from the in-memory tail. The samples are not sorted.
-func (r *Runs) Sample(k int) ([]string, error) {
-	var out []string
-	perRun := k
-	if perRun <= 0 {
-		perRun = 1
-	}
-	for _, p := range r.runs {
-		vals, err := store.SampleFileValues(p, perRun)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
-	}
-	if k > 0 && len(r.mem) > 0 {
-		step := len(r.mem) / k
-		if step == 0 {
-			step = 1
-		}
-		for i := 0; i < len(r.mem); i += step {
-			out = append(out, r.mem[i])
-		}
-	}
-	return out, nil
 }
 
 // Close removes the spill runs. Safe to call more than once.
@@ -506,7 +428,7 @@ func (h *mergeHeap) Pop() interface{} {
 
 // newMerger k-way merges the runs and mem. A non-empty lo opens every
 // run reader positioned (by byte-offset binary search) at the first
-// value >= lo, so range shards skip the prefix cheaply.
+// value >= lo, so a ranged cursor skips the prefix cheaply.
 func newMerger(runs []string, mem []string, lo string) (*merger, error) {
 	m := &merger{mem: mem}
 	for _, p := range runs {

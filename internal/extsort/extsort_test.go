@@ -316,7 +316,7 @@ func TestRunsFreezeOpenRange(t *testing.T) {
 		joined = append(joined, drain(b)...)
 	}
 	if !reflect.DeepEqual(joined, want) {
-		t.Errorf("sharded ranges reassemble %d values, want %d", len(joined), len(want))
+		t.Errorf("disjoint ranges reassemble %d values, want %d", len(joined), len(want))
 	}
 	// Re-opening after draining still works (replay).
 	if again := drain(valfile.Range{Lo: "v030", Hi: "v070", HasHi: true}); !reflect.DeepEqual(again, drain(bounds[1])) {
@@ -324,8 +324,8 @@ func TestRunsFreezeOpenRange(t *testing.T) {
 	}
 }
 
-// TestRunsSampleAndClose checks the boundary sampler and spill cleanup.
-func TestRunsSampleAndClose(t *testing.T) {
+// TestRunsClose checks spill cleanup of frozen runs.
+func TestRunsClose(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{MaxInMemory: 8, TempDir: dir})
 	for i := 0; i < 100; i++ {
@@ -336,13 +336,6 @@ func TestRunsSampleAndClose(t *testing.T) {
 	runs, err := s.Freeze()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sample, err := runs.Sample(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sample) == 0 {
-		t.Error("Sample returned nothing despite spilled runs")
 	}
 	if err := runs.Close(); err != nil {
 		t.Fatal(err)
@@ -403,66 +396,6 @@ func TestDrainToObserved(t *testing.T) {
 			t.Errorf("maxInMem=%d: drained %v, want %v", maxInMem, got, want)
 		}
 	}
-}
-
-// TestCancelAbortsSorter: once Config.Cancel fires, spills and finishes
-// fail with ErrCanceled and Discard leaves no run files behind.
-func TestCancelAbortsSorter(t *testing.T) {
-	dir := t.TempDir()
-	cancel := make(chan struct{})
-	s := New(Config{MaxInMemory: 4, TempDir: dir, Cancel: cancel})
-	for i := 0; i < 10; i++ { // spills twice before cancellation
-		if err := s.Add(fmt.Sprintf("v%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(cancel)
-	var err error
-	for i := 0; i < 8 && err == nil; i++ {
-		err = s.Add(fmt.Sprintf("w%02d", i)) // next spill must abort
-	}
-	if err != ErrCanceled {
-		t.Fatalf("Add after cancel = %v, want ErrCanceled", err)
-	}
-	s.Discard()
-	assertNoRuns(t, dir)
-
-	// DrainTo and Freeze on freshly canceled sorters abort up front.
-	s2 := New(Config{TempDir: dir, Cancel: cancel})
-	if err := s2.Add("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s2.DrainTo(&sliceSink{}, nil); err != ErrCanceled {
-		t.Fatalf("DrainTo after cancel = %v, want ErrCanceled", err)
-	}
-	s3 := New(Config{TempDir: dir, Cancel: cancel})
-	if _, err := s3.Freeze(); err != ErrCanceled {
-		t.Fatalf("Freeze after cancel = %v, want ErrCanceled", err)
-	}
-	assertNoRuns(t, dir)
-}
-
-// TestCancelMidMerge: cancellation between spilling and draining aborts
-// the final merge before any value reaches the sink, and cleans the
-// runs.
-func TestCancelMidMerge(t *testing.T) {
-	dir := t.TempDir()
-	cancel := make(chan struct{})
-	s := New(Config{MaxInMemory: 8, TempDir: dir, Cancel: cancel})
-	for i := 0; i < 100; i++ {
-		if err := s.Add(fmt.Sprintf("v%04d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(cancel)
-	var sink sliceSink
-	if _, _, _, err := s.DrainTo(&sink, nil); err != ErrCanceled {
-		t.Fatalf("DrainTo = %v, want ErrCanceled", err)
-	}
-	if len(sink) != 0 {
-		t.Fatalf("canceled merge delivered %d values", len(sink))
-	}
-	assertNoRuns(t, dir)
 }
 
 // assertNoRuns fails if any extsort spill run survives in dir.

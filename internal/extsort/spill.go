@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -13,9 +12,8 @@ import (
 // Spill is the read-only store.Dataset over frozen external-sort runs.
 // Each key's sorted distinct value set stays where the sorter left it —
 // spill runs plus the sorted in-memory tail (a Runs handle) — instead
-// of being merged into a final value file. Cursors, range opens and
-// samples come from the Runs handle, so any engine, sharded or not,
-// replays a key as often as it needs. Sections stay in memory, as in
+// of being merged into a final value file. Cursors and range opens come
+// from the Runs handle, so an engine replays a key as often as it needs. Sections stay in memory, as in
 // store.Mem.
 //
 // Keys are staged with Stage; Create returns store.ErrReadOnly. A
@@ -148,30 +146,6 @@ func (s *Spill) Section(key, tag string) ([]byte, bool, error) {
 	}
 	data, ok := set.sections[tag]
 	return data, ok, nil
-}
-
-// Sample returns up to max ascending values of key's set, drawn from
-// the spill runs' block indexes (or first values) and the in-memory
-// tail, evenly thinned when there are more.
-func (s *Spill) Sample(key string, max int) ([]string, error) {
-	set, err := s.get(key)
-	if err != nil || max <= 0 {
-		return nil, err
-	}
-	vals, err := set.runs.Sample(max)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(vals)
-	vals = slices.Compact(vals)
-	if len(vals) <= max {
-		return vals, nil
-	}
-	out := make([]string, max)
-	for i := range out {
-		out[i] = vals[i*len(vals)/max]
-	}
-	return out, nil
 }
 
 // Close removes every staged key's spill runs. Safe to call more than

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"spider/internal/store"
@@ -54,7 +53,7 @@ func readAll(t *testing.T, c store.Cursor) []string {
 
 // TestSpillDataset pins the spill backend's Dataset contract: staged
 // keys replay their sorted distinct set any number of times, whole or
-// by range; samples are ascending values of the set; sections and run
+// by range; sections and run
 // metadata stay in memory; Create is read-only; Remove and Close leave
 // no spill run behind.
 func TestSpillDataset(t *testing.T) {
@@ -94,19 +93,6 @@ func TestSpillDataset(t *testing.T) {
 	}
 	if !reflect.DeepEqual(joined, want) {
 		t.Errorf("ranges reassemble %v, want %v", joined, want)
-	}
-
-	sample, err := sp.Sample("a.val", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sample) == 0 || len(sample) > 3 || !sort.StringsAreSorted(sample) {
-		t.Errorf("Sample(3) = %v, want 1..3 ascending values", sample)
-	}
-	for _, v := range sample {
-		if i := sort.SearchStrings(want, v); i == len(want) || want[i] != v {
-			t.Errorf("sample value %q is not in the set", v)
-		}
 	}
 
 	data, ok, err := sp.Section("a.val", valfile.RunMetaSection)

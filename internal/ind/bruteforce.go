@@ -36,20 +36,7 @@ type Stats struct {
 	// spider package), not by the engines themselves.
 	CandidatesPruned int
 	SketchBytes      int64
-	// Sharded-merge observability. ShardPlanner names the boundary
-	// planning strategy that produced the shard ranges ("kmv" when every
-	// attribute carries a KMV sample, else "minmax"); ShardPlanFallback
-	// records why the plan degraded (samples support fewer shards,
-	// boundary sample collapsed to one shard) instead of hiding the
-	// collapse.
-	// ShardItemsRead and ShardDurations hold per-shard items-read counts
-	// and wall times, indexed by shard, so skew is measurable; all are
-	// empty on unsharded runs.
-	ShardPlanner      string
-	ShardPlanFallback string
-	ShardItemsRead    []int64
-	ShardDurations    []time.Duration
-	Duration          time.Duration
+	Duration         time.Duration
 }
 
 // Result is the outcome of an IND discovery run.

@@ -42,29 +42,13 @@ func newSource(ds store.Dataset, counter *valfile.ReadCounter) source {
 	return source{ds: ds, counter: counter}
 }
 
-// Open returns an unbounded cursor over the attribute's value set.
+// Open returns a cursor over the attribute's value set.
 func (s source) Open(a *Attribute) (Cursor, error) {
-	return s.OpenRange(a, valfile.Range{})
-}
-
-// OpenRange returns a cursor over the attribute's value set bounded to
-// bounds.
-func (s source) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, error) {
 	key, err := exportedKey(a)
 	if err != nil {
 		return nil, err
 	}
-	return s.ds.OpenRange(key, s.counter, bounds)
-}
-
-// Sample returns the dataset's cheap order statistics of the attribute
-// for shard boundary planning.
-func (s source) Sample(a *Attribute, k int) ([]string, error) {
-	key, err := exportedKey(a)
-	if err != nil {
-		return nil, err
-	}
-	return s.ds.Sample(key, k)
+	return s.ds.Open(key, s.counter)
 }
 
 // exportedKey returns the attribute's dataset key, failing loudly for

@@ -82,8 +82,8 @@ const (
 	// Referenced files are re-read once per candidate.
 	EmbeddedAlgorithmOne EmbeddedEngine = iota
 	// EmbeddedMerge materialises each derived value set as one synthetic
-	// attribute and decides every candidate in a single (optionally
-	// sharded) SpiderMerge heap merge: each referenced file is read at
+	// attribute and decides every candidate in a single SpiderMerge heap
+	// merge: each referenced file is read at
 	// most once regardless of how many derived sets test against it.
 	EmbeddedMerge
 )
@@ -122,10 +122,6 @@ type EmbeddedOptions struct {
 	// one merge pass per candidate) or EmbeddedMerge (all candidates in
 	// one shared heap merge). Results are identical.
 	Algorithm EmbeddedEngine
-	// Shards (EmbeddedMerge only) partitions the canonical value space
-	// into that many disjoint ranges merged concurrently; 0 or 1 keeps
-	// the single merge. Output is identical at any shard count.
-	Shards int
 	// Format selects the encoding of the derived value files.
 	Format valfile.Format
 }
@@ -164,9 +160,6 @@ func derivedRef(orig relstore.ColumnRef, transform string) relstore.ColumnRef {
 func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions) (*EmbeddedResult, error) {
 	if opts.Dir == "" && opts.Scratch == nil {
 		return nil, fmt.Errorf("ind: EmbeddedOptions.Dir or Scratch is required")
-	}
-	if opts.Shards > 1 && opts.Algorithm != EmbeddedMerge {
-		return nil, fmt.Errorf("ind: Shards require the EmbeddedMerge engine, not %v", opts.Algorithm)
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -224,7 +217,7 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 		for i, c := range cands {
 			pairs[i] = Candidate{Dep: c.d.attr, Ref: c.r}
 		}
-		mres, err := SpiderMerge(pairs, SpiderMergeOptions{Counter: opts.Counter, Store: opts.Store, Shards: opts.Shards})
+		mres, err := SpiderMerge(pairs, SpiderMergeOptions{Counter: opts.Counter, Store: opts.Store})
 		if err != nil {
 			return nil, err
 		}
@@ -294,15 +287,11 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 		for _, tr := range opts.Transforms {
 			sorter := extsort.New(extsort.Config{TempDir: opts.Dir, Format: opts.Format})
 			var addErr error
-			min, seen := "", false
 			if _, err := tab.ScanColumn(a.Ref.Column, func(v value.Value) {
 				if addErr != nil || v.IsNull() {
 					return
 				}
 				if out := tr.Apply(v.Canonical()); out != "" {
-					if !seen || out < min {
-						min, seen = out, true
-					}
 					addErr = sorter.Add(out)
 				}
 			}); err != nil {
@@ -314,10 +303,9 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 				return nil, addErr
 			}
 			derived := &Attribute{
-				ID:           nextID,
-				Ref:          derivedRef(a.Ref, tr.Name),
-				Kind:         a.Kind,
-				MinCanonical: min,
+				ID:   nextID,
+				Ref:  derivedRef(a.Ref, tr.Name),
+				Kind: a.Kind,
 			}
 			key := fmt.Sprintf("derived_%05d_%s.val", nextID, tr.Name)
 			n, max, err := stageSorted(scratch, derived, key, sorter, nil, nil)

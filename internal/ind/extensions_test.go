@@ -373,7 +373,7 @@ func writeCorrupt(path string) error {
 
 // The merge-front embedded engine must agree byte-for-byte with the
 // per-candidate Algorithm 1 reference — same satisfied set in the same
-// canonical order — across shard counts and random databases. Derived
+// canonical order — on random databases. Derived
 // sets ride the shared heap merge as synthetic attributes, so this pins
 // the transform-tagged identity encoding (two transforms of one column
 // must never conflate) as well as the verdicts.
@@ -431,38 +431,27 @@ func TestFindEmbeddedMergeMatchesAlgorithmOne(t *testing.T) {
 		if len(want.Satisfied) > 0 {
 			sawSatisfied = true
 		}
-		for _, shards := range []int{1, 2, 4} {
-			got, err := FindEmbedded(db, attrs, EmbeddedOptions{
-				Dir:       filepath.Join(dir, fmt.Sprintf("m%d", shards)),
-				Algorithm: EmbeddedMerge,
-				Shards:    shards,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-				t.Errorf("seed %d shards %d: engines disagree:\nmerge %v\nref   %v",
-					seed, shards, got.Satisfied, want.Satisfied)
-			}
-			if got.DerivedAttrs != want.DerivedAttrs {
-				t.Errorf("seed %d shards %d: DerivedAttrs %d vs %d",
-					seed, shards, got.DerivedAttrs, want.DerivedAttrs)
-			}
-			if got.Stats.Candidates != want.Stats.Candidates {
-				t.Errorf("seed %d shards %d: Candidates %d vs %d",
-					seed, shards, got.Stats.Candidates, want.Stats.Candidates)
-			}
+		got, err := FindEmbedded(db, attrs, EmbeddedOptions{
+			Dir:       filepath.Join(dir, "merge"),
+			Algorithm: EmbeddedMerge,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
+			t.Errorf("seed %d: engines disagree:\nmerge %v\nref   %v",
+				seed, got.Satisfied, want.Satisfied)
+		}
+		if got.DerivedAttrs != want.DerivedAttrs {
+			t.Errorf("seed %d: DerivedAttrs %d vs %d",
+				seed, got.DerivedAttrs, want.DerivedAttrs)
+		}
+		if got.Stats.Candidates != want.Stats.Candidates {
+			t.Errorf("seed %d: Candidates %d vs %d",
+				seed, got.Stats.Candidates, want.Stats.Candidates)
 		}
 	}
 	if !sawSatisfied {
 		t.Error("property test is vacuous: no seed produced an embedded IND")
-	}
-}
-
-// Sharding without the merge engine must be rejected, mirroring the
-// other engines' option contracts.
-func TestFindEmbeddedShardsRequireMerge(t *testing.T) {
-	if _, err := FindEmbedded(nil, nil, EmbeddedOptions{Dir: "x", Shards: 2}); err == nil {
-		t.Error("Shards without EmbeddedMerge must fail")
 	}
 }

@@ -140,8 +140,8 @@ func FuzzAlgorithmOne(f *testing.F) {
 }
 
 // FuzzPartialMerge derives a small attribute universe plus a threshold
-// from raw bytes and cross-checks the one-pass partial merge — unsharded
-// and sharded — against a naive per-candidate coverage oracle. It also
+// from raw bytes and cross-checks the one-pass partial merge against a
+// naive per-candidate coverage oracle. It also
 // pins exact mode as the miss budget 0: at σ = 1 the partial merge must
 // return exactly the exact SpiderMerge's INDs on the same input. Run with
 // go test -fuzz=FuzzPartialMerge.
@@ -165,10 +165,6 @@ func FuzzPartialMerge(f *testing.F) {
 		}
 		mem := memSource(attrs, sets)
 		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Store: mem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Store: mem, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,16 +211,12 @@ func FuzzPartialMerge(f *testing.F) {
 		if !reflect.DeepEqual(got.Satisfied, want) {
 			t.Errorf("σ=%g: merge = %+v, want %+v", sigma, got.Satisfied, want)
 		}
-		if !reflect.DeepEqual(sharded.Satisfied, want) {
-			t.Errorf("σ=%g: sharded merge = %+v, want %+v", sigma, sharded.Satisfied, want)
-		}
 	})
 }
 
 // FuzzNaryMerge derives a random tuple database from raw bytes and
 // cross-checks the merge-backed n-ary engine — value files and the spill
-// backend, unsharded and sharded — against the in-memory tuple-set
-// reference.
+// backend — against the in-memory tuple-set reference.
 // Run with go test -fuzz=FuzzNaryMerge.
 func FuzzNaryMerge(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 1, 2, 3, 4, 5, 6, 1, 2, 3}, byte(2))
@@ -241,11 +233,7 @@ func FuzzNaryMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := NaryOptions{
-			MaxArity:  maxArity,
-			Algorithm: NaryMerge,
-			Shards:    1 + int(knobs>>1)%3,
-		}
+		opts := NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge}
 		spill := knobs&1 != 0
 		if spill {
 			sp := extsort.NewSpill()
@@ -259,8 +247,8 @@ func FuzzNaryMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-			t.Errorf("merge engine differs (spill=%v shards=%d):\ngot  %v\nwant %v",
-				spill, opts.Shards, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
+			t.Errorf("merge engine differs (spill=%v):\ngot  %v\nwant %v",
+				spill, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
 		}
 		if !reflect.DeepEqual(got.Stats.SatisfiedByArity, want.Stats.SatisfiedByArity) {
 			t.Errorf("level counts differ: %v vs %v",

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spider/internal/sketch"
 	"spider/internal/store"
 	"spider/internal/valfile"
 )
@@ -21,27 +20,15 @@ import (
 // extension (Sec 7) are the same algorithm. Every candidate carries
 // matched/missing counts and is refuted as soon as its misses exceed the
 // dependent's budget: |s(a)| − ⌈σ·|s(a)|⌉ in partial mode, 0 in exact
-// mode, where the first miss refutes. Sharding runs the same kernel once
-// per disjoint value range; a dependent value can only find its match
-// inside its own range, so the per-range counts sum to exactly the
-// counts a single merge produces.
+// mode, where the first miss refutes.
 
 // SpiderMergeOptions tunes SpiderMerge and PartialSpiderMerge.
 type SpiderMergeOptions struct {
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
 	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path. An unsharded run opens each
-	// attribute once; a sharded run opens it once per shard, each open
-	// bounded to the shard's value range.
+	// ExportAttributes wrote, by path. A run opens each attribute once.
 	Store store.Dataset
-	// Shards is S, the number of disjoint value ranges merged
-	// concurrently on min(S, GOMAXPROCS) workers; 0 or 1 runs one merge
-	// inline. Boundaries are planned from the attributes' KMV sketch
-	// samples when every attribute carries one (equal estimated value
-	// mass per shard), else from attribute min/max values. The output is
-	// identical at any shard count.
-	Shards int
 }
 
 // SpiderMerge tests every candidate in one pass over all attribute
@@ -58,14 +45,8 @@ type SpiderMergeOptions struct {
 // satisfied INDs. Cursors close early once an attribute is needed by no
 // undecided candidate, so ItemsRead is at most the single-pass total.
 func SpiderMerge(cands []Candidate, opts SpiderMergeOptions) (*Result, error) {
-	return spiderMerge(cands, opts, nil)
-}
-
-// spiderMerge is SpiderMerge over explicit shard boundaries; nil plans
-// them.
-func spiderMerge(cands []Candidate, opts SpiderMergeOptions, bounds []string) (*Result, error) {
 	start := time.Now()
-	t, err := runMerge(cands, 0, opts, bounds)
+	t, err := runMerge(cands, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +78,7 @@ func PartialSpiderMerge(cands []Candidate, sigma float64, opts SpiderMergeOption
 		return nil, err
 	}
 	start := time.Now()
-	t, err := runMerge(cands, sigma, opts, nil)
+	t, err := runMerge(cands, sigma, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -202,64 +183,14 @@ func newMergeTable(cands []Candidate) *mergeTable {
 	return t
 }
 
-// runMerge builds the candidate table and runs the kernel over it: inline
-// once when S ≤ 1, else once per value range on a worker pool, joining
-// the per-shard rows by summing counts and OR-ing refutations. bounds,
-// when non-nil, replaces the planned shard boundaries.
-func runMerge(cands []Candidate, sigma float64, opts SpiderMergeOptions, bounds []string) (*mergeTable, error) {
+// runMerge builds the candidate table and runs the kernel over it.
+func runMerge(cands []Candidate, sigma float64, opts SpiderMergeOptions) (*mergeTable, error) {
 	t := newMergeTable(cands)
-	src := newSource(opts.Store, opts.Counter)
-	if opts.Shards <= 1 && bounds == nil {
-		m := newMerger(t, t.rows, src.Open, sigma, nil)
-		err := m.run()
-		m.closeAll()
-		t.stats = m.stats
-		return t, err
-	}
-
-	plan, err := planShards(t.attrs, src, opts.Shards, bounds)
-	if err != nil {
-		return nil, err
-	}
-	// Shards share nothing but the table's attributes and the atomic read
-	// counter: each opens its own cursors into its own copy of the rows.
-	n := len(plan.ranges)
-	shardRows := make([][]mergeRow, n)
-	shardStats := make([]Stats, n)
-	shardReads := make([]atomic.Int64, n)
-	shardTimes := make([]time.Duration, n)
-	err = runShards(n, 0, func(i int) error {
-		shardStart := time.Now()
-		shardRows[i] = slices.Clone(t.rows)
-		shard := shardSource{src: src, bounds: plan.ranges[i], reads: &shardReads[i]}
-		m := newMerger(t, shardRows[i], shard.Open, sigma, &plan.ranges[i])
-		err := m.run()
-		m.closeAll()
-		shardStats[i] = m.stats
-		shardTimes[i] = time.Since(shardStart)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		for j, row := range shardRows[i] {
-			t.rows[j].matched += row.matched
-			t.rows[j].missing += row.missing
-			t.rows[j].dropped = t.rows[j].dropped || row.dropped
-		}
-		t.stats.Comparisons += shardStats[i].Comparisons
-		t.stats.FilesOpened += shardStats[i].FilesOpened
-		t.stats.MaxOpenFiles = max(t.stats.MaxOpenFiles, shardStats[i].MaxOpenFiles)
-	}
-	t.stats.ShardPlanner = plan.planner
-	t.stats.ShardPlanFallback = plan.fallback
-	t.stats.ShardItemsRead = make([]int64, n)
-	for i := range shardReads {
-		t.stats.ShardItemsRead[i] = shardReads[i].Load()
-	}
-	t.stats.ShardDurations = shardTimes
-	return t, nil
+	m := newMerger(t, newSource(opts.Store, opts.Counter).Open, sigma)
+	err := m.run()
+	m.closeAll()
+	t.stats = m.stats
+	return t, err
 }
 
 // mergeSlot is one attribute's state in a merge run.
@@ -286,19 +217,14 @@ type merger struct {
 	nOpen   int
 }
 
-// newMerger prepares a merge over rows. With within set, rows whose
-// dependent provably has no values in the range are left out: their
-// counts stay 0/0, which is the range's exact contribution.
-func newMerger(t *mergeTable, rows []mergeRow, open func(*Attribute) (Cursor, error), sigma float64, within *valfile.Range) *merger {
+// newMerger prepares a merge over the table's rows.
+func newMerger(t *mergeTable, open func(*Attribute) (Cursor, error), sigma float64) *merger {
 	m := &merger{
-		open: open, attrs: t.attrs, rows: rows,
+		open: open, attrs: t.attrs, rows: t.rows,
 		slots:   make([]mergeSlot, len(t.attrs)),
-		pending: make([]int32, 0, len(rows)),
+		pending: make([]int32, 0, len(t.rows)),
 	}
-	for i, row := range rows {
-		if within != nil && attrOutsideRange(t.attrs[row.dep], *within) {
-			continue
-		}
+	for i, row := range t.rows {
 		d := &m.slots[row.dep]
 		if d.n == 0 {
 			d.lo = int32(len(m.pending))
@@ -328,14 +254,9 @@ func (m *merger) run() error {
 			return err
 		}
 		m.slots[s].cur = cur
-		// Canned empty cursors (a shard's view of an attribute with no
-		// values in range) open no file and must not distort the Sec 4.2
-		// open-files metric.
-		if _, empty := cur.(emptyCursor); !empty {
-			m.nOpen++
-			m.stats.FilesOpened++
-			m.stats.MaxOpenFiles = max(m.stats.MaxOpenFiles, m.nOpen)
-		}
+		m.nOpen++
+		m.stats.FilesOpened++
+		m.stats.MaxOpenFiles = max(m.stats.MaxOpenFiles, m.nOpen)
 	}
 	for s := range m.slots {
 		if err := m.advance(int32(s)); err != nil {
@@ -446,9 +367,7 @@ func (m *merger) closeCursor(s int32) {
 	if cur := m.slots[s].cur; cur != nil {
 		cur.Close()
 		m.slots[s].cur = nil
-		if _, empty := cur.(emptyCursor); !empty {
-			m.nOpen--
-		}
+		m.nOpen--
 	}
 }
 
@@ -512,187 +431,10 @@ func (f *mergeFront) pop() int32 {
 	return top
 }
 
-// shardSource views a source through one shard's bounds. Attributes
-// whose [MinCanonical, MaxCanonical] span provably misses the range are
-// served a canned empty cursor without touching the underlying source —
-// value domains are typically localized (integers here, accession
-// strings there), so most shards open only a fraction of the attributes.
-type shardSource struct {
-	src    source
-	bounds valfile.Range
-	// reads tallies the items this shard read — the global Counter cannot
-	// attribute reads to shards once they run concurrently.
-	reads *atomic.Int64
-}
-
-func (s shardSource) Open(a *Attribute) (Cursor, error) {
-	if a.Distinct > 0 && attrOutsideRange(a, s.bounds) {
-		return emptyCursor{}, nil
-	}
-	cur, err := s.src.OpenRange(a, s.bounds)
-	if err != nil {
-		return nil, err
-	}
-	return &tallyCursor{Cursor: cur, reads: s.reads}, nil
-}
-
-// tallyCursor counts delivered values into a per-shard tally on top of
-// whatever global counter the underlying source already feeds.
-type tallyCursor struct {
-	Cursor
-	reads *atomic.Int64
-}
-
-func (c *tallyCursor) Next() (string, bool) {
-	v, ok := c.Cursor.Next()
-	if ok {
-		c.reads.Add(1)
-	}
-	return v, ok
-}
-
-// attrOutsideRange reports whether the attribute's catalog statistics
-// prove it has no values inside bounds: either the value set is empty,
-// or its [MinCanonical, MaxCanonical] span misses the range. The
-// statistics come from the same extraction pipeline as the value
-// streams, exactly like the Sec 4.1 max-value pretest.
-func attrOutsideRange(a *Attribute, bounds valfile.Range) bool {
-	if a.Distinct == 0 {
-		return true
-	}
-	return a.MaxCanonical < bounds.Lo || (bounds.HasHi && a.MinCanonical >= bounds.Hi)
-}
-
-// emptyCursor is an always-exhausted cursor: the in-shard view of an
-// attribute with no values in the shard's range.
-type emptyCursor struct{}
-
-func (emptyCursor) Next() (string, bool) { return "", false }
-func (emptyCursor) Err() error           { return nil }
-func (emptyCursor) Close() error         { return nil }
-
-// shardPlan is planShards' outcome: the ranges the shards merge over,
-// plus the planner that ran ("explicit", "kmv", "minmax") and any
-// fallback note for Stats — a plan that collapsed to fewer shards than
-// requested is recorded, not hidden.
-type shardPlan struct {
-	ranges   []valfile.Range
-	planner  string
-	fallback string
-}
-
-// planShards turns explicit boundaries, or boundaries planned for S
-// shards, into the half-open ranges the shards merge over. Planning uses
-// the attributes' KMV samples when every non-empty attribute carries one
-// and min/max order statistics otherwise.
-func planShards(attrs []*Attribute, src source, shards int, bounds []string) (shardPlan, error) {
-	plan := shardPlan{planner: "explicit"}
-	if bounds == nil {
-		if kmv, ok := kmvBoundaries(attrs, shards); ok {
-			plan.planner, bounds = "kmv", kmv
-			if len(bounds) < shards-1 {
-				plan.fallback = fmt.Sprintf("kmv sample supports only %d of %d shards (skewed or tiny value pool)", len(bounds)+1, shards)
-			}
-		} else {
-			plan.planner = "minmax"
-			var err error
-			if bounds, err = shardBoundaries(attrs, src, shards); err != nil {
-				return shardPlan{}, err
-			}
-			if len(bounds) == 0 {
-				// The quantile path collapses to one shard when the pooled
-				// sample holds at most one distinct value (all attribute
-				// min == max).
-				plan.fallback = fmt.Sprintf("boundary sample collapsed: 1 shard instead of %d (≤1 distinct sample value)", shards)
-			}
-		}
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return shardPlan{}, fmt.Errorf("ind: shard boundaries must be strictly ascending, got %q after %q", bounds[i], bounds[i-1])
-		}
-	}
-	plan.ranges = shardRanges(bounds)
-	return plan, nil
-}
-
-// kmvBoundaries plans equal-estimated-mass boundaries from the
-// attributes' KMV value samples. The second return is false when any
-// non-empty attribute lacks a sample (sketches absent, built hash-only,
-// or loaded from the pre-sample disk format) — planning then uses
-// min/max rather than mixing calibrated and blind estimates.
-func kmvBoundaries(attrs []*Attribute, shards int) ([]string, bool) {
-	var samples []sketch.WeightedSample
-	for _, a := range attrs {
-		if a.Distinct <= 0 && a.NonNull <= 0 {
-			continue // empty value set contributes no mass
-		}
-		if a.Sketch == nil || len(a.Sketch.Sample()) == 0 {
-			return nil, false
-		}
-		samples = append(samples, sketch.WeightedSample{
-			Values: a.Sketch.Sample(),
-			Weight: float64(a.Distinct),
-		})
-	}
-	if len(samples) == 0 {
-		return nil, false
-	}
-	return sketch.PlanBoundaries(samples, shards), true
-}
-
-// shardBoundaries picks at most shards-1 strictly ascending boundary
-// values from cheap order statistics of the attributes: every
-// attribute's canonical minimum and maximum plus the dataset's samples
-// (block-index first values, spill-run fronts). Quantiles of the pooled
-// sample approximate an even split of the merged value space; skewed
-// samples collapse into fewer (still correct) shards.
-func shardBoundaries(attrs []*Attribute, src source, shards int) ([]string, error) {
-	var sample []string
-	for _, a := range attrs {
-		if a.Distinct > 0 || a.NonNull > 0 {
-			sample = append(sample, a.MinCanonical, a.MaxCanonical)
-		}
-		vs, err := src.Sample(a, 4)
-		if err != nil {
-			return nil, err
-		}
-		sample = append(sample, vs...)
-	}
-	sort.Strings(sample)
-	sample = slices.Compact(sample)
-	if len(sample) == 0 {
-		return nil, nil
-	}
-
-	var bounds []string
-	for i := 1; i < shards; i++ {
-		b := sample[i*len(sample)/shards]
-		// Quantiles of a small sample may repeat; and a boundary equal to
-		// the global minimum would only produce an empty first shard.
-		if b > sample[0] && (len(bounds) == 0 || b > bounds[len(bounds)-1]) {
-			bounds = append(bounds, b)
-		}
-	}
-	return bounds, nil
-}
-
-// shardRanges turns S-1 ascending boundaries into S half-open ranges
-// covering the whole value space.
-func shardRanges(bounds []string) []valfile.Range {
-	ranges := make([]valfile.Range, 0, len(bounds)+1)
-	lo := ""
-	for _, b := range bounds {
-		ranges = append(ranges, valfile.Range{Lo: lo, Hi: b, HasHi: true})
-		lo = b
-	}
-	return append(ranges, valfile.Range{Lo: lo})
-}
-
-// runShards runs fn(i) for every index on a bounded worker pool (zero
+// runPool runs fn(i) for every index on a bounded worker pool (zero
 // workers selects min(n, GOMAXPROCS)), returning the first error.
 // Remaining indices are skipped after a failure.
-func runShards(n, workers int, fn func(i int) error) error {
+func runPool(n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -15,7 +15,6 @@ import (
 	"spider/internal/datagen"
 	"spider/internal/extsort"
 	"spider/internal/relstore"
-	"spider/internal/sketch"
 	"spider/internal/store"
 	"spider/internal/valfile"
 )
@@ -139,55 +138,50 @@ func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*A
 				t.Fatal(err)
 			}
 		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			for _, source := range []string{"files", "memory", "spill"} {
-				name := fmt.Sprintf("σ=%g/S=%d/%s", sigma, shards, source)
-				var c valfile.ReadCounter
-				counter := &c
-				opts := SpiderMergeOptions{Counter: counter, Shards: shards}
-				switch source {
-				case "memory":
-					opts.Store = mem
-				case "spill":
-					opts.Store = spill
-				}
-				var stats Stats
-				var err error
-				if sigma == 0 {
-					var got *Result
-					if got, err = SpiderMerge(cands, opts); err == nil {
-						stats = got.Stats
-						if !reflect.DeepEqual(got.Satisfied, wantExact.Satisfied) {
-							t.Errorf("%s INDs = %v\nwant %v", name, got.Satisfied, wantExact.Satisfied)
-						}
-						if stats.Candidates != wantExact.Stats.Candidates || stats.Satisfied != wantExact.Stats.Satisfied {
-							t.Errorf("%s stats = %d/%d, want %d/%d", name, stats.Candidates, stats.Satisfied,
-								wantExact.Stats.Candidates, wantExact.Stats.Satisfied)
-						}
+		for _, source := range []string{"files", "memory", "spill"} {
+			name := fmt.Sprintf("σ=%g/%s", sigma, source)
+			var c valfile.ReadCounter
+			counter := &c
+			opts := SpiderMergeOptions{Counter: counter}
+			switch source {
+			case "memory":
+				opts.Store = mem
+			case "spill":
+				opts.Store = spill
+			}
+			var stats Stats
+			var err error
+			if sigma == 0 {
+				var got *Result
+				if got, err = SpiderMerge(cands, opts); err == nil {
+					stats = got.Stats
+					if !reflect.DeepEqual(got.Satisfied, wantExact.Satisfied) {
+						t.Errorf("%s INDs = %v\nwant %v", name, got.Satisfied, wantExact.Satisfied)
 					}
-				} else {
-					var got *PartialResult
-					if got, err = PartialSpiderMerge(cands, sigma, opts); err == nil {
-						stats = got.Stats
-						if !reflect.DeepEqual(got.Satisfied, wantPartial.Satisfied) {
-							t.Errorf("%s disagrees with brute force:\ngot  %v\nwant %v", name, got.Satisfied, wantPartial.Satisfied)
-						}
-						// One pass over every attribute can never read more
-						// than the per-candidate rescans.
-						if source == "files" && shards == 1 && c.Total() > bfC.Total() {
-							t.Errorf("%s read %d items, brute force %d", name, c.Total(), bfC.Total())
-						}
+					if stats.Candidates != wantExact.Stats.Candidates || stats.Satisfied != wantExact.Stats.Satisfied {
+						t.Errorf("%s stats = %d/%d, want %d/%d", name, stats.Candidates, stats.Satisfied,
+							wantExact.Stats.Candidates, wantExact.Stats.Satisfied)
 					}
 				}
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			} else {
+				var got *PartialResult
+				if got, err = PartialSpiderMerge(cands, sigma, opts); err == nil {
+					stats = got.Stats
+					if !reflect.DeepEqual(got.Satisfied, wantPartial.Satisfied) {
+						t.Errorf("%s disagrees with brute force:\ngot  %v\nwant %v", name, got.Satisfied, wantPartial.Satisfied)
+					}
+					// One pass over every attribute can never read more
+					// than the per-candidate rescans.
+					if source == "files" && c.Total() > bfC.Total() {
+						t.Errorf("%s read %d items, brute force %d", name, c.Total(), bfC.Total())
+					}
 				}
-				if stats.ItemsRead != counter.Total() {
-					t.Errorf("%s ItemsRead = %d, counter %d", name, stats.ItemsRead, counter.Total())
-				}
-				if sharded := stats.ShardPlanner != "" || stats.ShardItemsRead != nil || stats.ShardDurations != nil; sharded != (shards > 1) {
-					t.Errorf("%s shard stats %q %v, want them exactly on sharded runs", name, stats.ShardPlanner, stats.ShardItemsRead)
-				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if stats.ItemsRead != counter.Total() {
+				t.Errorf("%s ItemsRead = %d, counter %d", name, stats.ItemsRead, counter.Total())
 			}
 		}
 	}
@@ -249,66 +243,9 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestShardedSpiderMergePropertyAgreement pins the sharded join itself:
-// per-shard rows, summed, reproduce the inline run's candidate table. In
-// exact mode the refutations agree row for row; in both modes every row
-// that neither run refuted carries identical matched/missing counts (a
-// refuted row's counts freeze where each shard's budget ran out).
-func TestShardedSpiderMergePropertyAgreement(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
-			cands := allPairs(attrs)
-			for _, sigma := range []float64{0, 0.8} {
-				mem := memSource(attrs, sets)
-				single, err := runMerge(cands, sigma, SpiderMergeOptions{Store: mem}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, shards := range []int{2, 4, 7} {
-					sharded, err := runMerge(cands, sigma, SpiderMergeOptions{Store: mem, Shards: shards}, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, want := range single.rows {
-						got := sharded.rows[i]
-						if got.dep != want.dep || got.ref != want.ref {
-							t.Fatalf("σ=%g S=%d row %d is (%d, %d), want (%d, %d)", sigma, shards, i, got.dep, got.ref, want.dep, want.ref)
-						}
-						if sigma == 0 && got.dropped != want.dropped {
-							t.Errorf("σ=0 S=%d row %d dropped = %v, want %v", shards, i, got.dropped, want.dropped)
-						}
-						if !got.dropped && !want.dropped && (got.matched != want.matched || got.missing != want.missing) {
-							t.Errorf("σ=%g S=%d row %d counts %d/%d, want %d/%d", sigma, shards, i,
-								got.matched, got.missing, want.matched, want.missing)
-						}
-					}
-					if n := len(sharded.stats.ShardItemsRead); n == 0 || n > shards {
-						t.Errorf("σ=%g S=%d: %d per-shard tallies", sigma, shards, n)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSpiderMergeEmptyCandidates covers the degenerate run.
 func TestSpiderMergeEmptyCandidates(t *testing.T) {
 	res, err := SpiderMerge(nil, SpiderMergeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Satisfied) != 0 || res.Stats.Candidates != 0 {
-		t.Errorf("empty run = %+v", res.Stats)
-	}
-}
-
-// TestShardedSpiderMergeEmptyCandidates covers the degenerate sharded
-// run.
-func TestShardedSpiderMergeEmptyCandidates(t *testing.T) {
-	res, err := SpiderMerge(nil, SpiderMergeOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +300,7 @@ func TestSpiderMergeClosesEarly(t *testing.T) {
 	}
 }
 
-// TestSpiderMergeStatsGolden pins the unsharded merge's work counters —
+// TestSpiderMergeStatsGolden pins the merge's work counters —
 // items and bytes read, comparisons, files opened, peak open files — on
 // a UniProt-shaped fixture in both value-file formats, exact and at
 // σ = 0.8. The figures are the paper's cost metrics (Figure 5, Sec 4.2);
@@ -402,9 +339,6 @@ func TestSpiderMergeStatsGolden(t *testing.T) {
 		st := res.Stats
 		got := golden{cands: st.Candidates, sat: st.Satisfied, items: st.ItemsRead, bytes: st.BytesRead,
 			cmps: st.Comparisons, opened: st.FilesOpened, maxOpen: st.MaxOpenFiles}
-		if st.ShardPlanner != "" || st.ShardItemsRead != nil || st.ShardDurations != nil {
-			t.Errorf("%v: unsharded run filled shard stats: %+v", format, st)
-		}
 
 		pcands, _ := GenerateCandidates(attrs, GenOptions{PartialThreshold: 0.8})
 		pres, err := PartialSpiderMerge(pcands, 0.8, SpiderMergeOptions{Counter: &valfile.ReadCounter{}, Store: ds})
@@ -436,11 +370,7 @@ type faultyDataset struct {
 }
 
 func (d *faultyDataset) Open(key string, counter *valfile.ReadCounter) (store.Cursor, error) {
-	return d.OpenRange(key, counter, valfile.Range{})
-}
-
-func (d *faultyDataset) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (store.Cursor, error) {
-	cur, err := d.Dataset.OpenRange(key, counter, bounds)
+	cur, err := d.Dataset.Open(key, counter)
 	if err != nil {
 		return nil, err
 	}
@@ -478,8 +408,8 @@ func (c *faultyCursor) Close() error {
 }
 
 // TestMergeCursorErrorPath injects a cursor fault mid-merge over the
-// memory and spill backends: exact and partial runs, inline and
-// sharded, must all return the fault, close every cursor they opened,
+// memory and spill backends: exact and partial runs must all return the
+// fault, close every cursor they opened,
 // leave no goroutine behind, and — once the call's spill dataset is
 // closed, as every entry point does on return — no spill run on disk.
 func TestMergeCursorErrorPath(t *testing.T) {
@@ -489,277 +419,45 @@ func TestMergeCursorErrorPath(t *testing.T) {
 	for _, backend := range []string{"mem", "spill"} {
 		for _, failAt := range []int64{1, 25} {
 			for _, sigma := range []float64{0, 0.8} {
-				for _, shards := range []int{1, 4} {
-					name := fmt.Sprintf("%s/fail@%d/σ=%g/S=%d", backend, failAt, sigma, shards)
-					workDir := t.TempDir()
-					before := runtime.NumGoroutine()
-					var ds *faultyDataset
-					err := func() error {
-						var base store.Dataset = memSource(attrs, sets)
-						if backend == "spill" {
-							spill := spillSource(t, rng, workDir, attrs, sets)
-							defer spill.Close()
-							base = spill
-						}
-						ds = &faultyDataset{Dataset: base, failAt: failAt}
-						opts := SpiderMergeOptions{Store: ds, Shards: shards}
-						if sigma == 0 {
-							_, err := SpiderMerge(cands, opts)
-							return err
-						}
-						_, err := PartialSpiderMerge(cands, sigma, opts)
+				name := fmt.Sprintf("%s/fail@%d/σ=%g", backend, failAt, sigma)
+				workDir := t.TempDir()
+				before := runtime.NumGoroutine()
+				var ds *faultyDataset
+				err := func() error {
+					var base store.Dataset = memSource(attrs, sets)
+					if backend == "spill" {
+						spill := spillSource(t, rng, workDir, attrs, sets)
+						defer spill.Close()
+						base = spill
+					}
+					ds = &faultyDataset{Dataset: base, failAt: failAt}
+					opts := SpiderMergeOptions{Store: ds}
+					if sigma == 0 {
+						_, err := SpiderMerge(cands, opts)
 						return err
-					}()
-					if !errors.Is(err, errInjected) {
-						t.Errorf("%s: err = %v, want the injected fault", name, err)
 					}
-					if opens, closes := ds.opens.Load(), ds.closes.Load(); opens == 0 || opens != closes {
-						t.Errorf("%s: %d cursors opened, %d closed", name, opens, closes)
-					}
-					// Finished workers may still be unwinding past wg.Done.
-					deadline := time.Now().Add(2 * time.Second)
-					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
-					if after := runtime.NumGoroutine(); after > before {
-						t.Errorf("%s: %d goroutines before, %d after", name, before, after)
-					}
-					if runs, _ := filepath.Glob(filepath.Join(workDir, "extsort-run-*")); len(runs) != 0 {
-						t.Errorf("%s: %d spill runs outlived the call", name, len(runs))
-					}
+					_, err := PartialSpiderMerge(cands, sigma, opts)
+					return err
+				}()
+				if !errors.Is(err, errInjected) {
+					t.Errorf("%s: err = %v, want the injected fault", name, err)
+				}
+				if opens, closes := ds.opens.Load(), ds.closes.Load(); opens == 0 || opens != closes {
+					t.Errorf("%s: %d cursors opened, %d closed", name, opens, closes)
+				}
+				// Give exiting goroutines a moment to retire.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if after := runtime.NumGoroutine(); after > before {
+					t.Errorf("%s: %d goroutines before, %d after", name, before, after)
+				}
+				if runs, _ := filepath.Glob(filepath.Join(workDir, "extsort-run-*")); len(runs) != 0 {
+					t.Errorf("%s: %d spill runs outlived the call", name, len(runs))
 				}
 			}
 		}
-	}
-}
-
-// TestShardedSpiderMergeExplicitBoundaries pins the range semantics: a
-// hand-chosen boundary set must split the work yet return the same INDs,
-// and boundaries out of order must be rejected.
-func TestShardedSpiderMergeExplicitBoundaries(t *testing.T) {
-	sets := map[int][]string{
-		0: {"a", "b", "m", "z"},
-		1: {"a", "b", "c", "m", "n", "z"},
-		2: {"b", "m"},
-	}
-	attrs := make([]*Attribute, 3)
-	for i := range attrs {
-		n := len(sets[i])
-		attrs[i] = &Attribute{
-			ID: i, Ref: relstore.ColumnRef{Table: "t", Column: fmt.Sprintf("c%d", i)},
-			Rows: n, NonNull: n, Distinct: n, Unique: true,
-			MinCanonical: sets[i][0], MaxCanonical: sets[i][n-1],
-		}
-	}
-	cands := allPairs(attrs)
-	want := Reference(cands, sets)
-
-	mem := memSource(attrs, sets)
-	res, err := spiderMerge(cands, SpiderMergeOptions{Store: mem}, []string{"c", "n"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Satisfied, want.Satisfied) {
-		t.Errorf("INDs = %v, want %v", res.Satisfied, want.Satisfied)
-	}
-	if res.Stats.ShardPlanner != "explicit" || len(res.Stats.ShardItemsRead) != 3 {
-		t.Errorf("plan = %q over %d shards, want explicit over 3", res.Stats.ShardPlanner, len(res.Stats.ShardItemsRead))
-	}
-
-	if _, err := spiderMerge(cands, SpiderMergeOptions{Store: mem}, []string{"n", "c"}); err == nil {
-		t.Error("descending boundaries must be rejected")
-	}
-}
-
-// TestShardedSpiderMergeStatsAggregation asserts the per-shard stats
-// combination rules: Comparisons and FilesOpened sum over shards,
-// MaxOpenFiles is the per-merge peak (never more than one cursor per
-// involved attribute).
-func TestShardedSpiderMergeStatsAggregation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	dir := t.TempDir()
-	attrs, _ := randomAttrs(t, rng, dir, 10)
-	cands := allPairs(attrs)
-
-	single, err := SpiderMerge(cands, SpiderMergeOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := SpiderMerge(cands, SpiderMergeOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FilesOpened sums across shards; range pruning means a shard opens
-	// only its overlapping attributes, so the total is bounded by one
-	// open per attribute per shard and must stay positive.
-	if sharded.Stats.FilesOpened == 0 || sharded.Stats.FilesOpened > 4*single.Stats.FilesOpened {
-		t.Errorf("sharded FilesOpened = %d implausible (single merge: %d)",
-			sharded.Stats.FilesOpened, single.Stats.FilesOpened)
-	}
-	if sharded.Stats.MaxOpenFiles > len(attrs) || sharded.Stats.MaxOpenFiles == 0 {
-		t.Errorf("MaxOpenFiles = %d, want in [1, %d] (one cursor per attribute)",
-			sharded.Stats.MaxOpenFiles, len(attrs))
-	}
-	if sharded.Stats.Comparisons == 0 && single.Stats.Comparisons > 0 {
-		t.Error("sharded Comparisons not aggregated")
-	}
-}
-
-// withoutSketches returns copies of attrs with their sketches stripped —
-// the same value sets, planned by min/max instead of KMV samples.
-func withoutSketches(attrs []*Attribute) []*Attribute {
-	out := make([]*Attribute, len(attrs))
-	for i, a := range attrs {
-		bare := *a
-		bare.Sketch = nil
-		out[i] = &bare
-	}
-	return out
-}
-
-// TestShardPlannerPropertyAgreement pins the planner axis of the sharded
-// engine: on random databases, the attributes with KMV value samples
-// (planned by mass) and the same attributes with their sketches stripped
-// (planned by min/max) return byte-identical satisfied sets at
-// S ∈ {1, 2, 4, 7}, over both value files and the spill backend — and
-// Stats faithfully records which planner produced the boundaries.
-func TestShardPlannerPropertyAgreement(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			sketched, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
-			for _, a := range sketched {
-				a.Sketch = sketchFromSet(sketch.Config{}, sets[a.ID])
-			}
-			want, err := SpiderMerge(allPairs(sketched), SpiderMergeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Mirror the engine's sample-availability rule: the generator can
-			// emit an attribute with phantom non-null rows but an empty value
-			// set, whose sketch then has no sample — the run must then plan
-			// by min/max rather than guess.
-			haveSamples := false
-			for _, a := range sketched {
-				if a.Distinct <= 0 && a.NonNull <= 0 {
-					continue
-				}
-				if len(a.Sketch.Sample()) == 0 {
-					haveSamples = false
-					break
-				}
-				haveSamples = true
-			}
-
-			for _, shards := range []int{1, 2, 4, 7} {
-				for input, attrs := range map[string][]*Attribute{"sketched": sketched, "stripped": withoutSketches(sketched)} {
-					cands := allPairs(attrs)
-					got, err := SpiderMerge(cands, SpiderMergeOptions{Shards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					spill := spillSource(t, rng, dir, attrs, sets)
-					gotStream, err := SpiderMerge(cands, SpiderMergeOptions{Store: spill, Shards: shards})
-					spill.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					for name, res := range map[string]*Result{"files": got, "stream": gotStream} {
-						if !reflect.DeepEqual(res.Satisfied, want.Satisfied) {
-							t.Errorf("S=%d %s %s INDs = %v\nwant %v", shards, input, name, res.Satisfied, want.Satisfied)
-						}
-						wantName := ""
-						if shards > 1 {
-							wantName = "minmax"
-							if input == "sketched" && haveSamples {
-								wantName = "kmv"
-							}
-						}
-						if res.Stats.ShardPlanner != wantName {
-							t.Errorf("S=%d %s %s Stats.ShardPlanner = %q, want %q",
-								shards, input, name, res.Stats.ShardPlanner, wantName)
-						}
-						if shards > 1 && len(res.Stats.ShardItemsRead) == 0 {
-							t.Errorf("S=%d %s %s missing per-shard read tallies", shards, input, name)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// shardSkew is max/mean of the per-shard item-read tallies: 1.0 is a
-// perfectly even split, S means one shard did all the work.
-func shardSkew(reads []int64) float64 {
-	var total, max int64
-	for _, n := range reads {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) / (float64(total) / float64(len(reads)))
-}
-
-// TestKMVPlannerBalancesSkew drives both planners over a Zipf-skewed key
-// population (datagen.Skewed: distinct keys crowd the low end of the key
-// space, outliers stretch the span ~1000x beyond the crowd) and asserts
-// the planning claim itself: min/max planning — equal key range, blind to
-// density — leaves the merge lopsided, while KMV sample planning keeps
-// max/mean per-shard items read under a tight bound. Both runs must still
-// agree on the satisfied set.
-func TestKMVPlannerBalancesSkew(t *testing.T) {
-	db := datagen.Skewed(datagen.SkewedConfig{Seed: 1})
-	dir := t.TempDir()
-	attrs, err := Prepare(db, ExportConfig{Dir: dir, Sketches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []*Attribute
-	for _, a := range attrs {
-		if a.Ref.Column == "id" || a.Ref.Column == "fk" {
-			keys = append(keys, a)
-		}
-	}
-	if len(keys) != 2 {
-		t.Fatalf("expected the two key attributes, got %d", len(keys))
-	}
-
-	const shards = 4
-	run := func(attrs []*Attribute) *Result {
-		t.Helper()
-		res, err := SpiderMerge(allPairs(attrs), SpiderMergeOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	kmv := run(keys)
-	mm := run(withoutSketches(keys))
-
-	if kmv.Stats.ShardPlanner != "kmv" {
-		t.Fatalf("sketched run planned by %q (fallback: %q)", kmv.Stats.ShardPlanner, kmv.Stats.ShardPlanFallback)
-	}
-	if mm.Stats.ShardPlanner != "minmax" {
-		t.Fatalf("sketch-free run planned by %q", mm.Stats.ShardPlanner)
-	}
-	if !reflect.DeepEqual(kmv.Satisfied, mm.Satisfied) {
-		t.Fatalf("planners disagree: %v vs %v", kmv.Satisfied, mm.Satisfied)
-	}
-
-	kmvSkew, mmSkew := shardSkew(kmv.Stats.ShardItemsRead), shardSkew(mm.Stats.ShardItemsRead)
-	t.Logf("per-shard items read: kmv %v (skew %.2f), minmax %v (skew %.2f)",
-		kmv.Stats.ShardItemsRead, kmvSkew, mm.Stats.ShardItemsRead, mmSkew)
-	if kmvSkew >= mmSkew {
-		t.Errorf("kmv skew %.2f not better than minmax %.2f", kmvSkew, mmSkew)
-	}
-	if kmvSkew > 1.5 {
-		t.Errorf("kmv skew %.2f exceeds 1.5: sample planning failed to balance the shards", kmvSkew)
 	}
 }
 
@@ -788,7 +486,7 @@ func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *
 
 // TestPartialMergeIntegralThreshold pins the boundary where σ·|s(a)| is
 // exactly integral: 10 dependent values at σ = 0.9 tolerate exactly one
-// miss — a second miss refutes — at every shard count.
+// miss — a second miss refutes.
 func TestPartialMergeIntegralThreshold(t *testing.T) {
 	dir := t.TempDir()
 	ref := make([]string, 0, 20)
@@ -817,14 +515,12 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 		want.Satisfied[0].Missing != 1 || want.Satisfied[0].Coverage != 0.9 {
 		t.Fatalf("brute-force baseline unexpected: %+v", want.Satisfied)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		got, err := PartialSpiderMerge(cands, 0.9, SpiderMergeOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-			t.Errorf("S=%d: %+v, want %+v", shards, got.Satisfied, want.Satisfied)
-		}
+	got, err := PartialSpiderMerge(cands, 0.9, SpiderMergeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
+		t.Errorf("%+v, want %+v", got.Satisfied, want.Satisfied)
 	}
 }
 
@@ -856,10 +552,8 @@ func TestPartialMergeEmptyDependent(t *testing.T) {
 // TestPartialMergeRejectsBadThreshold mirrors the brute-force validation.
 func TestPartialMergeRejectsBadThreshold(t *testing.T) {
 	for _, sigma := range []float64{0, -0.5, 1.5} {
-		for _, shards := range []int{1, 4} {
-			if _, err := PartialSpiderMerge(nil, sigma, SpiderMergeOptions{Shards: shards}); err == nil {
-				t.Errorf("PartialSpiderMerge (S=%d) must reject threshold %v", shards, sigma)
-			}
+		if _, err := PartialSpiderMerge(nil, sigma, SpiderMergeOptions{}); err == nil {
+			t.Errorf("PartialSpiderMerge must reject threshold %v", sigma)
 		}
 	}
 }
@@ -874,10 +568,8 @@ func TestPartialMergeCorruptFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, shards := range []int{1, 3} {
-		if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{Shards: shards}); err == nil {
-			t.Errorf("partial merge (S=%d) must report corrupt file", shards)
-		}
+	if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{}); err == nil {
+		t.Error("partial merge must report corrupt file")
 	}
 }
 

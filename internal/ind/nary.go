@@ -33,8 +33,7 @@ import (
 // reference engine (distinct-tuple hash sets, one probe loop per
 // candidate) and the merge-backed engine of narymerge.go, which carries
 // the Sec 6 belief through — the same sorted-stream heap merge that
-// verifies unary INDs verifies each level's composite tuples in one
-// (optionally sharded) pass.
+// verifies unary INDs verifies each level's composite tuples in one pass.
 
 // NaryIND is a satisfied n-ary inclusion dependency; Dep[i] pairs with
 // Ref[i].
@@ -65,9 +64,9 @@ const (
 	NaryTupleSets NaryEngine = iota
 	// NaryMerge exports, per level, one sorted encoded-tuple stream per
 	// candidate column list and verifies all of the level's candidates in
-	// a single (optionally sharded) SpiderMerge heap merge — the same
-	// count-free k-way merge the unary engine uses. Peak memory is
-	// bounded by the external-sort buffers, not by tuple-set sizes.
+	// a single SpiderMerge heap merge — the same count-free k-way merge
+	// the unary engine uses. Peak memory is bounded by the external-sort
+	// buffers, not by tuple-set sizes.
 	NaryMerge
 )
 
@@ -112,26 +111,12 @@ type NaryOptions struct {
 	// engine; nil selects a filesystem dataset rooted at WorkDir,
 	// reproducing the historical on-disk layout.
 	Scratch store.Dataset
-	// Shards (NaryMerge only) partitions each level's encoded value
-	// space into that many disjoint ranges merged concurrently; 0 or 1
-	// keeps the single-threaded merge. Output is identical at any shard
-	// count.
-	Shards int
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
-	// GOMAXPROCS, 1 extracts sequentially. With overlapped levels it also
-	// bounds concurrent speculative next-level extractions.
+	// GOMAXPROCS, 1 extracts sequentially.
 	ExportWorkers int
-	// SequentialLevels (NaryMerge only) opts out of the overlapped
-	// pipeline: by default each level's independent table-pair candidate
-	// groups are verified as concurrent merge fronts, and the next
-	// level's tuple streams are speculatively extracted while the rest of
-	// the current level is still merging. Output is byte-identical either
-	// way; set SequentialLevels for the strictly level-at-a-time
-	// reference behaviour.
-	SequentialLevels bool
-	// Sort is the base external-sort configuration for tuple extraction
-	// (on-level and speculative); its TempDir defaults to WorkDir. Mainly
-	// a testing hook for forcing tiny spill buffers.
+	// Sort is the base external-sort configuration for tuple extraction;
+	// its TempDir defaults to WorkDir. Mainly a testing hook for forcing
+	// tiny spill buffers.
 	Sort extsort.Config
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in,
@@ -213,12 +198,9 @@ func (c naryCand) key() string {
 }
 
 // levelVerifier decides one level's candidates in bulk; the verdict slice
-// aligns with cands. close releases any background resources (the
-// overlapped verifier cancels in-flight speculative extractions); it must
-// be safe to call after an error and more than once.
+// aligns with cands.
 type levelVerifier interface {
 	verifyLevel(arity int, cands []naryCand) ([]bool, error)
-	close()
 }
 
 // tupleLevelVerifier adapts the per-candidate tupleVerifier to the
@@ -239,8 +221,6 @@ func (t *tupleLevelVerifier) verifyLevel(arity int, cands []naryCand) ([]bool, e
 	return out, nil
 }
 
-func (t *tupleLevelVerifier) close() {}
-
 // DiscoverNary performs the levelwise search over db. The unary level is
 // computed internally — unlike the unary discovery of Sec 2 (where
 // referenced attributes must be unique columns to be foreign-key
@@ -255,9 +235,6 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	}
 	if opts.MaxCandidatesPerLevel <= 0 {
 		opts.MaxCandidatesPerLevel = 100_000
-	}
-	if opts.Algorithm != NaryMerge && opts.Shards > 1 {
-		return nil, fmt.Errorf("ind: Shards require the NaryMerge engine, not %v", opts.Algorithm)
 	}
 	workDir := opts.WorkDir
 	if opts.Algorithm == NaryMerge && workDir == "" && opts.Scratch == nil {
@@ -283,16 +260,10 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 		if scratch == nil {
 			scratch = store.NewFS(workDir, opts.Sort.Format)
 		}
-		m := &mergeLevelVerifier{db: db, opts: opts, workDir: workDir, scratch: scratch, stats: &res.Stats}
-		if opts.SequentialLevels {
-			levels = m
-		} else {
-			levels = newOverlapVerifier(m)
-		}
+		levels = &mergeLevelVerifier{db: db, opts: opts, workDir: workDir, scratch: scratch, stats: &res.Stats}
 	} else {
 		levels = &tupleLevelVerifier{v: verifier}
 	}
-	defer levels.close()
 
 	// emitLevel finalises one completed level: per-level wall time, the
 	// incremental ItemsRead total, and the optional progress callback.
@@ -445,8 +416,8 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 }
 
 // mergeUnarySeed verifies the unary seed candidates with the requested
-// backend and shard count — the same plumbing FindINDs uses, reusing
-// the real attribute value sets.
+// backend — the same plumbing FindINDs uses, reusing the real attribute
+// value sets.
 func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, workDir string, counter *valfile.ReadCounter) (*Result, error) {
 	// Exports go to the write side: Scratch when the caller split the
 	// dataset into a writable scratch and a read-only serving view
@@ -464,7 +435,7 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 	if err != nil {
 		return nil, err
 	}
-	return SpiderMerge(cands, SpiderMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards})
+	return SpiderMerge(cands, SpiderMergeOptions{Counter: counter, Store: opts.Store})
 }
 
 func pairDeps(pairs []pairKey) []relstore.ColumnRef {

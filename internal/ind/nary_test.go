@@ -420,8 +420,8 @@ func TestDiscoverNaryTruncationKeepsLowerArities(t *testing.T) {
 }
 
 // The merge-backed engine must produce byte-identical satisfied sets and
-// level counts to the in-memory tuple-set reference, across shard counts,
-// the value-file and spill backends, and arities, on random databases.
+// level counts to the in-memory tuple-set reference, across the
+// value-file and spill backends and arities, on random databases.
 func TestNaryMergeMatchesTupleSets(t *testing.T) {
 	dbs := []*relstore.Database{}
 	for seed := int64(0); seed < 3; seed++ {
@@ -436,38 +436,35 @@ func TestNaryMergeMatchesTupleSets(t *testing.T) {
 			}
 			higherArity += len(want.Satisfied)
 			for _, backend := range []string{"files", "spill"} {
-				for _, shards := range []int{1, 2, 4} {
-					name := fmt.Sprintf("seed=%d arity=%d backend=%s shards=%d", seed, maxArity, backend, shards)
-					opts := NaryOptions{
-						MaxArity:  maxArity,
-						Algorithm: NaryMerge,
-						Shards:    shards,
-					}
-					if backend == "spill" {
-						sp := extsort.NewSpill()
-						opts.Store, opts.Scratch = sp, sp
-						defer sp.Close()
-					} else {
-						opts.WorkDir = t.TempDir()
-					}
-					got, err := DiscoverNary(db, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-						t.Errorf("%s: satisfied sets differ:\ngot  %v\nwant %v",
-							name, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
-					}
-					if !reflect.DeepEqual(got.Stats.SatisfiedByArity, want.Stats.SatisfiedByArity) ||
-						!reflect.DeepEqual(got.Stats.CandidatesByArity, want.Stats.CandidatesByArity) {
-						t.Errorf("%s: level counts differ: %+v vs %+v", name, got.Stats, want.Stats)
-					}
-					if got.Stats.ItemsRead == 0 {
-						t.Errorf("%s: merge engine read no items", name)
-					}
-					if got.Truncated != want.Truncated {
-						t.Errorf("%s: truncation differs", name)
-					}
+				name := fmt.Sprintf("seed=%d arity=%d backend=%s", seed, maxArity, backend)
+				opts := NaryOptions{
+					MaxArity:  maxArity,
+					Algorithm: NaryMerge,
+				}
+				if backend == "spill" {
+					sp := extsort.NewSpill()
+					opts.Store, opts.Scratch = sp, sp
+					defer sp.Close()
+				} else {
+					opts.WorkDir = t.TempDir()
+				}
+				got, err := DiscoverNary(db, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
+					t.Errorf("%s: satisfied sets differ:\ngot  %v\nwant %v",
+						name, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
+				}
+				if !reflect.DeepEqual(got.Stats.SatisfiedByArity, want.Stats.SatisfiedByArity) ||
+					!reflect.DeepEqual(got.Stats.CandidatesByArity, want.Stats.CandidatesByArity) {
+					t.Errorf("%s: level counts differ: %+v vs %+v", name, got.Stats, want.Stats)
+				}
+				if got.Stats.ItemsRead == 0 {
+					t.Errorf("%s: merge engine read no items", name)
+				}
+				if got.Truncated != want.Truncated {
+					t.Errorf("%s: truncation differs", name)
 				}
 			}
 			if want.Stats.ItemsRead != 0 {
@@ -513,15 +510,6 @@ func TestNarySeparatorBytesDoNotConflateTuples(t *testing.T) {
 				t.Errorf("%v engine: separator-conflated tuples reported as included", opts.Algorithm)
 			}
 		}
-	}
-}
-
-// The merge engine must reject sharding combined with the tuple-sets
-// engine, mirroring the unary API contracts.
-func TestDiscoverNaryOptionValidation(t *testing.T) {
-	db := naryDB(t)
-	if _, err := DiscoverNary(db, NaryOptions{Shards: 2}); err == nil {
-		t.Error("Shards without NaryMerge must fail")
 	}
 }
 

@@ -3,8 +3,6 @@ package ind
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"spider/internal/extsort"
 	"spider/internal/relstore"
@@ -20,9 +18,8 @@ import (
 // list becomes one synthetic attribute whose value set is the sorted
 // distinct stream of its encoded tuples (NULL-containing tuples dropped,
 // deduplication by the external sorter); the whole level's candidates
-// are then decided in a single count-free heap merge — optionally
-// sharded across disjoint ranges of the encoded value space — exactly as
-// the unary engine decides its candidates. Verification becomes
+// are then decided in a single count-free heap merge, exactly as the
+// unary engine decides its candidates. Verification becomes
 // I/O-bound: peak memory is the extsort buffer, never a tuple set.
 
 // appendEscaped writes s with the tuple-component escaping: bytes 0x00
@@ -87,10 +84,7 @@ func listIdent(table string, cols []relstore.ColumnRef) relstore.ColumnRef {
 }
 
 // mergeLevelVerifier verifies one level at a time with the SpiderMerge
-// heap merge over encoded tuple streams. The overlapped verifier of
-// naryoverlap.go calls verifyCands concurrently for independent
-// candidate groups, so stats updates are mutex-guarded and value-file
-// names draw from an atomic sequence.
+// heap merge over encoded tuple streams.
 type mergeLevelVerifier struct {
 	db      *relstore.Database
 	opts    NaryOptions
@@ -99,32 +93,12 @@ type mergeLevelVerifier struct {
 	// dataset rooted at workDir unless the caller supplied a backend.
 	scratch store.Dataset
 	stats   *NaryStats
-
-	mu   sync.Mutex   // guards stats
-	seq  atomic.Int64 // value-file name sequence, unique across groups
-	spec *speculator  // nil when levels run sequentially
 }
 
+// verifyLevel decides a whole level in a single heap merge. Every
+// distinct column list of the level is extracted and staged once, however
+// many candidates share it.
 func (m *mergeLevelVerifier) verifyLevel(arity int, cands []naryCand) ([]bool, error) {
-	return m.verifyCands(arity, cands)
-}
-
-func (m *mergeLevelVerifier) close() {}
-
-// sortConfig resolves the base external-sort configuration for tuple
-// extraction; TempDir defaults to the level work directory.
-func (m *mergeLevelVerifier) sortConfig() extsort.Config {
-	cfg := m.opts.Sort
-	if cfg.TempDir == "" {
-		cfg.TempDir = m.workDir
-	}
-	return cfg
-}
-
-// verifyCands decides one group of candidates (the whole level in
-// sequential mode, one table-pair group in overlapped mode) in a single
-// heap merge. Safe for concurrent calls with disjoint candidate groups.
-func (m *mergeLevelVerifier) verifyCands(arity int, cands []naryCand) ([]bool, error) {
 	out := make([]bool, len(cands))
 	if len(cands) == 0 {
 		return out, nil
@@ -169,22 +143,21 @@ func (m *mergeLevelVerifier) verifyCands(arity int, cands []naryCand) ([]bool, e
 	for i := range cands {
 		out[i] = sat[IND{Dep: pairs[i].Dep.Ref, Ref: pairs[i].Ref.Ref}]
 	}
-	m.mu.Lock()
 	m.stats.ItemsReadByArity[arity] += counter.Total()
 	m.stats.BytesReadByArity[arity] += counter.TotalBytes()
 	m.stats.TuplesCompared += res.Stats.Comparisons
-	m.mu.Unlock()
 	return out, nil
 }
 
 // runMerge stages every list's encoded tuple stream into the scratch
-// dataset and decides the level's candidates in one SpiderMerge —
-// sharded when requested. The level's tuple sets are removed once it is
-// decided, so storage stays bounded by one level. Keys draw from an
-// atomic sequence: concurrent groups at the same arity share the
-// dataset and must never collide.
+// dataset and decides the level's candidates in one SpiderMerge. The
+// level's tuple sets are removed once it is decided, so storage stays
+// bounded by one level.
 func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Candidate, counter *valfile.ReadCounter) (*Result, error) {
-	sortCfg := m.sortConfig()
+	sortCfg := m.opts.Sort
+	if sortCfg.TempDir == "" {
+		sortCfg.TempDir = m.workDir
+	}
 	keys := make([]string, len(lists))
 	defer func() {
 		for _, k := range keys {
@@ -193,12 +166,12 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 			}
 		}
 	}()
-	err := runShards(len(lists), naryWorkers(m.opts.ExportWorkers), func(i int) error {
-		sorter, err := m.listSorter(arity, lists[i], sortCfg)
+	err := runPool(len(lists), m.opts.ExportWorkers, func(i int) error {
+		sorter, err := m.fillTupleSorter(lists[i], sortCfg)
 		if err != nil {
 			return err
 		}
-		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, m.seq.Add(1))
+		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, i)
 		n, _, err := stageSorted(m.scratch, lists[i].attr, key, sorter, nil, nil)
 		if err != nil {
 			return err
@@ -210,34 +183,12 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 	if err != nil {
 		return nil, err
 	}
-	return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store, Shards: m.opts.Shards})
-}
-
-// listSorter produces the list's sorted tuple stream: a speculative
-// extraction handed over by the overlap pipeline when one finished in
-// time, else a fresh synchronous scan. A handed-over sorter arrives with
-// the extraction-time attribute statistics, copied onto the caller's
-// synthetic attribute.
-func (m *mergeLevelVerifier) listSorter(arity int, l *tupleList, cfg extsort.Config) (*extsort.Sorter, error) {
-	if m.spec != nil {
-		if sorter, attr := m.spec.take(arity, l.table, l.cols); sorter != nil {
-			l.attr.Rows = attr.Rows
-			l.attr.NonNull = attr.NonNull
-			l.attr.Distinct = attr.Distinct
-			l.attr.MinCanonical = attr.MinCanonical
-			l.attr.MaxCanonical = attr.MaxCanonical
-			return sorter, nil
-		}
-	}
-	return m.fillTupleSorter(l, cfg)
+	return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store})
 }
 
 // fillTupleSorter scans the list's table once, pushing every NULL-free
 // encoded tuple through a fresh external sorter, and fills the synthetic
-// attribute's statistics (the sharded engine's range pruning reads
-// NonNull/Distinct/Min/Max; Distinct is refined to the exact count when
-// the tuple set is staged). A cancel channel in cfg aborts the scan
-// promptly (speculative extractions are cancelled at level barriers).
+// attribute's row counts; staging sets its exact Distinct.
 func (m *mergeLevelVerifier) fillTupleSorter(l *tupleList, cfg extsort.Config) (*extsort.Sorter, error) {
 	tab := m.db.Table(l.table)
 	if tab == nil {
@@ -253,39 +204,17 @@ func (m *mergeLevelVerifier) fillTupleSorter(l *tupleList, cfg extsort.Config) (
 	sorter := extsort.New(cfg)
 	var b strings.Builder
 	added := 0
-	min, max := "", ""
 	for r := 0; r < tab.RowCount(); r++ {
-		if cfg.Cancel != nil && r%512 == 0 {
-			select {
-			case <-cfg.Cancel:
-				sorter.Discard()
-				return nil, extsort.ErrCanceled
-			default:
-			}
-		}
 		if !encodeTuple(&b, tab.Row(r), idx) {
 			continue
 		}
-		enc := b.String()
-		if added == 0 || enc < min {
-			min = enc
-		}
-		if added == 0 || enc > max {
-			max = enc
-		}
 		added++
-		if err := sorter.Add(enc); err != nil {
+		if err := sorter.Add(b.String()); err != nil {
 			sorter.Discard()
 			return nil, err
 		}
 	}
-	a := l.attr
-	a.Rows = tab.RowCount()
-	a.NonNull = added
-	// Distinct is an upper bound until staging reports the exact count;
-	// the merge paths only rely on Distinct > 0 ⇔ values exist.
-	a.Distinct = added
-	a.MinCanonical = min
-	a.MaxCanonical = max
+	l.attr.Rows = tab.RowCount()
+	l.attr.NonNull = added
 	return sorter, nil
 }

@@ -93,7 +93,6 @@ type Sketch struct {
 	k      int
 	n      int64
 	minima []uint64 // sorted ascending, distinct
-	sample []string // canonical values of the minima, sorted ascending
 	bloom  bloom
 }
 
@@ -183,13 +182,7 @@ type Builder struct {
 	// with a membership set for duplicate suppression.
 	heap    []uint64
 	members map[uint64]struct{}
-	// values maps a retained minimum back to the canonical value that
-	// hashed to it (Add only; AddHash cannot supply one). Because KMV
-	// retains the k smallest hashes, these values are a uniform random
-	// sample of the distinct set — the raw material for shard boundary
-	// planning.
-	values map[uint64]string
-	n      int64
+	n       int64
 }
 
 // NewBuilder returns a builder sized for expectedDistinct values (the
@@ -201,21 +194,15 @@ func NewBuilder(cfg Config, expectedDistinct int) *Builder {
 		cfg:     cfg,
 		b:       newBloom(expectedDistinct, cfg.BloomBitsPerValue, cfg.BloomPartitions),
 		members: make(map[uint64]struct{}, cfg.K),
-		values:  make(map[uint64]string, cfg.K),
 		n:       int64(expectedDistinct),
 	}
 }
 
-// Add folds one value into the sketch, retaining the value itself when
-// its hash joins the KMV minima so Sample can hand it back.
-func (b *Builder) Add(v string) { b.add(Hash(v), v, true) }
+// Add folds one value into the sketch.
+func (b *Builder) Add(v string) { b.AddHash(Hash(v)) }
 
-// AddHash folds an already hashed value into the sketch. The original
-// value is unknown here, so hashes admitted this way never contribute to
-// Sample.
-func (b *Builder) AddHash(h uint64) { b.add(h, "", false) }
-
-func (b *Builder) add(h uint64, v string, hasValue bool) {
+// AddHash folds an already hashed value into the sketch.
+func (b *Builder) AddHash(h uint64) {
 	b.b.addHash(h)
 	if len(b.heap) == b.cfg.K && h >= b.heap[0] {
 		return // not among the k smallest (or a duplicate of the max)
@@ -225,19 +212,12 @@ func (b *Builder) add(h uint64, v string, hasValue bool) {
 	}
 	if len(b.heap) < b.cfg.K {
 		b.members[h] = struct{}{}
-		if hasValue {
-			b.values[h] = v
-		}
 		b.heap = append(b.heap, h)
 		b.siftUp(len(b.heap) - 1)
 		return
 	}
 	delete(b.members, b.heap[0])
-	delete(b.values, b.heap[0])
 	b.members[h] = struct{}{}
-	if hasValue {
-		b.values[h] = v
-	}
 	b.heap[0] = h
 	b.siftDown(0)
 }
@@ -277,13 +257,8 @@ func (b *Builder) siftDown(i int) {
 func (b *Builder) Finish() *Sketch {
 	minima := b.heap
 	sort.Slice(minima, func(i, j int) bool { return minima[i] < minima[j] })
-	sample := make([]string, 0, len(b.values))
-	for _, v := range b.values {
-		sample = append(sample, v)
-	}
-	sort.Strings(sample)
-	s := &Sketch{k: b.cfg.K, n: b.n, minima: minima, sample: sample, bloom: b.b}
-	b.heap, b.members, b.values = nil, nil, nil
+	s := &Sketch{k: b.cfg.K, n: b.n, minima: minima, bloom: b.b}
+	b.heap, b.members = nil, nil
 	return s
 }
 
@@ -296,17 +271,6 @@ func (s *Sketch) Distinct() int64 { return s.n }
 // Minima returns the retained minima (sorted ascending). The slice is
 // owned by the sketch and must not be mutated.
 func (s *Sketch) Minima() []uint64 { return s.minima }
-
-// Sample returns the canonical values whose hashes are the retained KMV
-// minima, sorted in canonical (string) order. Because KMV keeps the k
-// smallest hashes of a uniform hash function, these values are a uniform
-// random sample of the attribute's distinct set: their quantiles in
-// string order estimate the string-order quantiles of the whole set,
-// which is what shard boundary planning needs. Sketches built purely
-// from AddHash, or decoded from the pre-sample disk format, return an
-// empty sample. The slice is owned by the sketch and must not be
-// mutated.
-func (s *Sketch) Sample() []string { return s.sample }
 
 // MayContain reports whether the hashed value may occur in the
 // attribute. False is definite (no bloom false negatives): the value is
@@ -323,11 +287,7 @@ func (s *Sketch) MayContainValue(v string) bool { return s.MayContain(Hash(v)) }
 // Bytes returns the in-memory footprint of the sketch, the accounting
 // behind the SketchBytes stat.
 func (s *Sketch) Bytes() int64 {
-	total := int64(len(s.minima))*8 + int64(len(s.bloom.bits))*8
-	for _, v := range s.sample {
-		total += int64(len(v))
-	}
-	return total
+	return int64(len(s.minima))*8 + int64(len(s.bloom.bits))*8
 }
 
 // FillRatio reports the bloom filter's set-bit fraction.
@@ -370,85 +330,15 @@ func Probe(dep, ref *Sketch) ProbeResult {
 	return res
 }
 
-// ---------------------------------------------------- boundary planning
-
-// WeightedSample is one attribute's contribution to shard boundary
-// planning: its uniform value sample (Sketch.Sample) plus the total mass
-// the sample stands for — the attribute's distinct count. Each sampled
-// value then represents Weight/len(Values) distinct values, so a large
-// attribute thinly sampled still outweighs a small one sampled densely.
-type WeightedSample struct {
-	Values []string
-	Weight float64
-}
-
-// PlanBoundaries chooses at most shards-1 strictly ascending boundary
-// values that split the pooled value space into shards of approximately
-// equal estimated mass (equal distinct-value count, not equal key
-// range). Each boundary is the first value of its shard, matching the
-// half-open [lo, hi) range convention of the sharded merge engines.
-// Heavily skewed pools may yield fewer boundaries (a single value
-// carrying more than a shard's worth of mass cannot be split); callers
-// fall back to coarser planning when nil is returned.
-func PlanBoundaries(samples []WeightedSample, shards int) []string {
-	if shards < 2 {
-		return nil
-	}
-	type weighted struct {
-		v string
-		w float64
-	}
-	var pool []weighted
-	total := 0.0
-	for _, s := range samples {
-		if len(s.Values) == 0 {
-			continue
-		}
-		w := s.Weight
-		if w <= 0 {
-			w = float64(len(s.Values))
-		}
-		per := w / float64(len(s.Values))
-		for _, v := range s.Values {
-			pool = append(pool, weighted{v: v, w: per})
-			total += per
-		}
-	}
-	if len(pool) == 0 || total <= 0 {
-		return nil
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].v < pool[j].v })
-	// Merge equal values: a value's mass must land in exactly one shard,
-	// and merging keeps the pool strictly ascending so every emitted
-	// boundary is automatically distinct.
-	merged := pool[:0]
-	for _, e := range pool {
-		if len(merged) > 0 && merged[len(merged)-1].v == e.v {
-			merged[len(merged)-1].w += e.w
-		} else {
-			merged = append(merged, e)
-		}
-	}
-	var bounds []string
-	cum := 0.0
-	target := total / float64(shards)
-	for i := 0; i < len(merged) && len(bounds) < shards-1; i++ {
-		cum += merged[i].w
-		if cum >= target*float64(len(bounds)+1) && i+1 < len(merged) {
-			bounds = append(bounds, merged[i+1].v)
-		}
-	}
-	return bounds
-}
-
 // ---------------------------------------------------------- persistence
 
-// magicV1 is the original binary format: header, minima, bloom words.
-// magic (version 2) appends the value sample after the bloom words;
-// Decode still reads v1 files (they simply carry no sample).
+// magic marks the binary format: header, minima, bloom words. magicV2
+// files, written by earlier builds, append a value sample after the bloom
+// words; Decode validates and drops it so persisted result sets keep
+// loading.
 var (
-	magicV1 = [4]byte{'s', 'k', 'e', '1'}
-	magic   = [4]byte{'s', 'k', 'e', '2'}
+	magic   = [4]byte{'s', 'k', 'e', '1'}
+	magicV2 = [4]byte{'s', 'k', 'e', '2'}
 )
 
 // Encode writes the sketch in the stable binary format.
@@ -486,17 +376,6 @@ func (s *Sketch) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	if err := writeU64(uint64(len(s.sample))); err != nil {
-		return err
-	}
-	for _, v := range s.sample {
-		if err := writeU64(uint64(len(v))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(v); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
 }
 
@@ -511,10 +390,9 @@ func Decode(r io.Reader) (*Sketch, error) {
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("sketch: %w", err)
 	}
-	if m != magic && m != magicV1 {
+	if m != magic && m != magicV2 {
 		return nil, fmt.Errorf("sketch: bad magic %q", m[:])
 	}
-	hasSample := m == magic
 	var u64 [8]byte
 	readU64 := func() (uint64, error) {
 		if _, err := io.ReadFull(br, u64[:]); err != nil {
@@ -567,32 +445,37 @@ func Decode(r io.Reader) (*Sketch, error) {
 		}
 		s.bloom.bits[i] = v
 	}
-	if !hasSample {
-		return s, nil // v1 file: no value sample was persisted
-	}
-	nSample, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("sketch: sample: %w", err)
-	}
-	if nSample > nMinima {
-		return nil, fmt.Errorf("sketch: corrupt sample length %d (only %d minima)", nSample, nMinima)
-	}
-	s.sample = make([]string, nSample)
-	for i := range s.sample {
-		vlen, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: sample: %w", err)
+	if m == magicV2 {
+		if err := skipSample(br, readU64, nMinima); err != nil {
+			return nil, err
 		}
-		if vlen > maxDecodeLen {
-			return nil, fmt.Errorf("sketch: corrupt sample value length %d", vlen)
-		}
-		buf := make([]byte, vlen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("sketch: sample: %w", err)
-		}
-		s.sample[i] = string(buf)
 	}
 	return s, nil
+}
+
+// skipSample validates and discards a v2 file's value sample: a count of
+// at most nMinima length-prefixed strings.
+func skipSample(br *bufio.Reader, readU64 func() (uint64, error), nMinima uint64) error {
+	nSample, err := readU64()
+	if err != nil {
+		return fmt.Errorf("sketch: sample: %w", err)
+	}
+	if nSample > nMinima {
+		return fmt.Errorf("sketch: corrupt sample length %d (only %d minima)", nSample, nMinima)
+	}
+	for i := uint64(0); i < nSample; i++ {
+		vlen, err := readU64()
+		if err != nil {
+			return fmt.Errorf("sketch: sample: %w", err)
+		}
+		if vlen > maxDecodeLen {
+			return fmt.Errorf("sketch: corrupt sample value length %d", vlen)
+		}
+		if _, err := br.Discard(int(vlen)); err != nil {
+			return fmt.Errorf("sketch: sample: %w", err)
+		}
+	}
+	return nil
 }
 
 // WriteFile persists the sketch at path (typically the attribute's value

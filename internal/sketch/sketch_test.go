@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -272,156 +273,84 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestSampleMatchesMinima pins the value sample to the KMV invariant:
-// the retained values are exactly the values whose hashes are the k
-// smallest distinct hashes, sorted in string order — a uniform random
-// sample of the distinct set.
-func TestSampleMatchesMinima(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(300)
-		vals := make([]string, n)
-		for i := range vals {
-			vals[i] = fmt.Sprintf("v%d", rng.Intn(200))
-		}
-		k := 1 + rng.Intn(24)
-		s := buildFrom(Config{K: k}, vals, distinctCount(vals))
-
-		byHash := make(map[uint64]string)
-		for _, v := range vals {
-			byHash[Hash(v)] = v
-		}
-		want := make([]string, 0, len(s.Minima()))
-		for _, h := range s.Minima() {
-			want = append(want, byHash[h])
-		}
-		sort.Strings(want)
-		if len(want) == 0 {
-			want = nil
-		}
-		got := s.Sample()
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (k=%d): sample = %v, want %v", trial, k, got, want)
-		}
-	}
-}
-
-// TestAddHashYieldsNoSample: hash-only feeding cannot recover values.
-func TestAddHashYieldsNoSample(t *testing.T) {
-	b := NewBuilder(Config{K: 8}, 3)
-	for _, v := range []string{"a", "b", "c"} {
-		b.AddHash(Hash(v))
-	}
-	s := b.Finish()
-	if len(s.Minima()) != 3 || len(s.Sample()) != 0 {
-		t.Fatalf("minima %d, sample %v", len(s.Minima()), s.Sample())
-	}
-}
-
-// TestDecodeV1Compat: sketches persisted before the value sample existed
-// (magic "ske1") still decode — minima and bloom intact, empty sample.
+// TestDecodeV1Compat pins the v1 layout that Encode writes — magic
+// "ske1", six header words, the minima, the bloom words — against a
+// hand-assembled payload, so files written before and after the v2
+// sample section existed decode into the same sketch.
 func TestDecodeV1Compat(t *testing.T) {
+	s := buildFrom(Config{K: 4}, []string{"a", "b", "c", "d", "e"}, 5)
+	v1 := []byte("ske1")
+	for _, w := range []uint64{uint64(s.k), uint64(s.n), uint64(len(s.minima)),
+		uint64(s.bloom.partitions), s.bloom.partitionLen, uint64(len(s.bloom.bits))} {
+		v1 = binary.LittleEndian.AppendUint64(v1, w)
+	}
+	for _, w := range s.minima {
+		v1 = binary.LittleEndian.AppendUint64(v1, w)
+	}
+	for _, w := range s.bloom.bits {
+		v1 = binary.LittleEndian.AppendUint64(v1, w)
+	}
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), v1) {
+		t.Fatalf("Encode wrote %d bytes that differ from the %d-byte v1 layout", buf.Len(), len(v1))
+	}
+	got, err := Decode(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("v1 decoded to %+v, want %+v", got, s)
+	}
+}
+
+// TestDecodeV2Compat: sketches persisted by builds that appended a KMV
+// value sample (magic "ske2") still decode, into exactly the sketch their
+// v1 twin holds; a corrupt sample section is rejected, not skipped over.
+func TestDecodeV2Compat(t *testing.T) {
 	s := buildFrom(Config{K: 4}, []string{"a", "b", "c", "d", "e"}, 5)
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	// Rewrite the magic to v1 and truncate the trailing sample section —
-	// exactly the bytes a v1 writer would have produced.
-	sampleLen := 8
-	for _, v := range s.Sample() {
-		sampleLen += 8 + len(v)
+	v1 := buf.Bytes()
+	v2 := func(sample ...string) []byte {
+		out := append([]byte("ske2"), v1[4:]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(sample)))
+		for _, v := range sample {
+			out = binary.LittleEndian.AppendUint64(out, uint64(len(v)))
+			out = append(out, v...)
+		}
+		return out
 	}
-	v1 := append([]byte(nil), raw[:len(raw)-sampleLen]...)
-	copy(v1, "ske1")
-	got, err := Decode(bytes.NewReader(v1))
+	want, err := Decode(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Minima(), s.Minima()) {
-		t.Fatalf("v1 minima = %v, want %v", got.Minima(), s.Minima())
-	}
-	if len(got.Sample()) != 0 {
-		t.Fatalf("v1 decode produced a sample: %v", got.Sample())
-	}
-	for _, v := range []string{"a", "b", "c", "d", "e"} {
-		if !got.MayContain(Hash(v)) {
-			t.Fatalf("v1 bloom lost %q", v)
+	for _, sample := range [][]string{nil, {"a", "c", "e"}} {
+		got, err := Decode(bytes.NewReader(v2(sample...)))
+		if err != nil {
+			t.Fatalf("v2 with sample %q: %v", sample, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("v2 with sample %q decoded to %+v, want %+v", sample, got, want)
 		}
 	}
-}
 
-// TestPlanBoundariesBalancesMass: with a uniform sample, the planned
-// boundaries split the mass roughly evenly and stay strictly ascending.
-func TestPlanBoundariesBalancesMass(t *testing.T) {
-	vals := make([]string, 100)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("%03d", i)
+	tooMany := v2("a", "b", "c", "d", "e") // more sample values than minima
+	if _, err := Decode(bytes.NewReader(tooMany)); err == nil {
+		t.Error("v2 sample longer than the minima accepted")
 	}
-	for _, shards := range []int{2, 4, 7} {
-		bounds := PlanBoundaries([]WeightedSample{{Values: vals, Weight: 100}}, shards)
-		if len(bounds) != shards-1 {
-			t.Fatalf("S=%d: %d boundaries, want %d (%v)", shards, len(bounds), shards-1, bounds)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				t.Fatalf("S=%d: boundaries not ascending: %v", shards, bounds)
-			}
-		}
-		// Count values per shard; even mass means ±1 of the ideal share.
-		counts := make([]int, shards)
-		for _, v := range vals {
-			shard := 0
-			for shard < len(bounds) && v >= bounds[shard] {
-				shard++
-			}
-			counts[shard]++
-		}
-		for i, c := range counts {
-			ideal := len(vals) / shards
-			if c < ideal-1 || c > ideal+2 {
-				t.Fatalf("S=%d: shard %d holds %d values (ideal %d): %v", shards, i, c, ideal, counts)
-			}
-		}
+	huge := binary.LittleEndian.AppendUint64(append([]byte("ske2"), v1[4:]...), 1)
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<40)
+	if _, err := Decode(bytes.NewReader(huge)); err == nil {
+		t.Error("v2 sample value length beyond the decode bound accepted")
 	}
-}
-
-// TestPlanBoundariesWeighting: a heavy attribute concentrated in one
-// region must pull the boundaries toward it even when a light attribute
-// spans a wider range.
-func TestPlanBoundariesWeighting(t *testing.T) {
-	heavy := make([]string, 50) // dense region "m000".."m049", 10000 mass
-	for i := range heavy {
-		heavy[i] = fmt.Sprintf("m%03d", i)
-	}
-	light := []string{"a", "z"} // wide but tiny: 2 mass
-	bounds := PlanBoundaries([]WeightedSample{
-		{Values: heavy, Weight: 10000},
-		{Values: light, Weight: 2},
-	}, 2)
-	if len(bounds) != 1 {
-		t.Fatalf("boundaries = %v, want exactly one", bounds)
-	}
-	if bounds[0] <= "m" || bounds[0] >= "m049" {
-		t.Fatalf("boundary %q not inside the heavy region", bounds[0])
-	}
-}
-
-// TestPlanBoundariesDegenerate: empty and single-value pools yield no
-// boundaries instead of inventing unsplittable ones.
-func TestPlanBoundariesDegenerate(t *testing.T) {
-	if b := PlanBoundaries(nil, 4); b != nil {
-		t.Fatalf("nil pool planned %v", b)
-	}
-	if b := PlanBoundaries([]WeightedSample{{Values: []string{"x", "x", "x"}, Weight: 3}}, 4); b != nil {
-		t.Fatalf("single-value pool planned %v", b)
-	}
-	if b := PlanBoundaries([]WeightedSample{{Values: []string{"a", "b"}, Weight: 2}}, 1); b != nil {
-		t.Fatalf("S=1 planned %v", b)
+	truncated := v2("abc")
+	if _, err := Decode(bytes.NewReader(truncated[:len(truncated)-1])); err == nil {
+		t.Error("truncated v2 sample accepted")
 	}
 }
 

@@ -43,10 +43,3 @@ func ReadFileValues(path string) ([]string, error) {
 func FileSection(path, tag string) (data []byte, ok bool, err error) {
 	return valfile.ReadSection(path, tag)
 }
-
-// SampleFileValues returns up to max ascending sample values of the
-// value file at path (block: the block index's first values; text: the
-// first value only).
-func SampleFileValues(path string, max int) ([]string, error) {
-	return valfile.SampleValues(path, max)
-}

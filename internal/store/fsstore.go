@@ -133,11 +133,6 @@ func (f *FS) Section(key, tag string) ([]byte, bool, error) {
 	}
 }
 
-// Sample returns up to max ascending sample values of key's file.
-func (f *FS) Sample(key string, max int) ([]string, error) {
-	return SampleFileValues(f.Path(key), max)
-}
-
 // fsWriter adapts a valfile.Writer to the ValueWriter contract,
 // buffering sections the text encoding cannot embed.
 type fsWriter struct {

@@ -110,30 +110,6 @@ func (m *Mem) Section(key, tag string) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-// Sample returns up to max evenly spaced values of key's set.
-func (m *Mem) Sample(key string, max int) ([]string, error) {
-	vals, ok := m.get(key)
-	if !ok {
-		return nil, fmt.Errorf("store: no in-memory value set for key %q", key)
-	}
-	return sampleSlice(vals, max), nil
-}
-
-// sampleSlice returns up to max evenly spaced values of sorted.
-func sampleSlice(vals []string, max int) []string {
-	if max <= 0 || len(vals) == 0 {
-		return nil
-	}
-	if len(vals) <= max {
-		return append([]string(nil), vals...)
-	}
-	out := make([]string, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, vals[i*len(vals)/max])
-	}
-	return out
-}
-
 // memWriter stages values and sections, enforcing the sorted-distinct
 // invariant, and commits atomically at Close.
 type memWriter struct {

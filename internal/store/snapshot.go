@@ -126,15 +126,6 @@ func (s *Snapshot) Section(key, tag string) ([]byte, bool, error) {
 	return data, found, nil
 }
 
-// Sample serves boundary samples from the pooled value cache.
-func (s *Snapshot) Sample(key string, max int) ([]string, error) {
-	vals, err := s.values(key)
-	if err != nil {
-		return nil, err
-	}
-	return sampleSlice(vals, max), nil
-}
-
 // Len returns the cardinality of key's value set, loading it into the
 // pooled cache on first use — the cheap per-key stat access a serving
 // layer needs (after the first touch it is a map lookup plus a len).

@@ -63,8 +63,8 @@ type Dataset interface {
 	Open(key string, counter *valfile.ReadCounter) (Cursor, error)
 
 	// OpenRange returns a cursor restricted to the canonical value
-	// range bounds — the sharded engines' access path. It must be safe
-	// to open the same key once per shard, concurrently.
+	// range bounds; a point range serves single-value membership
+	// lookups. It must be safe to open the same key concurrently.
 	OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error)
 
 	// Create stages a new value set under key, replacing any existing
@@ -78,10 +78,4 @@ type Dataset interface {
 	// Section returns the named section attached to key; ok is false
 	// when the key exists but carries no such section.
 	Section(key, tag string) (data []byte, ok bool, err error)
-
-	// Sample returns up to max cheap order statistics of key's value
-	// set (ascending, possibly fewer than max) for shard boundary
-	// planning. The sample carries no accuracy guarantee beyond being
-	// actual values of the set.
-	Sample(key string, max int) ([]string, error)
 }

@@ -62,8 +62,8 @@ func drainCursor(t *testing.T, c Cursor) []string {
 	return out
 }
 
-// TestBackendRoundTrip stages, enumerates, reads (full and ranged),
-// samples, and removes a value set on every writable backend.
+// TestBackendRoundTrip stages, enumerates, reads (full and ranged)
+// and removes a value set on every writable backend.
 func TestBackendRoundTrip(t *testing.T) {
 	vals := []string{"", "a\nb", "m", "nul\x00byte", "z"}
 	for name, ds := range backends(t) {
@@ -100,14 +100,6 @@ func TestBackendRoundTrip(t *testing.T) {
 			}
 			if got := drainCursor(t, cur); !reflect.DeepEqual(got, []string{"m", "nul\x00byte"}) {
 				t.Errorf("ranged values = %q", got)
-			}
-
-			sample, err := ds.Sample("a.val", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sample) == 0 || len(sample) > 2 {
-				t.Errorf("Sample = %q", sample)
 			}
 
 			if _, err := ds.Open("missing.val", nil); err == nil {

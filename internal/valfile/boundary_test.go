@@ -266,31 +266,3 @@ func TestReadSectionTextIsAbsent(t *testing.T) {
 		t.Fatalf("ReadSection(text) = %q, %v, %v; want nil, false, nil", data, ok, err)
 	}
 }
-
-func TestSampleValues(t *testing.T) {
-	dir := t.TempDir()
-	var values []string
-	for i := 0; i < 64; i++ {
-		values = append(values, fmt.Sprintf("v%03d", i))
-	}
-	for _, format := range formats {
-		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, dir, format, values)
-			samples, err := SampleValues(path, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(samples) == 0 || len(samples) > 8 {
-				t.Fatalf("got %d samples, want 1..8", len(samples))
-			}
-			for i, s := range samples {
-				if s < values[0] || s > values[len(values)-1] {
-					t.Errorf("sample %d = %q outside the file's value range", i, s)
-				}
-				if i > 0 && samples[i-1] >= s {
-					t.Errorf("samples not strictly increasing at %d: %q >= %q", i, samples[i-1], s)
-				}
-			}
-		})
-	}
-}

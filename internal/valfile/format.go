@@ -93,43 +93,3 @@ func ReadSection(path, tag string) (data []byte, ok bool, err error) {
 	defer blk.Close()
 	return blk.Section(tag)
 }
-
-// SampleValues returns up to max values sampled from the sorted file at
-// path, in increasing order, always including the file's first value
-// when it has one. Block files sample block-index first values without
-// reading any block — an O(index) distribution sketch for shard
-// planning; text files fall back to the first record only.
-func SampleValues(path string, max int) ([]string, error) {
-	if max <= 0 {
-		return nil, nil
-	}
-	format, err := DetectFormat(path)
-	if err != nil {
-		return nil, err
-	}
-	if format == FormatBlock {
-		blk, err := blockfile.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("valfile: %w", err)
-		}
-		defer blk.Close()
-		firsts := blk.BlockFirstValues()
-		if len(firsts) <= max {
-			return firsts, nil
-		}
-		out := make([]string, 0, max)
-		for i := 0; i < max; i++ {
-			out = append(out, firsts[i*len(firsts)/max])
-		}
-		return out, nil
-	}
-	r, err := Open(path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if v, ok := r.Next(); ok {
-		return []string{v}, nil
-	}
-	return nil, r.Err()
-}

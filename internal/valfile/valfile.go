@@ -227,8 +227,7 @@ func (c *ReadCounter) Reset() {
 // Range restricts a cursor to canonical values in the half-open interval
 // [Lo, Hi). The empty string is the minimum value, so the zero Range is
 // unbounded; HasHi distinguishes an exclusive upper bound from "no upper
-// bound". Range sharding partitions the sorted value space into disjoint
-// ranges, one independent merge per range.
+// bound".
 type Range struct {
 	Lo    string
 	Hi    string
@@ -292,8 +291,8 @@ func Open(path string, counter *ReadCounter) (*Reader, error) {
 // files binary-search the block index to the one block that can contain
 // Lo; text files binary-search raw byte offsets (a probe seeks, aligns
 // to the next record boundary, and reads one value) and start within
-// one probe window of the first in-range record. Range shards therefore
-// pay I/O roughly proportional to their own slice of the file.
+// one probe window of the first in-range record. A ranged read therefore
+// pays I/O roughly proportional to its own slice of the file.
 func OpenRange(path string, counter *ReadCounter, bounds Range) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {

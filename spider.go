@@ -194,14 +194,6 @@ type Options struct {
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
 	ExportWorkers int
-	// Shards (SpiderMerge only) partitions the canonical value space into
-	// that many disjoint ranges and runs one independent heap merge per
-	// range on min(Shards, GOMAXPROCS) workers; 0 or 1 keeps the
-	// single-threaded merge. Boundaries balance shards by estimated value
-	// mass when SketchPrefilter built KMV samples, and split the min/max
-	// key range evenly otherwise. The IND output is identical regardless
-	// of the shard count.
-	Shards int
 	// SketchPrefilter enables the per-attribute sketch pre-filter: a
 	// KMV min-hash signature plus a partitioned bloom filter, built for
 	// every attribute in the same streaming pass that extracts its
@@ -271,17 +263,6 @@ type Stats struct {
 	// consulted. Both are zero when the pre-filter is off.
 	CandidatesPruned int
 	SketchBytes      int64
-	// Sharded-run observability (empty on unsharded runs). ShardPlanner
-	// names the boundary strategy that ran ("kmv" when every attribute
-	// carries a KMV sample, else "minmax"); ShardPlanFallback records why
-	// the plan degraded — e.g. the boundary sample collapsing the run to
-	// one shard — instead of hiding the collapse.
-	// ShardItemsRead and ShardDurations break the merge work down per
-	// shard, so load skew is measurable.
-	ShardPlanner      string
-	ShardPlanFallback string
-	ShardItemsRead    []int64
-	ShardDurations    []time.Duration
 	// Duration is the wall-clock time of the verification phase.
 	Duration time.Duration
 }
@@ -408,9 +389,6 @@ func GeneratePDB(cfg DatasetConfig) *Database {
 // FindINDs discovers all satisfied unary INDs of db using the selected
 // algorithm.
 func FindINDs(db *Database, opts Options) (*Result, error) {
-	if opts.Shards > 1 && opts.Algorithm != SpiderMerge {
-		return nil, fmt.Errorf("spider: Shards require Algorithm SpiderMerge")
-	}
 	if opts.SketchMinContainment < 0 || opts.SketchMinContainment > 1 {
 		// > 1 would silently prune every candidate (estimates cap at 1).
 		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
@@ -486,9 +464,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 			DepBlock: opts.DepBlock, RefBlock: opts.RefBlock, Counter: &counter, Store: readDS,
 		})
 	case SpiderMerge:
-		res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{
-			Counter: &counter, Store: readDS, Shards: opts.Shards,
-		})
+		res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: readDS})
 	case SQLJoin, SQLMinus, SQLNotIn:
 		variant := map[Algorithm]ind.SQLVariant{
 			SQLJoin: ind.SQLJoin, SQLMinus: ind.SQLMinus, SQLNotIn: ind.SQLNotIn,
@@ -549,20 +525,16 @@ func needsFiles(a Algorithm) bool {
 // convertStats maps the internal stats onto the public ones.
 func convertStats(st ind.Stats) Stats {
 	return Stats{
-		Candidates:        st.Candidates,
-		Satisfied:         st.Satisfied,
-		ItemsRead:         st.ItemsRead,
-		BytesRead:         st.BytesRead,
-		Comparisons:       st.Comparisons,
-		MaxOpenFiles:      st.MaxOpenFiles,
-		Events:            st.Events,
-		CandidatesPruned:  st.CandidatesPruned,
-		SketchBytes:       st.SketchBytes,
-		ShardPlanner:      st.ShardPlanner,
-		ShardPlanFallback: st.ShardPlanFallback,
-		ShardItemsRead:    st.ShardItemsRead,
-		ShardDurations:    st.ShardDurations,
-		Duration:          st.Duration,
+		Candidates:       st.Candidates,
+		Satisfied:        st.Satisfied,
+		ItemsRead:        st.ItemsRead,
+		BytesRead:        st.BytesRead,
+		Comparisons:      st.Comparisons,
+		MaxOpenFiles:     st.MaxOpenFiles,
+		Events:           st.Events,
+		CandidatesPruned: st.CandidatesPruned,
+		SketchBytes:      st.SketchBytes,
+		Duration:         st.Duration,
 	}
 }
 

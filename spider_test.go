@@ -404,8 +404,6 @@ func TestSketchPrefilterIdenticalINDs(t *testing.T) {
 	cases := []Options{
 		{Algorithm: SpiderMerge},
 		{Algorithm: SpiderMerge, Store: NewSpillStore()},
-		{Algorithm: SpiderMerge, Store: NewSpillStore(), Shards: 3},
-		{Algorithm: SpiderMerge, Shards: 2},
 		{Algorithm: BruteForce},
 		{Algorithm: SinglePass},
 		{Algorithm: InMemory},
@@ -414,7 +412,7 @@ func TestSketchPrefilterIdenticalINDs(t *testing.T) {
 	for _, opts := range cases {
 		opts.SketchPrefilter = true
 		// The stream axis is the spill backend.
-		name := fmt.Sprintf("%v/stream=%v/shards=%d", opts.Algorithm, opts.Store.spill(), opts.Shards)
+		name := fmt.Sprintf("%v/stream=%v", opts.Algorithm, opts.Store.spill())
 		t.Run(name, func(t *testing.T) {
 			res, err := FindINDs(db, opts)
 			if err != nil {
@@ -452,34 +450,5 @@ func TestSketchMinContainmentValidation(t *testing.T) {
 		Threshold: 0.9, Algorithm: SpiderMerge, SketchPrefilter: true, SketchMinContainment: 1.2,
 	}); err == nil {
 		t.Error("FindPartialINDs accepted SketchMinContainment > 1")
-	}
-}
-
-// TestShardsRequireSpiderMerge: every discovery entry point rejects
-// Shards > 1 on an engine that cannot shard, instead of silently running
-// unsharded.
-func TestShardsRequireSpiderMerge(t *testing.T) {
-	db := demoDatabase(t)
-	for name, run := range map[string]func() error{
-		"FindINDs": func() error {
-			_, err := FindINDs(db, Options{Algorithm: SinglePass, Shards: 2})
-			return err
-		},
-		"FindPartialINDs": func() error {
-			_, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Algorithm: BruteForce, Shards: 2})
-			return err
-		},
-		"FindNaryINDs": func() error {
-			_, _, err := FindNaryINDs(db, NaryOptions{MaxArity: 2, Algorithm: InMemory, Shards: 2})
-			return err
-		},
-		"FindEmbeddedINDsWith": func() error {
-			_, _, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: BruteForce, Shards: 2})
-			return err
-		},
-	} {
-		if err := run(); err == nil {
-			t.Errorf("%s accepted Shards > 1 without SpiderMerge", name)
-		}
 	}
 }
