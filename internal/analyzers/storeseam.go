@@ -41,7 +41,6 @@ var storeSeamAllowed = []string{
 // callable everywhere: it inspects encodings without opening a stream.
 var storeSeamForbidden = []string{
 	"Open",
-	"OpenRange",
 	"Create",
 	"CreateFormat",
 	"WriteAll",
@@ -78,8 +77,6 @@ func storeSeamBlessed(name string) string {
 	switch name {
 	case "Open":
 		return "OpenFile"
-	case "OpenRange":
-		return "OpenFileRange"
 	case "Create", "CreateFormat":
 		return "CreateFile"
 	case "WriteAll", "WriteAllFormat":

@@ -12,14 +12,6 @@ func openDirect(path string) error {
 	return r.Close()
 }
 
-func openRangeDirect(path string, bounds valfile.Range) error {
-	r, err := valfile.OpenRange(path, nil, bounds) // want `direct valfile\.OpenRange call outside internal/store`
-	if err != nil {
-		return err
-	}
-	return r.Close()
-}
-
 func createDirect(path string, format valfile.Format) error {
 	if _, err := valfile.Create(path); err != nil { // want `direct valfile\.Create call outside internal/store`
 		return err

@@ -16,10 +16,7 @@ func CreateFile(path string, format valfile.Format) (*valfile.Writer, error) {
 
 // readEverything exercises the remaining gated entry points from
 // inside the seam, where they are all legitimate.
-func readEverything(path string, bounds valfile.Range) error {
-	if r, err := valfile.OpenRange(path, nil, bounds); err == nil {
-		r.Close()
-	}
+func readEverything(path string) error {
 	if _, err := valfile.Create(path); err != nil {
 		return err
 	}

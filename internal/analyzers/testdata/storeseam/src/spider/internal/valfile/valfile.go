@@ -5,9 +5,6 @@ package valfile
 // Format mirrors the encoding selector.
 type Format int
 
-// Range mirrors the canonical value range.
-type Range struct{ Lo, Hi string }
-
 // ReadCounter mirrors the shared read counter.
 type ReadCounter struct{ n int64 }
 
@@ -27,10 +24,6 @@ func (w *Writer) Close() error          { return nil }
 // The gated entry points: open, create and bulk read/write.
 
 func Open(path string, counter *ReadCounter) (*Reader, error) { return &Reader{}, nil }
-
-func OpenRange(path string, counter *ReadCounter, bounds Range) (*Reader, error) {
-	return &Reader{}, nil
-}
 
 func Create(path string) (*Writer, error) { return &Writer{}, nil }
 

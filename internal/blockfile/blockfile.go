@@ -9,7 +9,7 @@
 // The format is documented in README.md next to this file. Layering:
 // blockfile knows nothing about valfile, sketches or sorting — it
 // stores ordered byte strings and opaque sections. valfile wraps it
-// behind the Format seam and owns range semantics and read counters.
+// behind the Format seam and owns the read counters.
 //
 // The first magic byte is '\n' (0x0A). The legacy text format escapes
 // every newline inside a value, so a non-empty text value file can

@@ -138,74 +138,6 @@ func TestEmptyFileMeta(t *testing.T) {
 	}
 }
 
-func TestSeekLowerBound(t *testing.T) {
-	vals := genVals(1000)
-	path := writeFile(t, vals, Options{TargetBlockSize: 256}, nil)
-	cases := []struct {
-		lo   string
-		want string // first value expected at or after lo ("" = none)
-	}{
-		{"", vals[0]},
-		{vals[0], vals[0]},
-		{vals[500], vals[500]},
-		{vals[500] + "x", vals[501]},
-		{vals[999], vals[999]},
-		{vals[999] + "x", ""},
-		{"zzzz", ""},
-	}
-	for _, c := range cases {
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		r.SeekLowerBound(c.lo)
-		var got string
-		for {
-			v, ok := r.Next()
-			if !ok {
-				break
-			}
-			if v >= c.lo {
-				got = v
-				break
-			}
-		}
-		if err := r.Err(); err != nil {
-			t.Fatalf("lo=%q: Err: %v", c.lo, err)
-		}
-		if got != c.want {
-			t.Errorf("lo=%q: first value %q, want %q", c.lo, got, c.want)
-		}
-		r.Close()
-	}
-}
-
-// Seeking must never position past a block that still contains values
-// >= lo, for any lo between every adjacent pair.
-func TestSeekLowerBoundExhaustive(t *testing.T) {
-	vals := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	path := writeFile(t, vals, Options{TargetBlockSize: 1}, nil) // one value per block
-	for i, v := range vals {
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		r.SeekLowerBound(v)
-		got, ok := r.Next()
-		if !ok || got != v {
-			t.Errorf("seek %q: got %q ok=%v, want %q", v, got, ok, v)
-		}
-		// Remaining values stream in order.
-		for j := i + 1; j < len(vals); j++ {
-			got, ok = r.Next()
-			if !ok || got != vals[j] {
-				t.Errorf("seek %q: position %d got %q ok=%v, want %q", v, j, got, ok, vals[j])
-			}
-		}
-		r.Close()
-	}
-}
-
 func TestSections(t *testing.T) {
 	sk := bytes.Repeat([]byte{0xAB, 0xCD}, 500)
 	rm := []byte("runmeta")

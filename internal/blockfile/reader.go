@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"io"
 	"os"
-	"sort"
 )
 
 // Reader iterates a block-format file in value order. Open validates
@@ -30,7 +29,6 @@ type Reader struct {
 	remaining int    // records left in the current block
 	prev      string // last value returned (front-coding base)
 	havePrev  bool   // prev holds a decoded value
-	started   bool   // Next or SeekLowerBound has been called
 	err       error
 	done      bool
 
@@ -193,37 +191,12 @@ func (r *Reader) parseIndex(idx []byte, indexOff int64) error {
 	return nil
 }
 
-// SeekLowerBound positions the reader so that the next value returned
-// is the smallest value >= lo, using the block index (a binary search
-// over first values) instead of scanning. It must be called before the
-// first Next.
-func (r *Reader) SeekLowerBound(lo string) {
-	if r.err != nil || r.done || r.started {
-		return
-	}
-	r.started = true
-	if r.count == 0 || lo > r.max {
-		r.done = true
-		return
-	}
-	// First block whose first value is > lo, minus one: the last block
-	// that can contain lo. Values before lo inside that block are
-	// skipped by Next's decode loop in the valfile wrapper; here we
-	// only avoid reading blocks that end before lo.
-	i := sort.Search(len(r.index), func(i int) bool { return r.index[i].first > lo }) - 1
-	if i < 0 {
-		i = 0
-	}
-	r.curBlock = i
-}
-
 // Next returns the next value in order, or false at the end of the
 // file or on error (check Err).
 func (r *Reader) Next() (string, bool) {
 	if r.err != nil || r.done {
 		return "", false
 	}
-	r.started = true
 	if r.remaining == 0 {
 		if !r.loadBlock() {
 			return "", false
@@ -314,8 +287,8 @@ func (r *Reader) decodeRecord() (string, bool) {
 		v = r.prev[:prefix] + string(suffix)
 	}
 	// Strictly-increasing check against the last decoded value. The
-	// first record after Open/SeekLowerBound has nothing to compare to;
-	// cross-block first-value order is already enforced by the index.
+	// first record has nothing to compare to; cross-block first-value
+	// order is already enforced by the index.
 	if r.havePrev && v <= r.prev {
 		r.fail(corruptf("%s: block at %d: value %q not increasing after %q", r.path, e.off, v, r.prev))
 		return "", false

@@ -195,7 +195,7 @@ func (s *Sorter) DrainTo(sink Sink, observe func(string)) (n int, max string, me
 		return n, max, meta, nil
 	}
 
-	merge, err := newMerger(s.runs, s.buf, "")
+	merge, err := newMerger(s.runs, s.buf)
 	if err != nil {
 		return 0, "", RunMeta{}, err
 	}
@@ -227,7 +227,7 @@ func (s *Sorter) mergePass() error {
 		k = len(s.runs)
 	}
 	batch := s.runs[:k]
-	merge, err := newMerger(batch, nil, "")
+	merge, err := newMerger(batch, nil)
 	if err != nil {
 		return err
 	}
@@ -280,45 +280,32 @@ func (s *Sorter) Discard() {
 
 // MergeCursor streams a frozen sorter's sorted distinct value set
 // directly from its spill runs and in-memory tail, without materializing
-// the merged file, bounded to a value range. It satisfies the same
-// Next/Err/Close contract as a valfile.Reader, so the IND engines can
-// consume spill runs in place.
+// the merged file. It satisfies the same Next/Err/Close contract as a
+// valfile.Reader, so the IND engines can consume spill runs in place.
 type MergeCursor struct {
 	m       *merger
 	counter *valfile.ReadCounter
-	bounds  valfile.Range
 	err     error
 	done    bool
 	closed  bool
 }
 
-// Next returns the next distinct value in sorted order, restricted to the
-// cursor's bounds. Values before the range are skipped uncounted; the
-// merge stops at the first value at or past the upper bound.
+// Next returns the next distinct value in sorted order.
 func (c *MergeCursor) Next() (string, bool) {
-	for {
-		if c.err != nil || c.done || c.closed {
-			return "", false
-		}
-		v, ok, err := c.m.nextDistinct()
-		if err != nil {
-			c.err = err
-			return "", false
-		}
-		if !ok {
-			c.done = true
-			return "", false
-		}
-		if v < c.bounds.Lo {
-			continue
-		}
-		if c.bounds.HasHi && v >= c.bounds.Hi {
-			c.done = true // merged stream is sorted: nothing further qualifies
-			return "", false
-		}
-		c.counter.Add(1)
-		return v, true
+	if c.err != nil || c.done || c.closed {
+		return "", false
 	}
+	v, ok, err := c.m.nextDistinct()
+	if err != nil {
+		c.err = err
+		return "", false
+	}
+	if !ok {
+		c.done = true
+		return "", false
+	}
+	c.counter.Add(1)
+	return v, true
 }
 
 // Err returns the first error encountered, if any.
@@ -338,9 +325,8 @@ func (c *MergeCursor) Close() error {
 
 // Runs is a finished sorter's frozen output: its spill runs plus the
 // sorted in-memory tail. A Runs handle can be opened any number of
-// times — concurrently, each cursor optionally bounded to a value
-// range. Close removes the spill runs; it must not be called
-// before every opened cursor is closed.
+// times, concurrently included. Close removes the spill runs; it must
+// not be called before every opened cursor is closed.
 type Runs struct {
 	runs   []string
 	mem    []string
@@ -367,20 +353,18 @@ func (s *Sorter) Freeze() (*Runs, error) {
 	return r, nil
 }
 
-// OpenRange returns a fresh merge cursor over the frozen runs, bounded to
-// [bounds.Lo, bounds.Hi). It is safe to call concurrently; every cursor
-// opens its own readers. counter may be nil.
-func (r *Runs) OpenRange(bounds valfile.Range, counter *valfile.ReadCounter) (*MergeCursor, error) {
+// Open returns a fresh merge cursor over the frozen runs. It is safe to
+// call concurrently; every cursor opens its own readers. counter may be
+// nil.
+func (r *Runs) Open(counter *valfile.ReadCounter) (*MergeCursor, error) {
 	if r.closed {
-		return nil, fmt.Errorf("extsort: OpenRange after Close")
+		return nil, fmt.Errorf("extsort: Open after Close")
 	}
-	// The in-memory tail is sorted: skip straight to the lower bound.
-	mem := r.mem[sort.SearchStrings(r.mem, bounds.Lo):]
-	m, err := newMerger(r.runs, mem, bounds.Lo)
+	m, err := newMerger(r.runs, r.mem)
 	if err != nil {
 		return nil, err
 	}
-	return &MergeCursor{m: m, counter: counter, bounds: bounds}, nil
+	return &MergeCursor{m: m, counter: counter}, nil
 }
 
 // Close removes the spill runs. Safe to call more than once.
@@ -426,13 +410,11 @@ func (h *mergeHeap) Pop() interface{} {
 	return it
 }
 
-// newMerger k-way merges the runs and mem. A non-empty lo opens every
-// run reader positioned (by byte-offset binary search) at the first
-// value >= lo, so a ranged cursor skips the prefix cheaply.
-func newMerger(runs []string, mem []string, lo string) (*merger, error) {
+// newMerger k-way merges the runs and mem.
+func newMerger(runs []string, mem []string) (*merger, error) {
 	m := &merger{mem: mem}
 	for _, p := range runs {
-		r, err := store.OpenFileRange(p, nil, valfile.Range{Lo: lo})
+		r, err := store.OpenFile(p, nil)
 		if err != nil {
 			m.close()
 			return nil, err

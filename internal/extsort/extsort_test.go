@@ -202,7 +202,7 @@ func TestCursorStreamsSortedDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	var counter valfile.ReadCounter
-	cur, err := runs.OpenRange(valfile.Range{}, &counter)
+	cur, err := runs.Open(&counter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,10 @@ func TestDiscard(t *testing.T) {
 	}
 }
 
-// TestRunsFreezeOpenRange covers the frozen-runs replay path: a sorter
-// frozen into a Runs handle can be opened many times, concurrently, each
-// cursor bounded to a disjoint range, and the concatenation of the range
-// streams is exactly the sorted distinct set.
-func TestRunsFreezeOpenRange(t *testing.T) {
+// TestRunsFreezeReplay covers the frozen-runs replay path: a sorter
+// frozen into a Runs handle can be opened many times, with cursors open
+// side by side, and every cursor yields exactly the sorted distinct set.
+func TestRunsFreezeReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var vals []string
 	for i := 0; i < 300; i++ {
@@ -278,49 +277,48 @@ func TestRunsFreezeOpenRange(t *testing.T) {
 	}
 	defer runs.Close()
 
-	drain := func(bounds valfile.Range) []string {
-		c, err := runs.OpenRange(bounds, nil)
-		if err != nil {
+	var curs [2]*MergeCursor
+	for i := range curs {
+		if curs[i], err = runs.Open(nil); err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		var out []string
-		for {
-			v, ok := c.Next()
-			if !ok {
-				break
+		defer curs[i].Close()
+	}
+	// Interleave the two cursors: each owns its run readers.
+	var got [2][]string
+	for live := true; live; {
+		live = false
+		for i, c := range curs {
+			if v, ok := c.Next(); ok {
+				got[i] = append(got[i], v)
+				live = true
 			}
-			if !bounds.Contains(v) {
-				t.Fatalf("value %q outside bounds %+v", v, bounds)
-			}
-			out = append(out, v)
 		}
+	}
+	for i, c := range curs {
 		if err := c.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-
-	full := drain(valfile.Range{})
-	if !reflect.DeepEqual(full, want) {
-		t.Fatalf("full range = %d values, want %d", len(full), len(want))
-	}
-	// Disjoint ranges partition the stream.
-	bounds := []valfile.Range{
-		{Hi: "v030", HasHi: true},
-		{Lo: "v030", Hi: "v070", HasHi: true},
-		{Lo: "v070"},
-	}
-	var joined []string
-	for _, b := range bounds {
-		joined = append(joined, drain(b)...)
-	}
-	if !reflect.DeepEqual(joined, want) {
-		t.Errorf("disjoint ranges reassemble %d values, want %d", len(joined), len(want))
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("cursor %d = %d values, want %d", i, len(got[i]), len(want))
+		}
 	}
 	// Re-opening after draining still works (replay).
-	if again := drain(valfile.Range{Lo: "v030", Hi: "v070", HasHi: true}); !reflect.DeepEqual(again, drain(bounds[1])) {
-		t.Error("replayed range differs")
+	again, err := runs.Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	var replay []string
+	for {
+		v, ok := again.Next()
+		if !ok {
+			break
+		}
+		replay = append(replay, v)
+	}
+	if err := again.Err(); err != nil || !reflect.DeepEqual(replay, want) {
+		t.Errorf("replay = %d values (err %v), want %d", len(replay), err, len(want))
 	}
 }
 
@@ -340,8 +338,8 @@ func TestRunsClose(t *testing.T) {
 	if err := runs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runs.OpenRange(valfile.Range{}, nil); err == nil {
-		t.Error("OpenRange after Close must fail")
+	if _, err := runs.Open(nil); err == nil {
+		t.Error("Open after Close must fail")
 	}
 	left, err := os.ReadDir(dir)
 	if err != nil {

@@ -3,9 +3,6 @@ package extsort
 import (
 	"encoding/binary"
 	"fmt"
-
-	"spider/internal/store"
-	"spider/internal/valfile"
 )
 
 // RunMeta is the sorter provenance embedded in block-format output
@@ -39,19 +36,4 @@ func DecodeRunMeta(b []byte) (RunMeta, error) {
 		Added:     int64(binary.LittleEndian.Uint64(b[0:8])),
 		SpillRuns: int(int64(binary.LittleEndian.Uint64(b[8:16]))),
 	}, nil
-}
-
-// ReadRunMeta returns the run metadata embedded in the value file at
-// path. ok is false when the file is text-format or predates the
-// section.
-func ReadRunMeta(path string) (meta RunMeta, ok bool, err error) {
-	data, ok, err := store.FileSection(path, valfile.RunMetaSection)
-	if err != nil || !ok {
-		return RunMeta{}, false, err
-	}
-	meta, err = DecodeRunMeta(data)
-	if err != nil {
-		return RunMeta{}, false, err
-	}
-	return meta, true, nil
 }

@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"spider/internal/store"
@@ -12,9 +11,9 @@ import (
 // Spill is the read-only store.Dataset over frozen external-sort runs.
 // Each key's sorted distinct value set stays where the sorter left it —
 // spill runs plus the sorted in-memory tail (a Runs handle) — instead
-// of being merged into a final value file. Cursors and range opens come
-// from the Runs handle, so an engine replays a key as often as it needs. Sections stay in memory, as in
-// store.Mem.
+// of being merged into a final value file. Cursors come from the Runs
+// handle, so an engine replays a key as often as it needs. Sections
+// stay in memory, as in store.Mem.
 //
 // Keys are staged with Stage; Create returns store.ErrReadOnly. A
 // Spill serves one discovery call: Remove drops one key's runs early,
@@ -62,7 +61,7 @@ func (s *Spill) Stage(key string, sorter *Sorter, observe func(string)) (store.V
 
 // scan replays the runs once, returning the distinct count and maximum.
 func (r *Runs) scan(observe func(string)) (n int, max string, err error) {
-	c, err := r.OpenRange(valfile.Range{}, nil)
+	c, err := r.Open(nil)
 	if err != nil {
 		return 0, "", err
 	}
@@ -80,18 +79,6 @@ func (r *Runs) scan(observe func(string)) (n int, max string, err error) {
 	return n, max, c.Err()
 }
 
-// Keys enumerates the staged keys, sorted.
-func (s *Spill) Keys() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.sets))
-	for k := range s.sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 func (s *Spill) get(key string) (*spillSet, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -102,19 +89,14 @@ func (s *Spill) get(key string) (*spillSet, error) {
 	return set, nil
 }
 
-// Open returns an unbounded merge cursor over key's runs.
+// Open returns a merge cursor over key's runs; each call opens its own
+// run readers.
 func (s *Spill) Open(key string, counter *valfile.ReadCounter) (store.Cursor, error) {
-	return s.OpenRange(key, counter, valfile.Range{})
-}
-
-// OpenRange returns a merge cursor over key's runs bounded to bounds;
-// each call opens its own run readers.
-func (s *Spill) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (store.Cursor, error) {
 	set, err := s.get(key)
 	if err != nil {
 		return nil, err
 	}
-	c, err := set.runs.OpenRange(bounds, counter)
+	c, err := set.runs.Open(counter)
 	if err != nil {
 		return nil, err
 	}

@@ -71,9 +71,6 @@ func TestSpillDataset(t *testing.T) {
 	}
 	stageSpill(t, sp, dir, "b.val", []string{"x"}, nil)
 
-	if keys, _ := sp.Keys(); !reflect.DeepEqual(keys, []string{"a.val", "b.val"}) {
-		t.Errorf("Keys = %v", keys)
-	}
 	for i := 0; i < 2; i++ { // replayable
 		c, err := sp.Open("a.val", nil)
 		if err != nil {
@@ -83,18 +80,6 @@ func TestSpillDataset(t *testing.T) {
 			t.Fatalf("replay %d = %v, want %v", i, got, want)
 		}
 	}
-	var joined []string
-	for _, b := range []valfile.Range{{Hi: "v12", HasHi: true}, {Lo: "v12", Hi: "v30", HasHi: true}, {Lo: "v30"}} {
-		c, err := sp.OpenRange("a.val", nil, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined = append(joined, readAll(t, c)...)
-	}
-	if !reflect.DeepEqual(joined, want) {
-		t.Errorf("ranges reassemble %v, want %v", joined, want)
-	}
-
 	data, ok, err := sp.Section("a.val", valfile.RunMetaSection)
 	if err != nil || !ok {
 		t.Fatalf("RunMeta section missing (ok=%v, err=%v)", ok, err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"spider/internal/relstore"
 	"spider/internal/value"
@@ -53,23 +54,24 @@ type ResultSetAttr struct {
 const ResultSetSchema = "spider-inds/v1"
 
 // NewResultSet builds the persistable form of a finished run. Every
-// attribute must have been exported (StoreKey non-empty) — a result set
+// attribute must have been exported (Key non-empty) — a result set
 // referencing value sets that no longer exist is useless to a server —
-// and every IND must name catalogued attributes.
+// under a key that names a file inside the dataset directory (see
+// checkKey), and every IND must name catalogued attributes.
 func NewResultSet(dataset, algorithm string, attrs []*Attribute, inds []IND) (*ResultSet, error) {
 	rs := &ResultSet{Schema: ResultSetSchema, Dataset: dataset, Algorithm: algorithm}
 	byRef := make(map[string]int, len(attrs))
 	for _, a := range attrs {
-		// Prefer the bare staging key over the resolved file path: the
-		// result set then stays valid when the export directory moves,
-		// because filesystem datasets re-root bare keys under their own
+		// The bare staging key, not the resolved file path: the result
+		// set then stays valid when the export directory moves, because
+		// filesystem datasets re-root bare keys under their own
 		// directory.
 		key := a.Key
 		if key == "" {
-			key = a.StoreKey()
-		}
-		if key == "" {
 			return nil, fmt.Errorf("ind: result set: attribute %s was never exported to a dataset", a.Ref)
+		}
+		if err := checkKey(key); err != nil {
+			return nil, fmt.Errorf("ind: result set: attribute %s: %w", a.Ref, err)
 		}
 		byRef[a.Ref.String()] = a.ID
 		rs.Attrs = append(rs.Attrs, ResultSetAttr{
@@ -142,15 +144,26 @@ func dirOf(path string) string {
 	return "."
 }
 
+// checkKey rejects a dataset key that does not name a file directly
+// inside the dataset directory. store.FS uses absolute and
+// separator-bearing keys verbatim, so such a key would make a server
+// read a file outside the directory it was pointed at.
+func checkKey(key string) error {
+	if key == "." || key == ".." || strings.ContainsRune(key, '/') || strings.ContainsRune(key, os.PathSeparator) {
+		return fmt.Errorf("dataset key %q is not a plain file name", key)
+	}
+	return nil
+}
+
 // maxResultSetBytes bounds a decoded result set; a corrupted length
 // cannot drive an unbounded read.
 const maxResultSetBytes = 1 << 30
 
 // DecodeResultSet reads and validates a result set written by Encode.
 // Validation covers everything query-time code relies on: schema
-// version, dense unique attribute IDs, non-empty keys and names, known
-// kinds, and IND references in range — so a decoded set can be served
-// without further checks.
+// version, dense unique attribute IDs, non-empty names, keys that name
+// a file inside the dataset directory, known kinds, and IND references
+// in range — so a decoded set can be served without further checks.
 func DecodeResultSet(r io.Reader) (*ResultSet, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxResultSetBytes))
 	if err != nil {
@@ -178,6 +191,9 @@ func DecodeResultSet(r io.Reader) (*ResultSet, error) {
 			return nil, fmt.Errorf("ind: result set: duplicate attribute %s", ref)
 		case a.Key == "":
 			return nil, fmt.Errorf("ind: result set: attribute %s has no dataset key", ref)
+		}
+		if err := checkKey(a.Key); err != nil {
+			return nil, fmt.Errorf("ind: result set: attribute %s: %w", ref, err)
 		}
 		if _, ok := value.ParseKind(a.Kind); !ok {
 			return nil, fmt.Errorf("ind: result set: attribute %s has unknown kind %q", ref, a.Kind)

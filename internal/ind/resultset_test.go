@@ -103,3 +103,44 @@ func TestNewResultSetRejectsUnexported(t *testing.T) {
 		t.Error("unexported attributes accepted")
 	}
 }
+
+// escapingKeys are dataset keys that do not name a file directly inside
+// the dataset directory.
+var escapingKeys = []string{
+	"/abs/a.val",
+	"../a.val",
+	"sub/a.val",
+	".",
+	"..",
+}
+
+func TestNewResultSetRejectsEscapingKeys(t *testing.T) {
+	attrs := prepare(t, buildDB(t))
+	for _, key := range escapingKeys {
+		attrs[0].Key = key
+		if _, err := NewResultSet("unit", "spider-merge", attrs, nil); err == nil {
+			t.Errorf("key %q accepted", key)
+		}
+	}
+	// A file path without a key is not a substitute for one.
+	attrs[0].Path, attrs[0].Key = "/abs/a.val", ""
+	if _, err := NewResultSet("unit", "spider-merge", attrs, nil); err == nil {
+		t.Error("attribute with a path but no key accepted")
+	}
+}
+
+func TestDecodeResultSetRejectsEscapingKeys(t *testing.T) {
+	_, _, rs := discoverResultSet(t)
+	for _, key := range escapingKeys {
+		bad := *rs
+		bad.Attrs = append([]ResultSetAttr(nil), rs.Attrs...)
+		bad.Attrs[0].Key = key
+		var buf bytes.Buffer
+		if err := bad.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResultSet(&buf); err == nil {
+			t.Errorf("key %q accepted", key)
+		}
+	}
+}

@@ -258,39 +258,3 @@ func TestBuildAttributeSketchesMatchesExport(t *testing.T) {
 		}
 	}
 }
-
-// TestSketchFromRuns: a sketch derived from frozen spill runs equals the
-// one built during extraction.
-func TestSketchFromRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vals := make([]string, 500)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("v%03d", rng.Intn(200))
-	}
-	distinct := make(map[string]struct{})
-	for _, v := range vals {
-		distinct[v] = struct{}{}
-	}
-	sorter := extsort.New(extsort.Config{TempDir: t.TempDir(), MaxInMemory: 64})
-	want := sketch.NewBuilder(sketch.Config{}, len(distinct))
-	for _, v := range vals {
-		if err := sorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-		// Add (not AddHash) so the expected sketch retains the value
-		// sample exactly as the runs replay does.
-		want.Add(v)
-	}
-	runs, err := sorter.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runs.Close()
-	got, err := SketchFromRuns(runs, sketch.Config{}, len(distinct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Finish()) {
-		t.Fatal("runs-derived sketch differs from extraction-time sketch")
-	}
-}

@@ -33,7 +33,7 @@ func benchServe(b *testing.B, target string, cacheSize int) {
 
 // BenchmarkServeMember measures the value-membership probe with the
 // response cache disabled — every iteration pays the bloom probe and
-// the point-range cursor.
+// the binary search over the value set.
 func BenchmarkServeMember(b *testing.B) {
 	benchServe(b, "/v1/member?attr=parent.id&value=3", -1)
 }

@@ -240,9 +240,9 @@ func (s *Server) handleAttrs(st *State, r *http.Request) (interface{}, *apiError
 // ---------------------------------------------------------------- member
 
 // MemberResponse is the /v1/member payload. Source names the evidence:
-// "bloom" for a definite sketch refutation (no cursor was opened),
-// "cursor" for a range-cursor point lookup, "null" for a probe value
-// that canonicalises to NULL (never a member of any value set).
+// "bloom" for a definite sketch refutation (the value set was not
+// touched), "cursor" for a lookup in the value set, "null" for a probe
+// value that canonicalises to NULL (never a member of any value set).
 type MemberResponse struct {
 	Dataset    string `json:"dataset"`
 	Attr       string `json:"attr"`
@@ -276,20 +276,17 @@ func (s *Server) handleMember(st *State, r *http.Request) (interface{}, *apiErro
 	resp.Canonical = c
 	// Bloom first: a miss is a definite refutation (no false
 	// negatives), so the value set is never touched. Only a bloom hit
-	// (or a sketchless attribute) pays for the range cursor.
+	// (or a sketchless attribute) pays for the lookup in the value set.
 	if a.Sketch != nil && !a.Sketch.MayContainValue(c) {
 		resp.Source = "bloom"
 		return resp, nil
 	}
 	resp.Source = "cursor"
-	// [c, c+"\x00") contains exactly the value c.
-	cur, err := d.Snap.OpenRange(a.StoreKey(), nil, valfile.Range{Lo: c, Hi: c + "\x00", HasHi: true})
+	member, err := d.Snap.Contains(a.StoreKey(), c)
 	if err != nil {
 		return nil, errUnprocessable("%s: %v", req.Attr, err)
 	}
-	defer cur.Close()
-	got, ok := cur.Next()
-	resp.Member = ok && got == c
+	resp.Member = member
 	return resp, nil
 }
 

@@ -3,10 +3,11 @@
 // files, persisted sketches, and the batch run's result set) into
 // read-only store.Snapshot views and answers SPIDER-style containment
 // questions at high QPS without re-running discovery —
-// value-membership probes (bloom first, range cursor only on a bloom
-// hit), KMV/bloom containment estimates between arbitrary attribute
-// pairs, lookups over the discovered verdict set, and on-demand
-// single-candidate re-verification through the existing merge engines.
+// value-membership probes (bloom first, a binary search over the value
+// set only on a bloom hit), KMV/bloom containment estimates between
+// arbitrary attribute pairs, lookups over the discovered verdict set,
+// and on-demand single-candidate re-verification through the existing
+// merge engines.
 //
 // Refresh is an atomic snapshot swap: a reload stages everything into
 // a scratch store.Mem, re-snapshots, and swaps one pointer; in-flight

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,7 +163,8 @@ func TestAttrs(t *testing.T) {
 }
 
 func TestMember(t *testing.T) {
-	s := newTestServer(t, buildFixture(t))
+	fx := buildFixture(t)
+	s := newTestServer(t, fx)
 	h := s.Handler()
 
 	// A value present in the column: bloom hit, cursor confirms.
@@ -181,6 +184,14 @@ func TestMember(t *testing.T) {
 	}
 	if src := body["source"]; src != "bloom" && src != "cursor" {
 		t.Fatalf("source = %v", src)
+	}
+
+	// An absent value the bloom filter cannot refute (a false positive)
+	// reaches the value set, which answers no. parent.id holds 0..9.
+	fp := bloomFalsePositive(t, fx, "parent.id", 10)
+	code, body = doJSON(t, h, "GET", "/v1/member?attr=parent.id&value="+fp, "")
+	if code != 200 || body["member"] != false || body["source"] != "cursor" {
+		t.Fatalf("member(parent.id, %s) = %d %v; want member false from the cursor", fp, code, body)
 	}
 
 	// Probe values canonicalise through the attribute's kind: "03" is
@@ -205,6 +216,26 @@ func TestMember(t *testing.T) {
 	if code != 200 || body["member"] != false {
 		t.Fatalf("member(child.code, C05) = %d %v", code, body)
 	}
+}
+
+// bloomFalsePositive returns the first integer from from on that the
+// integer attribute's bloom filter admits; from must lie above the
+// attribute's values.
+func bloomFalsePositive(t *testing.T, fx *fixture, name string, from int64) string {
+	t.Helper()
+	for _, a := range fx.attrs {
+		if a.Ref.String() != name {
+			continue
+		}
+		for i := from; i < from+1_000_000; i++ {
+			if a.Sketch.MayContainValue(value.NewInt(i).Canonical()) {
+				return fmt.Sprint(i)
+			}
+		}
+		t.Fatalf("%s: no bloom false positive in 1e6 probes", name)
+	}
+	t.Fatalf("fixture has no attribute %s", name)
+	return ""
 }
 
 func TestMemberErrors(t *testing.T) {
@@ -602,6 +633,43 @@ func TestLoadFromDisk(t *testing.T) {
 	code, body = doJSON(t, h, "POST", "/v1/reload", "")
 	if code != 200 || body["generation"] != float64(2) {
 		t.Fatalf("reload from disk = %d %v", code, body)
+	}
+}
+
+// TestLoadStateRejectsEscapingKeys: a result set whose keys point
+// outside the dataset directory — an absolute path to a real value file,
+// or a parent-relative one — fails to load instead of staging that file.
+func TestLoadStateRejectsEscapingKeys(t *testing.T) {
+	dir, outside := t.TempDir(), t.TempDir()
+	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := ind.NewResultSet("disk", "spider-merge", attrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A byte-identical copy outside the directory: only the key's shape
+	// can tell it apart from the value set the spec names.
+	stray := filepath.Join(outside, rs.Attrs[0].Key)
+	data, err := os.ReadFile(filepath.Join(dir, rs.Attrs[0].Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{stray, filepath.Join("..", filepath.Base(outside), rs.Attrs[0].Key)} {
+		bad := *rs
+		bad.Attrs = append([]ind.ResultSetAttr(nil), rs.Attrs...)
+		bad.Attrs[0].Key = key
+		if err := bad.WriteFile(filepath.Join(dir, DefaultResultsName)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadState([]DatasetSpec{{Name: "disk", Dir: dir}}, 1, 0)
+		if err == nil || !strings.Contains(err.Error(), "not a plain file name") {
+			t.Errorf("key %q: LoadState = %v, want a rejected key", key, err)
+		}
 	}
 }
 

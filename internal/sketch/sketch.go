@@ -280,7 +280,7 @@ func (s *Sketch) MayContain(h uint64) bool { return s.bloom.mayContainHash(h) }
 // MayContainValue probes one canonical value against the bloom filter —
 // the serving-path entry point: a persisted sketch loaded years after it
 // was built answers point membership questions without touching the
-// value set. False is definite; true still needs a cursor check (bloom
+// value set. False is definite; true still needs a value-set check (bloom
 // false positives).
 func (s *Sketch) MayContainValue(v string) bool { return s.MayContain(Hash(v)) }
 

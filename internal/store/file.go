@@ -16,11 +16,6 @@ func OpenFile(path string, counter *valfile.ReadCounter) (*valfile.Reader, error
 	return valfile.Open(path, counter)
 }
 
-// OpenFileRange opens the value file at path restricted to bounds.
-func OpenFileRange(path string, counter *valfile.ReadCounter, bounds valfile.Range) (*valfile.Reader, error) {
-	return valfile.OpenRange(path, counter, bounds)
-}
-
 // CreateFile creates a value file at path in the given encoding.
 func CreateFile(path string, format valfile.Format) (*valfile.Writer, error) {
 	return valfile.CreateFormat(path, format)

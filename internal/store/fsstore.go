@@ -1,11 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"spider/internal/sketch"
@@ -52,35 +50,9 @@ func (f *FS) Path(key string) string {
 	return filepath.Join(f.dir, key)
 }
 
-// Keys lists the value files under the dataset directory (sorted,
-// excluding sketch sidecars). It requires a rooted dataset.
-func (f *FS) Keys() ([]string, error) {
-	if f.dir == "" {
-		return nil, fmt.Errorf("store: cannot enumerate keys of an unrooted FS dataset")
-	}
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, err
-	}
-	var keys []string
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), sketch.FileSuffix) {
-			continue
-		}
-		keys = append(keys, e.Name())
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Open returns an unbounded cursor over key's value file.
+// Open returns a cursor over key's value file.
 func (f *FS) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
-	return f.OpenRange(key, counter, valfile.Range{})
-}
-
-// OpenRange returns a cursor over key's value file bounded to bounds.
-func (f *FS) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error) {
-	return OpenFileRange(f.Path(key), counter, bounds)
+	return OpenFile(f.Path(key), counter)
 }
 
 // Create stages a value file for key in the dataset's encoding.

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"spider/internal/valfile"
@@ -36,18 +35,6 @@ func (m *Mem) SetValues(key string, sorted []string) {
 	m.vals[key] = append([]string(nil), sorted...)
 }
 
-// Keys enumerates the stored keys, sorted.
-func (m *Mem) Keys() ([]string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	keys := make([]string, 0, len(m.vals))
-	for k := range m.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 func (m *Mem) get(key string) ([]string, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -55,31 +42,15 @@ func (m *Mem) get(key string) ([]string, bool) {
 	return vals, ok
 }
 
-// Open returns an unbounded cursor over key's values.
+// Open returns a cursor over key's sorted values. Delivered items
+// count 1 each and their byte length (plus a newline, mirroring the
+// text encoding) toward counter.
 func (m *Mem) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
-	return m.OpenRange(key, counter, valfile.Range{})
-}
-
-// OpenRange returns a cursor over the in-range sub-slice of key's
-// sorted values, found by binary search. Delivered items count 1 each
-// and their byte length (plus a newline, mirroring the text encoding)
-// toward counter.
-func (m *Mem) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error) {
 	vals, ok := m.get(key)
 	if !ok {
 		return nil, fmt.Errorf("store: no in-memory value set for key %q", key)
 	}
-	return NewSliceCursor(rangeSlice(vals, bounds), counter), nil
-}
-
-// rangeSlice narrows sorted to the bounds window by binary search.
-func rangeSlice(sorted []string, bounds valfile.Range) []string {
-	lo := sort.SearchStrings(sorted, bounds.Lo)
-	hi := len(sorted)
-	if bounds.HasHi {
-		hi = lo + sort.SearchStrings(sorted[lo:], bounds.Hi)
-	}
-	return sorted[lo:hi]
+	return NewSliceCursor(vals, counter), nil
 }
 
 // Create stages a new value set for key, committed at Close.

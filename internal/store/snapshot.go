@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"spider/internal/valfile"
@@ -33,9 +34,6 @@ func NewSnapshot(base Dataset) *Snapshot {
 		sections: make(map[string]map[string][]byte),
 	}
 }
-
-// Keys enumerates the base dataset's keys.
-func (s *Snapshot) Keys() ([]string, error) { return s.base.Keys() }
 
 // values returns the cached value slice for key, loading it through
 // the base dataset on first use. Concurrent first opens of the same
@@ -75,19 +73,25 @@ func (s *Snapshot) values(key string) ([]string, error) {
 	return loaded, nil
 }
 
-// Open returns an unbounded pooled cursor over key.
+// Open returns a pooled cursor over key. Any number of cursors,
+// concurrent included, share one cached copy.
 func (s *Snapshot) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
-	return s.OpenRange(key, counter, valfile.Range{})
-}
-
-// OpenRange returns a pooled cursor over key bounded to bounds. Any
-// number of cursors, concurrent included, share one cached copy.
-func (s *Snapshot) OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error) {
 	vals, err := s.values(key)
 	if err != nil {
 		return nil, err
 	}
-	return NewSliceCursor(rangeSlice(vals, bounds), counter), nil
+	return NewSliceCursor(vals, counter), nil
+}
+
+// Contains reports whether v is in key's value set: one binary search
+// over the pooled sorted copy, faulting the key in on first use.
+func (s *Snapshot) Contains(key, v string) (bool, error) {
+	vals, err := s.values(key)
+	if err != nil {
+		return false, err
+	}
+	_, found := slices.BinarySearch(vals, v)
+	return found, nil
 }
 
 // Create fails: snapshots are immutable.

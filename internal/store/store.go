@@ -8,7 +8,7 @@
 // indserved precondition).
 //
 // See README.md in this directory for the interface contract
-// (ownership and close rules, range semantics, section names).
+// (ownership and close rules, section names).
 package store
 
 import (
@@ -54,18 +54,11 @@ type ValueWriter interface {
 // writes to distinct keys may proceed concurrently, but a key must not
 // be read before its writer has been closed.
 type Dataset interface {
-	// Keys enumerates the readable keys, sorted.
-	Keys() ([]string, error)
-
-	// Open returns an unbounded cursor over key's values. Every
+	// Open returns a cursor over key's values from the smallest. Every
 	// delivered item (and, where the backend can account for it, every
-	// raw byte) is counted by counter; nil disables counting.
+	// raw byte) is counted by counter; nil disables counting. It must
+	// be safe to open the same key concurrently.
 	Open(key string, counter *valfile.ReadCounter) (Cursor, error)
-
-	// OpenRange returns a cursor restricted to the canonical value
-	// range bounds; a point range serves single-value membership
-	// lookups. It must be safe to open the same key concurrently.
-	OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error)
 
 	// Create stages a new value set under key, replacing any existing
 	// one when the returned writer is closed.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,22 +63,14 @@ func drainCursor(t *testing.T, c Cursor) []string {
 	return out
 }
 
-// TestBackendRoundTrip stages, enumerates, reads (full and ranged)
-// and removes a value set on every writable backend.
+// TestBackendRoundTrip stages, reads and removes a value set on every
+// writable backend.
 func TestBackendRoundTrip(t *testing.T) {
 	vals := []string{"", "a\nb", "m", "nul\x00byte", "z"}
 	for name, ds := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			writeSet(t, ds, "a.val", vals)
 			writeSet(t, ds, "b.val", []string{"x"})
-
-			keys, err := ds.Keys()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(keys, []string{"a.val", "b.val"}) {
-				t.Errorf("Keys = %v", keys)
-			}
 
 			var counter valfile.ReadCounter
 			cur, err := ds.Open("a.val", &counter)
@@ -92,14 +85,6 @@ func TestBackendRoundTrip(t *testing.T) {
 			}
 			if counter.TotalBytes() == 0 {
 				t.Error("no bytes counted")
-			}
-
-			cur, err = ds.OpenRange("a.val", nil, valfile.Range{Lo: "m", Hi: "z", HasHi: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := drainCursor(t, cur); !reflect.DeepEqual(got, []string{"m", "nul\x00byte"}) {
-				t.Errorf("ranged values = %q", got)
 			}
 
 			if _, err := ds.Open("missing.val", nil); err == nil {
@@ -305,9 +290,9 @@ func mustDrain(t *testing.T, ds Dataset, key string) []string {
 }
 
 // TestSnapshotConcurrentReaders hammers one snapshot with concurrent
-// readers (full and ranged, across keys) — run under -race this is the
-// pooled-cursor safety property the indserved daemon needs. 16 readers
-// exceed the ≥8 acceptance bar.
+// readers (full cursors and Contains probes, across keys) — run under
+// -race this is the pooled-cursor safety property the indserved daemon
+// needs. 16 readers exceed the ≥8 acceptance bar.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	base := NewFS(t.TempDir(), valfile.FormatBlock)
 	want := make(map[string][]string)
@@ -328,14 +313,21 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			key := fmt.Sprintf("a%02d.val", r%4)
-			var counter valfile.ReadCounter
-			bounds := valfile.Range{}
 			expect := want[key]
 			if r%3 == 0 {
-				bounds = valfile.Range{Lo: expect[50], Hi: expect[150], HasHi: true}
-				expect = expect[50:150]
+				for i, v := range expect {
+					// Present values, and absent ones sorting between them.
+					if ok, err := snap.Contains(key, v); err != nil || !ok {
+						errs <- fmt.Errorf("reader %d: Contains(%q) = %v, %v", r, v, ok, err)
+					}
+					if ok, err := snap.Contains(key, v+"~"); err != nil || ok {
+						errs <- fmt.Errorf("reader %d: Contains(%q) = %v, %v at %d", r, v+"~", ok, err, i)
+					}
+				}
+				return
 			}
-			cur, err := snap.OpenRange(key, &counter, bounds)
+			var counter valfile.ReadCounter
+			cur, err := snap.Open(key, &counter)
 			if err != nil {
 				errs <- err
 				return
@@ -386,9 +378,6 @@ func TestFSPathResolution(t *testing.T) {
 	unrooted := NewFS("", valfile.FormatText)
 	if got := unrooted.Path("a.val"); got != "a.val" {
 		t.Errorf("unrooted key resolved to %q", got)
-	}
-	if _, err := unrooted.Keys(); err == nil {
-		t.Error("unrooted Keys must fail")
 	}
 }
 
@@ -445,5 +434,61 @@ func TestSnapshotServingHelpers(t *testing.T) {
 	}
 	if err := snap.Warm([]string{"missing.val"}); err == nil {
 		t.Error("Warm of a missing key must fail")
+	}
+}
+
+// TestSnapshotContains checks the point probe against a binary-search
+// oracle over the same sorted set, on the edges of the value space.
+func TestSnapshotContains(t *testing.T) {
+	sets := map[string][]string{
+		"empty.val":  nil,
+		"blank.val":  {"", "a", "a\x00", "b"},
+		"middle.val": {"b", "ba", "m", "z\xff"},
+	}
+	cases := []struct {
+		name, key, v string
+	}{
+		{"empty set", "empty.val", "a"},
+		{"empty set, blank value", "empty.val", ""},
+		{"blank value present", "blank.val", ""},
+		{"blank value absent", "middle.val", ""},
+		{"below the minimum", "middle.val", "a"},
+		{"the minimum", "middle.val", "b"},
+		{"between neighbours", "middle.val", "bb"},
+		{"the maximum", "middle.val", "z\xff"},
+		{"above the maximum", "middle.val", "zz"},
+		{"prefix pair, shorter", "blank.val", "a"},
+		{"prefix pair, longer", "blank.val", "a\x00"},
+		{"after the prefix pair", "blank.val", "a\x01"},
+		{"prefix of a value", "middle.val", "z"},
+	}
+	base := NewMem()
+	for key, vals := range sets {
+		base.SetValues(key, vals)
+	}
+	snap := NewSnapshot(base)
+	for _, c := range cases {
+		got, err := snap.Contains(c.key, c.v)
+		if err != nil {
+			t.Fatalf("%s: Contains(%s, %q): %v", c.name, c.key, c.v, err)
+		}
+		if _, want := slices.BinarySearch(sets[c.key], c.v); got != want {
+			t.Errorf("%s: Contains(%s, %q) = %v, want %v", c.name, c.key, c.v, got, want)
+		}
+	}
+
+	// A key is faulted in on its first probe; an unknown key errors.
+	base.SetValues("late.val", []string{"x"})
+	if snap.Cached("late.val") {
+		t.Fatal("late.val cached before its first probe")
+	}
+	if ok, err := snap.Contains("late.val", "x"); err != nil || !ok {
+		t.Errorf("Contains(late.val, x) = %v, %v; want true", ok, err)
+	}
+	if !snap.Cached("late.val") {
+		t.Error("Contains did not fault late.val in")
+	}
+	if _, err := snap.Contains("missing.val", "a"); err == nil {
+		t.Error("Contains on an unknown key must fail")
 	}
 }

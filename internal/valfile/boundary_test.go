@@ -8,19 +8,17 @@ import (
 	"spider/internal/blockfile"
 )
 
-// This file pins the range-cursor contract at its edges — block and
-// record boundaries, empty files, single-value files, bounds past the
-// data — identically for both encodings: OpenRange must deliver exactly
-// the values its Range.Contains admits, in order, whichever backend
-// serves them.
+// This file pins the cursor contract at its edges — block and record
+// boundaries, empty files, single-value files — identically for both
+// encodings: a Reader delivers exactly the values written, in order,
+// and counts each one, whichever backend serves them.
 
 // formats enumerates the encodings every boundary test runs against.
 var formats = []Format{FormatText, FormatBlock}
 
 // writeFixture writes sorted values in the given format. Block files are
 // written with TargetBlockSize 1 — one value per block — so every record
-// boundary is also a block boundary and the index seek path is exercised
-// at each step.
+// boundary is also a block boundary.
 func writeFixture(t *testing.T, dir string, format Format, values []string) string {
 	t.Helper()
 	path := filepath.Join(dir, fmt.Sprintf("fixture-%s.val", format))
@@ -45,162 +43,53 @@ func writeFixture(t *testing.T, dir string, format Format, values []string) stri
 	return path
 }
 
-// rangeOracle filters values by Contains: the definitional result set.
-func rangeOracle(values []string, bounds Range) []string {
-	var out []string
-	for _, v := range values {
-		if bounds.Contains(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func readRange(t *testing.T, path string, bounds Range) []string {
-	t.Helper()
-	r, err := OpenRange(path, nil, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var out []string
-	for {
-		v, ok := r.Next()
-		if !ok {
-			break
-		}
-		out = append(out, v)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestRangeCursorBoundaries(t *testing.T) {
-	values := []string{"", "a", "ab", "abc", "b", "ba", "c", "ca", "cb", "d"}
-	bounds := []Range{
-		{},                                  // unbounded
-		{Lo: "a"},                           // Lo on a value
-		{Lo: "aa"},                          // Lo between values
-		{Lo: "", Hi: "b", HasHi: true},      // Hi on a value
-		{Lo: "a", Hi: "a", HasHi: true},     // empty interval
-		{Lo: "ab", Hi: "ca", HasHi: true},   // both bounds on values
-		{Lo: "abb", Hi: "bz", HasHi: true},  // both bounds between values
-		{Lo: "d"},                           // Lo == last value
-		{Lo: "dd"},                          // Lo past the last value
-		{Lo: "z", Hi: "zz", HasHi: true},    // entirely past the data
-		{Lo: "", Hi: "", HasHi: true},       // Hi == minimum: nothing
-		{Lo: "", Hi: "\x00", HasHi: true},   // Hi just above minimum
-		{Lo: "c", Hi: "c\x00", HasHi: true}, // single-value slice
-	}
-	for _, format := range formats {
-		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, t.TempDir(), format, values)
-			for _, b := range bounds {
-				got := readRange(t, path, b)
-				want := rangeOracle(values, b)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("range %+v: got %q, want %q", b, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestRangeCursorBlockBoundaries sweeps every [values[i], values[j])
-// interval over a file whose block boundaries fall at every record, so
-// each combination of "Lo at block start", "Lo mid-file", "Hi at block
-// start" and "Hi past end" occurs.
-func TestRangeCursorBlockBoundaries(t *testing.T) {
-	var values []string
+// TestCursorBoundaries reads empty, single-value and multi-block files
+// front to back: the delivered stream equals the written one, and the
+// shared counter, the reader's own count and the byte tally agree.
+func TestCursorBoundaries(t *testing.T) {
+	var gapped []string
 	for i := 0; i < 30; i++ {
-		values = append(values, fmt.Sprintf("key%04d", i*2)) // gaps between values
+		gapped = append(gapped, fmt.Sprintf("key%04d", i*2))
+	}
+	fixtures := [][]string{
+		nil,
+		{"m"},
+		{"", "a", "ab", "abc", "b", "ba", "c", "ca", "cb", "d"},
+		gapped,
 	}
 	for _, format := range formats {
 		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, t.TempDir(), format, values)
-			probes := append([]string{"", "key", "zzz"}, values...)
-			for i := 0; i < 10; i++ { // between-value probes
-				probes = append(probes, fmt.Sprintf("key%04d", i*2+1))
-			}
-			for _, lo := range probes {
-				for _, hi := range probes {
-					b := Range{Lo: lo, Hi: hi, HasHi: true}
-					got := readRange(t, path, b)
-					want := rangeOracle(values, b)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("range %+v: got %q, want %q", b, got, want)
+			for _, values := range fixtures {
+				path := writeFixture(t, t.TempDir(), format, values)
+				var counter ReadCounter
+				r, err := Open(path, &counter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for {
+					v, ok := r.Next()
+					if !ok {
+						break
 					}
+					got = append(got, v)
 				}
-			}
-		})
-	}
-}
-
-func TestRangeCursorEmptyFile(t *testing.T) {
-	for _, format := range formats {
-		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, t.TempDir(), format, nil)
-			for _, b := range []Range{{}, {Lo: "a"}, {Lo: "a", Hi: "b", HasHi: true}} {
-				if got := readRange(t, path, b); len(got) != 0 {
-					t.Errorf("range %+v on empty file: got %q", b, got)
+				if err := r.Err(); err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-func TestRangeCursorSingleValue(t *testing.T) {
-	for _, format := range formats {
-		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, t.TempDir(), format, []string{"m"})
-			for _, b := range []Range{
-				{},
-				{Lo: "m"},
-				{Lo: "m", Hi: "m", HasHi: true},
-				{Lo: "m", Hi: "m\x00", HasHi: true},
-				{Lo: "n"}, // past the only value
-				{Lo: "a", Hi: "m", HasHi: true},
-			} {
-				got := readRange(t, path, b)
-				want := rangeOracle([]string{"m"}, b)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("range %+v: got %q, want %q", b, got, want)
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// TestRangeSkippedValuesNotCounted pins the counting contract shared by
-// both backends: values skipped by the lower bound are never counted,
-// the counter sees exactly the delivered items.
-func TestRangeSkippedValuesNotCounted(t *testing.T) {
-	values := []string{"a", "b", "c", "d", "e"}
-	for _, format := range formats {
-		t.Run(format.String(), func(t *testing.T) {
-			path := writeFixture(t, t.TempDir(), format, values)
-			var counter ReadCounter
-			r, err := OpenRange(path, &counter, Range{Lo: "c", Hi: "e", HasHi: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for {
-				if _, ok := r.Next(); !ok {
-					break
+				if fmt.Sprint(got) != fmt.Sprint(values) {
+					t.Errorf("read %q, want %q", got, values)
 				}
-				n++
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if n != 2 || counter.Total() != 2 || r.Read() != 2 {
-				t.Errorf("delivered %d, counter %d, reader %d; want 2 everywhere", n, counter.Total(), r.Read())
-			}
-			if counter.TotalBytes() <= 0 {
-				t.Errorf("TotalBytes = %d, want > 0 after Close", counter.TotalBytes())
+				n := int64(len(values))
+				if counter.Total() != n || r.Read() != n {
+					t.Errorf("%d values: counter %d, reader %d", n, counter.Total(), r.Read())
+				}
+				if n > 0 && counter.TotalBytes() <= 0 {
+					t.Errorf("%d values: TotalBytes = %d, want > 0 after Close", n, counter.TotalBytes())
+				}
 			}
 		})
 	}

@@ -17,8 +17,8 @@ const (
 	// records. Human-inspectable, no metadata.
 	FormatText Format = iota
 	// FormatBlock is the columnar binary encoding (internal/blockfile):
-	// front-coded checksummed blocks, a block index for range seeks, and
-	// embedded sections for the sketch and run metadata.
+	// front-coded checksummed blocks, a block index, and embedded
+	// sections for the sketch and run metadata.
 	FormatBlock
 )
 

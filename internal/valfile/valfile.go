@@ -224,24 +224,6 @@ func (c *ReadCounter) Reset() {
 	}
 }
 
-// Range restricts a cursor to canonical values in the half-open interval
-// [Lo, Hi). The empty string is the minimum value, so the zero Range is
-// unbounded; HasHi distinguishes an exclusive upper bound from "no upper
-// bound".
-type Range struct {
-	Lo    string
-	Hi    string
-	HasHi bool
-}
-
-// Contains reports whether v falls inside the range.
-func (r Range) Contains(v string) bool {
-	return v >= r.Lo && (!r.HasHi || v < r.Hi)
-}
-
-// Unbounded reports whether the range covers the whole value space.
-func (r Range) Unbounded() bool { return r.Lo == "" && !r.HasHi }
-
 // countingReader counts raw bytes pulled from the underlying reader.
 type countingReader struct {
 	r io.Reader
@@ -260,10 +242,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // tally into the counter. The zero Reader is not usable; use Open.
 type Reader struct {
 	// Text backend.
-	f          *os.File
-	sc         *bufio.Scanner
-	cr         *countingReader
-	probeBytes int64
+	f  *os.File
+	sc *bufio.Scanner
+	cr *countingReader
 	// Block backend (nil for text files).
 	blk *blockfile.Reader
 
@@ -272,28 +253,12 @@ type Reader struct {
 	err     error
 	done    bool
 	path    string
-	bounds  Range
 	flushed bool
 }
 
-// Open opens a value file for reading. counter may be nil.
+// Open opens a value file for reading. counter may be nil. The format
+// is sniffed from the first bytes of the file.
 func Open(path string, counter *ReadCounter) (*Reader, error) {
-	return OpenRange(path, counter, Range{})
-}
-
-// OpenRange opens a value file restricted to bounds: Next delivers only
-// the values in [bounds.Lo, bounds.Hi), skipping the prefix and stopping
-// at the upper bound. Skipped values are not counted — the counters
-// measure items delivered to the algorithms, the paper's Figure 5 metric.
-//
-// The format is sniffed from the first bytes of the file. A lower bound
-// does not cost a linear scan of the prefix in either format: block
-// files binary-search the block index to the one block that can contain
-// Lo; text files binary-search raw byte offsets (a probe seeks, aligns
-// to the next record boundary, and reads one value) and start within
-// one probe window of the first in-range record. A ranged read therefore
-// pays I/O roughly proportional to its own slice of the file.
-func OpenRange(path string, counter *ReadCounter, bounds Range) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("valfile: %w", err)
@@ -310,18 +275,9 @@ func OpenRange(path string, counter *ReadCounter, bounds Range) (*Reader, error)
 		if err != nil {
 			return nil, fmt.Errorf("valfile: %w", err)
 		}
-		if bounds.Lo != "" {
-			blk.SeekLowerBound(bounds.Lo)
-		}
-		return &Reader{blk: blk, counter: counter, path: path, bounds: bounds}, nil
+		return &Reader{blk: blk, counter: counter, path: path}, nil
 	}
-	r := &Reader{f: f, counter: counter, path: path, bounds: bounds}
-	if bounds.Lo != "" {
-		if _, err := seekLowerBound(f, bounds.Lo, &r.probeBytes); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("valfile: %s: %w", path, err)
-		}
-	}
+	r := &Reader{f: f, counter: counter, path: path}
 	r.cr = &countingReader{r: f}
 	sc := bufio.NewScanner(r.cr)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -337,148 +293,48 @@ func (r *Reader) Format() Format {
 	return FormatText
 }
 
-// seekProbeWindow is the bisection stop: once the candidate window is
-// this small, the remaining prefix is skipped linearly by Next.
-const seekProbeWindow = 64 << 10
-
-// seekLowerBound positions f at a record boundary at or before the first
-// record with value >= lo, by binary search over byte offsets. The
-// caller's skip loop handles the (short) remaining prefix, so the search
-// only needs to be approximately right, never wrong. Bytes consumed by
-// the probes are added to *probed.
-func seekLowerBound(f *os.File, lo string, probed *int64) (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := st.Size()
-	// Invariant: some record starting at or after a "low" offset may still
-	// be < lo; every record starting at or after "high"... is irrelevant —
-	// we only ever move "low" to a probed record start whose value is
-	// < lo, which is always a safe place to begin the linear skip.
-	low, high := int64(0), size
-	for high-low > seekProbeWindow {
-		mid := (low + high) / 2
-		start, val, ok, err := probeRecord(f, mid, size, probed)
-		if err != nil {
-			return 0, err
-		}
-		if !ok || start >= high {
-			// No complete record begins in [mid, high): tighten from above.
-			high = mid
-			continue
-		}
-		if val < lo {
-			low = start
-		} else {
-			high = mid
-		}
-	}
-	if low > 0 {
-		// Re-align: low is a record start (it was returned by a probe).
-		if _, err := f.Seek(low, io.SeekStart); err != nil {
-			return 0, err
-		}
-	}
-	return low, nil
-}
-
-// probeRecord returns the start offset and unescaped value of the first
-// complete record beginning at or after off. ok is false when no record
-// starts before the end of the file. Appended files always end in '\n',
-// so every record located this way is complete.
-func probeRecord(f *os.File, off, size int64, probed *int64) (start int64, val string, ok bool, err error) {
-	start = off
-	cr := &countingReader{r: io.NewSectionReader(f, off, size-off)}
-	defer func() { *probed += cr.n }()
-	br := bufio.NewReaderSize(cr, 64<<10)
-	if off > 0 {
-		// off may fall mid-record: align to the byte after the next '\n'.
-		skipped, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			return 0, "", false, nil
-		}
-		if err != nil {
-			return 0, "", false, err
-		}
-		start = off + int64(len(skipped))
-	}
-	line, err := br.ReadBytes('\n')
-	if err == io.EOF {
-		return 0, "", false, nil
-	}
-	if err != nil {
-		return 0, "", false, err
-	}
-	v, err := unescape(string(line[:len(line)-1]))
-	if err != nil {
-		return 0, "", false, err
-	}
-	return start, v, true, nil
-}
-
-// rawNext pulls the next value from the backend, before range filtering.
-func (r *Reader) rawNext() (string, bool) {
-	if r.blk != nil {
-		v, ok := r.blk.Next()
-		if !ok {
-			r.done = true
-			if err := r.blk.Err(); err != nil {
-				r.err = err
-			}
-			return "", false
-		}
-		return v, true
-	}
-	if !r.sc.Scan() {
-		r.done = true
-		r.err = r.sc.Err()
-		return "", false
-	}
-	v, err := unescape(r.sc.Text())
-	if err != nil {
-		r.err = fmt.Errorf("%s: %w", r.path, err)
-		r.done = true
-		return "", false
-	}
-	return v, true
-}
-
 // Next returns the next value. ok is false at end of file or on error;
 // check Err after the iteration ends.
 func (r *Reader) Next() (v string, ok bool) {
-	for {
-		if r.done || r.err != nil {
-			return "", false
-		}
-		v, ok := r.rawNext()
-		if !ok {
-			return "", false
-		}
-		if v < r.bounds.Lo {
-			continue // before the range: skip, uncounted
-		}
-		if r.bounds.HasHi && v >= r.bounds.Hi {
-			r.done = true // the file is sorted: nothing further qualifies
-			return "", false
-		}
-		r.read++
-		r.counter.Add(1)
-		return v, true
+	if r.done || r.err != nil {
+		return "", false
 	}
+	if r.blk != nil {
+		v, ok = r.blk.Next()
+		if !ok {
+			r.done = true
+			r.err = r.blk.Err()
+			return "", false
+		}
+	} else {
+		if !r.sc.Scan() {
+			r.done = true
+			r.err = r.sc.Err()
+			return "", false
+		}
+		var err error
+		if v, err = unescape(r.sc.Text()); err != nil {
+			r.err = fmt.Errorf("%s: %w", r.path, err)
+			r.done = true
+			return "", false
+		}
+	}
+	r.read++
+	r.counter.Add(1)
+	return v, true
 }
 
 // Read returns the number of items this reader has delivered.
 func (r *Reader) Read() int64 { return r.read }
 
 // BytesRead returns the raw bytes this reader has pulled from disk:
-// block headers/index/payloads for block files; scanned bytes plus
-// lower-bound probe bytes for text files.
+// block headers/index/payloads for block files; scanned bytes for text
+// files.
 func (r *Reader) BytesRead() int64 {
 	if r.blk != nil {
 		return r.blk.BytesRead()
 	}
-	return r.cr.n + r.probeBytes
+	return r.cr.n
 }
 
 // Err returns the first error encountered, if any.
@@ -539,22 +395,6 @@ func ReadAll(path string) ([]string, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// CopyCounted streams all values from src into an io.Discard-like sink,
-// returning the count; used by diagnostics to size files.
-func CopyCounted(path string) (int64, error) {
-	r, err := Open(path, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-	}
-	return r.Read(), r.Err()
 }
 
 var _ io.Closer = (*Reader)(nil)

@@ -159,17 +159,6 @@ func TestCorruptEscapeDetected(t *testing.T) {
 	}
 }
 
-func TestCopyCounted(t *testing.T) {
-	path := tmpPath(t)
-	if _, err := WriteAll(path, []string{"a", "b", "c", "d"}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := CopyCounted(path)
-	if err != nil || n != 4 {
-		t.Errorf("CopyCounted = %d, %v", n, err)
-	}
-}
-
 func TestEmptyFile(t *testing.T) {
 	path := tmpPath(t)
 	if _, err := WriteAll(path, nil); err != nil {
@@ -231,63 +220,5 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOpenRange(t *testing.T) {
-	path := tmpPath(t)
-	vals := []string{"a", "b", "c", "d", "e"}
-	if _, err := WriteAll(path, vals); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		bounds Range
-		want   []string
-	}{
-		{Range{}, vals},
-		{Range{Lo: "b"}, []string{"b", "c", "d", "e"}},
-		{Range{Hi: "d", HasHi: true}, []string{"a", "b", "c"}},
-		{Range{Lo: "b", Hi: "d", HasHi: true}, []string{"b", "c"}},
-		{Range{Lo: "x"}, nil},
-		{Range{Lo: "b", Hi: "b", HasHi: true}, nil},
-	}
-	for _, c := range cases {
-		var counter ReadCounter
-		r, err := OpenRange(path, &counter, c.bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for {
-			v, ok := r.Next()
-			if !ok {
-				break
-			}
-			got = append(got, v)
-		}
-		if err := r.Err(); err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("range %+v = %v, want %v", c.bounds, got, c.want)
-		}
-		// Only delivered (in-range) values are counted; skipped prefix
-		// values are not.
-		if counter.Total() != int64(len(c.want)) {
-			t.Errorf("range %+v counted %d items, want %d", c.bounds, counter.Total(), len(c.want))
-		}
-	}
-}
-
-func TestRangeContains(t *testing.T) {
-	r := Range{Lo: "b", Hi: "d", HasHi: true}
-	for v, want := range map[string]bool{"a": false, "b": true, "c": true, "d": false} {
-		if r.Contains(v) != want {
-			t.Errorf("Contains(%q) = %v, want %v", v, !want, want)
-		}
-	}
-	if !(Range{}).Unbounded() || (Range{Lo: "a"}).Unbounded() {
-		t.Error("Unbounded misclassifies")
 	}
 }

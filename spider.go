@@ -140,8 +140,8 @@ const (
 	// records, one value per line. Human-inspectable.
 	FormatText Format = iota
 	// FormatBlock is the columnar binary encoding: front-coded
-	// checksummed blocks, a block index for range seeks, and the
-	// attribute's sketch embedded in the same file.
+	// checksummed blocks, a block index, and the attribute's
+	// sketch embedded in the same file.
 	FormatBlock
 )
 
