@@ -31,14 +31,21 @@ type BenchFile struct {
 	Benchmarks map[string]BenchEntry `json:"benchmarks"`
 }
 
-// BenchEntry is one benchmark's measurement.
+// BenchEntry is one benchmark's measurement. A benchmark run with
+// `go test -count N` prints N result lines; they fold into one entry
+// whose values are medians over those samples.
 type BenchEntry struct {
+	// NsPerOp is the median ns/op over the samples.
 	NsPerOp float64 `json:"ns_per_op"`
-	Runs    int64   `json:"runs"`
+	// Runs is the number of iterations, summed over the samples.
+	Runs int64 `json:"runs"`
+	// Samples is the number of result lines folded into the entry.
+	Samples int `json:"samples,omitempty"`
 	// Metrics holds the benchmark's custom b.ReportMetric values by unit
 	// (e.g. "items/op") plus the standard B/op and
-	// allocs/op when present. Informational: regression gating compares
-	// ns_per_op only, but the trajectory file preserves work counters for
+	// allocs/op when present, each the median over the samples that
+	// report it. Informational: regression gating compares ns_per_op
+	// only, but the trajectory file preserves work counters for
 	// inspection.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -56,9 +63,16 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+
 var metricPair = regexp.MustCompile(`([0-9]+(?:\.[0-9]+)?) (\S+)`)
 
 // parseBench reads `go test -bench` output into a BenchFile. Sub-benchmarks
-// run under the same top-level name keep their full slash path.
+// run under the same top-level name keep their full slash path. Repeated
+// result lines for one name (from -count N) fold into one entry of
+// medians.
 func parseBench(r io.Reader) (*BenchFile, error) {
-	out := &BenchFile{Schema: benchSchema, Go: runtime.Version(), Benchmarks: map[string]BenchEntry{}}
+	type samples struct {
+		ns      []float64
+		runs    int64
+		metrics map[string][]float64
+	}
+	byName := map[string]*samples{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -75,26 +89,50 @@ func parseBench(r io.Reader) (*BenchFile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
 		}
-		entry := BenchEntry{NsPerOp: ns, Runs: runs}
+		smp := byName[name]
+		if smp == nil {
+			smp = &samples{metrics: map[string][]float64{}}
+			byName[name] = smp
+		}
+		smp.ns = append(smp.ns, ns)
+		smp.runs += runs
 		for _, pair := range metricPair.FindAllStringSubmatch(m[4], -1) {
 			v, err := strconv.ParseFloat(pair[1], 64)
 			if err != nil {
 				continue
 			}
-			if entry.Metrics == nil {
-				entry.Metrics = map[string]float64{}
-			}
-			entry.Metrics[pair[2]] = v
+			smp.metrics[pair[2]] = append(smp.metrics[pair[2]], v)
 		}
-		out.Benchmarks[name] = entry
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(out.Benchmarks) == 0 {
+	if len(byName) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found")
 	}
+	out := &BenchFile{Schema: benchSchema, Go: runtime.Version(), Benchmarks: map[string]BenchEntry{}}
+	for name, smp := range byName {
+		entry := BenchEntry{NsPerOp: median(smp.ns), Runs: smp.runs, Samples: len(smp.ns)}
+		for unit, vs := range smp.metrics {
+			if entry.Metrics == nil {
+				entry.Metrics = map[string]float64{}
+			}
+			entry.Metrics[unit] = median(vs)
+		}
+		out.Benchmarks[name] = entry
+	}
 	return out, nil
+}
+
+// median returns the median of vs (the mean of the middle two for an
+// even count). vs must not be empty; it is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // regression is one benchmark slower than the baseline allows.

@@ -26,7 +26,7 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 4", len(f.Benchmarks))
 	}
 	e, ok := f.Benchmarks["Table2_UniProt_BruteForce"]
-	if !ok || e.NsPerOp != 84123456 || e.Runs != 1 {
+	if !ok || e.NsPerOp != 84123456 || e.Runs != 1 || e.Samples != 1 {
 		t.Fatalf("Table2 entry = %+v ok=%v", e, ok)
 	}
 	if e.Metrics["INDs"] != 22 {
@@ -47,6 +47,35 @@ func TestParseBench(t *testing.T) {
 	}
 	if _, err := parseBench(strings.NewReader("PASS\n")); err == nil {
 		t.Fatal("empty bench output accepted")
+	}
+}
+
+// TestParseBenchFoldsCount: `go test -count 5` prints five result lines
+// per benchmark; they fold into one entry holding the median ns/op and
+// metrics, the summed iterations and the sample count, instead of the
+// last line alone.
+func TestParseBenchFoldsCount(t *testing.T) {
+	const out = `BenchmarkNaryMerge/scop-2   12   90000000 ns/op   20556 items/op   24103712 B/op
+BenchmarkNaryMerge/scop-2   14   70000000 ns/op   20556 items/op   24103000 B/op
+BenchmarkNaryMerge/scop-2   13   80000000 ns/op   20556 items/op   24103500 B/op
+BenchmarkNaryMerge/scop-2   15   60000000 ns/op   20556 items/op   24103100 B/op
+BenchmarkNaryMerge/scop-2   11  500000000 ns/op   20556 items/op   24103800 B/op
+BenchmarkTiny-2   1000   105.0 ns/op
+BenchmarkTiny-2   1000   95.0 ns/op
+`
+	f, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.Benchmarks["NaryMerge/scop"]
+	if e.NsPerOp != 80000000 || e.Samples != 5 || e.Runs != 65 {
+		t.Fatalf("NaryMerge/scop entry = %+v, want the median 80000000 ns/op over 5 samples of 65 iterations", e)
+	}
+	if e.Metrics["items/op"] != 20556 || e.Metrics["B/op"] != 24103500 {
+		t.Fatalf("NaryMerge/scop metrics = %v, want the medians", e.Metrics)
+	}
+	if e := f.Benchmarks["Tiny"]; e.NsPerOp != 100 || e.Samples != 2 {
+		t.Fatalf("Tiny entry = %+v, want the mean of the middle two, 100 ns/op, over 2 samples", e)
 	}
 }
 

@@ -17,8 +17,11 @@
 // The -json mode instead converts `go test -bench` output into the
 // benchmark-trajectory JSON the CI pipeline gates on:
 //
-//	go test -bench . -benchtime 1x -run '^$' | \
+//	go test -bench . -benchtime 1x -count 5 -run '^$' | \
 //	  indbench -json -out BENCH_ci.json -baseline BENCH_baseline.json
+//
+// Repeated result lines of one benchmark (-count N) fold into their
+// median.
 //
 // With -baseline it exits non-zero when any benchmark above the noise
 // floor (-minms) regressed by more than -tolerance.

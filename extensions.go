@@ -211,8 +211,9 @@ type NaryOptions struct {
 	// encoded-tuple stream per candidate column list and a single heap
 	// merge per level, the same machinery
 	// FindINDs uses for unary INDs). Both return identical results; the
-	// merge engine's peak memory is bounded by the external-sort buffers
-	// instead of the tuple-set sizes. The zero value selects InMemory.
+	// merge engine holds one sorted tuple set per extraction worker
+	// while it stages a level, instead of caching every list's tuple
+	// set for the whole search. The zero value selects InMemory.
 	Algorithm Algorithm
 	// WorkDir receives the sorted value files (unary seed and, with
 	// SpiderMerge, the per-level tuple files). With InMemory a non-empty
@@ -225,13 +226,13 @@ type NaryOptions struct {
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in.
 	LevelProgress func(NaryLevelProgress)
-	// Format selects the on-disk encoding of the sorted tuple files and
-	// frozen spill runs; see Options.Format.
+	// Format selects the on-disk encoding of the sorted value and tuple
+	// files; see Options.Format.
 	Format Format
 	// Store selects the dataset backend for the unary seed's value sets
-	// and the per-level encoded tuple sets; see Options.Store. The mem
-	// and snapshot backends keep the whole levelwise search off disk
-	// (external-sort spills excepted).
+	// and the per-level encoded tuple sets; see Options.Store. The mem,
+	// snapshot and spill backends keep the whole levelwise search off
+	// disk.
 	Store *Store
 }
 

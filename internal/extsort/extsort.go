@@ -1,12 +1,11 @@
 // Package extsort provides external merge sort with duplicate elimination.
 // It plays the role of the RDBMS sort in the paper's database-external
-// approaches (Sec 3) for the value sets that are not in-memory columns:
-// the encoded tuple sets of n-ary discovery and the derived sets of
-// embedded INDs are pushed through a Sorter, which spills sorted
-// deduplicated runs to disk when its memory budget is exceeded and k-way
-// merges them into the final sorted distinct set. A column's set s(a)
-// is sorted in memory by relstore and enters the same staging path as a
-// Presorted sorter, with no runs.
+// approaches (Sec 3): the derived value sets of embedded INDs are pushed
+// through a Sorter, which spills sorted deduplicated runs to disk when
+// its memory budget is exceeded and k-way merges them into the final
+// sorted distinct set. A column's set s(a) and the encoded tuple sets of
+// n-ary discovery are sorted in memory instead and enter the same
+// staging path as a Presorted sorter, with no runs.
 package extsort
 
 import (

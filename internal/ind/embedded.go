@@ -147,11 +147,9 @@ type derivedAttr struct {
 // transforms of one column (or a transform name containing separator
 // bytes) never conflate inside a shared merge.
 func derivedRef(orig relstore.ColumnRef, transform string) relstore.ColumnRef {
-	var b strings.Builder
-	appendEscaped(&b, orig.Column)
-	b.WriteByte(0)
-	appendEscaped(&b, transform)
-	return relstore.ColumnRef{Table: orig.Table, Column: b.String()}
+	b := appendEscaped(nil, orig.Column)
+	b = appendEscaped(append(b, 0), transform)
+	return relstore.ColumnRef{Table: orig.Table, Column: string(b)}
 }
 
 // FindEmbedded tests whether transformed dependent values are included in

@@ -65,8 +65,9 @@ const (
 	// NaryMerge exports, per level, one sorted encoded-tuple stream per
 	// candidate column list and verifies all of the level's candidates in
 	// a single SpiderMerge heap merge — the same count-free k-way merge
-	// the unary engine uses. Peak memory is bounded by the external-sort
-	// buffers, not by tuple-set sizes.
+	// the unary engine uses. Each list's tuple set is sorted in memory
+	// and staged into the scratch dataset; no tuple set outlives its
+	// level.
 	NaryMerge
 )
 
@@ -114,9 +115,10 @@ type NaryOptions struct {
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
 	// GOMAXPROCS, 1 extracts sequentially.
 	ExportWorkers int
-	// Sort is the base external-sort configuration for tuple extraction;
-	// its TempDir defaults to WorkDir. Mainly a testing hook for forcing
-	// tiny spill buffers.
+	// Sort carries the value-file encoding: only Sort.Format is read, for
+	// the unary seed's exports and the per-level tuple files. Tuple sets
+	// are sorted in memory, so the sorter's budget, fan-in and spill
+	// directory do not apply.
 	Sort extsort.Config
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in,
@@ -260,7 +262,7 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 		if scratch == nil {
 			scratch = store.NewFS(workDir, opts.Sort.Format)
 		}
-		levels = &mergeLevelVerifier{db: db, opts: opts, workDir: workDir, scratch: scratch, stats: &res.Stats}
+		levels = &mergeLevelVerifier{db: db, opts: opts, scratch: scratch, stats: &res.Stats}
 	} else {
 		levels = &tupleLevelVerifier{v: verifier}
 	}
@@ -533,16 +535,16 @@ func projectionsSatisfied(c naryCand, satisfied map[string]bool) bool {
 }
 
 // tupleVerifier materialises and caches distinct tuple sets per column
-// list. Tuples containing NULL are ignored, the standard convention for
-// n-ary INDs.
+// list, keyed by listIdent so that no two lists share an entry. Tuples
+// containing NULL are ignored, the standard convention for n-ary INDs.
 type tupleVerifier struct {
 	db    *relstore.Database
 	stats *NaryStats
-	cache map[string]map[string]struct{}
+	cache map[relstore.ColumnRef]map[string]struct{}
 }
 
 func newTupleVerifier(db *relstore.Database, stats *NaryStats) *tupleVerifier {
-	return &tupleVerifier{db: db, stats: stats, cache: make(map[string]map[string]struct{})}
+	return &tupleVerifier{db: db, stats: stats, cache: make(map[relstore.ColumnRef]map[string]struct{})}
 }
 
 func (v *tupleVerifier) holds(c naryCand) (bool, error) {
@@ -567,38 +569,27 @@ func (v *tupleVerifier) holds(c naryCand) (bool, error) {
 }
 
 func (v *tupleVerifier) tupleSet(table string, cols []relstore.ColumnRef) (map[string]struct{}, error) {
-	var kb strings.Builder
-	kb.WriteString(table)
-	for _, c := range cols {
-		kb.WriteByte(3)
-		kb.WriteString(c.Column)
-	}
-	key := kb.String()
+	key := listIdent(table, cols)
 	if s, ok := v.cache[key]; ok {
 		return s, nil
 	}
-	tab := v.db.Table(table)
-	if tab == nil {
-		return nil, fmt.Errorf("ind: unknown table %q", table)
-	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = tab.ColumnIndex(c.Column)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("ind: unknown column %s", c)
-		}
+	tab, idx, err := resolveList(v.db, table, cols)
+	if err != nil {
+		return nil, err
 	}
 	// Tuples are keyed by the same injective encoding the merge engine
 	// streams (see encodeTuple): a naive value+separator concatenation
 	// would conflate distinct tuples whose components contain the
 	// separator byte, e.g. ("x\x00", "y") and ("x", "\x00y").
 	set := make(map[string]struct{})
-	var b strings.Builder
+	var (
+		b  []byte
+		ok bool
+	)
 	for r := 0; r < tab.RowCount(); r++ {
-		if !encodeTuple(&b, tab.Row(r), idx) {
-			continue
+		if b, ok = encodeTuple(b[:0], tab.Row(r), idx); ok {
+			set[string(b)] = struct{}{}
 		}
-		set[b.String()] = struct{}{}
 	}
 	v.cache[key] = set
 	return set, nil

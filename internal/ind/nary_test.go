@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -510,6 +511,57 @@ func TestNarySeparatorBytesDoNotConflateTuples(t *testing.T) {
 				t.Errorf("%v engine: separator-conflated tuples reported as included", opts.Algorithm)
 			}
 		}
+	}
+}
+
+// Column-list identity must be injective too. Joining a table's column
+// names with a bare separator gives the lists ("a\x03b", "c") and
+// ("a", "b\x03c") one name, so an engine caching tuple sets by that name
+// hands the second list the first one's tuples. Each table here holds
+// both lists with different tuples; the reference engine must agree
+// with the merge engine, which identifies lists by listIdent.
+func TestNaryColumnListsWithSeparatorNamesStayApart(t *testing.T) {
+	db := relstore.NewDatabase("listsep")
+	cols := []relstore.Column{
+		{Name: "a\x03b", Kind: value.String},
+		{Name: "c", Kind: value.String},
+		{Name: "a", Kind: value.String},
+		{Name: "b\x03c", Kind: value.String},
+	}
+	p := db.MustCreateTable("p", cols)
+	q := db.MustCreateTable("q", cols)
+	one, two := value.NewString("1"), value.NewString("2")
+	p.MustInsert(one, one, one, two)
+	p.MustInsert(two, two, two, one)
+	q.MustInsert(one, two, one, one)
+	q.MustInsert(two, one, two, two)
+
+	want, err := DiscoverNary(db, NaryOptions{MaxArity: 2, Algorithm: NaryMerge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Satisfied) == 0 {
+		t.Fatal("fixture has no binary IND: test is vacuous")
+	}
+	got, err := DiscoverNary(db, NaryOptions{MaxArity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotS, wantS := naryStrings(got.Satisfied), naryStrings(want.Satisfied)
+	var extra, missing []string
+	for _, d := range gotS {
+		if !slices.Contains(wantS, d) {
+			extra = append(extra, d)
+		}
+	}
+	for _, d := range wantS {
+		if !slices.Contains(gotS, d) {
+			missing = append(missing, d)
+		}
+	}
+	if len(extra) > 0 || len(missing) > 0 {
+		t.Errorf("tuple-set engine differs from the merge engine: %d false INDs %q, %d missed %q",
+			len(extra), extra, len(missing), missing)
 	}
 }
 

@@ -2,6 +2,7 @@ package ind
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"spider/internal/extsort"
@@ -16,48 +17,73 @@ import (
 // INDs more efficiently ... will also be beneficial for finding
 // multivalued INDs") made concrete. Per level, every candidate column
 // list becomes one synthetic attribute whose value set is the sorted
-// distinct stream of its encoded tuples (NULL-containing tuples dropped,
-// deduplication by the external sorter); the whole level's candidates
-// are then decided in a single count-free heap merge, exactly as the
-// unary engine decides its candidates. Verification becomes
-// I/O-bound: peak memory is the extsort buffer, never a tuple set.
+// distinct set of its encoded tuples (NULL-containing tuples dropped);
+// the whole level's candidates are then decided in a single count-free
+// heap merge, exactly as the unary engine decides its candidates. The
+// tuple set is built the way the column pass builds a column's set: the
+// table is already in memory, so its tuples are encoded into one arena,
+// sorted and compacted in memory, and staged presorted. With a file
+// scratch dataset at most one tuple set per extraction worker is in
+// memory at a time; memory and spill datasets keep a level's sets until
+// the level is decided.
 
-// appendEscaped writes s with the tuple-component escaping: bytes 0x00
-// and 0x01 are escaped through 0x01, so 0x00 can serve as an
-// unambiguous component separator for arbitrary strings.
-func appendEscaped(b *strings.Builder, s string) {
+// appendEscaped appends s to dst with the tuple-component escaping:
+// bytes 0x00 and 0x01 are escaped through 0x01 (as 0x01 0x02 and
+// 0x01 0x01), so 0x00 can serve as an unambiguous component separator
+// for arbitrary strings.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
 	for j := 0; j < len(s); j++ {
-		switch s[j] {
-		case 0:
-			b.WriteByte(1)
-			b.WriteByte(2)
-		case 1:
-			b.WriteByte(1)
-			b.WriteByte(1)
-		default:
-			b.WriteByte(s[j])
+		if c := s[j]; c <= 1 {
+			dst = append(dst, s[start:j]...)
+			dst = append(dst, 1, 2-c)
+			start = j + 1
 		}
 	}
+	return append(dst, s[start:]...)
 }
 
 // encodeTuple appends the injectively encoded tuple of row values at idx
-// to b, returning false when any component is NULL (such tuples are
-// dropped, matching the tupleVerifier convention). Components are joined
-// by 0x00 and escaped via appendEscaped, so the encoding is unambiguous
-// for arbitrary canonical strings.
-func encodeTuple(b *strings.Builder, row []value.Value, idx []int) bool {
-	b.Reset()
+// to dst. It returns dst unchanged and false when any component is NULL
+// (such tuples are dropped, matching the tupleVerifier convention).
+// Components are joined by 0x00 and escaped via appendEscaped, so the
+// encoding is unambiguous for arbitrary canonical strings. Only string
+// kinds can hold 0x00 or 0x01; the other canonical encodings are
+// printable ASCII and are appended as they are.
+func encodeTuple(dst []byte, row []value.Value, idx []int) ([]byte, bool) {
+	base := len(dst)
 	for n, i := range idx {
 		cell := row[i]
 		if cell.IsNull() {
-			return false
+			return dst[:base], false
 		}
 		if n > 0 {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		}
-		appendEscaped(b, cell.Canonical())
+		if k := cell.Kind(); k == value.String || k == value.LOB {
+			dst = appendEscaped(dst, cell.Str())
+		} else {
+			dst = cell.AppendCanonical(dst)
+		}
 	}
-	return true
+	return dst, true
+}
+
+// resolveList returns the table of a column list and the row index of
+// each of its columns, in list order: the arguments encodeTuple takes.
+func resolveList(db *relstore.Database, table string, cols []relstore.ColumnRef) (*relstore.Table, []int, error) {
+	tab := db.Table(table)
+	if tab == nil {
+		return nil, nil, fmt.Errorf("ind: unknown table %q", table)
+	}
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		idx[i] = tab.ColumnIndex(c.Column)
+		if idx[i] < 0 {
+			return nil, nil, fmt.Errorf("ind: unknown column %s", c)
+		}
+	}
+	return tab, idx, nil
 }
 
 // tupleList is one distinct column list of a level, with the synthetic
@@ -73,24 +99,24 @@ type tupleList struct {
 // with the same injective encoding as the tuple values so column names
 // containing separator bytes cannot conflate two distinct lists.
 func listIdent(table string, cols []relstore.ColumnRef) relstore.ColumnRef {
-	var b strings.Builder
+	var b []byte
 	for i, c := range cols {
 		if i > 0 {
-			b.WriteByte(0)
+			b = append(b, 0)
 		}
-		appendEscaped(&b, c.Column)
+		b = appendEscaped(b, c.Column)
 	}
-	return relstore.ColumnRef{Table: table, Column: b.String()}
+	return relstore.ColumnRef{Table: table, Column: string(b)}
 }
 
 // mergeLevelVerifier verifies one level at a time with the SpiderMerge
 // heap merge over encoded tuple streams.
 type mergeLevelVerifier struct {
-	db      *relstore.Database
-	opts    NaryOptions
-	workDir string
+	db   *relstore.Database
+	opts NaryOptions
 	// scratch receives each level's encoded tuple sets; a filesystem
-	// dataset rooted at workDir unless the caller supplied a backend.
+	// dataset rooted at the work directory unless the caller supplied a
+	// backend.
 	scratch store.Dataset
 	stats   *NaryStats
 }
@@ -149,15 +175,11 @@ func (m *mergeLevelVerifier) verifyLevel(arity int, cands []naryCand) ([]bool, e
 	return out, nil
 }
 
-// runMerge stages every list's encoded tuple stream into the scratch
+// runMerge stages every list's sorted tuple set into the scratch
 // dataset and decides the level's candidates in one SpiderMerge. The
 // level's tuple sets are removed once it is decided, so storage stays
 // bounded by one level.
 func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Candidate, counter *valfile.ReadCounter) (*Result, error) {
-	sortCfg := m.opts.Sort
-	if sortCfg.TempDir == "" {
-		sortCfg.TempDir = m.workDir
-	}
 	keys := make([]string, len(lists))
 	defer func() {
 		for _, k := range keys {
@@ -167,11 +189,12 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 		}
 	}()
 	err := runPool(len(lists), m.opts.ExportWorkers, func(i int) error {
-		sorter, err := m.fillTupleSorter(lists[i], sortCfg)
+		tuples, err := m.tupleSet(lists[i])
 		if err != nil {
 			return err
 		}
 		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, i)
+		sorter := extsort.Presorted(tuples, int64(lists[i].attr.NonNull))
 		n, _, err := stageSorted(m.scratch, lists[i].attr, key, sorter, nil, nil)
 		if err != nil {
 			return err
@@ -186,35 +209,44 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 	return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store})
 }
 
-// fillTupleSorter scans the list's table once, pushing every NULL-free
-// encoded tuple through a fresh external sorter, and fills the synthetic
-// attribute's row counts; staging sets its exact Distinct.
-func (m *mergeLevelVerifier) fillTupleSorter(l *tupleList, cfg extsort.Config) (*extsort.Sorter, error) {
-	tab := m.db.Table(l.table)
-	if tab == nil {
-		return nil, fmt.Errorf("ind: unknown table %q", l.table)
+// tupleSet scans the list's table once and returns the sorted distinct
+// set of its NULL-free encoded tuples, filling the synthetic attribute's
+// row counts; staging sets its exact Distinct. Every tuple is a slice of
+// an arena string, so the set costs a few allocations in all rather
+// than one per tuple.
+func (m *mergeLevelVerifier) tupleSet(l *tupleList) ([]string, error) {
+	tab, idx, err := resolveList(m.db, l.table, l.cols)
+	if err != nil {
+		return nil, err
 	}
-	idx := make([]int, len(l.cols))
-	for i, c := range l.cols {
-		idx[i] = tab.ColumnIndex(c.Column)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("ind: unknown column %s", c)
-		}
-	}
-	sorter := extsort.New(cfg)
-	var b strings.Builder
-	added := 0
-	for r := 0; r < tab.RowCount(); r++ {
-		if !encodeTuple(&b, tab.Row(r), idx) {
+	rows := tab.RowCount()
+	tuples := make([]string, 0, rows)
+	var (
+		arena strings.Builder
+		used  int // bytes in arenas before the current one
+		buf   []byte
+		ok    bool
+	)
+	for r := 0; r < rows; r++ {
+		if buf, ok = encodeTuple(buf[:0], tab.Row(r), idx); !ok {
 			continue
 		}
-		added++
-		if err := sorter.Add(b.String()); err != nil {
-			sorter.Discard()
-			return nil, err
+		if arena.Cap()-arena.Len() < len(buf) {
+			// Size a fresh arena for this tuple and the rows left at
+			// the mean tuple length so far. The tuples already sliced
+			// keep the previous arena alive, so an arena that runs
+			// short costs one more arena, never a copy.
+			used += arena.Len()
+			mean := (used + len(buf) + len(tuples)) / (len(tuples) + 1)
+			arena = strings.Builder{}
+			arena.Grow(len(buf) + (rows-r-1)*mean)
 		}
+		start := arena.Len()
+		arena.Write(buf)
+		tuples = append(tuples, arena.String()[start:])
 	}
-	l.attr.Rows = tab.RowCount()
-	l.attr.NonNull = added
-	return sorter, nil
+	l.attr.Rows = rows
+	l.attr.NonNull = len(tuples)
+	slices.Sort(tuples)
+	return slices.Compact(tuples), nil
 }

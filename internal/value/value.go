@@ -175,10 +175,7 @@ func (v Value) Canonical() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		// Integral floats render like integers so that an INTEGER column
-		// and a FLOAT column holding the same number agree, mirroring
-		// to_char behaviour.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e15 {
+		if integral(v.f) {
 			return strconv.FormatInt(int64(v.f), 10)
 		}
 		return strconv.FormatFloat(v.f, 'g', -1, 64)
@@ -187,6 +184,39 @@ func (v Value) Canonical() string {
 	default:
 		panic("value: Canonical() on unknown kind")
 	}
+}
+
+// AppendCanonical appends the canonical encoding of v to dst and returns
+// the extended slice. It writes the bytes Canonical returns, but no kind
+// allocates when dst has room. Like Canonical it panics on NULL.
+func (v Value) AppendCanonical(dst []byte) []byte {
+	switch v.kind {
+	case Null:
+		panic("value: AppendCanonical() on NULL")
+	case Bool:
+		if v.i != 0 {
+			return append(dst, "true"...)
+		}
+		return append(dst, "false"...)
+	case Int:
+		return strconv.AppendInt(dst, v.i, 10)
+	case Float:
+		if integral(v.f) {
+			return strconv.AppendInt(dst, int64(v.f), 10)
+		}
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case String, LOB:
+		return append(dst, v.s...)
+	default:
+		panic("value: AppendCanonical() on unknown kind")
+	}
+}
+
+// integral reports whether the float f renders like an integer: integral
+// floats below 1e15 in magnitude, so that an INTEGER column and a FLOAT
+// column holding the same number agree, mirroring to_char behaviour.
+func integral(f float64) bool {
+	return f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15
 }
 
 // Compare totally orders non-null values: first by canonical encoding.

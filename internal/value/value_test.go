@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -316,6 +317,33 @@ func TestInferAllocations(t *testing.T) {
 	for _, s := range []string{"P12345", "3.14", "-infinity", "FALSE", "ſ"} {
 		if n := testing.AllocsPerRun(100, func() { Infer(s) }); n != 0 {
 			t.Errorf("Infer(%q) allocates %.0f times per call", s, n)
+		}
+	}
+}
+
+// AppendCanonical writes exactly the bytes Canonical returns, for every
+// kind and the float renderings at the integral boundary, and appends to
+// a buffer with room without allocating.
+func TestAppendCanonicalMatchesCanonical(t *testing.T) {
+	vals := []Value{
+		NewBool(true), NewBool(false),
+		NewInt(0), NewInt(-7), NewInt(144), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(144), NewFloat(-3), NewFloat(1.5), NewFloat(1e-7),
+		NewFloat(1e15 - 1), NewFloat(1e15), NewFloat(-1e15), NewFloat(1e15 + 2),
+		NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+		NewString(""), NewString("x\x00\x01y"), NewLOB("blob"),
+	}
+	buf := make([]byte, 0, 64)
+	for _, v := range vals {
+		want := v.Canonical()
+		if got := string(v.AppendCanonical(nil)); got != want {
+			t.Errorf("%v %v: AppendCanonical(nil) = %q, Canonical() = %q", v.Kind(), v, got, want)
+		}
+		if got := string(v.AppendCanonical([]byte("p|"))); got != "p|"+want {
+			t.Errorf("%v %v: AppendCanonical(\"p|\") = %q, want %q", v.Kind(), v, got, "p|"+want)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = v.AppendCanonical(buf[:0]) }); n != 0 {
+			t.Errorf("%v %v: AppendCanonical allocates %.0f times into a buffer with room", v.Kind(), v, n)
 		}
 	}
 }
