@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,6 +12,7 @@ import (
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
+	"spider/internal/value"
 )
 
 // The paper closes its related-work discussion with: "We believe that our
@@ -188,15 +189,38 @@ type naryCand struct {
 	pairs              []pairKey // sorted by dep column name
 }
 
+// key identifies the candidate: the table and column names of its
+// pairs, each escaped as a tuple component (appendEscaped) and ended by
+// 0x00. Names may contain dots, so joining their table.column forms
+// would give candidates over different tables one key.
 func (c naryCand) key() string {
-	var b strings.Builder
+	n := 0
 	for _, p := range c.pairs {
-		b.WriteString(p.dep.String())
-		b.WriteByte(1)
-		b.WriteString(p.ref.String())
-		b.WriteByte(2)
+		n += len(p.dep.Table) + len(p.dep.Column) + len(p.ref.Table) + len(p.ref.Column) + 4
 	}
-	return b.String()
+	b := make([]byte, 0, n)
+	for _, p := range c.pairs {
+		for _, name := range [...]string{p.dep.Table, p.dep.Column, p.ref.Table, p.ref.Column} {
+			b = append(appendEscaped(b, name), 0)
+		}
+	}
+	return string(b)
+}
+
+// sortCands orders candidates by key, computing each key once.
+func sortCands(cands []naryCand) {
+	type keyed struct {
+		key string
+		c   naryCand
+	}
+	ks := make([]keyed, len(cands))
+	for i, c := range cands {
+		ks[i] = keyed{c.key(), c}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		cands[i] = ks[i].c
+	}
 }
 
 // levelVerifier decides one level's candidates in bulk; the verdict slice
@@ -300,7 +324,7 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(current, func(i, j int) bool { return current[i].key() < current[j].key() })
+	sortCands(current)
 	emitLevel(1, start)
 
 	for arity := 2; arity <= opts.MaxArity && len(current) > 0; arity++ {
@@ -487,7 +511,7 @@ func generateLevel(current []naryCand, satisfied map[string]bool) []naryCand {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
+	sortCands(out)
 	return out
 }
 
@@ -583,11 +607,15 @@ func (v *tupleVerifier) tupleSet(table string, cols []relstore.ColumnRef) (map[s
 	// separator byte, e.g. ("x\x00", "y") and ("x", "\x00y").
 	set := make(map[string]struct{})
 	var (
-		b  []byte
-		ok bool
+		b   []byte
+		ok  bool
+		row = make([]value.Value, len(tab.Columns))
 	)
 	for r := 0; r < tab.RowCount(); r++ {
-		if b, ok = encodeTuple(b[:0], tab.Row(r), idx); ok {
+		for _, c := range idx {
+			row[c] = tab.Value(r, c)
+		}
+		if b, ok = encodeTuple(b[:0], row, idx); ok {
 			set[string(b)] = struct{}{}
 		}
 	}

@@ -597,3 +597,58 @@ func TestNaryINDString(t *testing.T) {
 		t.Error("arity wrong")
 	}
 }
+
+// Candidate keys must be injective over dotted names. Table p with
+// columns x.y and x.z and table p.x with columns y and z print their
+// columns alike (p.x.y, p.x.z), so a key joining table.column forms
+// makes each candidate over one table a duplicate of one over the
+// other. Both tables hold the same rows and r a superset of them, so
+// four binary INDs hold, and each engine must report all four.
+func TestNaryDottedNamesKeepCandidatesApart(t *testing.T) {
+	db := relstore.NewDatabase("dotted")
+	p := db.MustCreateTable("p", []relstore.Column{{Name: "x.y", Kind: value.Int}, {Name: "x.z", Kind: value.String}})
+	px := db.MustCreateTable("p.x", []relstore.Column{{Name: "y", Kind: value.Int}, {Name: "z", Kind: value.String}})
+	r := db.MustCreateTable("r", []relstore.Column{{Name: "a", Kind: value.Int}, {Name: "b", Kind: value.String}})
+	for i := int64(0); i < 4; i++ {
+		row := []value.Value{value.NewInt(i), value.NewString(fmt.Sprint("s", i))}
+		p.MustInsert(row...)
+		px.MustInsert(row...)
+		r.MustInsert(row...)
+	}
+	r.MustInsert(value.NewInt(9), value.NewString("s9"))
+
+	list := func(table string, cols ...string) []relstore.ColumnRef {
+		out := make([]relstore.ColumnRef, len(cols))
+		for i, c := range cols {
+			out[i] = relstore.ColumnRef{Table: table, Column: c}
+		}
+		return out
+	}
+	quote := func(l []relstore.ColumnRef) string {
+		var parts []string
+		for _, c := range l {
+			parts = append(parts, fmt.Sprintf("%q.%q", c.Table, c.Column))
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	}
+	key := func(dep, ref []relstore.ColumnRef) string { return quote(dep) + " ⊆ " + quote(ref) }
+	pl, pxl, rl := list("p", "x.y", "x.z"), list("p.x", "y", "z"), list("r", "a", "b")
+	want := []string{key(pl, rl), key(pl, pxl), key(pxl, rl), key(pxl, pl)}
+	slices.Sort(want)
+	for _, engine := range []NaryEngine{NaryTupleSets, NaryMerge} {
+		res, err := DiscoverNary(db, NaryOptions{MaxArity: 2, Algorithm: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range res.Satisfied {
+			if len(d.Dep) == 2 {
+				got = append(got, key(d.Dep, d.Ref))
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("engine %v: binary INDs\n%s\nwant\n%s", engine, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

@@ -226,9 +226,13 @@ func (m *mergeLevelVerifier) tupleSet(l *tupleList) ([]string, error) {
 		used  int // bytes in arenas before the current one
 		buf   []byte
 		ok    bool
+		row   = make([]value.Value, len(tab.Columns))
 	)
 	for r := 0; r < rows; r++ {
-		if buf, ok = encodeTuple(buf[:0], tab.Row(r), idx); !ok {
+		for _, c := range idx {
+			row[c] = tab.Value(r, c)
+		}
+		if buf, ok = encodeTuple(buf[:0], row, idx); !ok {
 			continue
 		}
 		if arena.Cap()-arena.Len() < len(buf) {

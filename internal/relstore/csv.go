@@ -139,9 +139,8 @@ func parseCSV(r io.Reader, name string) (*Table, error) {
 // and its rows' fields, held in chunks of one or more whole rows each,
 // row after row. A column's kind is the widening (Int → Float → String)
 // of its fields' inferred kinds, and an all-NULL column is stored as
-// VARCHAR. The rows share one exact-size slab of values; each row's
-// capacity ends at its last value, so an append to a row copies instead
-// of overwriting the next one.
+// VARCHAR. Each column is parsed into its own exact-size vector: an
+// INTEGER column into an int64 vector, any other into a value vector.
 func typedTable(name string, header []string, chunks [][]string) (*Table, error) {
 	cols := make([]Column, len(header))
 	for i, h := range header {
@@ -166,17 +165,15 @@ func typedTable(name string, header []string, chunks [][]string) (*Table, error)
 			cols[i].Kind = value.String
 		}
 	}
-	slab := make([]value.Value, 0, fields)
-	for _, c := range chunks {
-		for r := 0; r < len(c); r += n {
-			for i, f := range c[r : r+n] {
-				slab = append(slab, value.Parse(f, cols[i].Kind))
+	t.n = fields / n
+	for i := range cols {
+		col := newColumn(cols[i].Kind, t.n)
+		for _, c := range chunks {
+			for r := i; r < len(c); r += n {
+				col.append(value.Parse(c[r], cols[i].Kind))
 			}
 		}
-	}
-	t.rows = make([][]value.Value, fields/n)
-	for r := range t.rows {
-		t.rows[r] = slab[r*n : (r+1)*n : (r+1)*n]
+		t.cols[i] = col
 	}
 	return t, nil
 }
@@ -193,9 +190,9 @@ func (t *Table) DumpCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(t.Columns))
-	for _, row := range t.rows {
-		for i, v := range row {
-			if v.IsNull() {
+	for r := 0; r < t.n; r++ {
+		for i := range t.cols {
+			if v := t.cols[i].value(r); v.IsNull() {
 				rec[i] = ""
 			} else {
 				rec[i] = v.String()

@@ -1,27 +1,36 @@
 // Package relstore implements the embedded relational store that stands in
 // for the commercial object-relational DBMS of the paper (Sec 1.4). It
-// provides a catalog of tables with typed columns, row storage, NULL
-// handling, per-column statistics (non-null count, distinct count,
-// uniqueness, canonical min/max) and declared constraints (primary keys,
-// foreign keys) used as the gold standard in Sec 5.
+// provides a catalog of tables with typed columns, NULL handling,
+// per-column statistics (non-null count, distinct count, uniqueness,
+// canonical min/max) and declared constraints (primary keys, foreign
+// keys) used as the gold standard in Sec 5.
+//
+// Tables are stored column by column. An INTEGER column is an int64
+// vector with a null mask; every other column is a vector of values.
+// Row readers take one value at a time (Table.Value) or fill a buffer
+// they reuse (Table.AppendRow).
 //
 // The store parses and computes statistics in parallel. LoadCSVDir
 // parses its files concurrently and then registers the tables in file
-// name order, and a table's column statistics are computed one column
-// per worker. Both pools hold GOMAXPROCS workers, and neither changes
-// what is loaded or computed.
+// name order, and the first statistics call runs the column pass of
+// every stale column in the database on one pool. Both pools hold
+// GOMAXPROCS workers, and neither changes what is loaded or computed.
 //
 // One column pass serves statistics and extraction alike: it sorts the
 // column's canonical values once into the sorted distinct set s(a),
 // the paper's SELECT DISTINCT … ORDER BY (Sec 3), and reads the
-// statistics off that set. The table keeps each set next to its
+// statistics off that set. An INTEGER vector is sorted on integer keys
+// in the order of its values' decimal text, and only its distinct
+// values are formatted. The table keeps each set next to its
 // statistics until DistinctCanonical hands it over.
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +62,8 @@ type ForeignKey struct {
 	Ref ColumnRef
 }
 
-// Table is a named relation: an ordered set of typed columns plus rows.
+// Table is a named relation: an ordered set of typed columns plus rows,
+// stored one vector per column.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -61,7 +71,8 @@ type Table struct {
 	// when the schema declares none.
 	PrimaryKey string
 
-	rows     [][]value.Value
+	cols     []column
+	n        int // rows
 	colIndex map[string]int
 
 	// mu guards the column pass cache. stats is nil until the pass has
@@ -90,6 +101,9 @@ type Database struct {
 	tables map[string]*Table
 	order  []string
 	fks    []ForeignKey
+	// pass serializes column passes, so concurrent statistics callers
+	// wait for one pass.
+	pass sync.Mutex
 }
 
 // NewDatabase returns an empty database with the given name.
@@ -122,7 +136,11 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 		idx[c.Name] = i
 	}
-	return &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx}, nil
+	t := &Table{Name: name, Columns: append([]Column(nil), cols...), colIndex: idx, cols: make([]column, len(cols))}
+	for i, c := range cols {
+		t.cols[i] = newColumn(c.Kind, 0)
+	}
+	return t, nil
 }
 
 // register adds a table built off the catalog, passing on the error of
@@ -221,16 +239,16 @@ func (db *Database) Resolve(ref ColumnRef) (*Table, int, error) {
 	return t, i, nil
 }
 
-// ColumnStats computes (and caches per table) statistics for ref. The
-// first call runs the column pass on every column of ref's table, which
-// keeps each column's sorted set until DistinctCanonical takes it or
-// the rows change.
+// ColumnStats computes (and caches per table) statistics for ref. When
+// ref's are stale, the call runs the column pass of every column in the
+// database whose statistics are stale. Each table keeps its columns'
+// sorted sets until DistinctCanonical takes them or its rows change.
 func (db *Database) ColumnStats(ref ColumnRef) (ColumnStats, error) {
 	t, i, err := db.Resolve(ref)
 	if err != nil {
 		return ColumnStats{}, err
 	}
-	return t.columnStats()[i], nil
+	return db.columnStats(t)[i], nil
 }
 
 // ColumnKind returns the declared kind of ref.
@@ -246,7 +264,7 @@ func (db *Database) ColumnKind(ref ColumnRef) (value.Kind, error) {
 func (db *Database) TotalRows() int {
 	n := 0
 	for _, t := range db.Tables() {
-		n += len(t.rows)
+		n += t.n
 	}
 	return n
 }
@@ -261,16 +279,20 @@ func (t *Table) ColumnIndex(name string) int {
 }
 
 // Insert appends a row. The row must have exactly one value per column;
-// values are accepted as-is (the loader performs kind coercion). It
-// drops the cached statistics and sorted sets. Insert must not run
-// concurrently with the table's readers.
+// values are accepted as-is (the loader performs kind coercion), and a
+// value that is neither INTEGER nor NULL moves an INTEGER column to a
+// value vector. It drops the cached statistics and sorted sets. Insert
+// must not run concurrently with the table's readers.
 func (t *Table) Insert(row []value.Value) error {
 	if len(row) != len(t.Columns) {
 		return fmt.Errorf("relstore: table %q: row has %d values, want %d", t.Name, len(row), len(t.Columns))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows = append(t.rows, append([]value.Value(nil), row...))
+	for i, v := range row {
+		t.cols[i].append(v)
+	}
+	t.n++
 	t.stats, t.sets = nil, nil
 	return nil
 }
@@ -283,10 +305,26 @@ func (t *Table) MustInsert(row ...value.Value) {
 }
 
 // RowCount returns the number of stored rows.
-func (t *Table) RowCount() int { return len(t.rows) }
+func (t *Table) RowCount() int { return t.n }
 
-// Row returns the i-th row. The returned slice must not be mutated.
-func (t *Table) Row(i int) []value.Value { return t.rows[i] }
+// Value returns the value in row r of column c.
+func (t *Table) Value(r, c int) value.Value { return t.cols[c].value(r) }
+
+// AppendRow appends the values of row r, one per column, to dst and
+// returns the extended slice.
+func (t *Table) AppendRow(dst []value.Value, r int) []value.Value {
+	for c := range t.cols {
+		dst = append(dst, t.cols[c].value(r))
+	}
+	return dst
+}
+
+// Row returns the i-th row as a new slice the caller owns. A scan over
+// many rows reads them with Value or AppendRow instead, into a buffer
+// it reuses.
+func (t *Table) Row(i int) []value.Value {
+	return t.AppendRow(make([]value.Value, 0, len(t.cols)), i)
+}
 
 // ScanColumn calls fn for every value (including NULLs) of the named
 // column, in row order. It returns the number of values visited.
@@ -295,45 +333,79 @@ func (t *Table) ScanColumn(name string, fn func(value.Value)) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("relstore: table %q: unknown column %q", t.Name, name)
 	}
-	for _, r := range t.rows {
-		fn(r[i])
+	c := &t.cols[i]
+	for r := 0; r < t.n; r++ {
+		fn(c.value(r))
 	}
-	return len(t.rows), nil
+	return t.n, nil
 }
 
-// columnStats returns the statistics of every column, running the
-// column pass first when the rows changed since the last one. Columns
-// are independent, so each is computed on its own worker. Concurrent
-// callers wait for one pass.
-func (t *Table) columnStats() []ColumnStats {
+// cachedStats returns the table's statistics, or nil when they are stale.
+func (t *Table) cachedStats() []ColumnStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stats == nil {
-		stats := make([]ColumnStats, len(t.Columns))
-		sets := make([][]string, len(t.Columns))
-		parallel(len(t.Columns), func(ci int) { sets[ci], stats[ci] = t.columnPass(ci) })
-		t.stats, t.sets = stats, sets
-	}
 	return t.stats
 }
 
-// columnPass canonicalizes the non-null values of column ci once,
-// sorts them and drops the duplicates. It returns the sorted distinct
-// set, never nil, and the statistics read off it: NonNull is the count
-// before deduplication, Distinct the count after, and the bounds are
-// its first and last values.
-func (t *Table) columnPass(ci int) ([]string, ColumnStats) {
-	vals := make([]string, 0, len(t.rows))
-	for _, r := range t.rows {
-		if v := r[ci]; !v.IsNull() {
-			vals = append(vals, v.Canonical())
+// columnStats returns the statistics of every column of t. When they
+// are stale it first runs the column pass of every stale table of the
+// database, one column per task on one pool, longest columns first so
+// that no worker is left alone with a long column at the end.
+func (db *Database) columnStats(t *Table) []ColumnStats {
+	if s := t.cachedStats(); s != nil {
+		return s
+	}
+	db.pass.Lock()
+	defer db.pass.Unlock()
+	if s := t.cachedStats(); s != nil {
+		return s
+	}
+	type task struct {
+		t  *Table
+		ci int
+	}
+	var (
+		stale []*Table
+		tasks []task
+	)
+	for _, tb := range db.Tables() {
+		if tb.cachedStats() == nil {
+			stale = append(stale, tb)
+			for ci := range tb.Columns {
+				tasks = append(tasks, task{tb, ci})
+			}
 		}
 	}
-	s := ColumnStats{Rows: len(t.rows), NonNull: len(vals)}
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
+	slices.SortStableFunc(tasks, func(a, b task) int { return cmp.Compare(b.t.n, a.t.n) })
+	stats := make(map[*Table][]ColumnStats, len(stale))
+	sets := make(map[*Table][][]string, len(stale))
+	for _, tb := range stale {
+		stats[tb] = make([]ColumnStats, len(tb.Columns))
+		sets[tb] = make([][]string, len(tb.Columns))
+	}
+	parallel(len(tasks), func(i int) {
+		k := tasks[i]
+		sets[k.t][k.ci], stats[k.t][k.ci] = k.t.columnPass(k.ci)
+	})
+	for _, tb := range stale {
+		tb.mu.Lock()
+		tb.stats, tb.sets = stats[tb], sets[tb]
+		tb.mu.Unlock()
+	}
+	return stats[t]
+}
+
+// columnPass sorts the canonical values of column ci once and drops
+// the duplicates. It returns the sorted distinct set, never nil, and
+// the statistics read off it: NonNull is the count before
+// deduplication, Distinct the count after, and the bounds are copies
+// of its first and last values, so that the statistics do not keep the
+// set alive.
+func (t *Table) columnPass(ci int) ([]string, ColumnStats) {
+	vals, nonNull := t.cols[ci].sortedSet()
+	s := ColumnStats{Rows: t.n, NonNull: nonNull}
 	if s.Distinct = len(vals); s.Distinct > 0 {
-		s.MinCanonical, s.MaxCanonical, s.HasNonNull = vals[0], vals[s.Distinct-1], true
+		s.MinCanonical, s.MaxCanonical, s.HasNonNull = strings.Clone(vals[0]), strings.Clone(vals[s.Distinct-1]), true
 	}
 	s.Unique = s.HasNonNull && s.Distinct == s.NonNull
 	return vals, s

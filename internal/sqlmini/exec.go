@@ -138,7 +138,7 @@ func (s schema) resolve(c ColRef) (int, error) {
 // ---------------------------------------------------------------- planner
 
 func (e *Engine) plan(stmt *SelectStmt, st *ExecStats) (iter, error) {
-	child, sch, err := e.planFrom(stmt.From, st)
+	child, sch, err := e.planFrom(stmt.From, stmt, st)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,8 @@ func (e *Engine) plan(stmt *SelectStmt, st *ExecStats) (iter, error) {
 	return out, nil
 }
 
-func (e *Engine) planFrom(from FromItem, st *ExecStats) (iter, schema, error) {
+// planFrom plans stmt's FROM item, or a table of its join.
+func (e *Engine) planFrom(from FromItem, stmt *SelectStmt, st *ExecStats) (iter, schema, error) {
 	switch f := from.(type) {
 	case TableRef:
 		t := e.DB.Table(f.Name)
@@ -215,11 +216,15 @@ func (e *Engine) planFrom(from FromItem, st *ExecStats) (iter, schema, error) {
 			qualifier = f.Alias
 		}
 		sch := schema{}
-		for _, c := range t.Columns {
+		var cols []int
+		for i, c := range t.Columns {
 			sch.names = append(sch.names, c.Name)
 			sch.tables = append(sch.tables, qualifier)
+			if reads(stmt, c.Name) {
+				cols = append(cols, i)
+			}
 		}
-		return &scanIter{t: t, st: st, sch: sch}, sch, nil
+		return &scanIter{t: t, st: st, sch: sch, cols: cols, buf: make([]value.Value, len(t.Columns))}, sch, nil
 	case SubqueryRef:
 		it, err := e.plan(f.Stmt, st)
 		if err != nil {
@@ -228,11 +233,11 @@ func (e *Engine) planFrom(from FromItem, st *ExecStats) (iter, schema, error) {
 		sch := schema{names: it.columns(), tables: make([]string, len(it.columns()))}
 		return it, sch, nil
 	case JoinRef:
-		left, lsch, err := e.planFrom(f.Left, st)
+		left, lsch, err := e.planFrom(f.Left, stmt, st)
 		if err != nil {
 			return nil, schema{}, err
 		}
-		right, rsch, err := e.planFrom(f.Right, st)
+		right, rsch, err := e.planFrom(f.Right, stmt, st)
 		if err != nil {
 			left.close()
 			return nil, schema{}, err
@@ -285,6 +290,46 @@ func (e *Engine) planFrom(from FromItem, st *ExecStats) (iter, schema, error) {
 	}
 }
 
+// reads reports whether stmt may read the column called name from a
+// table of its FROM item: it selects *, or it names the column outside
+// its subqueries, which are planned on their own. ORDER BY names output
+// columns, which the select items already name. Names match without
+// case, as schema.resolve matches them.
+func reads(stmt *SelectStmt, name string) bool {
+	if stmt.Star || mentions(stmt.Where, name) {
+		return true
+	}
+	for _, it := range stmt.Items {
+		if mentions(it.Expr, name) {
+			return true
+		}
+	}
+	j, ok := stmt.From.(JoinRef)
+	return ok && (strings.EqualFold(j.LeftC.Name, name) || strings.EqualFold(j.RightC.Name, name))
+}
+
+// mentions reports whether e names the column called name outside its
+// subqueries.
+func mentions(e Expr, name string) bool {
+	switch x := e.(type) {
+	case ColRef:
+		return strings.EqualFold(x.Name, name)
+	case Call:
+		for _, a := range x.Args {
+			if mentions(a, name) {
+				return true
+			}
+		}
+	case Binary:
+		return mentions(x.L, name) || mentions(x.R, name)
+	case IsNull:
+		return mentions(x.X, name)
+	case InSubquery:
+		return mentions(x.X, name)
+	}
+	return false
+}
+
 // splitAnd flattens a conjunction into its conjuncts.
 func splitAnd(e Expr) []Expr {
 	if e == nil {
@@ -330,11 +375,16 @@ func isAggregate(stmt *SelectStmt) bool {
 
 // ------------------------------------------------------------- operators
 
+// scanIter reads its table's rows into one buffer it reuses; an
+// operator that keeps a row copies it. It reads only the columns its
+// statement may read (see reads) and leaves the others NULL.
 type scanIter struct {
-	t   *relstore.Table
-	st  *ExecStats
-	sch schema
-	pos int
+	t    *relstore.Table
+	st   *ExecStats
+	sch  schema
+	pos  int
+	cols []int
+	buf  []value.Value
 }
 
 func (s *scanIter) columns() []string { return s.sch.names }
@@ -343,10 +393,12 @@ func (s *scanIter) next() ([]value.Value, bool, error) {
 	if s.pos >= s.t.RowCount() {
 		return nil, false, nil
 	}
-	row := s.t.Row(s.pos)
+	for _, c := range s.cols {
+		s.buf[c] = s.t.Value(s.pos, c)
+	}
 	s.pos++
 	s.st.TuplesScanned++
-	return row, true, nil
+	return s.buf, true, nil
 }
 
 type filterIter struct {
@@ -382,6 +434,10 @@ func (f *filterIter) next() ([]value.Value, bool, error) {
 type projectIter struct {
 	child iter
 	exprs []Expr
+	// cols[i] is the input position of exprs[i] when it is a column
+	// that resolves at plan time, or -1; such a column is copied
+	// rather than evaluated, which would resolve its name per row.
+	cols  []int
 	names []string
 	env   *evalEnv
 	buf   []value.Value
@@ -392,6 +448,13 @@ func newProjectIter(child iter, sch schema, items []SelectItem, eng *Engine, st 
 	outSch := schema{}
 	for _, it := range items {
 		p.exprs = append(p.exprs, it.Expr)
+		col := -1
+		if c, ok := it.Expr.(ColRef); ok {
+			if i, err := sch.resolve(c); err == nil {
+				col = i
+			}
+		}
+		p.cols = append(p.cols, col)
 		name := it.Alias
 		if name == "" {
 			switch e := it.Expr.(type) {
@@ -419,6 +482,10 @@ func (p *projectIter) next() ([]value.Value, bool, error) {
 		return nil, false, err
 	}
 	for i, e := range p.exprs {
+		if c := p.cols[i]; c >= 0 {
+			p.buf[i] = row[c]
+			continue
+		}
 		v, err := p.env.eval(e, row)
 		if err != nil {
 			return nil, false, err

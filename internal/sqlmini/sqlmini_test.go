@@ -579,3 +579,38 @@ func ExampleEngine_Query() {
 	// 2
 	// 3
 }
+
+// TestScanReadsNamedColumns: a table scan reads only the columns its
+// statement names and leaves the others NULL, so every clause that
+// names a column must make the scan read it: the select list, *,
+// WHERE, a join condition, function arguments, IS NULL and the left
+// side of NOT IN.
+func TestScanReadsNamedColumns(t *testing.T) {
+	e := newEngine(t, false)
+	for sql, want := range map[string]string{
+		"select * from ref where v = 'b'":                                           "b Lb",
+		"select label from ref where v = 'c'":                                       "Lc",
+		"select d.id from dep d join ref r on d.v = r.v where r.label = 'Lb'":       "1|4",
+		"select to_char(id) from dep where id > 3 and id < 50":                      "4",
+		"select count(v) from dep":                                                  "5",
+		"select id from dep where v is null":                                        "99",
+		"select id from dep where v not in (select v from ref where label <> 'La')": "0|3",
+		"select distinct * from dep where id < 2":                                   "0 a|1 b",
+	} {
+		res, err := e.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			var cells []string
+			for _, v := range r {
+				cells = append(cells, v.String())
+			}
+			rows = append(rows, strings.Join(cells, " "))
+		}
+		if got := strings.Join(rows, "|"); got != want {
+			t.Errorf("%s -> %q, want %q", sql, got, want)
+		}
+	}
+}
