@@ -9,8 +9,9 @@ import (
 // This file is the cross-backend acceptance property: every discovery
 // mode must return the identical IND set whichever storage backend
 // holds the sorted value sets — files in either encoding, plain
-// memory, a read-only snapshot, or frozen spill runs. The backends
-// differ in where bytes live, never in values delivered.
+// memory, a read-only snapshot, or the per-call memory of the spill
+// backend. The backends differ in where bytes live, never in values
+// delivered.
 
 // storeBackends returns one fresh Store per backend under test.
 func storeBackends() map[string]func() *Store {

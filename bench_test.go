@@ -11,8 +11,7 @@
 //	                       the ROWNUM/hash early stop the paper wished for
 //	BenchmarkModern_*    — the spider-merge heap engine vs the faithful
 //	                       event-driven single pass (UniProt, scale 0.25)
-//	BenchmarkExportWorkers, BenchmarkStreamingSpiderMerge — parallel
-//	                       attribute export and the streaming cursor path
+//	BenchmarkExportWorkers — parallel attribute export
 //
 // Times are not comparable to the paper's absolute numbers (its datasets
 // are ~100x larger and ran on a 2005 commercial RDBMS); the shapes — who
@@ -290,39 +289,6 @@ func BenchmarkExportWorkers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkStreamingSpiderMerge runs the fully streaming pipeline —
-// values flow from the relation store through external-sort spill runs
-// (the spill backend) straight into the heap merge, never materializing
-// value files.
-func BenchmarkStreamingSpiderMerge(b *testing.B) {
-	ds := benchDataset(b, "uniprot")
-	// Export copies so the cached dataset's Paths stay valid.
-	attrs := make([]*ind.Attribute, len(ds.Attrs))
-	for i, a := range ds.Attrs {
-		cp := *a
-		attrs[i] = &cp
-	}
-	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
-	for i := 0; i < b.N; i++ {
-		var counter valfile.ReadCounter
-		spill := extsort.NewSpill()
-		err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{
-			Dataset: spill, Sort: extsort.Config{TempDir: b.TempDir()},
-		})
-		var res *ind.Result
-		if err == nil {
-			res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: spill})
-		}
-		spill.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportRun(b, res)
-		}
 	}
 }
 
@@ -784,42 +750,6 @@ func BenchmarkAblation_ResemblancePretest(b *testing.B) {
 }
 
 // BenchmarkSubstrate_* time the load-bearing substrates in isolation.
-
-func BenchmarkSubstrate_ExternalSort(b *testing.B) {
-	vals := make([]string, 50_000)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("value-%06d", i%17_000)
-	}
-	dir := b.TempDir()
-	cfg := extsort.Config{MaxInMemory: 8192, TempDir: dir}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sortToFile(vals, fmt.Sprintf("%s/out-%d.val", dir, i), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// sortToFile sorts the bag vals into a sorted distinct value file at
-// path.
-func sortToFile(vals []string, path string, cfg extsort.Config) error {
-	s := extsort.New(cfg)
-	defer s.Discard() // reclaims spill runs when Add fails mid-stream
-	for _, v := range vals {
-		if err := s.Add(v); err != nil {
-			return err
-		}
-	}
-	w, err := store.CreateFile(path, cfg.Format)
-	if err != nil {
-		return err
-	}
-	if _, _, _, err := s.DrainTo(w, nil); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
 
 func BenchmarkSubstrate_SQLJoinQuery(b *testing.B) {
 	ds := benchDataset(b, "uniprot")

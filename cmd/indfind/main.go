@@ -36,7 +36,7 @@ func main() {
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 	embedded := flag.Bool("embedded", false, "also discover embedded INDs (transformed values; -algo spider-merge selects the merge-front engine)")
 	workDir := flag.String("workdir", "", "directory for sorted value files (temporary when empty)")
-	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot|spill (mem/snapshot/spill never write value files; spill replays sort runs in place)")
+	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot|spill (mem/snapshot/spill never write value files; spill drops its sets when the run returns)")
 	formatName := flag.String("format", "text", "value-file encoding: text|block (block = columnar binary with front coding)")
 	sketchOn := flag.Bool("sketch", false, "enable the sketch pre-filter (min-hash + bloom; sound on the exact path)")
 	sketchContainment := flag.Float64("sketch-containment", 0,

@@ -65,8 +65,8 @@ type PartialOptions struct {
 	// package defaults).
 	SketchK                 int
 	SketchBloomBitsPerValue int
-	// Format selects the on-disk encoding of exported value files and
-	// frozen spill runs; see Options.Format.
+	// Format selects the on-disk encoding of exported value files; see
+	// Options.Format.
 	Format Format
 	// Store selects the dataset backend; see Options.Store.
 	Store *Store
@@ -102,8 +102,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	writeDS, readDS, release := opts.Store.datasets(workDir)
-	defer release()
+	writeDS, readDS := opts.Store.datasets(workDir)
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {
 		return nil, Stats{}, err
@@ -296,9 +295,7 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	// work directory managed inside DiscoverNary); any other store maps
 	// onto the write (scratch) and read (engine) dataset pair.
 	if opts.Store != nil && !(opts.Store.needsDir() && opts.WorkDir == "") {
-		var release func()
-		inOpts.Scratch, inOpts.Store, release = opts.Store.datasets(opts.WorkDir)
-		defer release()
+		inOpts.Scratch, inOpts.Store = opts.Store.datasets(opts.WorkDir)
 	}
 	if opts.LevelProgress != nil {
 		inOpts.LevelProgress = func(p ind.LevelProgress) {
@@ -395,8 +392,7 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	writeDS, readDS, release := opts.Store.datasets(workDir)
-	defer release()
+	writeDS, readDS := opts.Store.datasets(workDir)
 	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir,

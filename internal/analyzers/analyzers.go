@@ -4,8 +4,8 @@
 // 2–6 fixed an instance of one of these classes by hand; the analyzers
 // move those invariants from CHANGES.md tribal knowledge into the build:
 //
-//   - cursorclose: cursors, frozen runs and value-file readers must be
-//     closed on every path or escape to a returned owner.
+//   - cursorclose: cursors, dataset writers and value-file readers must
+//     be closed on every path or escape to a returned owner.
 //   - nilcounter: engine result trailers must go through the nil-safe
 //     totalRead helper, never call (*valfile.ReadCounter).Total directly.
 //   - tupleencode: multi-value keys in internal/ind must use the
@@ -13,8 +13,8 @@
 //     strings.Join, or hand-rolled \x00-separated Sprintf keys.
 //   - statstrailer: every exported engine entry point returning Stats
 //     must fill ItemsRead before returning.
-//   - cancelleak: goroutines in the merge/extsort layers that send on a
-//     channel must have a cancellation path (select on done/cancel, a
+//   - cancelleak: goroutines in internal/ind that send on a channel
+//     must have a cancellation path (select on done/cancel, a
 //     provably buffered channel, or a nonblocking send).
 //   - storeseam: value streams flow through store.Dataset (or the store
 //     package's blessed pass-throughs); direct valfile open/create/read

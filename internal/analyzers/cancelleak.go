@@ -8,8 +8,8 @@ import (
 	"spider/internal/analyzers/framework"
 )
 
-// CancelLeak enforces the goroutine discipline in the merge and
-// external-sort layers: a goroutine that sends on a channel blocks
+// CancelLeak enforces the goroutine discipline in internal/ind, the
+// extraction and merge layer: a goroutine that sends on a channel blocks
 // forever if its receiver has already given up — exactly how the
 // speculative n-ary extractions leaked goroutines and spill files until
 // they were cancelled; both the speculation and its cancel channel have
@@ -24,17 +24,15 @@ var CancelLeak = &framework.Analyzer{
 	Name: "cancelleak",
 	Doc: `goroutine channel sends need a cancellation path
 
-In internal/ind and internal/extsort, a naked send inside a launched
+In internal/ind, a naked send inside a launched
 goroutine must select on a done/cancel channel, be nonblocking, or
 target a provably buffered channel; otherwise an abandoned receiver
 leaks the goroutine (and whatever spill files it holds).`,
 	Run: runCancelLeak,
 }
 
-const extsortPkg = modulePrefix + "/internal/extsort"
-
 func runCancelLeak(pass *framework.Pass) error {
-	if !inPackages(pass, indPkg, extsortPkg) {
+	if !inPackages(pass, indPkg) {
 		return nil
 	}
 	for _, f := range pass.Files {

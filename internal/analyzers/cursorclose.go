@@ -9,9 +9,9 @@ import (
 )
 
 // CursorClose enforces the resource invariant behind every engine:
-// a Cursor, valfile.Reader/Writer, blockfile.Reader/Writer or
-// extsort.MergeCursor/Runs/Sorter/Spill obtained in a function must be
-// released on every path — closed (or discarded) before each return, or
+// a Cursor, store.ValueWriter, valfile.Reader/Writer or
+// blockfile.Reader/Writer obtained in a function must be released on
+// every path — closed (or discarded) before each return, or
 // handed off to an owner (returned, stored in a field/map, passed to
 // another function). In a batch run a leaked cursor is a failed test; in
 // the planned long-lived indserved daemon it is fd exhaustion in
@@ -29,11 +29,11 @@ import (
 //	if err != nil { return err } // a leaks here unless a defer intervened
 var CursorClose = &framework.Analyzer{
 	Name: "cursorclose",
-	Doc: `cursors and spill-run handles must be closed on all paths
+	Doc: `cursors and value-set writers must be closed on all paths
 
 Module types with a Close or Discard method (ind.Cursor, valfile.Reader,
-blockfile.Reader, blockfile.Writer, extsort.Runs, ...) obtained from a
-call must be released before every
+blockfile.Reader, blockfile.Writer, store.ValueWriter, ...) obtained
+from a call must be released before every
 subsequent return, or escape to a returned/stored owner. Assigning one
 to the blank identifier is flagged outright.`,
 	Run: runCursorClose,

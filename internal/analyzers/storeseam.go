@@ -77,10 +77,8 @@ func storeSeamBlessed(name string) string {
 	switch name {
 	case "Open":
 		return "OpenFile"
-	case "Create", "CreateFormat":
+	case "Create", "CreateFormat", "WriteAll", "WriteAllFormat":
 		return "CreateFile"
-	case "WriteAll", "WriteAllFormat":
-		return "WriteFileValues"
 	case "ReadAll":
 		return "ReadFileValues"
 	case "ReadSection":

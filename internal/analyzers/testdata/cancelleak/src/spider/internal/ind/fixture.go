@@ -1,5 +1,5 @@
 // Package ind exercises the cancelleak analyzer: goroutine sends in the
-// merge/extsort layers need a cancellation path.
+// extraction and merge layer need a cancellation path.
 package ind
 
 // nakedSend blocks forever once the receiver gives up.

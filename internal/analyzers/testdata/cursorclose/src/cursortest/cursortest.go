@@ -100,7 +100,7 @@ func sorterDiscard(vals []string) error {
 	return nil
 }
 
-// sorterLeak forgets the sorter: its spill runs stay on disk.
+// sorterLeak forgets the sorter: nothing ever discards its buffer.
 func sorterLeak(vals []string) error {
 	s := extsort.New() // want `s is never closed in this function`
 	for _, v := range vals {
@@ -159,17 +159,6 @@ func blockRoundtripClosed(src, dst string) error {
 		}
 	}
 	return r.Err()
-}
-
-// freezeHandoff releases the sorter and hands the frozen runs out.
-func freezeHandoff(vals []string) (*extsort.Runs, error) {
-	s := extsort.New()
-	defer s.Discard()
-	runs, err := s.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
 }
 
 // datasetLeakOnErrorPath is the same seeded bug class through the

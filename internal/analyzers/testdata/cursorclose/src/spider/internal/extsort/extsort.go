@@ -1,16 +1,10 @@
 // Package extsort is a fixture stub mirroring spider/internal/extsort:
-// a Discard-released Sorter and a Close-released Runs handle.
+// a Discard-released Sorter.
 package extsort
 
-// Sorter mirrors the external sorter; Discard is its release method.
+// Sorter mirrors the in-memory sorter; Discard is its release method.
 type Sorter struct{}
 
-func New() *Sorter                       { return &Sorter{} }
-func (s *Sorter) Add(v string) error     { return nil }
-func (s *Sorter) Discard()               {}
-func (s *Sorter) Freeze() (*Runs, error) { return &Runs{}, nil }
-
-// Runs mirrors the frozen spill-run handle.
-type Runs struct{}
-
-func (r *Runs) Close() error { return nil }
+func New() *Sorter                   { return &Sorter{} }
+func (s *Sorter) Add(v string) error { return nil }
+func (s *Sorter) Discard()           {}

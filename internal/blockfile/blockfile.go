@@ -62,8 +62,9 @@ const (
 	// SectionSketch holds a sketch.Encode payload (KMV minima + bloom
 	// filter) for the attribute, replacing the .sketch sidecar file.
 	SectionSketch = "SKCH"
-	// SectionRunMeta holds extsort provenance for the file: values
-	// observed before dedup and the number of spill runs merged.
+	// SectionRunMeta holds staging provenance for the file: values
+	// observed before dedup and the number of spill runs merged (0 for
+	// every set sorted in memory).
 	SectionRunMeta = "RUNM"
 )
 

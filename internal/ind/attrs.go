@@ -121,8 +121,8 @@ type ExportConfig struct {
 	// Dir receives one value file per attribute when Dataset is nil.
 	Dir string
 	// Sort is not read: column exports stage the sorted set relstore
-	// made in memory, with no external sort. The field stays for the
-	// callers that still set it.
+	// made in memory. The field stays for the benchmark module, which
+	// still sets it.
 	Sort extsort.Config
 	// Workers bounds the export worker pool. Attributes are independent —
 	// each worker stages its own column's set into its own file — so
@@ -152,8 +152,8 @@ type ExportConfig struct {
 // once per IND test — the first optimization of Sec 1.2. The sort is the
 // column pass that computed the attribute's statistics: the export takes
 // the sorted set the table kept (relstore.Table.DistinctCanonical) and
-// stages it as it is, with no external sort and no spill runs. With
-// cfg.Workers > 1 the attributes are exported by a bounded worker pool.
+// stages it as it is, with no second sort. With cfg.Workers > 1 the
+// attributes are exported by a bounded worker pool.
 func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig) error {
 	ds := cfg.Dataset
 	if ds == nil {
@@ -227,13 +227,12 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 	if err != nil {
 		return err
 	}
-	sorter := extsort.Presorted(vals, int64(a.NonNull))
 	// The sketch taps the staged stream rather than the raw column scan:
 	// each distinct value is observed exactly once, so the builder does
 	// per-distinct work instead of per-row work. The finished sketch is
 	// staged as a section of the value set itself: block files embed it,
-	// text files persist the byte-identical sidecar, memory and spill
-	// datasets keep the payload in their section map.
+	// text files persist the byte-identical sidecar, memory datasets
+	// keep the payload in their section map.
 	builder, observe := sketchObserver(cfg, a)
 	var sections func(store.ValueWriter) error
 	if builder != nil {
@@ -246,7 +245,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 			return w.SetSection(valfile.SketchSection, buf.Bytes())
 		}
 	}
-	n, max, err := stageSorted(ds, a, attrFileName(a), sorter, observe, sections)
+	n, max, err := stageSorted(ds, a, attrFileName(a), vals, int64(a.NonNull), observe, sections)
 	if err != nil {
 		return err
 	}
@@ -257,35 +256,29 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 	return nil
 }
 
-// stageSorted finishes sorter into ds under key and points a at it —
-// the one way a sorted value set enters a dataset. A spill dataset
-// adopts the frozen runs in place; every other backend receives the
-// drained stream through Create. Either way observe (may be nil) sees
-// every distinct value in sorted order, the run metadata rides along as
-// a section (backends that cannot carry it, like the text encoding,
-// drop it), and sections (may be nil) attaches further sections once
-// the stream is complete. On error nothing stays behind: the key is
-// removed and the sorter's spill runs are reclaimed. It returns the
-// distinct count and the maximum value ("" when empty).
-func stageSorted(ds store.Dataset, a *Attribute, key string, sorter *extsort.Sorter, observe func(string), sections func(store.ValueWriter) error) (n int, max string, err error) {
-	defer sorter.Discard() // no-op once drained or frozen; reclaims runs on early error
-	var (
-		w    store.ValueWriter
-		meta extsort.RunMeta
-	)
-	if sp, ok := ds.(*extsort.Spill); ok {
-		if w, max, meta, err = sp.Stage(key, sorter, observe); err != nil {
-			return 0, "", err
+// stageSorted writes vals, which must be sorted and distinct, into ds
+// under key through Create and points a at it — the one way a sorted
+// value set enters a dataset. observe (may be nil) sees every value in
+// order, the run metadata (added is the number of values vals was
+// deduplicated from) rides along as a section (backends that cannot
+// carry it, like the text encoding, drop it), and sections (may be nil)
+// attaches further sections once the stream is complete. On error the
+// key is removed. It returns the distinct count and the maximum value
+// ("" when empty).
+func stageSorted(ds store.Dataset, a *Attribute, key string, vals []string, added int64, observe func(string), sections func(store.ValueWriter) error) (n int, max string, err error) {
+	w, err := ds.Create(key)
+	if err != nil {
+		return 0, "", err
+	}
+	for _, v := range vals {
+		if observe != nil {
+			observe(v)
 		}
-	} else {
-		if w, err = ds.Create(key); err != nil {
-			return 0, "", err
-		}
-		if _, max, meta, err = sorter.DrainTo(w, observe); err != nil {
+		if err := w.Append(v); err != nil {
 			return 0, "", abortStaging(ds, key, w, err)
 		}
 	}
-	if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
+	if err := w.SetSection(valfile.RunMetaSection, valfile.RunMeta{Added: added}.Encode()); err != nil {
 		return 0, "", abortStaging(ds, key, w, err)
 	}
 	if sections != nil {
@@ -301,6 +294,9 @@ func stageSorted(ds store.Dataset, a *Attribute, key string, sorter *extsort.Sor
 	a.Key, a.Path = key, ""
 	if fs, ok := ds.(*store.FS); ok {
 		a.Path = fs.Path(key)
+	}
+	if len(vals) > 0 {
+		max = vals[len(vals)-1]
 	}
 	return n, max, nil
 }

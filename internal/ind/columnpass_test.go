@@ -1,30 +1,26 @@
 package ind
 
 import (
+	"bytes"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
-// stagingBackends returns one fresh dataset per backend a sorter can be
-// staged into: block-format files, memory and spill runs. Their Close
-// (if any) runs at test cleanup.
+// stagingBackends returns one fresh dataset per backend a sorted set
+// can be staged into: block-format files and memory (the mem, snapshot
+// and spill backends of the public API all stage into a store.Mem).
 func stagingBackends(t *testing.T) map[string]store.Dataset {
-	sp := extsort.NewSpill()
-	t.Cleanup(func() { sp.Close() })
 	return map[string]store.Dataset{
-		"fs":    store.NewFS(t.TempDir(), valfile.FormatBlock),
-		"mem":   store.NewMem(),
-		"spill": sp,
+		"fs":  store.NewFS(t.TempDir(), valfile.FormatBlock),
+		"mem": store.NewMem(),
 	}
 }
 
@@ -39,57 +35,40 @@ func stagedValues(t *testing.T, ds store.Dataset, key string) []string {
 }
 
 // stagedRunMeta decodes the run metadata staged next to key.
-func stagedRunMeta(t *testing.T, ds store.Dataset, key string) extsort.RunMeta {
+func stagedRunMeta(t *testing.T, ds store.Dataset, key string) valfile.RunMeta {
 	t.Helper()
 	data, ok, err := ds.Section(key, valfile.RunMetaSection)
 	if err != nil || !ok {
 		t.Fatalf("%s: run metadata section: ok=%v err=%v", key, ok, err)
 	}
-	meta, err := extsort.DecodeRunMeta(data)
+	meta, err := valfile.DecodeRunMeta(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return meta
 }
 
-// runFiles lists the sorter spill runs left in dir.
-func runFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	runs, err := filepath.Glob(filepath.Join(dir, "extsort-run-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runs
-}
-
-// TestStageSortedSpillRuns: a sorter that spilled many runs, merged in
-// intermediate passes, stages the same value stream and run metadata
-// into every backend, and the observer sees that stream. Column exports
-// never spill, so this is the coverage of multi-run staging.
-func TestStageSortedSpillRuns(t *testing.T) {
-	var vals []string
+// TestStageSortedEveryBackend: a sorted distinct set and the count it
+// was deduplicated from stage the same value stream and run metadata
+// into every backend, the observer sees that stream, and the attribute
+// points at the staged key.
+func TestStageSortedEveryBackend(t *testing.T) {
+	var bag []string
 	for i := 0; i < 400; i++ {
-		vals = append(vals, fmt.Sprintf("v%03d", (i*37)%151))
+		bag = append(bag, fmt.Sprintf("v%03d", (i*37)%151))
 	}
-	want := slices.Compact(slices.Sorted(slices.Values(vals)))
+	want := slices.Compact(slices.Sorted(slices.Values(bag)))
 
-	var metas []extsort.RunMeta
 	for name, ds := range stagingBackends(t) {
-		runDir := t.TempDir()
-		sorter := extsort.New(extsort.Config{MaxInMemory: 16, FanIn: 4, TempDir: runDir})
-		for _, v := range vals {
-			if err := sorter.Add(v); err != nil {
-				t.Fatal(err)
-			}
-		}
 		var observed []string
 		a := &Attribute{ID: 1}
-		n, max, err := stageSorted(ds, a, "k.val", sorter, func(v string) { observed = append(observed, v) }, nil)
+		vals := slices.Clone(want)
+		n, max, err := stageSorted(ds, a, "k.val", vals, int64(len(bag)), func(v string) { observed = append(observed, v) }, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n != len(want) || max != want[len(want)-1] || a.StoreKey() == "" {
-			t.Errorf("%s: n=%d max=%q key=%q, want n=%d max=%q", name, n, max, a.StoreKey(), len(want), want[len(want)-1])
+		if n != len(want) || max != want[len(want)-1] || a.Key != "k.val" {
+			t.Errorf("%s: n=%d max=%q key=%q, want n=%d max=%q", name, n, max, a.Key, len(want), want[len(want)-1])
 		}
 		if got := stagedValues(t, ds, a.StoreKey()); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: staged %d values, want %d sorted distinct", name, len(got), len(want))
@@ -97,45 +76,70 @@ func TestStageSortedSpillRuns(t *testing.T) {
 		if !reflect.DeepEqual(observed, want) {
 			t.Errorf("%s: observer saw %d values, want %d", name, len(observed), len(want))
 		}
-		meta := stagedRunMeta(t, ds, a.StoreKey())
-		if meta.Added != int64(len(vals)) || meta.SpillRuns < 2 {
-			t.Errorf("%s: run metadata %+v, want Added=%d and several spill runs", name, meta, len(vals))
-		}
-		metas = append(metas, meta)
-		if _, spill := ds.(*extsort.Spill); !spill {
-			if runs := runFiles(t, runDir); len(runs) != 0 {
-				t.Errorf("%s: staging left %d spill runs behind", name, len(runs))
-			}
+		if meta := stagedRunMeta(t, ds, a.StoreKey()); meta != (valfile.RunMeta{Added: int64(len(bag))}) {
+			t.Errorf("%s: run metadata %+v, want Added=%d and no spill runs", name, meta, len(bag))
 		}
 	}
-	for _, m := range metas[1:] {
-		if m != metas[0] {
-			t.Errorf("run metadata differs across backends: %+v vs %+v", m, metas[0])
+}
+
+// TestStageSortedRejectsUnsorted: a set that is not strictly increasing
+// fails staging on every backend and leaves no key behind.
+func TestStageSortedRejectsUnsorted(t *testing.T) {
+	for name, ds := range stagingBackends(t) {
+		a := &Attribute{ID: 1}
+		if _, _, err := stageSorted(ds, a, "k.val", []string{"a", "c", "b"}, 3, nil, nil); err == nil {
+			t.Errorf("%s: unsorted set staged", name)
+		}
+		if c, err := ds.Open("k.val", nil); err == nil {
+			c.Close()
+			t.Errorf("%s: a failed staging left its key readable", name)
+		}
+		if a.StoreKey() != "" {
+			t.Errorf("%s: a failed staging set the attribute's key to %q", name, a.StoreKey())
+		}
+	}
+}
+
+// TestRunMetaSectionGolden pins the bytes of the RUNM section of a
+// block-format export: the 16-byte little-endian encoding of
+// {Added: NonNull, SpillRuns: 0}, the bytes the external sorter wrote
+// for every set that fit in memory.
+func TestRunMetaSectionGolden(t *testing.T) {
+	db, _ := columnPassDB()
+	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatBlock)
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds, Dir: dir, Format: valfile.FormatBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range attrs {
+		data, ok, err := ds.Section(a.StoreKey(), valfile.RunMetaSection)
+		if err != nil || !ok {
+			t.Fatalf("%s: RUNM section: ok=%v err=%v", a.Ref, ok, err)
+		}
+		want := make([]byte, 16)
+		for i, nn := 0, a.NonNull; i < 8; i, nn = i+1, nn>>8 {
+			want[i] = byte(nn)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s: RUNM = % x, want % x", a.Ref, data, want)
 		}
 	}
 }
 
 // TestColumnExportStagesWithoutRuns: a column export stages the set the
-// column pass sorted in memory. Even with a sorter budget of two values
-// it writes no spill run, not even into the spill backend, and every
-// backend receives the column's sorted distinct set with Added equal to
-// NonNull and no spill runs.
+// column pass sorted in memory: every backend receives the column's
+// sorted distinct set with Added equal to NonNull and no spill runs.
 func TestColumnExportStagesWithoutRuns(t *testing.T) {
 	db := randomDB(31)
 	for name, ds := range stagingBackends(t) {
-		runDir := t.TempDir()
 		attrs, err := CollectAttributes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = ExportAttributes(db, attrs, ExportConfig{
-			Dataset: ds, Sort: extsort.Config{MaxInMemory: 2, TempDir: runDir}, Workers: 2, Sketches: true,
-		})
+		err = ExportAttributes(db, attrs, ExportConfig{Dataset: ds, Workers: 2, Sketches: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if runs := runFiles(t, runDir); len(runs) != 0 {
-			t.Errorf("%s: column export left %d spill runs", name, len(runs))
 		}
 		for _, a := range attrs {
 			want, err := db.Table(a.Ref.Table).DistinctCanonical(a.Ref.Column)
@@ -145,7 +149,7 @@ func TestColumnExportStagesWithoutRuns(t *testing.T) {
 			if got := stagedValues(t, ds, a.StoreKey()); !slices.Equal(got, want) {
 				t.Errorf("%s: %s: staged %v, want %v", name, a.Ref, got, want)
 			}
-			if meta := stagedRunMeta(t, ds, a.StoreKey()); meta != (extsort.RunMeta{Added: int64(a.NonNull)}) {
+			if meta := stagedRunMeta(t, ds, a.StoreKey()); meta != (valfile.RunMeta{Added: int64(a.NonNull)}) {
 				t.Errorf("%s: %s: run metadata %+v, want Added=%d and no spill runs", name, a.Ref, meta, a.NonNull)
 			}
 		}

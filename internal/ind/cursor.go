@@ -12,7 +12,7 @@ import (
 // value sets are extracted from the database and stored in sorted
 // files"). Decoupling the algorithms from the storage of those sets lets
 // the same engines run over any store.Dataset backend — value files,
-// in-memory sets, read-only snapshots or frozen external-sort spill runs.
+// in-memory sets or read-only snapshots.
 //
 // Next returns the next value in strictly increasing order; ok is false
 // at end of stream or on error, distinguished by Err. Close releases any
@@ -26,8 +26,8 @@ var pathFS = store.NewFS("", valfile.FormatText)
 
 // source opens attributes' value cursors out of one dataset, counting
 // every delivered item into counter (may be nil). It is the one access
-// path of every order-based engine: value files, in-memory sets,
-// read-only snapshots and frozen spill runs all arrive through it.
+// path of every order-based engine: value files, in-memory sets and
+// read-only snapshots all arrive through it.
 type source struct {
 	ds      store.Dataset
 	counter *valfile.ReadCounter

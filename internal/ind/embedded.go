@@ -3,11 +3,11 @@ package ind
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -104,8 +104,8 @@ func (e EmbeddedEngine) String() string {
 type EmbeddedOptions struct {
 	// Transforms to try; StandardTransforms() when empty.
 	Transforms []Transform
-	// Dir receives the derived sorted value files (and the sorter's
-	// spill runs); required unless Scratch is set.
+	// Dir receives the derived sorted value files; required unless
+	// Scratch is set.
 	Dir string
 	// Scratch receives the derived value sets; nil selects a filesystem
 	// dataset rooted at Dir, reproducing the historical on-disk layout.
@@ -267,13 +267,18 @@ func sortEmbedded(inds []EmbeddedIND) {
 // attribute, transform) with a non-trivial result set into the scratch
 // dataset, returning the synthetic attributes both engines consume.
 // Attribute IDs continue past the originals', so deriveds and originals
-// can share one merge.
+// can share one merge. Each set is built the way the column pass builds
+// a column's: the transform's results are collected into one reused
+// slice, sorted and compacted in memory, and staged.
 func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions, scratch store.Dataset) ([]derivedAttr, error) {
 	nextID := 0
 	for _, a := range attrs {
 		nextID = maxInt(nextID, a.ID+1)
 	}
-	var deriveds []derivedAttr
+	var (
+		deriveds []derivedAttr
+		vals     []string // staging copies the values out, so one buffer serves every set
+	)
 	for _, a := range attrs {
 		if !a.DependentCandidate() || a.Kind != value.String {
 			continue
@@ -283,30 +288,27 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 			return nil, fmt.Errorf("ind: unknown table %q", a.Ref.Table)
 		}
 		for _, tr := range opts.Transforms {
-			sorter := extsort.New(extsort.Config{TempDir: opts.Dir, Format: opts.Format})
-			var addErr error
+			vals = vals[:0]
 			if _, err := tab.ScanColumn(a.Ref.Column, func(v value.Value) {
-				if addErr != nil || v.IsNull() {
+				if v.IsNull() {
 					return
 				}
 				if out := tr.Apply(v.Canonical()); out != "" {
-					addErr = sorter.Add(out)
+					vals = append(vals, out)
 				}
 			}); err != nil {
-				sorter.Discard()
 				return nil, err
 			}
-			if addErr != nil {
-				sorter.Discard()
-				return nil, addErr
-			}
+			added := int64(len(vals))
+			slices.Sort(vals)
+			vals = slices.Compact(vals)
 			derived := &Attribute{
 				ID:   nextID,
 				Ref:  derivedRef(a.Ref, tr.Name),
 				Kind: a.Kind,
 			}
 			key := fmt.Sprintf("derived_%05d_%s.val", nextID, tr.Name)
-			n, max, err := stageSorted(scratch, derived, key, sorter, nil, nil)
+			n, max, err := stageSorted(scratch, derived, key, vals, added, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -215,7 +214,7 @@ func FuzzPartialMerge(f *testing.F) {
 }
 
 // FuzzNaryMerge derives a random tuple database from raw bytes and
-// cross-checks the merge-backed n-ary engine — value files and the spill
+// cross-checks the merge-backed n-ary engine — value files and the memory
 // backend — against the in-memory tuple-set reference.
 // Run with go test -fuzz=FuzzNaryMerge.
 func FuzzNaryMerge(f *testing.F) {
@@ -234,11 +233,10 @@ func FuzzNaryMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		opts := NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge}
-		spill := knobs&1 != 0
-		if spill {
-			sp := extsort.NewSpill()
-			defer sp.Close()
-			opts.Store, opts.Scratch = sp, sp
+		mem := knobs&1 != 0
+		if mem {
+			ds := store.NewMem()
+			opts.Store, opts.Scratch = ds, ds
 		} else {
 			opts.WorkDir = t.TempDir()
 		}
@@ -247,8 +245,8 @@ func FuzzNaryMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Satisfied, want.Satisfied) {
-			t.Errorf("merge engine differs (spill=%v):\ngot  %v\nwant %v",
-				spill, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
+			t.Errorf("merge engine differs (mem=%v):\ngot  %v\nwant %v",
+				mem, naryStrings(got.Satisfied), naryStrings(want.Satisfied))
 		}
 		if !reflect.DeepEqual(got.Stats.SatisfiedByArity, want.Stats.SatisfiedByArity) {
 			t.Errorf("level counts differ: %v vs %v",

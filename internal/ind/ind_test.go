@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/valfile"
 	"spider/internal/value"
@@ -332,7 +331,7 @@ func TestAllApproachesAgreeRandomized(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := randomDB(seed)
-			attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir(), Sort: extsort.Config{MaxInMemory: 16}})
+			attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

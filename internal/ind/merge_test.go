@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"spider/internal/datagen"
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -79,53 +78,17 @@ func allPairs(attrs []*Attribute) []Candidate {
 	return out
 }
 
-// shuffledSorter feeds one attribute's values (shuffled, duplicated)
-// through a tiny-budget external sorter, so merges run over spill runs.
-func shuffledSorter(t *testing.T, rng *rand.Rand, dir string, vals []string) *extsort.Sorter {
-	t.Helper()
-	sorter := extsort.New(extsort.Config{MaxInMemory: 4, TempDir: dir})
-	all := append(append([]string(nil), vals...), vals...) // duplicates
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	for _, v := range all {
-		if err := sorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sorter
-}
-
-// spillSource stages every attribute's values, shuffled and duplicated
-// through a tiny-budget sorter, as frozen spill runs under the
-// attribute's dataset key (assigning one to attributes without).
-func spillSource(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string) *extsort.Spill {
-	t.Helper()
-	sp := extsort.NewSpill()
-	for _, a := range attrs {
-		w, _, _, err := sp.Stage(fixtureKey(a), shuffledSorter(t, rng, dir, sets[a.ID]), nil)
-		if err != nil {
-			sp.Close()
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			sp.Close()
-			t.Fatal(err)
-		}
-	}
-	return sp
-}
-
 // checkMergeDifferential is the merge kernel's differential test. Every
 // row of the mode × S × backend table runs on one database and must
 // return exactly the oracle's output: Reference in exact mode (a miss
 // budget of 0), BruteForcePartial at σ ∈ {0.5, 0.8, 1} — same satisfied
 // sets, coverages and Missing counts. Backends are the exported value
-// files, the in-memory dataset and replayable spill runs.
-func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribute, sets map[int][]string) {
+// files, the in-memory dataset and a read-only snapshot over it.
+func checkMergeDifferential(t *testing.T, attrs []*Attribute, sets map[int][]string) {
 	t.Helper()
 	cands := allPairs(attrs)
 	mem := memSource(attrs, sets)
-	spill := spillSource(t, rng, dir, attrs, sets)
-	defer spill.Close()
+	snap := store.NewSnapshot(mem)
 	for _, sigma := range []float64{0, 0.5, 0.8, 1} {
 		var wantExact *Result
 		var wantPartial *PartialResult
@@ -138,7 +101,7 @@ func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*A
 				t.Fatal(err)
 			}
 		}
-		for _, source := range []string{"files", "memory", "spill"} {
+		for _, source := range []string{"files", "memory", "snapshot"} {
 			name := fmt.Sprintf("σ=%g/%s", sigma, source)
 			var c valfile.ReadCounter
 			counter := &c
@@ -146,8 +109,8 @@ func checkMergeDifferential(t *testing.T, rng *rand.Rand, dir string, attrs []*A
 			switch source {
 			case "memory":
 				opts.Store = mem
-			case "spill":
-				opts.Store = spill
+			case "snapshot":
+				opts.Store = snap
 			}
 			var stats Stats
 			var err error
@@ -224,7 +187,7 @@ func TestSpiderMergePropertyAgreement(t *testing.T) {
 			if smC.Total() > bfC.Total() {
 				t.Errorf("spider-merge read %d items, brute force %d", smC.Total(), bfC.Total())
 			}
-			checkMergeDifferential(t, rng, dir, attrs, sets)
+			checkMergeDifferential(t, attrs, sets)
 		})
 	}
 }
@@ -238,7 +201,7 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(10))
-			checkMergeDifferential(t, rng, dir, attrs, sets)
+			checkMergeDifferential(t, attrs, sets)
 		})
 	}
 }
@@ -408,27 +371,23 @@ func (c *faultyCursor) Close() error {
 }
 
 // TestMergeCursorErrorPath injects a cursor fault mid-merge over the
-// memory and spill backends: exact and partial runs must all return the
-// fault, close every cursor they opened,
-// leave no goroutine behind, and — once the call's spill dataset is
-// closed, as every entry point does on return — no spill run on disk.
+// memory and snapshot backends: exact and partial runs must all return
+// the fault, close every cursor they opened and leave no goroutine
+// behind.
 func TestMergeCursorErrorPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	attrs, sets := randomAttrs(t, rng, t.TempDir(), 12)
 	cands := allPairs(attrs)
-	for _, backend := range []string{"mem", "spill"} {
+	for _, backend := range []string{"mem", "snapshot"} {
 		for _, failAt := range []int64{1, 25} {
 			for _, sigma := range []float64{0, 0.8} {
 				name := fmt.Sprintf("%s/fail@%d/σ=%g", backend, failAt, sigma)
-				workDir := t.TempDir()
 				before := runtime.NumGoroutine()
 				var ds *faultyDataset
 				err := func() error {
 					var base store.Dataset = memSource(attrs, sets)
-					if backend == "spill" {
-						spill := spillSource(t, rng, workDir, attrs, sets)
-						defer spill.Close()
-						base = spill
+					if backend == "snapshot" {
+						base = store.NewSnapshot(base)
 					}
 					ds = &faultyDataset{Dataset: base, failAt: failAt}
 					opts := SpiderMergeOptions{Store: ds}
@@ -452,9 +411,6 @@ func TestMergeCursorErrorPath(t *testing.T) {
 				}
 				if after := runtime.NumGoroutine(); after > before {
 					t.Errorf("%s: %d goroutines before, %d after", name, before, after)
-				}
-				if runs, _ := filepath.Glob(filepath.Join(workDir, "extsort-run-*")); len(runs) != 0 {
-					t.Errorf("%s: %d spill runs outlived the call", name, len(runs))
 				}
 			}
 		}

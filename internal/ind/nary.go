@@ -118,8 +118,7 @@ type NaryOptions struct {
 	ExportWorkers int
 	// Sort carries the value-file encoding: only Sort.Format is read, for
 	// the unary seed's exports and the per-level tuple files. Tuple sets
-	// are sorted in memory, so the sorter's budget, fan-in and spill
-	// directory do not apply.
+	// are sorted in memory; no sorter runs.
 	Sort extsort.Config
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in,
@@ -372,8 +371,8 @@ func naryWorkers(n int) int {
 // unarySeed computes the satisfied arity-1 inclusions over the eligible
 // columns, recording them into res and satisfiedKeys. The NaryMerge
 // engine (or, for the tuple-sets engine, a non-empty WorkDir) verifies
-// all pairs in one SpiderMerge pass over exported value files or
-// spill-run streams; otherwise each pair probes the in-memory tuple sets.
+// all pairs in one SpiderMerge pass over the staged value sets;
+// otherwise each pair probes the in-memory tuple sets.
 func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, workDir string, verifier *tupleVerifier, res *NaryResult, satisfiedKeys map[string]bool) ([]naryCand, error) {
 	record := func(dep, ref relstore.ColumnRef) naryCand {
 		c := naryCand{

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
+	"spider/internal/store"
 	"spider/internal/value"
 )
 
@@ -422,7 +422,7 @@ func TestDiscoverNaryTruncationKeepsLowerArities(t *testing.T) {
 
 // The merge-backed engine must produce byte-identical satisfied sets and
 // level counts to the in-memory tuple-set reference, across the
-// value-file and spill backends and arities, on random databases.
+// value-file and memory backends and arities, on random databases.
 func TestNaryMergeMatchesTupleSets(t *testing.T) {
 	dbs := []*relstore.Database{}
 	for seed := int64(0); seed < 3; seed++ {
@@ -436,16 +436,15 @@ func TestNaryMergeMatchesTupleSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			higherArity += len(want.Satisfied)
-			for _, backend := range []string{"files", "spill"} {
+			for _, backend := range []string{"files", "mem"} {
 				name := fmt.Sprintf("seed=%d arity=%d backend=%s", seed, maxArity, backend)
 				opts := NaryOptions{
 					MaxArity:  maxArity,
 					Algorithm: NaryMerge,
 				}
-				if backend == "spill" {
-					sp := extsort.NewSpill()
-					opts.Store, opts.Scratch = sp, sp
-					defer sp.Close()
+				if backend == "mem" {
+					mem := store.NewMem()
+					opts.Store, opts.Scratch = mem, mem
 				} else {
 					opts.WorkDir = t.TempDir()
 				}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -24,7 +23,7 @@ import (
 // table is already in memory, so its tuples are encoded into one arena,
 // sorted and compacted in memory, and staged presorted. With a file
 // scratch dataset at most one tuple set per extraction worker is in
-// memory at a time; memory and spill datasets keep a level's sets until
+// memory at a time; memory datasets keep a level's sets until
 // the level is decided.
 
 // appendEscaped appends s to dst with the tuple-component escaping:
@@ -194,8 +193,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 			return err
 		}
 		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, i)
-		sorter := extsort.Presorted(tuples, int64(lists[i].attr.NonNull))
-		n, _, err := stageSorted(m.scratch, lists[i].attr, key, sorter, nil, nil)
+		n, _, err := stageSorted(m.scratch, lists[i].attr, key, tuples, int64(lists[i].attr.NonNull), nil, nil)
 		if err != nil {
 			return err
 		}

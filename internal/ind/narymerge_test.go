@@ -32,7 +32,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // leftovers lists the files under dir that a finished n-ary search must
-// not leave behind: per-level tuple sets and external-sort spill runs.
+// not leave behind: per-level tuple sets.
 func leftovers(t *testing.T, dir string) []string {
 	t.Helper()
 	var out []string
@@ -41,7 +41,7 @@ func leftovers(t *testing.T, dir string) []string {
 			return err
 		}
 		base := filepath.Base(path)
-		if strings.HasPrefix(base, "nary_l") || strings.HasPrefix(base, "extsort-run-") {
+		if strings.HasPrefix(base, "nary_l") {
 			out = append(out, path)
 		}
 		return nil
@@ -83,7 +83,7 @@ func truncationFixtureDB() *relstore.Database {
 // TestNaryMergeTruncationLeaksNothing drives the merge engine into a
 // level-cap truncation after a level whose tuple sets were staged into
 // the work directory. Once the call returns, no goroutine may still run
-// and no nary_l* tuple set or extsort-run-* file may be left, and the
+// and no nary_l* tuple set may be left, and the
 // truncated result must equal the tuple-set reference engine's.
 func TestNaryMergeTruncationLeaksNothing(t *testing.T) {
 	db := truncationFixtureDB()
@@ -111,7 +111,7 @@ func TestNaryMergeTruncationLeaksNothing(t *testing.T) {
 
 	waitGoroutines(t, baseline)
 	if left := leftovers(t, dir); len(left) > 0 {
-		t.Errorf("truncated search left %d tuple sets or spill runs: %v", len(left), left)
+		t.Errorf("truncated search left %d tuple sets: %v", len(left), left)
 	}
 
 	want, err := DiscoverNary(db, NaryOptions{MaxArity: opts.MaxArity, MaxCandidatesPerLevel: opts.MaxCandidatesPerLevel})
@@ -125,8 +125,8 @@ func TestNaryMergeTruncationLeaksNothing(t *testing.T) {
 }
 
 // TestNaryMergeLeaksNothing is the complementary run: the search
-// completes normally, and afterwards no goroutine, no nary_l* tuple set
-// and no extsort-run-* file may remain either.
+// completes normally, and afterwards no goroutine and no nary_l* tuple
+// set may remain either.
 func TestNaryMergeLeaksNothing(t *testing.T) {
 	db := randomNaryDB(1)
 	baseline := runtime.NumGoroutine()
@@ -142,7 +142,7 @@ func TestNaryMergeLeaksNothing(t *testing.T) {
 
 	waitGoroutines(t, baseline)
 	if left := leftovers(t, dir); len(left) > 0 {
-		t.Errorf("completed search left %d tuple sets or spill runs: %v", len(left), left)
+		t.Errorf("completed search left %d tuple sets: %v", len(left), left)
 	}
 }
 
@@ -198,14 +198,11 @@ func TestNaryMergeStagesEachListOncePerLevel(t *testing.T) {
 }
 
 // runMetaRecorder serves a dataset to the merge and records, as each
-// level's tuple sets are opened, their run metadata and the spill runs
-// present in runDir at that moment.
+// level's tuple sets are opened, their run metadata.
 type runMetaRecorder struct {
 	store.Dataset
-	runDir string
-	mu     sync.Mutex
-	metas  map[string]extsort.RunMeta
-	runs   int
+	mu    sync.Mutex
+	metas map[string]valfile.RunMeta
 }
 
 func (r *runMetaRecorder) Open(key string, counter *valfile.ReadCounter) (store.Cursor, error) {
@@ -214,42 +211,31 @@ func (r *runMetaRecorder) Open(key string, counter *valfile.ReadCounter) (store.
 		if err != nil || !ok {
 			return nil, fmt.Errorf("%s: run metadata section: ok=%v err=%v", key, ok, err)
 		}
-		meta, err := extsort.DecodeRunMeta(data)
-		if err != nil {
-			return nil, err
-		}
-		runs, err := filepath.Glob(filepath.Join(r.runDir, "extsort-run-*"))
+		meta, err := valfile.DecodeRunMeta(data)
 		if err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
 		r.metas[key] = meta
-		r.runs += len(runs)
 		r.mu.Unlock()
 	}
 	return r.Dataset.Open(key, counter)
 }
 
 // TestNaryLevelStagesPresorted: every level's tuple sets are sorted in
-// memory and staged presorted, like a column export. Even with a sorter
-// budget of two values, no spill run is created, and every tuple set
-// staged into fs-block, memory or spill carries run metadata with
-// Added equal to its NULL-free tuple count (every row: the fixture has
-// no NULLs) and no spill runs.
+// memory and staged presorted, like a column export: every tuple set
+// staged into fs-block or memory carries run metadata with Added equal
+// to its NULL-free tuple count (every row: the fixture has no NULLs)
+// and no spill runs.
 func TestNaryLevelStagesPresorted(t *testing.T) {
 	db := truncationFixtureDB()
 	rows := db.Table("parent").RowCount()
 	for name, ds := range stagingBackends(t) {
-		runDir := t.TempDir()
-		rec := &runMetaRecorder{Dataset: ds, runDir: runDir, metas: make(map[string]extsort.RunMeta)}
-		// Staging must see the spill dataset itself to adopt runs in
-		// place; the other backends are staged through the recorder so
-		// that the merge opens their sets through it too, not by path.
+		rec := &runMetaRecorder{Dataset: ds, metas: make(map[string]valfile.RunMeta)}
+		// Staging goes through the recorder too, so that the merge opens
+		// the sets through it, not by path.
 		opts := NaryOptions{Algorithm: NaryMerge, MaxArity: 3, Store: rec, Scratch: rec}
-		if _, spill := ds.(*extsort.Spill); spill {
-			opts.Scratch = ds
-		}
-		opts.Sort = extsort.Config{MaxInMemory: 2, TempDir: runDir, Format: valfile.FormatBlock}
+		opts.Sort = extsort.Config{Format: valfile.FormatBlock}
 		res, err := DiscoverNary(db, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -260,18 +246,12 @@ func TestNaryLevelStagesPresorted(t *testing.T) {
 		levels := map[string]int{}
 		for key, meta := range rec.metas {
 			levels[key[:len("nary_l00")]]++
-			if meta != (extsort.RunMeta{Added: int64(rows)}) {
+			if meta != (valfile.RunMeta{Added: int64(rows)}) {
 				t.Errorf("%s: %s: run metadata %+v, want Added=%d and no spill runs", name, key, meta, rows)
 			}
 		}
 		if levels["nary_l02"] == 0 || levels["nary_l03"] == 0 {
 			t.Errorf("%s: tuple sets opened per level %v, want levels 2 and 3", name, levels)
-		}
-		if rec.runs != 0 {
-			t.Errorf("%s: %d spill runs existed while the levels were merged", name, rec.runs)
-		}
-		if runs := runFiles(t, runDir); len(runs) != 0 {
-			t.Errorf("%s: the search left %d spill runs", name, len(runs))
 		}
 	}
 }

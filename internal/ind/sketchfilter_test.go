@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/sketch"
+	"spider/internal/store"
 )
 
 // sketchFromSet builds a sketch directly from an in-memory value set.
@@ -185,10 +185,10 @@ func TestExportPersistsSketches(t *testing.T) {
 	}
 }
 
-// TestStreamingSketchesMatchExport: exports into the spill backend
-// build their sketches while staging the frozen runs, and must produce
-// bit-identical sketches to the value-file export — in the attributes
-// and in the persisted sketch sections.
+// TestStreamingSketchesMatchExport: exports into the memory backend
+// build their sketches while staging, and must produce bit-identical
+// sketches to the value-file export — in the attributes and in the
+// persisted sketch sections.
 func TestStreamingSketchesMatchExport(t *testing.T) {
 	db := randomDB(22)
 	exported, err := CollectAttributes(db)
@@ -200,35 +200,30 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		spilled, err := CollectAttributes(db)
+		staged, err := CollectAttributes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := extsort.NewSpill()
-		err = ExportAttributes(db, spilled, ExportConfig{
-			Dataset: sp, Sort: extsort.Config{MaxInMemory: 8, TempDir: t.TempDir()}, Workers: workers, Sketches: true,
-		})
+		mem := store.NewMem()
+		err = ExportAttributes(db, staged, ExportConfig{Dataset: mem, Workers: workers, Sketches: true})
 		if err != nil {
-			sp.Close()
 			t.Fatal(err)
 		}
-		loaded := make([]*Attribute, len(spilled))
-		for i, a := range spilled {
+		loaded := make([]*Attribute, len(staged))
+		for i, a := range staged {
 			bare := *a
 			bare.Sketch = nil
 			loaded[i] = &bare
 		}
-		err = LoadSketches(sp, loaded)
-		sp.Close()
-		if err != nil {
+		if err := LoadSketches(mem, loaded); err != nil {
 			t.Fatal(err)
 		}
 		for i := range exported {
-			if !reflect.DeepEqual(spilled[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: spill sketch differs from export sketch", workers, exported[i].Ref)
+			if !reflect.DeepEqual(staged[i].Sketch, exported[i].Sketch) {
+				t.Fatalf("workers=%d: %s: memory sketch differs from export sketch", workers, exported[i].Ref)
 			}
 			if !reflect.DeepEqual(loaded[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: persisted spill sketch differs from export sketch", workers, exported[i].Ref)
+				t.Fatalf("workers=%d: %s: persisted memory sketch differs from export sketch", workers, exported[i].Ref)
 			}
 		}
 	}

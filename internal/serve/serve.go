@@ -28,6 +28,18 @@ import (
 // is zero.
 const DefaultCacheSize = 1024
 
+// Connection bounds of the HTTP server. ReadHeaderTimeout bounds how
+// long a client may take to send a request's headers, so a slow or
+// silent client cannot pin a connection before its request starts.
+// IdleTimeout bounds how long a keep-alive connection waits for its
+// next request. There is no WriteTimeout yet: it would cut a long
+// /v1/verify merge off mid-response, so it waits until engine runs take
+// a deadline.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // Config describes what the server loads and how it serves it.
 type Config struct {
 	// Specs lists the datasets to load from disk. Reload re-resolves
@@ -90,7 +102,11 @@ func New(cfg Config) (*Server, error) {
 	s.gen.Store(1)
 	s.state.Store(st)
 	s.routes()
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
 	return s, nil
 }
 

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/store"
@@ -75,7 +74,6 @@ func buildFixture(t testing.TB) *fixture {
 	attrs, err := ind.Prepare(db, ind.ExportConfig{
 		Dataset:  mem,
 		Sketches: true,
-		Sort:     extsort.Config{TempDir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -509,6 +507,22 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}
 	if gen := s.State().Generation; gen != 6 {
 		t.Fatalf("generation = %d, want 6", gen)
+	}
+}
+
+// TestHTTPServerTimeouts pins the connection bounds of the daemon's
+// HTTP server: a client that never finishes its headers, or a
+// keep-alive connection that never sends another request, is dropped.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newTestServer(t, buildFixture(t))
+	if ReadHeaderTimeout <= 0 || IdleTimeout <= 0 {
+		t.Fatalf("timeouts must be positive: read header %v, idle %v", ReadHeaderTimeout, IdleTimeout)
+	}
+	if got := s.httpSrv.ReadHeaderTimeout; got != ReadHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, ReadHeaderTimeout)
+	}
+	if got := s.httpSrv.IdleTimeout; got != IdleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", got, IdleTimeout)
 	}
 }
 

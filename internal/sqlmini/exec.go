@@ -929,6 +929,9 @@ type evalEnv struct {
 	// filterCache is the FILTER operation's one-entry cache: the last
 	// probed value and its result, per subquery.
 	filterCache map[*SelectStmt]filterMemo
+	// canon is probeIn's reused buffer for canonical encodings, so a
+	// scanned INTEGER is compared without formatting a new string.
+	canon []byte
 }
 
 type filterMemo struct {
@@ -976,7 +979,8 @@ func (ev *evalEnv) probeIn(sub *SelectStmt, cv string) (bool, error) {
 			continue
 		}
 		ev.st.Comparisons++
-		if row[0].Canonical() == cv {
+		ev.canon = row[0].AppendCanonical(ev.canon[:0])
+		if string(ev.canon) == cv {
 			in = true
 			break
 		}

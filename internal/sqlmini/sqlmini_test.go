@@ -614,3 +614,37 @@ func TestScanReadsNamedColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeInScanDoesNotAllocatePerRow: the FILTER plan of NOT IN
+// re-scans the subquery for every probe value and compares each scanned
+// value's canonical encoding with the probe. An INTEGER column must be
+// compared without formatting a string per row, so one probe costs a
+// fixed number of allocations (the plan), not one per scanned row.
+func TestProbeInScanDoesNotAllocatePerRow(t *testing.T) {
+	const rows = 1000
+	db := relstore.NewDatabase("probe")
+	ref := db.MustCreateTable("ref", []relstore.Column{{Name: "v", Kind: value.Int}})
+	for i := 0; i < rows; i++ {
+		ref.MustInsert(value.NewInt(int64(1_000_000 + i)))
+	}
+	sub, err := Parse("select v from ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &evalEnv{eng: &Engine{DB: db}, st: &ExecStats{}}
+	probe := func(cv string) {
+		in, err := ev.probeIn(sub, cv)
+		if err != nil || in {
+			t.Fatalf("probeIn(%q) = %v, %v; want a miss after a full scan", cv, in, err)
+		}
+	}
+	probe("-1") // warm the reused buffer
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		next++
+		probe(fmt.Sprint(-next - 1)) // a new miss every time: no memo hit
+	})
+	if allocs > rows/10 {
+		t.Errorf("probeIn allocates %.0f times scanning %d INTEGER rows", allocs, rows)
+	}
+}

@@ -4,8 +4,8 @@ import "spider/internal/valfile"
 
 // This file holds the blessed path-level pass-throughs into the
 // valfile seam. They exist so that code which legitimately works on
-// bare value files — extsort's spill-run freeze/replay, the valconvert
-// migration tool — still routes through the store package: the
+// bare value files — the valconvert migration tool — still routes
+// through the store package: the
 // storeseam analyzer forbids direct valfile open/create calls
 // everywhere else, which keeps the Dataset abstraction from eroding
 // one call site at a time.
@@ -19,12 +19,6 @@ func OpenFile(path string, counter *valfile.ReadCounter) (*valfile.Reader, error
 // CreateFile creates a value file at path in the given encoding.
 func CreateFile(path string, format valfile.Format) (*valfile.Writer, error) {
 	return valfile.CreateFormat(path, format)
-}
-
-// WriteFileValues writes the sorted distinct slice to path in the
-// given encoding and returns the number of values written.
-func WriteFileValues(path string, sorted []string, format valfile.Format) (int, error) {
-	return valfile.WriteAllFormat(path, sorted, format)
 }
 
 // ReadFileValues reads the whole value file at path into memory.

@@ -51,7 +51,7 @@ func ParseFormat(s string) (Format, error) {
 const (
 	// SketchSection holds the attribute's encoded KMV+bloom sketch.
 	SketchSection = blockfile.SectionSketch
-	// RunMetaSection holds extsort provenance (see extsort.RunMeta).
+	// RunMetaSection holds staging provenance (see RunMeta).
 	RunMetaSection = blockfile.SectionRunMeta
 )
 

@@ -1,16 +1,18 @@
-package extsort
+package valfile
 
 import (
 	"encoding/binary"
 	"fmt"
 )
 
-// RunMeta is the sorter provenance embedded in block-format output
-// files under valfile.RunMetaSection: how many values were pushed
-// through the sorter (duplicates included) and how many spill runs the
-// final merge consumed. The added count recovers the per-attribute
-// duplication factor without re-touching the base data; the run count
-// records whether the attribute fit in memory.
+// RunMeta is the staging provenance embedded next to a value set under
+// RunMetaSection: how many values the sorted distinct set was
+// deduplicated from, and how many external-sort spill runs its final
+// merge consumed. The added count recovers the per-attribute
+// duplication factor without re-touching the base data. Every set is
+// now sorted in memory, so staging writes SpillRuns 0; the field stays
+// so that the section keeps its 16 bytes and files written when sets
+// could spill still decode.
 type RunMeta struct {
 	Added     int64
 	SpillRuns int
@@ -30,7 +32,7 @@ func (m RunMeta) Encode() []byte {
 // DecodeRunMeta parses a RunMetaSection payload.
 func DecodeRunMeta(b []byte) (RunMeta, error) {
 	if len(b) != runMetaLen {
-		return RunMeta{}, fmt.Errorf("extsort: run metadata is %d bytes, want %d", len(b), runMetaLen)
+		return RunMeta{}, fmt.Errorf("valfile: run metadata is %d bytes, want %d", len(b), runMetaLen)
 	}
 	return RunMeta{
 		Added:     int64(binary.LittleEndian.Uint64(b[0:8])),

@@ -18,16 +18,16 @@ import (
 // without re-running discovery.
 
 // ErrSpillResult is returned by SaveResultSet for runs on the spill
-// backend: their value sets lived in spill runs that were removed when
-// the discovery call returned, so a saved catalog would point at
-// nothing.
+// backend: their value sets lived in a per-call in-memory dataset that
+// was dropped when the discovery call returned, so a saved catalog
+// would point at nothing.
 var ErrSpillResult = errors.New("spider: SaveResultSet: the spill backend removes its value sets when discovery returns; use the fs backend to persist a result set")
 
 // SaveResultSet persists the run's attribute catalog and verified INDs
 // at path (conventionally INDS.json inside the run's work directory).
 // It requires a run whose attributes were exported to a dataset that
-// outlives the call — any file-backed or in-memory run. Spill-backed
-// runs return ErrSpillResult.
+// outlives the call — any fs, mem or snapshot run. Spill-backed runs
+// return ErrSpillResult.
 func (r *Result) SaveResultSet(path string) error {
 	if r.spilled {
 		return ErrSpillResult

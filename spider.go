@@ -17,7 +17,8 @@
 // value cursors that keeps the single-pass I/O optimum without its
 // synchronisation overhead — with parallel attribute export into one of
 // four storage backends (Options.Store): value files, memory, a
-// read-only snapshot, or external-sort spill runs replayed in place.
+// read-only snapshot, or a per-call in-memory set that is dropped when
+// the call returns.
 //
 // Quick start:
 //
@@ -130,9 +131,9 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Format selects the on-disk encoding of exported value files and spill
-// runs. Readers auto-detect the encoding per file, so results are
-// identical under either format — only the I/O profile changes.
+// Format selects the on-disk encoding of exported value files. Readers
+// auto-detect the encoding per file, so results are identical under
+// either format — only the I/O profile changes.
 type Format int
 
 const (
@@ -220,8 +221,8 @@ type Options struct {
 	// behaviour the paper could not obtain from the commercial optimizer.
 	SQLEarlyStop bool
 	// Format selects the value-file encoding (FormatText or FormatBlock)
-	// for exported attributes and spill runs. The discovered INDs are
-	// identical under either format.
+	// for exported attributes. The discovered INDs are identical under
+	// either format.
 	Format Format
 	// Store selects the dataset backend extraction writes to and the
 	// engines read from: NewFSStore, NewMemStore, NewSnapshotStore or
@@ -274,7 +275,7 @@ type Result struct {
 
 	// Persistence state for SaveResultSet: the attribute catalog of the
 	// run, the dataset name, the algorithm that produced the INDs, and
-	// whether the value sets were spill runs removed at return.
+	// whether the value sets were dropped at return (the spill backend).
 	attrs     []*ind.Attribute
 	dataset   string
 	algorithm string
@@ -403,8 +404,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	}
-	writeDS, readDS, release := opts.Store.datasets(workDir)
-	defer release()
+	writeDS, readDS := opts.Store.datasets(workDir)
 
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {

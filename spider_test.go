@@ -172,10 +172,9 @@ func TestAlgorithmNames(t *testing.T) {
 	}
 }
 
-// TestSpiderMergeStreaming runs the fully streaming pipeline — the spill
-// backend: no value files are materialized, yet the results match the
-// file-backed run, and no spill run outlives the call. Frozen runs are
-// replayable, so a re-reading engine streams just as well.
+// TestSpiderMergeStreaming runs the spill backend: no value files are
+// materialized, yet the results match the file-backed run, nothing is
+// left in the work directory, and a re-reading engine works too.
 func TestSpiderMergeStreaming(t *testing.T) {
 	want, err := FindINDs(demoDatabase(t), Options{Algorithm: SpiderMerge})
 	if err != nil {

@@ -3,7 +3,6 @@ package spider
 import (
 	"fmt"
 
-	"spider/internal/extsort"
 	"spider/internal/store"
 )
 
@@ -17,18 +16,17 @@ import (
 //   - NewFSStore: value files on disk, in the text or block encoding —
 //     the paper's layout. Extraction output survives the run and can be
 //     inspected or re-served.
-//   - NewMemStore: everything in memory. No files are created (sort
-//     spills excepted); extraction and verification run against sorted
-//     in-memory slices.
+//   - NewMemStore: everything in memory. No files are created;
+//     extraction and verification run against sorted in-memory slices.
 //   - NewSnapshotStore: extraction lands in memory, and the engines
 //     read through an immutable read-only snapshot that caches each
 //     value set on first use — the serving shape a long-lived IND
 //     service needs, safe for any number of concurrent readers.
-//   - NewSpillStore: no value files at all. Each attribute's value set
-//     stays in its external sort's frozen spill runs, which the engines
-//     replay in place; extraction and verification become one pipeline.
-//     The runs live for one discovery call and are removed when it
-//     returns, so a spill-backed result cannot be saved.
+//   - NewSpillStore: no value files at all, and nothing kept between
+//     calls. Every discovery call stages its value sets into a fresh
+//     in-memory dataset that is dropped when the call returns, so a
+//     spill-backed result cannot be saved. The name is historical: the
+//     sets used to stay in external-sort spill runs.
 //
 // A Store value may be reused across calls; the mem and snapshot
 // backends then accumulate and re-serve the same attribute value sets,
@@ -57,7 +55,7 @@ func NewFSStore(dir string, format Format) *Store {
 }
 
 // NewMemStore returns an in-memory store: extraction writes sorted
-// slices, engines read them, nothing touches disk except sort spills.
+// slices, engines read them, nothing touches disk.
 func NewMemStore() *Store {
 	return &Store{kind: storeKindMem, mem: store.NewMem()}
 }
@@ -69,11 +67,9 @@ func NewSnapshotStore() *Store {
 	return &Store{kind: storeKindSnapshot, mem: store.NewMem()}
 }
 
-// NewSpillStore returns a store that keeps every extracted value set in
-// the frozen spill runs of its external sort, replayed in place by the
-// engines and removed when the discovery call returns. Spill runs are
-// written in the run's Format under its WorkDir (the system temporary
-// directory when empty).
+// NewSpillStore returns a store that gives every discovery call a fresh
+// in-memory dataset for its value sets and drops it when the call
+// returns. Unlike NewMemStore, nothing accumulates across calls.
 func NewSpillStore() *Store {
 	return &Store{kind: storeKindSpill}
 }
@@ -131,31 +127,29 @@ func (s *Store) spill() bool {
 }
 
 // datasets resolves the store to its extraction-side and engine-side
-// datasets for one call rooted at workDir, plus the release the call
-// must defer. A nil store resolves to nil datasets: value files under
+// datasets for one call rooted at workDir. A nil store resolves to nil datasets: value files under
 // workDir, read back by path. For the snapshot backend the two differ:
 // writes land in the backing memory, reads go through a fresh read-only
-// snapshot of it. The spill backend creates a fresh spill dataset whose
-// release removes every run, so no spill file outlives the call.
-func (s *Store) datasets(workDir string) (write, read store.Dataset, release func()) {
-	noop := func() {}
+// snapshot of it. The spill backend creates a fresh in-memory dataset,
+// so no value set outlives the call.
+func (s *Store) datasets(workDir string) (write, read store.Dataset) {
 	if s == nil {
-		return nil, nil, noop
+		return nil, nil
 	}
 	switch s.kind {
 	case storeKindMem:
-		return s.mem, s.mem, noop
+		return s.mem, s.mem
 	case storeKindSnapshot:
-		return s.mem, store.NewSnapshot(s.mem), noop
+		return s.mem, store.NewSnapshot(s.mem)
 	case storeKindSpill:
-		sp := extsort.NewSpill()
-		return sp, sp, func() { sp.Close() }
+		mem := store.NewMem()
+		return mem, mem
 	default:
 		dir := s.dir
 		if dir == "" {
 			dir = workDir
 		}
 		fs := store.NewFS(dir, s.format.internal())
-		return fs, fs, noop
+		return fs, fs
 	}
 }
