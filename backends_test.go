@@ -2,7 +2,10 @@ package spider
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -35,7 +38,7 @@ func TestExactINDsIdenticalAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			for backend, mkStore := range storeBackends() {
-				for _, algo := range []Algorithm{BruteForce, BruteForceParallel, SinglePass, SinglePassBlocked, SpiderMerge} {
+				for _, algo := range []Algorithm{BruteForce, SinglePass, SinglePassBlocked, SpiderMerge} {
 					opts := Options{Algorithm: algo, Store: mkStore()}
 					label := fmt.Sprintf("%s/%v", backend, algo)
 					got, err := FindINDs(mk(), opts)
@@ -128,10 +131,11 @@ func TestEmbeddedINDsIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestSnapshotBackendConcurrentReaders runs the parallel engine over a
-// snapshot store with a wide worker pool: the read-only snapshot must
-// serve all workers concurrently and produce the exact IND set. Run
-// under -race this is the indserved serving-path precondition.
+// TestSnapshotBackendConcurrentReaders runs concurrent FindINDs calls
+// that share one snapshot store: each stages into the shared memory
+// and reads through its own snapshot of it while the others write, and
+// every call must produce the exact IND set. Run under -race this is
+// the indserved serving-path precondition.
 func TestSnapshotBackendConcurrentReaders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation in -short mode")
@@ -141,13 +145,91 @@ func TestSnapshotBackendConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FindINDs(db, Options{
-		Algorithm: BruteForceParallel, Workers: 8, Store: NewSnapshotStore(),
-	})
+	shared := NewSnapshotStore()
+	algos := []Algorithm{BruteForce, SinglePass, SpiderMerge, SpiderMerge}
+	var wg sync.WaitGroup
+	for _, algo := range algos {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := FindINDs(db, Options{Algorithm: algo, Store: shared})
+			if err != nil {
+				t.Errorf("%v: %v", algo, err)
+				return
+			}
+			if !reflect.DeepEqual(got.INDs, want.INDs) {
+				t.Errorf("%v: INDs = %v, want %v", algo, got.INDs, want.INDs)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEmbeddedDerivedSetsShareTheStore pins the one data path: with an
+// fs store and no WorkDir, the derived value sets land in the store's
+// own directory next to the exported ones, and nothing goes to a
+// temporary directory.
+func TestEmbeddedDerivedSetsShareTheStore(t *testing.T) {
+	dir := t.TempDir()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	db := NewDatabase("embed")
+	if err := db.AddTable("entries", []string{"code"}, [][]string{{"1abc"}, {"2def"}, {"3ghi"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTable("xrefs", []string{"pdb_ref"}, [][]string{{"PDB-1abc"}, {"PDB-2def"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{BruteForce, SpiderMerge} {
+		got, _, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: algo, Store: NewFSStore(dir, FormatText)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || got[0].String() != "xrefs.pdb_ref[after-dash] ⊆ entries.code" {
+			t.Errorf("%v: embedded INDs = %v", algo, got)
+		}
+		derived, err := filepath.Glob(filepath.Join(dir, "derived_*.val"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(derived) == 0 {
+			t.Errorf("%v: no derived value set in the store's directory", algo)
+		}
+		assertEmptyDir(t, tmp)
+	}
+}
+
+// TestEntryPointsLeaveNoTempFiles runs every public entry point on
+// zero-value options, where a nil Store is the fs backend in a
+// temporary directory: the call must remove it before returning.
+func TestEntryPointsLeaveNoTempFiles(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	db := demoDatabase(t)
+	if _, err := FindINDs(db, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{InMemory, SpiderMerge} {
+		if _, _, err := FindNaryINDs(db, NaryOptions{Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := FindEmbeddedINDs(db); err != nil {
+		t.Fatal(err)
+	}
+	assertEmptyDir(t, tmp)
+}
+
+func assertEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.INDs, want.INDs) {
-		t.Errorf("INDs = %v, want %v", got.INDs, want.INDs)
+	for _, e := range entries {
+		t.Errorf("%s left behind in %s", e.Name(), dir)
 	}
 }

@@ -25,11 +25,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spider/internal/datagen"
 	"spider/internal/experiments"
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
@@ -118,7 +118,7 @@ func benchBruteForce(b *testing.B, dataset string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Counter: &counter})
+		res, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Store: ds.Store, Counter: &counter})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func benchSinglePass(b *testing.B, dataset string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: &counter})
+		res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Store: ds.Store, Counter: &counter})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func benchSpiderMerge(b *testing.B, dataset string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter})
+		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Store: ds.Store, Counter: &counter})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func BenchmarkTable2_PDB_SinglePassBlocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{
+		res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{Store: ds.Store,
 			DepBlock: 64, RefBlock: 64, Counter: &counter,
 		})
 		if err != nil {
@@ -201,7 +201,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(fmt.Sprintf("attrs=%d/brute-force", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				if _, err := ind.BruteForce(cands, ind.BruteForceOptions{Counter: &counter}); err != nil {
+				if _, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: ds.Store, Counter: &counter}); err != nil {
 					b.Fatal(err)
 				}
 				if i == b.N-1 {
@@ -212,7 +212,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(fmt.Sprintf("attrs=%d/single-pass", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				if _, err := ind.SinglePass(cands, ind.SinglePassOptions{Counter: &counter}); err != nil {
+				if _, err := ind.SinglePass(cands, ind.SinglePassOptions{Store: ds.Store, Counter: &counter}); err != nil {
 					b.Fatal(err)
 				}
 				if i == b.N-1 {
@@ -223,7 +223,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(fmt.Sprintf("attrs=%d/spider-merge", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				if _, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter}); err != nil {
+				if _, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Store: ds.Store, Counter: &counter}); err != nil {
 					b.Fatal(err)
 				}
 				if i == b.N-1 {
@@ -247,7 +247,7 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 	b.Run("single-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var counter valfile.ReadCounter
-			res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: &counter})
+			res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Store: ds.Store, Counter: &counter})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 	b.Run("spider-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var counter valfile.ReadCounter
-			res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter})
+			res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Store: ds.Store, Counter: &counter})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,14 +277,15 @@ func BenchmarkExportWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// Export copies so the cached dataset's Paths stay valid.
+				// Export copies so the cached dataset's attributes stay
+				// untouched.
 				attrs := make([]*ind.Attribute, len(ds.Attrs))
 				for j, a := range ds.Attrs {
 					cp := *a
 					attrs[j] = &cp
 				}
-				dir := b.TempDir()
-				if err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{Dir: dir, Workers: workers}); err != nil {
+				out := store.NewFS(b.TempDir(), valfile.FormatText)
+				if err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{Dataset: out, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,7 +303,7 @@ func benchPruning(b *testing.B, dataset string, pretest bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+		res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: ds.Store})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func BenchmarkAblation_SinglePassOverhead(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{})
+		res, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Store: ds.Store})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +394,7 @@ func BenchmarkAblation_Blockwise(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{
+				res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{Store: ds.Store,
 					DepBlock: block, Counter: &counter,
 				})
 				if err != nil {
@@ -449,7 +450,7 @@ func BenchmarkAblation_SamplingPretest(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+				res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: ds.Store})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -484,7 +485,7 @@ func BenchmarkAblation_SketchPrefilter(b *testing.B) {
 					cands, st = ind.SketchPretest(cands, ind.SketchPretestOptions{ExactRefutation: true})
 					pruned = st.Pruned
 				}
-				res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{})
+				res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Store: ds.Store})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,7 +507,7 @@ func BenchmarkAblation_PartialINDs(b *testing.B) {
 		b.Run(fmt.Sprintf("sigma=%.2f", sigma), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.BruteForcePartial(ds.Candidates, ind.PartialOptions{
+				res, err := ind.BruteForcePartial(ds.Candidates, ind.PartialOptions{Store: ds.Store,
 					Threshold: sigma, Counter: &counter,
 				})
 				if err != nil {
@@ -539,11 +540,11 @@ func partialBenchCands(b *testing.B) (*experiments.Dataset, []ind.Candidate) {
 // and rescanned for every candidate (quadratic I/O in the candidates
 // sharing an attribute).
 func BenchmarkBruteForcePartial(b *testing.B) {
-	_, cands := partialBenchCands(b)
+	ds, cands := partialBenchCands(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: 0.9, Counter: &counter})
+		res, err := ind.BruteForcePartial(cands, ind.PartialOptions{Store: ds.Store, Threshold: 0.9, Counter: &counter})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -558,15 +559,15 @@ func BenchmarkBruteForcePartial(b *testing.B) {
 // acceptance bar is ≥3x fewer items read than BenchmarkBruteForcePartial,
 // with identical results.
 func BenchmarkPartialSpiderMerge(b *testing.B) {
-	_, cands := partialBenchCands(b)
-	base, err := ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: 0.9})
+	ds, cands := partialBenchCands(b)
+	base, err := ind.BruteForcePartial(cands, ind.PartialOptions{Store: ds.Store, Threshold: 0.9})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		res, err := ind.PartialSpiderMerge(cands, 0.9, ind.SpiderMergeOptions{Counter: &counter})
+		res, err := ind.PartialSpiderMerge(cands, 0.9, ind.SpiderMergeOptions{Store: ds.Store, Counter: &counter})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -589,7 +590,7 @@ func BenchmarkBaselines(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	b.Run("brute-force", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{}); err != nil {
+			if _, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Store: ds.Store}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -675,32 +676,13 @@ func BenchmarkNaryMerge(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge})
+				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge, Scratch: ds.Store, Store: ds.Store})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == b.N-1 {
 					b.ReportMetric(float64(len(res.Satisfied)), "nary-INDs")
 					b.ReportMetric(float64(res.Stats.ItemsRead), "items/op")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelBruteForce sweeps the worker pool on the PDB-shaped
-// dataset — the modern extension beyond the paper's single-threaded runs.
-func BenchmarkParallelBruteForce(b *testing.B) {
-	ds := benchDataset(b, "pdb")
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := ind.BruteForceParallel(ds.Candidates, ind.ParallelOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(res.Stats.Satisfied), "INDs")
 				}
 			}
 		})
@@ -736,7 +718,7 @@ func BenchmarkAblation_ResemblancePretest(b *testing.B) {
 					b.Fatal(err)
 				}
 				kept, _ := ind.SketchPretest(cands, ind.SketchPretestOptions{MinContainment: 1})
-				res, err := ind.BruteForce(kept, ind.BruteForceOptions{})
+				res, err := ind.BruteForce(kept, ind.BruteForceOptions{Store: ds.Store})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -925,11 +907,13 @@ func BenchmarkNaryFormat(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for _, format := range []valfile.Format{valfile.FormatText, valfile.FormatBlock} {
 		b.Run(format.String(), func(b *testing.B) {
+			fs := store.NewFS(b.TempDir(), format)
 			for i := 0; i < b.N; i++ {
 				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{
 					MaxArity:  3,
 					Algorithm: ind.NaryMerge,
-					Sort:      extsort.Config{Format: format},
+					Scratch:   fs,
+					Store:     fs,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -951,7 +935,10 @@ func BenchmarkNaryFormat(b *testing.B) {
 // BenchmarkEmbeddedMerge times embedded-IND discovery (the Sec 7
 // transform extension) with the per-candidate Algorithm 1 reference vs
 // the merge-front engine, which folds every derived value set into one
-// shared heap merge and reads each referenced file at most once.
+// shared heap merge and reads each referenced file at most once. Every
+// iteration stages its derived sets into the dataset's own directory,
+// replacing the previous iteration's, so no iteration pays for a fresh
+// directory.
 func BenchmarkEmbeddedMerge(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for _, e := range []struct {
@@ -963,11 +950,11 @@ func BenchmarkEmbeddedMerge(b *testing.B) {
 	} {
 		b.Run(e.name, func(b *testing.B) {
 			b.ReportAllocs()
-			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
 				res, err := ind.FindEmbedded(ds.DB, ds.Attrs, ind.EmbeddedOptions{
-					Dir:       fmt.Sprintf("%s/run%d", dir, i),
+					Scratch:   ds.Store,
+					Store:     ds.Store,
 					Counter:   &counter,
 					Algorithm: e.algo,
 				})
@@ -1018,32 +1005,52 @@ func BenchmarkStoreBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotReaders scales concurrent brute-force workers over
-// one snapshot backend: the pooled-cursor read path the planned
-// indserved daemon sits on. Results must not move with the worker
-// count.
+// BenchmarkSnapshotReaders scales concurrent brute-force readers over
+// one snapshot backend: the pooled-cursor read path indserved's
+// concurrent verifications sit on. The candidates are split among the
+// readers; results must not move with the reader count.
 func BenchmarkSnapshotReaders(b *testing.B) {
 	db := GenerateUniProt(DatasetConfig{Seed: 42, Scale: 0.15})
 	base, err := FindINDs(db, Options{Algorithm: InMemory})
 	if err != nil {
 		b.Fatal(err)
 	}
+	mem := store.NewMem()
+	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{Dataset: mem})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := store.NewSnapshot(mem)
+	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
 	for _, workers := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := FindINDs(db, Options{
-					Algorithm: BruteForceParallel,
-					Workers:   workers,
-					Store:     NewSnapshotStore(),
-				})
-				if err != nil {
-					b.Fatal(err)
+				var (
+					wg        sync.WaitGroup
+					satisfied atomic.Int64
+				)
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var share []ind.Candidate
+						for j := w; j < len(cands); j += workers {
+							share = append(share, cands[j])
+						}
+						res, err := ind.BruteForce(share, ind.BruteForceOptions{Store: snap})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						satisfied.Add(int64(len(res.Satisfied)))
+					}()
 				}
-				if len(res.INDs) != len(base.INDs) {
-					b.Fatalf("workers=%d changed results: %d vs %d INDs", workers, len(res.INDs), len(base.INDs))
+				wg.Wait()
+				if got := int(satisfied.Load()); got != len(base.INDs) {
+					b.Fatalf("workers=%d changed results: %d vs %d INDs", workers, got, len(base.INDs))
 				}
 				if i == b.N-1 {
-					b.ReportMetric(float64(len(res.INDs)), "INDs")
+					b.ReportMetric(float64(len(base.INDs)), "INDs")
 				}
 			}
 		})

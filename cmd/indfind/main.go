@@ -22,7 +22,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory of .csv files to profile")
 	data := flag.String("data", "", "built-in dataset: uniprot|scop|pdb")
 	algo := flag.String("algo", "brute-force",
-		"algorithm: brute-force|brute-force-parallel|single-pass|single-pass-blocked|"+
+		"algorithm: brute-force|single-pass|single-pass-blocked|"+
 			"spider-merge|sql-join|sql-minus|sql-not-in|in-memory|demarchi|bell-brockhausen")
 	scale := flag.Float64("scale", 0.25, "built-in dataset scale")
 	seed := flag.Int64("seed", 42, "built-in dataset seed")
@@ -30,7 +30,6 @@ func main() {
 	transitivity := flag.Bool("transitivity", false, "enable transitivity inference (brute force)")
 	depBlock := flag.Int("depblock", 64, "dependent block size (single-pass-blocked)")
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
-	workers := flag.Int("workers", 0, "worker pool size (brute-force-parallel; 0 = GOMAXPROCS)")
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
@@ -110,7 +109,6 @@ func main() {
 		Transitivity:            *transitivity,
 		DepBlock:                *depBlock,
 		RefBlock:                *refBlock,
-		Workers:                 *workers,
 		ExportWorkers:           *exportWorkers,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
@@ -232,8 +230,7 @@ func openDatabase(csvDir, data string, scale float64, seed int64) (*spider.Datab
 
 func parseAlgorithm(s string) (spider.Algorithm, error) {
 	for _, a := range []spider.Algorithm{
-		spider.BruteForce, spider.BruteForceParallel,
-		spider.SinglePass, spider.SinglePassBlocked, spider.SpiderMerge,
+		spider.BruteForce, spider.SinglePass, spider.SinglePassBlocked, spider.SpiderMerge,
 		spider.SQLJoin, spider.SQLMinus, spider.SQLNotIn,
 		spider.InMemory, spider.DeMarchiBaseline, spider.BellBrockhausenBaseline,
 	} {

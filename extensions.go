@@ -2,11 +2,9 @@ package spider
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/sketch"
 	"spider/internal/valfile"
@@ -37,7 +35,7 @@ type PartialOptions struct {
 	// Threshold is σ in (0, 1]: the minimum fraction of distinct
 	// dependent values that must be covered.
 	Threshold float64
-	// WorkDir receives sorted value files; temporary when empty.
+	// WorkDir roots the fs backend; see Options.WorkDir.
 	WorkDir string
 	// Algorithm selects the verification engine: BruteForce (the
 	// default, the paper-style per-candidate scans) or SpiderMerge (one
@@ -93,16 +91,11 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: partial IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	workDir := opts.WorkDir
-	if workDir == "" && opts.Store.needsDir() {
-		tmp, err := os.MkdirTemp("", "spider-partial-*")
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer os.RemoveAll(tmp)
-		workDir = tmp
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	writeDS, readDS := opts.Store.datasets(workDir)
+	defer cleanup()
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {
 		return nil, Stats{}, err
@@ -111,9 +104,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	// Extraction, hoisted before candidate generation so that sketches
 	// (built in the same pass) exist by the time the pre-filter runs.
 	err = ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-		Dataset: writeDS,
-		Dir:     workDir, Workers: workerPool(opts.ExportWorkers),
-		Format:   opts.Format.internal(),
+		Dataset: writeDS, Workers: workerPool(opts.ExportWorkers),
 		Sketches: opts.SketchPrefilter,
 		SketchConfig: sketch.Config{
 			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
@@ -214,10 +205,10 @@ type NaryOptions struct {
 	// while it stages a level, instead of caching every list's tuple
 	// set for the whole search. The zero value selects InMemory.
 	Algorithm Algorithm
-	// WorkDir receives the sorted value files (unary seed and, with
-	// SpiderMerge, the per-level tuple files). With InMemory a non-empty
-	// WorkDir upgrades only the unary seed to the file-backed SpiderMerge
-	// path; temporary when empty.
+	// WorkDir roots the fs backend; see Options.WorkDir. Only
+	// SpiderMerge stages value sets (the unary seed's and the per-level
+	// tuple sets); InMemory keeps every level, the unary seed included,
+	// in memory whatever WorkDir and Store say.
 	WorkDir string
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
 	// GOMAXPROCS, 1 extracts sequentially.
@@ -228,10 +219,10 @@ type NaryOptions struct {
 	// Format selects the on-disk encoding of the sorted value and tuple
 	// files; see Options.Format.
 	Format Format
-	// Store selects the dataset backend for the unary seed's value sets
-	// and the per-level encoded tuple sets; see Options.Store. The mem,
-	// snapshot and spill backends keep the whole levelwise search off
-	// disk.
+	// Store selects the dataset backend for SpiderMerge's unary seed
+	// value sets and per-level encoded tuple sets; see Options.Store.
+	// The mem, snapshot and spill backends keep the whole levelwise
+	// search off disk.
 	Store *Store
 }
 
@@ -284,18 +275,17 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	default:
 		return nil, NaryStats{}, fmt.Errorf("spider: n-ary discovery supports InMemory or SpiderMerge, not %v", opts.Algorithm)
 	}
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	if err != nil {
+		return nil, NaryStats{}, err
+	}
+	defer cleanup()
 	inOpts := ind.NaryOptions{
 		MaxArity:      opts.MaxArity,
 		Algorithm:     engine,
-		WorkDir:       opts.WorkDir,
 		ExportWorkers: opts.ExportWorkers,
-		Sort:          extsort.Config{Format: opts.Format.internal()},
-	}
-	// The nil fs-without-root case keeps the legacy plumbing (temporary
-	// work directory managed inside DiscoverNary); any other store maps
-	// onto the write (scratch) and read (engine) dataset pair.
-	if opts.Store != nil && !(opts.Store.needsDir() && opts.WorkDir == "") {
-		inOpts.Scratch, inOpts.Store = opts.Store.datasets(opts.WorkDir)
+		Scratch:       writeDS,
+		Store:         readDS,
 	}
 	if opts.LevelProgress != nil {
 		inOpts.LevelProgress = func(p ind.LevelProgress) {
@@ -352,14 +342,14 @@ type EmbeddedOptions struct {
 	// merge, reading each referenced file at most once). Results are
 	// identical.
 	Algorithm Algorithm
-	// WorkDir receives the exported and derived value files; temporary
-	// when empty.
+	// WorkDir roots the fs backend; see Options.WorkDir.
 	WorkDir string
 	// Format selects the on-disk encoding of the exported and derived
 	// value files; see Options.Format.
 	Format Format
-	// Store selects the dataset backend for the exported and derived
-	// value sets; see Options.Store.
+	// Store selects the dataset backend; see Options.Store. The
+	// exported value sets and the derived ones (keys derived_*) share
+	// it.
 	Store *Store
 }
 
@@ -383,39 +373,24 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	if opts.Algorithm == SpiderMerge {
 		engine = ind.EmbeddedMerge
 	}
-	workDir := opts.WorkDir
-	if workDir == "" && !opts.Store.noValueFiles() {
-		tmp, err := os.MkdirTemp("", "spider-embedded-*")
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer os.RemoveAll(tmp)
-		workDir = tmp
-	}
-	writeDS, readDS := opts.Store.datasets(workDir)
-	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{
-		Dataset: writeDS,
-		Dir:     workDir,
-		Format:  opts.Format.internal(),
-	})
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer cleanup()
+	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{Dataset: writeDS})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	// Derived value sets join the base exports in the same dataset; the
+	// snapshot read side faults them in on first open.
 	var counter valfile.ReadCounter
-	embOpts := ind.EmbeddedOptions{
+	res, err := ind.FindEmbedded(db.rel, attrs, ind.EmbeddedOptions{
 		Counter:   &counter,
 		Algorithm: engine,
+		Scratch:   writeDS,
 		Store:     readDS,
-		Format:    opts.Format.internal(),
-	}
-	if opts.Store.noValueFiles() {
-		// Derived value sets join the base exports in the same dataset;
-		// the snapshot read side faults them in on first open.
-		embOpts.Scratch = writeDS
-	} else {
-		embOpts.Dir = workDir + "/derived"
-	}
-	res, err := ind.FindEmbedded(db.rel, attrs, embOpts)
+	})
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -15,12 +15,13 @@ package aladin
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"spider/internal/discovery"
 	"spider/internal/ind"
 	"spider/internal/relstore"
+	"spider/internal/store"
+	"spider/internal/valfile"
 )
 
 // Source is one imported data source (pipeline step 1).
@@ -31,7 +32,8 @@ type Source struct {
 
 // Config tunes the pipeline.
 type Config struct {
-	// WorkDir receives the sorted value files; required.
+	// WorkDir receives the sorted value files of every source, in one
+	// dataset; required.
 	WorkDir string
 	// AccessionMinFraction softens the accession-number heuristic
 	// (1.0 = strict; the paper also reports 0.9998).
@@ -103,6 +105,9 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 	report := &Report{}
 	attrsBySource := make(map[string][]*ind.Attribute)
 	nextID := 0
+	// Attribute IDs are unique across sources, and so are the keys
+	// derived from them: every source shares one dataset.
+	ds := store.NewFS(cfg.WorkDir, valfile.FormatText)
 
 	for _, src := range sources {
 		if src.DB == nil {
@@ -118,8 +123,7 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 			a.ID = nextID
 			nextID++
 		}
-		dir := filepath.Join(cfg.WorkDir, sanitizeName(src.Name))
-		if err := ind.ExportAttributes(src.DB, attrs, ind.ExportConfig{Dir: dir}); err != nil {
+		if err := ind.ExportAttributes(src.DB, attrs, ind.ExportConfig{Dataset: ds}); err != nil {
 			return nil, err
 		}
 		attrsBySource[src.Name] = attrs
@@ -135,7 +139,7 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 
 		// Step 3: intra-source INDs.
 		cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{MaxValuePretest: cfg.MaxValuePretest})
-		res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+		res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: ds})
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +169,7 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 			if i == j {
 				continue
 			}
-			crosses, err := crossINDs(&report.Sources[i], &report.Sources[j],
+			crosses, err := crossINDs(ds, &report.Sources[i], &report.Sources[j],
 				attrsBySource[report.Sources[i].Name], attrsBySource[report.Sources[j].Name])
 			if err != nil {
 				return nil, err
@@ -190,7 +194,7 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 
 // crossINDs tests inclusions from all dependent attributes of depSrc into
 // the referenced attributes of refSrc's primary relation.
-func crossINDs(depSrc, refSrc *SourceReport, depAttrs, refAttrs []*ind.Attribute) ([]CrossIND, error) {
+func crossINDs(ds store.Dataset, depSrc, refSrc *SourceReport, depAttrs, refAttrs []*ind.Attribute) ([]CrossIND, error) {
 	if len(refSrc.PrimaryRelations) == 0 {
 		return nil, nil
 	}
@@ -213,7 +217,7 @@ func crossINDs(depSrc, refSrc *SourceReport, depAttrs, refAttrs []*ind.Attribute
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+	res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: ds})
 	if err != nil {
 		return nil, err
 	}
@@ -288,19 +292,4 @@ func findDuplicates(sources []Source, reports []SourceReport) ([]Duplicate, int,
 		return out[a].Accession < out[b].Accession
 	})
 	return out, count, nil
-}
-
-// sanitizeName makes a source name filesystem-safe.
-func sanitizeName(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

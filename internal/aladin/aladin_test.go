@@ -153,9 +153,3 @@ func TestPipelineDuplicates(t *testing.T) {
 		}
 	}
 }
-
-func TestSanitizeName(t *testing.T) {
-	if got := sanitizeName("my db/№1"); strings.ContainsAny(got, "/№ ") {
-		t.Errorf("sanitizeName = %q", got)
-	}
-}

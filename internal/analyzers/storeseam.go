@@ -75,12 +75,10 @@ func runStoreSeam(pass *framework.Pass) error {
 // valfile entry point in the diagnostic.
 func storeSeamBlessed(name string) string {
 	switch name {
-	case "Open":
+	case "Open", "ReadAll":
 		return "OpenFile"
 	case "Create", "CreateFormat", "WriteAll", "WriteAllFormat":
 		return "CreateFile"
-	case "ReadAll":
-		return "ReadFileValues"
 	case "ReadSection":
 		return "FileSection"
 	}

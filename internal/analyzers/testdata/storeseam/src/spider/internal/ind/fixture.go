@@ -30,7 +30,7 @@ func bulkDirect(path string, vals []string, format valfile.Format) error {
 	if _, err := valfile.WriteAllFormat(path, vals, format); err != nil { // want `direct valfile\.WriteAllFormat call outside internal/store`
 		return err
 	}
-	if _, err := valfile.ReadAll(path); err != nil { // want `direct valfile\.ReadAll call outside internal/store`
+	if _, err := valfile.ReadAll(path); err != nil { // want `direct valfile\.ReadAll call outside internal/store; .* store\.OpenFile pass-through`
 		return err
 	}
 	_, _, err := valfile.ReadSection(path, "SKCH") // want `direct valfile\.ReadSection call outside internal/store`

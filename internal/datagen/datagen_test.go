@@ -6,6 +6,7 @@ import (
 
 	"spider/internal/ind"
 	"spider/internal/relstore"
+	"spider/internal/store"
 )
 
 func TestUniProtShape(t *testing.T) {
@@ -167,12 +168,13 @@ func TestPDBWideAtoms(t *testing.T) {
 // pins the "no false positives" property of Sec 5 for the default seed.
 func TestUniProtDiscoveryMatchesGoldStandard(t *testing.T) {
 	db := UniProt(UniProtConfig{Seed: 42, Scale: 0.05})
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dir: t.TempDir()})
+	mem := store.NewMem()
+	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
-	res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+	res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}

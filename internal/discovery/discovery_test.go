@@ -6,17 +6,19 @@ import (
 	"spider/internal/datagen"
 	"spider/internal/ind"
 	"spider/internal/relstore"
+	"spider/internal/store"
 	"spider/internal/value"
 )
 
 func discoverINDs(t *testing.T, db *relstore.Database) []ind.IND {
 	t.Helper()
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dir: t.TempDir()})
+	mem := store.NewMem()
+	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
-	res, err := ind.BruteForce(cands, ind.BruteForceOptions{})
+	res, err := ind.BruteForce(cands, ind.BruteForceOptions{Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}

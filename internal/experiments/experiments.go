@@ -21,6 +21,7 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
+	"spider/internal/store"
 	"spider/internal/valfile"
 )
 
@@ -69,10 +70,13 @@ func (c Config) normalize() Config {
 }
 
 // Dataset bundles a generated database with its prepared attributes and
-// candidates.
+// candidates. Store holds the attributes' sorted value sets, as value
+// files in the work directory; every engine run on the dataset reads
+// from it.
 type Dataset struct {
 	Name       string
 	DB         *relstore.Database
+	Store      store.Dataset
 	Attrs      []*ind.Attribute
 	Candidates []ind.Candidate
 	GenStats   ind.GenStats
@@ -111,7 +115,8 @@ func BuildDataset(name string, cfg Config, opts ind.GenOptions) (*Dataset, error
 		ds.workDir = tmp
 		ds.cleanup = true
 	}
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dir: ds.workDir})
+	ds.Store = store.NewFS(ds.workDir, valfile.FormatText)
+	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: ds.Store})
 	if err != nil {
 		ds.Close()
 		return nil, err
@@ -203,28 +208,28 @@ func Table2(cfg Config) ([]Row, error) {
 			return nil, err
 		}
 		if err := run("brute-force", func(c *valfile.ReadCounter) (*ind.Result, error) {
-			return ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Counter: c})
+			return ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Counter: c, Store: ds.Store})
 		}); err != nil {
 			ds.Close()
 			return nil, err
 		}
 		if name == "pdb" {
 			if err := run("single-pass (blocked 64x64)", func(c *valfile.ReadCounter) (*ind.Result, error) {
-				return ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{DepBlock: 64, RefBlock: 64, Counter: c})
+				return ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{DepBlock: 64, RefBlock: 64, Counter: c, Store: ds.Store})
 			}); err != nil {
 				ds.Close()
 				return nil, err
 			}
 		} else {
 			if err := run("single-pass", func(c *valfile.ReadCounter) (*ind.Result, error) {
-				return ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: c})
+				return ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: c, Store: ds.Store})
 			}); err != nil {
 				ds.Close()
 				return nil, err
 			}
 		}
 		if err := run("spider-merge", func(c *valfile.ReadCounter) (*ind.Result, error) {
-			return ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: c})
+			return ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: c, Store: ds.Store})
 		}); err != nil {
 			ds.Close()
 			return nil, err
@@ -250,13 +255,13 @@ func Table2(cfg Config) ([]Row, error) {
 			return nil
 		}
 		if err := runPartial("partial σ=0.9 (brute force)", func(c *valfile.ReadCounter) (*ind.PartialResult, error) {
-			return ind.BruteForcePartial(pcands, ind.PartialOptions{Threshold: 0.9, Counter: c})
+			return ind.BruteForcePartial(pcands, ind.PartialOptions{Threshold: 0.9, Counter: c, Store: ds.Store})
 		}); err != nil {
 			ds.Close()
 			return nil, err
 		}
 		if err := runPartial("partial σ=0.9 (partial merge)", func(c *valfile.ReadCounter) (*ind.PartialResult, error) {
-			return ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: c})
+			return ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: c, Store: ds.Store})
 		}); err != nil {
 			ds.Close()
 			return nil, err
@@ -268,7 +273,7 @@ func Table2(cfg Config) ([]Row, error) {
 		// unary case.
 		if name != "pdb" {
 			for _, engine := range []ind.NaryEngine{ind.NaryTupleSets, ind.NaryMerge} {
-				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: engine})
+				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: engine, Scratch: ds.Store, Store: ds.Store})
 				if err != nil {
 					ds.Close()
 					return nil, err
@@ -322,13 +327,13 @@ func Figure5(cfg Config, steps []int) ([]Figure5Point, error) {
 		subset := ds.Attrs[:n]
 		cands, _ := ind.GenerateCandidates(subset, ind.GenOptions{})
 		var bf, sp, sm valfile.ReadCounter
-		if _, err := ind.BruteForce(cands, ind.BruteForceOptions{Counter: &bf}); err != nil {
+		if _, err := ind.BruteForce(cands, ind.BruteForceOptions{Counter: &bf, Store: ds.Store}); err != nil {
 			return nil, err
 		}
-		if _, err := ind.SinglePass(cands, ind.SinglePassOptions{Counter: &sp}); err != nil {
+		if _, err := ind.SinglePass(cands, ind.SinglePassOptions{Counter: &sp, Store: ds.Store}); err != nil {
 			return nil, err
 		}
-		if _, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &sm}); err != nil {
+		if _, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &sm, Store: ds.Store}); err != nil {
 			return nil, err
 		}
 		points = append(points, Figure5Point{
@@ -371,11 +376,11 @@ func Pruning(name string, cfg Config) (*PruningResult, error) {
 		CandidatesAfter:  len(pruned),
 	}
 	var c1, c2 valfile.ReadCounter
-	bf1, err := ind.BruteForce(plain.Candidates, ind.BruteForceOptions{Counter: &c1})
+	bf1, err := ind.BruteForce(plain.Candidates, ind.BruteForceOptions{Counter: &c1, Store: plain.Store})
 	if err != nil {
 		return nil, err
 	}
-	bf2, err := ind.BruteForce(pruned, ind.BruteForceOptions{Counter: &c2})
+	bf2, err := ind.BruteForce(pruned, ind.BruteForceOptions{Counter: &c2, Store: plain.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -386,11 +391,11 @@ func Pruning(name string, cfg Config) (*PruningResult, error) {
 	out.BruteBefore, out.BruteAfter = bf1.Stats.Duration, bf2.Stats.Duration
 	out.ItemsBefore, out.ItemsAfter = c1.Total(), c2.Total()
 
-	sp1, err := ind.SinglePass(plain.Candidates, ind.SinglePassOptions{})
+	sp1, err := ind.SinglePass(plain.Candidates, ind.SinglePassOptions{Store: plain.Store})
 	if err != nil {
 		return nil, err
 	}
-	sp2, err := ind.SinglePass(pruned, ind.SinglePassOptions{})
+	sp2, err := ind.SinglePass(pruned, ind.SinglePassOptions{Store: plain.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +430,7 @@ func Section5(cfg Config, softFraction float64) (*Section5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ind.BruteForce(uni.Candidates, ind.BruteForceOptions{})
+	res, err := ind.BruteForce(uni.Candidates, ind.BruteForceOptions{Store: uni.Store})
 	if err != nil {
 		uni.Close()
 		return nil, err
@@ -444,7 +449,7 @@ func Section5(cfg Config, softFraction float64) (*Section5Result, error) {
 		return nil, err
 	}
 	defer pdb.Close()
-	pres, err := ind.BruteForce(pdb.Candidates, ind.BruteForceOptions{})
+	pres, err := ind.BruteForce(pdb.Candidates, ind.BruteForceOptions{Store: pdb.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -529,11 +534,11 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	out := &AblationResult{}
 
 	var bfC, spC valfile.ReadCounter
-	bf, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Counter: &bfC})
+	bf, err := ind.BruteForce(ds.Candidates, ind.BruteForceOptions{Counter: &bfC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
-	sp, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: &spC})
+	sp, err := ind.SinglePass(ds.Candidates, ind.SinglePassOptions{Counter: &spC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +550,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	out.SinglePassItems = spC.Total()
 
 	var smC valfile.ReadCounter
-	sm, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &smC})
+	sm, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &smC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +570,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	out.SketchCandidatesAfter = len(prunedCands)
 	out.SketchBytes = sketchSt.SketchBytes
 	var skC valfile.ReadCounter
-	smSketch, err := ind.SpiderMerge(prunedCands, ind.SpiderMergeOptions{Counter: &skC})
+	smSketch, err := ind.SpiderMerge(prunedCands, ind.SpiderMergeOptions{Counter: &skC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -578,14 +583,14 @@ func Ablations(cfg Config) (*AblationResult, error) {
 
 	pcands, _ := ind.GenerateCandidates(ds.Attrs, ind.GenOptions{PartialThreshold: 0.9})
 	var pbC valfile.ReadCounter
-	pb, err := ind.BruteForcePartial(pcands, ind.PartialOptions{Threshold: 0.9, Counter: &pbC})
+	pb, err := ind.BruteForcePartial(pcands, ind.PartialOptions{Threshold: 0.9, Counter: &pbC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
 	out.PartialBruteItems = pbC.Total()
 	out.PartialBruteDuration = pb.Stats.Duration
 	var pmC valfile.ReadCounter
-	pm, err := ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: &pmC})
+	pm, err := ind.PartialSpiderMerge(pcands, 0.9, ind.SpiderMergeOptions{Counter: &pmC, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +610,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	}
 	out.NaryTupleSatisfied = len(nt.Satisfied)
 	out.NaryTupleDuration = nt.Stats.Duration
-	nm, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge})
+	nm, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{MaxArity: 3, Algorithm: ind.NaryMerge, Scratch: ds.Store, Store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +626,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 
 	for _, block := range []int{8, 32, 128, 0} {
 		var c valfile.ReadCounter
-		res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{DepBlock: block, Counter: &c})
+		res, err := ind.SinglePassBlocked(ds.Candidates, ind.BlockedOptions{DepBlock: block, Counter: &c, Store: ds.Store})
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"spider/internal/ind"
+	"spider/internal/store"
+	"spider/internal/valfile"
 )
 
 // Table 1 shape (Sec 2.2): all SQL variants agree on satisfied counts per
@@ -347,7 +350,7 @@ func TestParallelExportMatchesSequential(t *testing.T) {
 	}
 	defer par.Close()
 	dir := t.TempDir()
-	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dir: dir, Workers: 8}); err != nil {
+	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dataset: store.NewFS(dir, valfile.FormatText), Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Attrs) != len(par.Attrs) {
@@ -355,11 +358,11 @@ func TestParallelExportMatchesSequential(t *testing.T) {
 	}
 	for i := range seq.Attrs {
 		a, b := seq.Attrs[i], par.Attrs[i]
-		av, err := os.ReadFile(a.Path)
+		av, err := os.ReadFile(filepath.Join(seq.workDir, a.Key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bv, err := os.ReadFile(b.Path)
+		bv, err := os.ReadFile(filepath.Join(dir, b.Key))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ package ind
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,8 +22,9 @@ import (
 )
 
 // Attribute is one column prepared for IND testing: its identity, the
-// statistics the pretests need, and (after export) the sorted distinct
-// value file the order-based algorithms traverse.
+// statistics the pretests need, and (after export) the key of the
+// sorted distinct value set the order-based algorithms traverse, in
+// the dataset it was exported to.
 type Attribute struct {
 	// ID is a dense index, assigned in catalog order.
 	ID int
@@ -41,8 +41,7 @@ type Attribute struct {
 	// MaxCanonical drives the Sec 4.1 pretest.
 	MinCanonical string
 	MaxCanonical string
-	// Path is the sorted distinct value file, "" until exported to a
-	// filesystem dataset (other backends leave it empty).
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Path string
 	// Key is the attribute's staging key inside the dataset it was
 	// exported to, "" until exported.
@@ -57,16 +56,10 @@ type Attribute struct {
 // String implements fmt.Stringer.
 func (a *Attribute) String() string { return a.Ref.String() }
 
-// StoreKey returns the dataset key under which the attribute's sorted
-// distinct value set is readable: the value-file path when one exists
-// (resolved verbatim by filesystem datasets, whatever their root) or
-// the staging key of a non-file backend. "" means not exported yet.
-func (a *Attribute) StoreKey() string {
-	if a.Path != "" {
-		return a.Path
-	}
-	return a.Key
-}
+// StoreKey returns Key.
+//
+// Deprecated: read Key; perfbench/batch.go still calls it.
+func (a *Attribute) StoreKey() string { return a.Key }
 
 // NonEmpty reports whether the attribute has at least one non-null value.
 func (a *Attribute) NonEmpty() bool { return a.NonNull > 0 }
@@ -114,15 +107,12 @@ func CollectAttributes(db *relstore.Database) ([]*Attribute, error) {
 
 // ExportConfig controls sorted value set export.
 type ExportConfig struct {
-	// Dataset receives the staged value sets. nil selects a filesystem
-	// dataset rooted at Dir in the configured Format — the historical
-	// files-on-disk layout.
+	// Dataset receives the staged value sets; it is required. Its
+	// backend decides the encoding (a filesystem dataset's format).
 	Dataset store.Dataset
-	// Dir receives one value file per attribute when Dataset is nil.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Dir string
-	// Sort is not read: column exports stage the sorted set relstore
-	// made in memory. The field stays for the benchmark module, which
-	// still sets it.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Sort extsort.Config
 	// Workers bounds the export worker pool. Attributes are independent —
 	// each worker stages its own column's set into its own file — so
@@ -137,38 +127,26 @@ type ExportConfig struct {
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
 	SketchConfig sketch.Config
-	// Format selects the value-file encoding. The zero value is the
-	// text format. Block-format exports embed the sketch inside the
-	// value file instead of writing a sidecar, so one attribute is one
-	// file open.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Format valfile.Format
 }
 
 // ExportAttributes stages each attribute's sorted distinct value set
-// into cfg.Dataset (value files in cfg.Dir when it is nil) and fills
-// Attribute.Key and Attribute.Path. This is the paper's extraction step:
-// "All value sets are extracted from the database and stored in sorted
-// files" (Sec 3.2), with the sort performed once per attribute rather than
-// once per IND test — the first optimization of Sec 1.2. The sort is the
-// column pass that computed the attribute's statistics: the export takes
-// the sorted set the table kept (relstore.Table.DistinctCanonical) and
-// stages it as it is, with no second sort. With cfg.Workers > 1 the
-// attributes are exported by a bounded worker pool.
+// into cfg.Dataset and fills Attribute.Key. This is the paper's
+// extraction step: "All value sets are extracted from the database and
+// stored in sorted files" (Sec 3.2), with the sort performed once per
+// attribute rather than once per IND test — the first optimization of
+// Sec 1.2. The sort is the column pass that computed the attribute's
+// statistics: the export takes the sorted set the table kept
+// (relstore.Table.DistinctCanonical) and stages it as it is, with no
+// second sort. With cfg.Workers > 1 the attributes are exported by a
+// bounded worker pool.
 func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig) error {
-	ds := cfg.Dataset
-	if ds == nil {
-		if cfg.Dir == "" {
-			return fmt.Errorf("ind: ExportConfig.Dir is required")
-		}
-		ds = store.NewFS(cfg.Dir, cfg.Format)
-	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return fmt.Errorf("ind: %w", err)
-		}
+	if err := requireDataset(cfg.Dataset, "ExportConfig.Dataset"); err != nil {
+		return err
 	}
 	return forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		return exportAttribute(db, a, cfg, ds)
+		return exportAttribute(db, a, cfg)
 	})
 }
 
@@ -220,9 +198,10 @@ func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error
 	return firstErr
 }
 
-// exportAttribute stages one attribute's sorted value set into ds,
-// deriving and persisting its sketch in the same pass when configured.
-func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds store.Dataset) error {
+// exportAttribute stages one attribute's sorted value set into
+// cfg.Dataset, deriving and persisting its sketch in the same pass when
+// configured.
+func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig) error {
 	vals, err := distinctValues(db, a)
 	if err != nil {
 		return err
@@ -245,7 +224,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 			return w.SetSection(valfile.SketchSection, buf.Bytes())
 		}
 	}
-	n, max, err := stageSorted(ds, a, attrFileName(a), vals, int64(a.NonNull), observe, sections)
+	n, max, err := stageSorted(cfg.Dataset, a, attrFileName(a), vals, int64(a.NonNull), observe, sections)
 	if err != nil {
 		return err
 	}
@@ -291,10 +270,7 @@ func stageSorted(ds store.Dataset, a *Attribute, key string, vals []string, adde
 		_ = ds.Remove(key) // best effort: the key may never have become visible
 		return 0, "", err
 	}
-	a.Key, a.Path = key, ""
-	if fs, ok := ds.(*store.FS); ok {
-		a.Path = fs.Path(key)
-	}
+	a.Key = key
 	if len(vals) > 0 {
 		max = vals[len(vals)-1]
 	}
@@ -312,23 +288,18 @@ func abortStaging(ds store.Dataset, key string, w store.ValueWriter, err error) 
 // LoadSketches fills Attribute.Sketch from the sketches persisted in
 // ds: the SketchSection staged next to each value set (embedded in
 // block-format value files, sidecars next to text files, the section
-// map of memory datasets). A nil ds resolves Attribute.Path verbatim —
-// the files-on-disk default. Attributes without an exported value set
-// or without a persisted sketch are skipped; a present but unreadable
-// sketch is an error.
+// map of memory datasets); ds is required. Attributes without an
+// exported value set or without a persisted sketch are skipped; a
+// present but unreadable sketch is an error.
 func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
-	if ds == nil {
-		ds = pathFS
+	if err := requireDataset(ds, "LoadSketches"); err != nil {
+		return err
 	}
 	for _, a := range attrs {
-		if a.Sketch != nil {
+		if a.Sketch != nil || a.Key == "" {
 			continue
 		}
-		key := a.StoreKey()
-		if key == "" {
-			continue
-		}
-		data, ok, err := ds.Section(key, valfile.SketchSection)
+		data, ok, err := ds.Section(a.Key, valfile.SketchSection)
 		if err != nil {
 			return fmt.Errorf("ind: %s: %w", a.Ref, err)
 		}
@@ -382,7 +353,7 @@ func attrFileName(a *Attribute) string {
 }
 
 // Prepare is the common preamble of the order-based algorithms: collect
-// attributes and export their sorted value files.
+// attributes and export their sorted value sets into cfg.Dataset.
 func Prepare(db *relstore.Database, cfg ExportConfig) ([]*Attribute, error) {
 	attrs, err := CollectAttributes(db)
 	if err != nil {

@@ -12,12 +12,9 @@ import (
 func TestDeMarchiMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		db := randomDB(seed)
-		attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		attrs, ds := prepare(t, db)
 		cands, _ := GenerateCandidates(attrs, GenOptions{})
-		want, err := BruteForce(cands, BruteForceOptions{})
+		want, err := BruteForce(cands, BruteForceOptions{Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +33,7 @@ func TestDeMarchiMatchesBruteForce(t *testing.T) {
 
 func TestDeMarchiStats(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, _ := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	res, err := DeMarchi(db, attrs, cands, DeMarchiOptions{})
 	if err != nil {
@@ -62,13 +59,10 @@ func TestDeMarchiStats(t *testing.T) {
 func TestBellBrockhausenMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		db := randomDB(seed)
-		attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		attrs, ds := prepare(t, db)
 		// The reference: full candidate set, no pretests.
 		cands, _ := GenerateCandidates(attrs, GenOptions{})
-		want, err := BruteForce(cands, BruteForceOptions{})
+		want, err := BruteForce(cands, BruteForceOptions{Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}

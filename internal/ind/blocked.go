@@ -23,9 +23,8 @@ type BlockedOptions struct {
 	RefBlock int
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path. Cursors are reopened once per
-	// block.
+	// Store serves the attributes' value sets; it is required. Cursors
+	// are reopened once per block.
 	Store store.Dataset
 }
 
@@ -36,6 +35,9 @@ type BlockedOptions struct {
 // scalability — exactly the trade-off Sec 4.2 describes.
 func SinglePassBlocked(cands []Candidate, opts BlockedOptions) (*Result, error) {
 	start := time.Now()
+	if err := requireDataset(opts.Store, "Store"); err != nil {
+		return nil, err
+	}
 
 	depIDs, refIDs := attributeIDs(cands)
 	depBlocks := blockIDs(depIDs, opts.DepBlock)

@@ -62,8 +62,7 @@ type BruteForceOptions struct {
 	// Transitivity enables the Bell & Brockhausen inference of Sec 4.1,
 	// skipping tests whose outcome follows from already decided ones.
 	Transitivity bool
-	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path.
+	// Store serves the attributes' value sets; it is required.
 	Store store.Dataset
 }
 
@@ -75,7 +74,10 @@ func BruteForce(cands []Candidate, opts BruteForceOptions) (*Result, error) {
 	res := &Result{}
 	res.Stats.Candidates = len(cands)
 	res.Stats.MaxOpenFiles = 2 // one dependent plus one referenced file
-	src := newSource(opts.Store, opts.Counter)
+	src, err := newSource(opts.Store, opts.Counter)
+	if err != nil {
+		return nil, err
+	}
 	var filter *TransitivityFilter
 	if opts.Transitivity {
 		filter = NewTransitivityFilter()

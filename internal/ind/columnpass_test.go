@@ -70,13 +70,13 @@ func TestStageSortedEveryBackend(t *testing.T) {
 		if n != len(want) || max != want[len(want)-1] || a.Key != "k.val" {
 			t.Errorf("%s: n=%d max=%q key=%q, want n=%d max=%q", name, n, max, a.Key, len(want), want[len(want)-1])
 		}
-		if got := stagedValues(t, ds, a.StoreKey()); !reflect.DeepEqual(got, want) {
+		if got := stagedValues(t, ds, a.Key); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: staged %d values, want %d sorted distinct", name, len(got), len(want))
 		}
 		if !reflect.DeepEqual(observed, want) {
 			t.Errorf("%s: observer saw %d values, want %d", name, len(observed), len(want))
 		}
-		if meta := stagedRunMeta(t, ds, a.StoreKey()); meta != (valfile.RunMeta{Added: int64(len(bag))}) {
+		if meta := stagedRunMeta(t, ds, a.Key); meta != (valfile.RunMeta{Added: int64(len(bag))}) {
 			t.Errorf("%s: run metadata %+v, want Added=%d and no spill runs", name, meta, len(bag))
 		}
 	}
@@ -94,8 +94,8 @@ func TestStageSortedRejectsUnsorted(t *testing.T) {
 			c.Close()
 			t.Errorf("%s: a failed staging left its key readable", name)
 		}
-		if a.StoreKey() != "" {
-			t.Errorf("%s: a failed staging set the attribute's key to %q", name, a.StoreKey())
+		if a.Key != "" {
+			t.Errorf("%s: a failed staging set the attribute's key to %q", name, a.Key)
 		}
 	}
 }
@@ -108,12 +108,12 @@ func TestRunMetaSectionGolden(t *testing.T) {
 	db, _ := columnPassDB()
 	dir := t.TempDir()
 	ds := store.NewFS(dir, valfile.FormatBlock)
-	attrs, err := Prepare(db, ExportConfig{Dataset: ds, Dir: dir, Format: valfile.FormatBlock})
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range attrs {
-		data, ok, err := ds.Section(a.StoreKey(), valfile.RunMetaSection)
+		data, ok, err := ds.Section(a.Key, valfile.RunMetaSection)
 		if err != nil || !ok {
 			t.Fatalf("%s: RUNM section: ok=%v err=%v", a.Ref, ok, err)
 		}
@@ -146,10 +146,10 @@ func TestColumnExportStagesWithoutRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := stagedValues(t, ds, a.StoreKey()); !slices.Equal(got, want) {
+			if got := stagedValues(t, ds, a.Key); !slices.Equal(got, want) {
 				t.Errorf("%s: %s: staged %v, want %v", name, a.Ref, got, want)
 			}
-			if meta := stagedRunMeta(t, ds, a.StoreKey()); meta != (valfile.RunMeta{Added: int64(a.NonNull)}) {
+			if meta := stagedRunMeta(t, ds, a.Key); meta != (valfile.RunMeta{Added: int64(a.NonNull)}) {
 				t.Errorf("%s: %s: run metadata %+v, want Added=%d and no spill runs", name, a.Ref, meta, a.NonNull)
 			}
 		}
@@ -219,7 +219,7 @@ func TestColumnPassConcurrentStatsAndExport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := stagedValues(t, mem, a.StoreKey()); !slices.Equal(got, want) {
+		if got := stagedValues(t, mem, a.Key); !slices.Equal(got, want) {
 			t.Errorf("%s: staged %d values, want %d", a.Ref, len(got), len(want))
 		}
 	}
@@ -245,7 +245,7 @@ func TestExportAfterInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := attrs[tab.ColumnIndex("code")]
-	got := stagedValues(t, mem, a.StoreKey())
+	got := stagedValues(t, mem, a.Key)
 	if !slices.Contains(got, "zz-new") || len(got) != before.Distinct+1 || a.MaxCanonical != "zz-new" {
 		t.Errorf("staged %d values (max %q) after the insert, want the %d earlier ones plus zz-new", len(got), a.MaxCanonical, before.Distinct)
 	}

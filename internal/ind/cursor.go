@@ -19,11 +19,6 @@ import (
 // underlying resources and must be called exactly once.
 type Cursor = store.Cursor
 
-// pathFS resolves attribute paths as verbatim file paths — the dataset
-// the engines read when their Store option is nil, i.e. the value files
-// ExportAttributes wrote under a filesystem dataset.
-var pathFS = store.NewFS("", valfile.FormatText)
-
 // source opens attributes' value cursors out of one dataset, counting
 // every delivered item into counter (may be nil). It is the one access
 // path of every order-based engine: value files, in-memory sets and
@@ -33,13 +28,21 @@ type source struct {
 	counter *valfile.ReadCounter
 }
 
-// newSource resolves an engine's Store option; nil reads the exported
-// value files by path.
-func newSource(ds store.Dataset, counter *valfile.ReadCounter) source {
-	if ds == nil {
-		ds = pathFS
+// newSource wraps an engine's Store option, which is required.
+func newSource(ds store.Dataset, counter *valfile.ReadCounter) (source, error) {
+	if err := requireDataset(ds, "Store"); err != nil {
+		return source{}, err
 	}
-	return source{ds: ds, counter: counter}
+	return source{ds: ds, counter: counter}, nil
+}
+
+// requireDataset fails when the dataset an option names is nil: every
+// value set goes into and comes out of an explicit dataset.
+func requireDataset(ds store.Dataset, option string) error {
+	if ds == nil {
+		return fmt.Errorf("ind: %s: no dataset given", option)
+	}
+	return nil
 }
 
 // Open returns a cursor over the attribute's value set.
@@ -54,7 +57,7 @@ func (s source) Open(a *Attribute) (Cursor, error) {
 // exportedKey returns the attribute's dataset key, failing loudly for
 // attributes that were never exported.
 func exportedKey(a *Attribute) (string, error) {
-	key := a.StoreKey()
+	key := a.Key
 	if key == "" {
 		return "", fmt.Errorf("ind: attribute %s has no exported value set", a.Ref)
 	}

@@ -30,12 +30,15 @@ func drain(t *testing.T, c Cursor) []string {
 }
 
 // TestStoreSource checks the engines' uniform dataset access path: keys
-// resolve via Attribute.StoreKey, missing exports fail loudly.
+// resolve via Attribute.Key, missing exports fail loudly.
 func TestStoreSource(t *testing.T) {
 	mem := store.NewMem()
 	mem.SetValues("a.val", []string{"x", "y"})
 	var counter valfile.ReadCounter
-	src := newSource(mem, &counter)
+	src, err := newSource(mem, &counter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := &Attribute{ID: 7, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Key: "a.val"}
 	cur, err := src.Open(a)
 	if err != nil {
@@ -55,17 +58,20 @@ func TestStoreSource(t *testing.T) {
 	}
 }
 
-// TestFileSourceRoundTrip: with no Store the engines read exported
-// value files by path.
+// TestFileSourceRoundTrip: a filesystem dataset serves the value file
+// its root holds under the attribute's key; a nil dataset is refused.
 func TestFileSourceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "a.val")
-	if _, err := valfile.WriteAll(path, []string{"1", "2", "3"}); err != nil {
+	if _, err := valfile.WriteAll(filepath.Join(dir, "a.val"), []string{"1", "2", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Path: path}
+	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Key: "a.val"}
 	var counter valfile.ReadCounter
-	cur, err := newSource(nil, &counter).Open(a)
+	src, err := newSource(store.NewFS(dir, valfile.FormatText), &counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := src.Open(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +81,20 @@ func TestFileSourceRoundTrip(t *testing.T) {
 	if counter.Total() != 3 {
 		t.Errorf("counted %d items", counter.Total())
 	}
-	if _, err := newSource(nil, nil).Open(&Attribute{Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
+	if _, err := src.Open(&Attribute{Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
 		t.Error("unexported attribute must fail")
+	}
+	if _, err := newSource(nil, nil); err == nil {
+		t.Error("a nil dataset must fail")
 	}
 }
 
 func TestMemSourceFixture(t *testing.T) {
 	a := &Attribute{ID: 7, Ref: relstore.ColumnRef{Table: "t", Column: "a"}}
-	src := newSource(memSource([]*Attribute{a}, map[int][]string{7: {"x", "y"}}), nil)
+	src, err := newSource(memSource([]*Attribute{a}, map[int][]string{7: {"x", "y"}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur, err := src.Open(a)
 	if err != nil {
 		t.Fatal(err)

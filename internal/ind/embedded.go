@@ -2,7 +2,6 @@ package ind
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -104,15 +103,13 @@ func (e EmbeddedEngine) String() string {
 type EmbeddedOptions struct {
 	// Transforms to try; StandardTransforms() when empty.
 	Transforms []Transform
-	// Dir receives the derived sorted value files; required unless
-	// Scratch is set.
-	Dir string
-	// Scratch receives the derived value sets; nil selects a filesystem
-	// dataset rooted at Dir, reproducing the historical on-disk layout.
+	// Scratch receives the derived value sets, under keys that never
+	// collide with the attributes' own; Store serves both the
+	// attributes' and the derived value sets to the engines. They
+	// differ only when the dataset is split into a writable side and a
+	// read-only view (the snapshot shape). Both are required.
 	Scratch store.Dataset
-	// Store serves the original attributes' value sets to the engines
-	// when set; nil reads the exported value files by path.
-	Store store.Dataset
+	Store   store.Dataset
 	// MinValues skips derived sets smaller than this (default 2):
 	// near-empty derived sets satisfy almost any inclusion and are noise.
 	MinValues int
@@ -122,8 +119,6 @@ type EmbeddedOptions struct {
 	// one merge pass per candidate) or EmbeddedMerge (all candidates in
 	// one shared heap merge). Results are identical.
 	Algorithm EmbeddedEngine
-	// Format selects the encoding of the derived value files.
-	Format valfile.Format
 }
 
 // EmbeddedResult is the outcome of FindEmbedded.
@@ -156,17 +151,12 @@ func derivedRef(orig relstore.ColumnRef, transform string) relstore.ColumnRef {
 // referenced attributes. Exact INDs (identity transform) are not
 // re-tested; combine with BruteForce for the full picture.
 func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions) (*EmbeddedResult, error) {
-	if opts.Dir == "" && opts.Scratch == nil {
-		return nil, fmt.Errorf("ind: EmbeddedOptions.Dir or Scratch is required")
+	if err := requireDataset(opts.Scratch, "EmbeddedOptions.Scratch"); err != nil {
+		return nil, err
 	}
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = store.NewFS(opts.Dir, opts.Format)
+	src, err := newSource(opts.Store, opts.Counter)
+	if err != nil {
+		return nil, err
 	}
 	if len(opts.Transforms) == 0 {
 		opts.Transforms = StandardTransforms()
@@ -177,7 +167,7 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 	start := time.Now()
 	res := &EmbeddedResult{}
 
-	deriveds, err := deriveAttributes(db, attrs, opts, scratch)
+	deriveds, err := deriveAttributes(db, attrs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +189,7 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 			if d.attr.Distinct > r.Distinct {
 				continue
 			}
-			if r.StoreKey() == "" {
+			if r.Key == "" {
 				return nil, fmt.Errorf("ind: referenced attribute %s not exported", r.Ref)
 			}
 			cands = append(cands, embCand{d: d, r: r})
@@ -227,7 +217,6 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 			})
 		}
 	} else {
-		src := newSource(opts.Store, opts.Counter)
 		for _, c := range cands {
 			sat, err := testCandidate(Candidate{Dep: c.d.attr, Ref: c.r}, src, &res.Stats)
 			if err != nil {
@@ -270,7 +259,8 @@ func sortEmbedded(inds []EmbeddedIND) {
 // can share one merge. Each set is built the way the column pass builds
 // a column's: the transform's results are collected into one reused
 // slice, sorted and compacted in memory, and staged.
-func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions, scratch store.Dataset) ([]derivedAttr, error) {
+func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions) ([]derivedAttr, error) {
+	scratch := opts.Scratch
 	nextID := 0
 	for _, a := range attrs {
 		nextID = maxInt(nextID, a.ID+1)

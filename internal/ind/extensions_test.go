@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spider/internal/relstore"
+	"spider/internal/store"
 	"spider/internal/valfile"
 	"spider/internal/value"
 )
@@ -48,12 +49,12 @@ func findCandidate(t testing.TB, cands []Candidate, dep, ref string) Candidate {
 
 func TestPartialINDThresholds(t *testing.T) {
 	db := dirtyDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	c := findCandidate(t, cands, "child.pid", "parent.id")
 
 	// Exact IND must fail (10% dirty)...
-	exact, err := BruteForce([]Candidate{c}, BruteForceOptions{})
+	exact, err := BruteForce([]Candidate{c}, BruteForceOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPartialINDThresholds(t *testing.T) {
 		{0.90, true},
 		{0.50, true},
 	} {
-		res, err := BruteForcePartial([]Candidate{c}, PartialOptions{Threshold: tc.sigma})
+		res, err := BruteForcePartial([]Candidate{c}, PartialOptions{Store: ds, Threshold: tc.sigma})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestPartialINDThresholds(t *testing.T) {
 
 func TestPartialRejectsBadThreshold(t *testing.T) {
 	for _, sigma := range []float64{0, -0.5, 1.5} {
-		if _, err := BruteForcePartial(nil, PartialOptions{Threshold: sigma}); err == nil {
+		if _, err := BruteForcePartial(nil, PartialOptions{Store: store.NewMem(), Threshold: sigma}); err == nil {
 			t.Errorf("threshold %v must be rejected", sigma)
 		}
 	}
@@ -101,16 +102,13 @@ func TestPartialRejectsBadThreshold(t *testing.T) {
 // At σ = 1 the partial test must agree exactly with Algorithm 1.
 func TestPartialSigmaOneMatchesExact(t *testing.T) {
 	db := randomDB(5)
-	attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	exact, err := BruteForce(cands, BruteForceOptions{})
+	exact, err := BruteForce(cands, BruteForceOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := BruteForcePartial(cands, PartialOptions{Threshold: 1})
+	partial, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +128,23 @@ func TestPartialSigmaOneMatchesExact(t *testing.T) {
 // full-scan coverage computation on random data.
 func TestPartialEarlyStopSound(t *testing.T) {
 	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		depVals := randomSortedSet(rng, 40, 60)
 		refVals := randomSortedSet(rng, 40, 60)
-		depPath := filepath.Join(dir, fmt.Sprintf("d%d.val", trial))
-		refPath := filepath.Join(dir, fmt.Sprintf("r%d.val", trial))
-		if _, err := valfile.WriteAll(depPath, depVals); err != nil {
+		depKey := fmt.Sprintf("d%d.val", trial)
+		refKey := fmt.Sprintf("r%d.val", trial)
+		if _, err := valfile.WriteAll(filepath.Join(dir, depKey), depVals); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := valfile.WriteAll(refPath, refVals); err != nil {
+		if _, err := valfile.WriteAll(filepath.Join(dir, refKey), refVals); err != nil {
 			t.Fatal(err)
 		}
 		dep := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "d"},
-			Distinct: len(depVals), NonNull: len(depVals), Path: depPath}
+			Distinct: len(depVals), NonNull: len(depVals), Key: depKey}
 		ref := &Attribute{ID: 1, Ref: relstore.ColumnRef{Table: "t", Column: "r"},
-			Distinct: len(refVals), NonNull: len(refVals), Path: refPath, Unique: true}
+			Distinct: len(refVals), NonNull: len(refVals), Key: refKey, Unique: true}
 		c := Candidate{Dep: dep, Ref: ref}
 
 		refSet := map[string]bool{}
@@ -163,7 +162,7 @@ func TestPartialEarlyStopSound(t *testing.T) {
 			trueCoverage = float64(matched) / float64(len(depVals))
 		}
 		for _, sigma := range []float64{0.3, 0.6, 0.9, 1.0} {
-			res, err := BruteForcePartial([]Candidate{c}, PartialOptions{Threshold: sigma})
+			res, err := BruteForcePartial([]Candidate{c}, PartialOptions{Store: ds, Threshold: sigma})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,10 +206,7 @@ func sortStrings(s []string) {
 func TestSamplingPretestSound(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		db := randomDB(seed)
-		attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		attrs, ds := prepare(t, db)
 		cands, _ := GenerateCandidates(attrs, GenOptions{})
 		kept, st, err := SamplingPretest(db, cands, SamplingOptions{SampleSize: 4, Seed: seed})
 		if err != nil {
@@ -219,11 +215,11 @@ func TestSamplingPretestSound(t *testing.T) {
 		if st.Pruned != len(cands)-len(kept) {
 			t.Errorf("seed %d: Pruned = %d, removed %d", seed, st.Pruned, len(cands)-len(kept))
 		}
-		full, err := BruteForce(cands, BruteForceOptions{})
+		full, err := BruteForce(cands, BruteForceOptions{Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced, err := BruteForce(kept, BruteForceOptions{})
+		reduced, err := BruteForce(kept, BruteForceOptions{Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +231,7 @@ func TestSamplingPretestSound(t *testing.T) {
 
 func TestSamplingPretestPrunes(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, _ := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	kept, st, err := SamplingPretest(db, cands, SamplingOptions{SampleSize: 8, Seed: 1})
 	if err != nil {
@@ -251,7 +247,7 @@ func TestSamplingPretestPrunes(t *testing.T) {
 
 func TestSamplingDeterministic(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, _ := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	a, _, err := SamplingPretest(db, cands, SamplingOptions{Seed: 7})
 	if err != nil {
@@ -281,14 +277,10 @@ func TestFindEmbeddedPDBCodes(t *testing.T) {
 		xrefs.MustInsert(value.NewString("PDB-" + code)) // the paper's example
 		seen[code] = true
 	}
-	dir := t.TempDir()
-	attrs, err := Prepare(db, ExportConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	attrs, ds := prepare(t, db)
 	// The exact IND does not hold...
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	exact, err := BruteForce(cands, BruteForceOptions{})
+	exact, err := BruteForce(cands, BruteForceOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +290,7 @@ func TestFindEmbeddedPDBCodes(t *testing.T) {
 		}
 	}
 	// ...but the after-dash embedded IND does.
-	res, err := FindEmbedded(db, attrs, EmbeddedOptions{Dir: filepath.Join(dir, "derived")})
+	res, err := FindEmbedded(db, attrs, EmbeddedOptions{Scratch: ds, Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +309,11 @@ func TestFindEmbeddedPDBCodes(t *testing.T) {
 }
 
 func TestFindEmbeddedRequiresDir(t *testing.T) {
-	if _, err := FindEmbedded(nil, nil, EmbeddedOptions{}); err == nil {
-		t.Error("missing Dir must fail")
+	ds := store.NewMem()
+	for _, opts := range []EmbeddedOptions{{}, {Store: ds}, {Scratch: ds}} {
+		if _, err := FindEmbedded(nil, nil, opts); err == nil {
+			t.Errorf("%+v: a missing dataset must fail", opts)
+		}
 	}
 }
 
@@ -347,22 +342,27 @@ func TestStandardTransforms(t *testing.T) {
 // Corrupt value files must surface as errors, not panics or wrong results.
 func TestCorruptFileFailsCleanly(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	// Corrupt every exported file with a dangling escape so the first
 	// tested candidate trips over it.
 	for _, a := range attrs {
-		if err := writeCorrupt(a.Path); err != nil {
+		if err := writeCorrupt(filepath.Join(dir, a.Key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := BruteForce(cands, BruteForceOptions{}); err == nil {
+	if _, err := BruteForce(cands, BruteForceOptions{Store: ds}); err == nil {
 		t.Error("brute force must report corrupt file")
 	}
-	if _, err := SinglePass(cands, SinglePassOptions{}); err == nil {
+	if _, err := SinglePass(cands, SinglePassOptions{Store: ds}); err == nil {
 		t.Error("single pass must report corrupt file")
 	}
-	if _, err := BruteForcePartial(cands, PartialOptions{Threshold: 0.5}); err == nil {
+	if _, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 0.5}); err == nil {
 		t.Error("partial must report corrupt file")
 	}
 }
@@ -419,12 +419,8 @@ func TestFindEmbeddedMergeMatchesAlgorithmOne(t *testing.T) {
 		if seed%2 == 0 {
 			db = embedRandomDB(seed)
 		}
-		dir := t.TempDir()
-		attrs, err := Prepare(db, ExportConfig{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := FindEmbedded(db, attrs, EmbeddedOptions{Dir: filepath.Join(dir, "ref")})
+		attrs, ds := prepare(t, db)
+		want, err := FindEmbedded(db, attrs, EmbeddedOptions{Scratch: ds, Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +428,8 @@ func TestFindEmbeddedMergeMatchesAlgorithmOne(t *testing.T) {
 			sawSatisfied = true
 		}
 		got, err := FindEmbedded(db, attrs, EmbeddedOptions{
-			Dir:       filepath.Join(dir, "merge"),
+			Scratch:   ds,
+			Store:     ds,
 			Algorithm: EmbeddedMerge,
 		})
 		if err != nil {

@@ -26,6 +26,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		dir := t.TempDir()
+		ds := store.NewFS(dir, valfile.FormatText)
 
 		// Random universe of attributes with random sorted value sets.
 		nAttrs := 2 + rng.Intn(8)
@@ -40,8 +41,8 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 			default:
 				vals = randomSortedSet(rng, 12+rng.Intn(20), 1+rng.Intn(25))
 			}
-			path := filepath.Join(dir, fmt.Sprintf("a%02d.val", i))
-			if _, err := valfile.WriteAll(path, vals); err != nil {
+			key := fmt.Sprintf("a%02d.val", i)
+			if _, err := valfile.WriteAll(filepath.Join(dir, key), vals); err != nil {
 				t.Fatal(err)
 			}
 			max := ""
@@ -55,7 +56,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 				Distinct:     len(vals),
 				Unique:       true,
 				MaxCanonical: max,
-				Path:         path,
+				Key:          key,
 			}
 			sets[i] = vals
 		}
@@ -76,7 +77,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 		}
 
 		want := Reference(cands, sets).Satisfied
-		sp, err := SinglePass(cands, SinglePassOptions{})
+		sp, err := SinglePass(cands, SinglePassOptions{Store: ds})
 		if err != nil {
 			t.Fatalf("trial %d: single pass: %v", trial, err)
 		}
@@ -84,7 +85,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 			t.Fatalf("trial %d: single pass differs:\ngot  %v\nwant %v",
 				trial, indStrings(sp.Satisfied), indStrings(want))
 		}
-		bf, err := BruteForce(cands, BruteForceOptions{})
+		bf, err := BruteForce(cands, BruteForceOptions{Store: ds})
 		if err != nil {
 			t.Fatalf("trial %d: brute force: %v", trial, err)
 		}
@@ -92,7 +93,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 			t.Fatalf("trial %d: brute force differs", trial)
 		}
 		blocked, err := SinglePassBlocked(cands, BlockedOptions{
-			DepBlock: 1 + rng.Intn(3), RefBlock: 1 + rng.Intn(3),
+			DepBlock: 1 + rng.Intn(3), RefBlock: 1 + rng.Intn(3), Store: ds,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: blocked: %v", trial, err)
@@ -232,14 +233,12 @@ func FuzzNaryMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge}
 		mem := knobs&1 != 0
+		var ds store.Dataset = store.NewFS(t.TempDir(), valfile.FormatText)
 		if mem {
-			ds := store.NewMem()
-			opts.Store, opts.Scratch = ds, ds
-		} else {
-			opts.WorkDir = t.TempDir()
+			ds = store.NewMem()
 		}
+		opts := NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge, Store: ds, Scratch: ds}
 		got, err := DiscoverNary(db, opts)
 		if err != nil {
 			t.Fatal(err)

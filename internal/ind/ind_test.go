@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spider/internal/relstore"
+	"spider/internal/store"
 	"spider/internal/valfile"
 	"spider/internal/value"
 )
@@ -43,13 +44,16 @@ func buildDB(t testing.TB) *relstore.Database {
 	return db
 }
 
-func prepare(t testing.TB, db *relstore.Database) []*Attribute {
+// prepare exports every attribute of db into a fresh filesystem
+// dataset and returns the attributes with the dataset.
+func prepare(t testing.TB, db *relstore.Database) ([]*Attribute, *store.FS) {
 	t.Helper()
-	attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
+	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return attrs
+	return attrs, ds
 }
 
 func indStrings(inds []IND) []string {
@@ -92,15 +96,12 @@ func TestCollectAttributes(t *testing.T) {
 
 func TestExportAttributes(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	for _, a := range attrs {
-		if a.Path == "" {
+		if a.Key == "" {
 			t.Fatalf("%s not exported", a.Ref)
 		}
-		vals, err := valfile.ReadAll(a.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vals := stagedValues(t, ds, a.Key)
 		if len(vals) != a.Distinct {
 			t.Errorf("%s: file has %d values, stats say %d", a.Ref, len(vals), a.Distinct)
 		}
@@ -114,13 +115,66 @@ func TestExportRequiresDir(t *testing.T) {
 	db := buildDB(t)
 	attrs, _ := CollectAttributes(db)
 	if err := ExportAttributes(db, attrs, ExportConfig{}); err == nil {
-		t.Error("empty Dir must fail")
+		t.Error("a nil Dataset must fail")
+	}
+}
+
+// TestEntryPointsRequireDataset pins the one data path: every entry
+// point that stages or reads value sets refuses a nil dataset instead
+// of falling back to files.
+func TestEntryPointsRequireDataset(t *testing.T) {
+	db := buildDB(t)
+	attrs, ds := prepare(t, db)
+	cands, _ := GenerateCandidates(attrs, GenOptions{})
+	for name, run := range map[string]func() error{
+		"ExportAttributes": func() error { return ExportAttributes(db, attrs, ExportConfig{}) },
+		"LoadSketches":     func() error { return LoadSketches(nil, attrs) },
+		"BruteForce": func() error {
+			_, err := BruteForce(cands, BruteForceOptions{})
+			return err
+		},
+		"SinglePass": func() error {
+			_, err := SinglePass(cands, SinglePassOptions{})
+			return err
+		},
+		"SinglePassBlocked": func() error {
+			_, err := SinglePassBlocked(nil, BlockedOptions{})
+			return err
+		},
+		"SpiderMerge": func() error {
+			_, err := SpiderMerge(cands, SpiderMergeOptions{})
+			return err
+		},
+		"PartialSpiderMerge": func() error {
+			_, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{})
+			return err
+		},
+		"BruteForcePartial": func() error {
+			_, err := BruteForcePartial(cands, PartialOptions{Threshold: 0.5})
+			return err
+		},
+		"DiscoverNary/no Store": func() error {
+			_, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, Scratch: ds})
+			return err
+		},
+		"DiscoverNary/no Scratch": func() error {
+			_, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, Store: ds})
+			return err
+		},
+		"FindEmbedded": func() error {
+			_, err := FindEmbedded(db, attrs, EmbeddedOptions{Store: ds})
+			return err
+		},
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s accepted a nil dataset", name)
+		}
 	}
 }
 
 func TestGenerateCandidates(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, _ := prepare(t, db)
 	cands, st := GenerateCandidates(attrs, GenOptions{})
 	// Referenced candidates: parent.id, parent.code, child.cid (unique,
 	// non-LOB). Dependent candidates: those three plus child.parent_id and
@@ -146,7 +200,7 @@ func TestGenerateCandidates(t *testing.T) {
 
 func TestMaxValuePretestPrunes(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	plain, stPlain := GenerateCandidates(attrs, GenOptions{})
 	pruned, stPruned := GenerateCandidates(attrs, GenOptions{MaxValuePretest: true})
 	if len(pruned) >= len(plain) {
@@ -160,11 +214,11 @@ func TestMaxValuePretestPrunes(t *testing.T) {
 	}
 	// Soundness: pruning must not remove any satisfied IND.
 	var counter valfile.ReadCounter
-	full, err := BruteForce(plain, BruteForceOptions{Counter: &counter})
+	full, err := BruteForce(plain, BruteForceOptions{Store: ds, Counter: &counter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := BruteForce(pruned, BruteForceOptions{})
+	reduced, err := BruteForce(pruned, BruteForceOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +242,10 @@ func TestDatatypePruning(t *testing.T) {
 
 func TestBruteForceFindsKnownINDs(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	var counter valfile.ReadCounter
-	res, err := BruteForce(cands, BruteForceOptions{Counter: &counter})
+	res, err := BruteForce(cands, BruteForceOptions{Store: ds, Counter: &counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,15 +324,15 @@ func TestAlgorithmOneEdgeCases(t *testing.T) {
 
 func TestSinglePassMatchesBruteForce(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 
 	var bfCounter, spCounter valfile.ReadCounter
-	bf, err := BruteForce(cands, BruteForceOptions{Counter: &bfCounter})
+	bf, err := BruteForce(cands, BruteForceOptions{Store: ds, Counter: &bfCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := SinglePass(cands, SinglePassOptions{Counter: &spCounter})
+	sp, err := SinglePass(cands, SinglePassOptions{Store: ds, Counter: &spCounter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +354,7 @@ func TestSinglePassMatchesBruteForce(t *testing.T) {
 // distinct values across dependent and referenced roles.
 func TestSinglePassIOBound(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	var bound int64
 	seenDep := map[int]bool{}
@@ -316,7 +370,7 @@ func TestSinglePassIOBound(t *testing.T) {
 		}
 	}
 	var counter valfile.ReadCounter
-	if _, err := SinglePass(cands, SinglePassOptions{Counter: &counter}); err != nil {
+	if _, err := SinglePass(cands, SinglePassOptions{Store: ds, Counter: &counter}); err != nil {
 		t.Fatal(err)
 	}
 	if counter.Total() > bound {
@@ -331,10 +385,7 @@ func TestAllApproachesAgreeRandomized(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := randomDB(seed)
-			attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
+			attrs, ds := prepare(t, db)
 			cands, _ := GenerateCandidates(attrs, GenOptions{})
 			if len(cands) == 0 {
 				t.Skip("no candidates for this seed")
@@ -342,27 +393,23 @@ func TestAllApproachesAgreeRandomized(t *testing.T) {
 
 			sets := map[int][]string{}
 			for _, a := range attrs {
-				vals, err := valfile.ReadAll(a.Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sets[a.ID] = vals
+				sets[a.ID] = stagedValues(t, ds, a.Key)
 			}
 			want := Reference(cands, sets).Satisfied
 
-			bf, err := BruteForce(cands, BruteForceOptions{})
+			bf, err := BruteForce(cands, BruteForceOptions{Store: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, err := SinglePass(cands, SinglePassOptions{})
+			sp, err := SinglePass(cands, SinglePassOptions{Store: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocked, err := SinglePassBlocked(cands, BlockedOptions{DepBlock: 2, RefBlock: 2})
+			blocked, err := SinglePassBlocked(cands, BlockedOptions{Store: ds, DepBlock: 2, RefBlock: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bfT, err := BruteForce(cands, BruteForceOptions{Transitivity: true})
+			bfT, err := BruteForce(cands, BruteForceOptions{Store: ds, Transitivity: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,16 +487,16 @@ func randomDB(seed int64) *relstore.Database {
 
 func TestBlockedBoundsOpenFiles(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	res, err := SinglePassBlocked(cands, BlockedOptions{DepBlock: 1, RefBlock: 1})
+	res, err := SinglePassBlocked(cands, BlockedOptions{Store: ds, DepBlock: 1, RefBlock: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.MaxOpenFiles > 2 {
 		t.Errorf("MaxOpenFiles = %d with 1x1 blocks, want <= 2", res.Stats.MaxOpenFiles)
 	}
-	full, err := SinglePass(cands, SinglePassOptions{})
+	full, err := SinglePass(cands, SinglePassOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +570,7 @@ func contains(s, sub string) bool {
 
 func TestRunSQLVariantsOnKnownDB(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, _ := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	var want []IND
 	for _, v := range []SQLVariant{SQLJoin, SQLMinus, SQLNotIn} {
@@ -548,10 +595,11 @@ func TestUnexportedCandidatesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	if _, err := BruteForce(cands, BruteForceOptions{}); err == nil {
+	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	if _, err := BruteForce(cands, BruteForceOptions{Store: ds}); err == nil {
 		t.Error("brute force on unexported attributes must fail")
 	}
-	if _, err := SinglePass(cands, SinglePassOptions{}); err == nil {
+	if _, err := SinglePass(cands, SinglePassOptions{Store: ds}); err == nil {
 		t.Error("single pass on unexported attributes must fail")
 	}
 }
@@ -562,19 +610,16 @@ func TestUnexportedCandidatesRejected(t *testing.T) {
 // items as soon as attributes participate in several candidates.
 func TestFigure5IOShape(t *testing.T) {
 	db := randomDB(99)
-	attrs, err := Prepare(db, ExportConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 	if len(cands) < 4 {
 		t.Skip("not enough candidates")
 	}
 	var bfC, spC valfile.ReadCounter
-	if _, err := BruteForce(cands, BruteForceOptions{Counter: &bfC}); err != nil {
+	if _, err := BruteForce(cands, BruteForceOptions{Store: ds, Counter: &bfC}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SinglePass(cands, SinglePassOptions{Counter: &spC}); err != nil {
+	if _, err := SinglePass(cands, SinglePassOptions{Store: ds, Counter: &spC}); err != nil {
 		t.Fatal(err)
 	}
 	if spC.Total() > bfC.Total() {

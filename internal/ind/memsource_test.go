@@ -20,8 +20,8 @@ func memSource(attrs []*Attribute, sets map[int][]string) *store.Mem {
 // fixtureKey returns the attribute's dataset key, assigning a plain
 // ID-derived one when the attribute was never exported.
 func fixtureKey(a *Attribute) string {
-	if a.StoreKey() == "" {
+	if a.Key == "" {
 		a.Key = fmt.Sprintf("a%05d.val", a.ID)
 	}
-	return a.StoreKey()
+	return a.Key
 }

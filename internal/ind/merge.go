@@ -26,8 +26,8 @@ import (
 type SpiderMergeOptions struct {
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path. A run opens each attribute once.
+	// Store serves the attributes' value sets; it is required. A run
+	// opens each attribute once.
 	Store store.Dataset
 }
 
@@ -185,9 +185,13 @@ func newMergeTable(cands []Candidate) *mergeTable {
 
 // runMerge builds the candidate table and runs the kernel over it.
 func runMerge(cands []Candidate, sigma float64, opts SpiderMergeOptions) (*mergeTable, error) {
+	src, err := newSource(opts.Store, opts.Counter)
+	if err != nil {
+		return nil, err
+	}
 	t := newMergeTable(cands)
-	m := newMerger(t, newSource(opts.Store, opts.Counter).Open, sigma)
-	err := m.run()
+	m := newMerger(t, src.Open, sigma)
+	err = m.run()
 	m.closeAll()
 	t.stats = m.stats
 	return t, err

@@ -20,8 +20,9 @@ import (
 
 // randomAttrs builds a random "database" of nAttrs attributes with value
 // sets drawn from a small alphabet (so inclusions actually occur),
-// including empty sets, exports the value files into dir, and returns the
-// attributes plus the in-memory sets for the reference checker.
+// including empty sets, writes the value files into dir, and returns the
+// attributes (keyed by file name) plus the in-memory sets for the
+// reference checker.
 func randomAttrs(t *testing.T, rng *rand.Rand, dir string, nAttrs int) ([]*Attribute, map[int][]string) {
 	t.Helper()
 	attrs := make([]*Attribute, nAttrs)
@@ -37,8 +38,8 @@ func randomAttrs(t *testing.T, rng *rand.Rand, dir string, nAttrs int) ([]*Attri
 			sorted = append(sorted, v)
 		}
 		sort.Strings(sorted)
-		path := filepath.Join(dir, fmt.Sprintf("%03d.val", i))
-		n, err := valfile.WriteAll(path, sorted)
+		key := fmt.Sprintf("%03d.val", i)
+		n, err := valfile.WriteAll(filepath.Join(dir, key), sorted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func randomAttrs(t *testing.T, rng *rand.Rand, dir string, nAttrs int) ([]*Attri
 			NonNull:  rows,
 			Distinct: n,
 			Unique:   n > 0 && rows == n,
-			Path:     path,
+			Key:      key,
 		}
 		if n > 0 {
 			attrs[i].MinCanonical = sorted[0]
@@ -82,9 +83,10 @@ func allPairs(attrs []*Attribute) []Candidate {
 // row of the mode × S × backend table runs on one database and must
 // return exactly the oracle's output: Reference in exact mode (a miss
 // budget of 0), BruteForcePartial at σ ∈ {0.5, 0.8, 1} — same satisfied
-// sets, coverages and Missing counts. Backends are the exported value
-// files, the in-memory dataset and a read-only snapshot over it.
-func checkMergeDifferential(t *testing.T, attrs []*Attribute, sets map[int][]string) {
+// sets, coverages and Missing counts. Backends are files (the
+// filesystem dataset holding the value files), the in-memory dataset
+// and a read-only snapshot over it.
+func checkMergeDifferential(t *testing.T, files store.Dataset, attrs []*Attribute, sets map[int][]string) {
 	t.Helper()
 	cands := allPairs(attrs)
 	mem := memSource(attrs, sets)
@@ -97,7 +99,7 @@ func checkMergeDifferential(t *testing.T, attrs []*Attribute, sets map[int][]str
 			wantExact = Reference(cands, sets)
 		} else {
 			var err error
-			if wantPartial, err = BruteForcePartial(cands, PartialOptions{Threshold: sigma, Counter: &bfC}); err != nil {
+			if wantPartial, err = BruteForcePartial(cands, PartialOptions{Store: files, Threshold: sigma, Counter: &bfC}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -105,7 +107,7 @@ func checkMergeDifferential(t *testing.T, attrs []*Attribute, sets map[int][]str
 			name := fmt.Sprintf("σ=%g/%s", sigma, source)
 			var c valfile.ReadCounter
 			counter := &c
-			opts := SpiderMergeOptions{Counter: counter}
+			opts := SpiderMergeOptions{Store: files, Counter: counter}
 			switch source {
 			case "memory":
 				opts.Store = mem
@@ -158,21 +160,22 @@ func TestSpiderMergePropertyAgreement(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
+			ds := store.NewFS(dir, valfile.FormatText)
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
 			cands := allPairs(attrs)
 			want := Reference(cands, sets)
 
 			var bfC valfile.ReadCounter
-			bf, err := BruteForce(cands, BruteForceOptions{Counter: &bfC})
+			bf, err := BruteForce(cands, BruteForceOptions{Store: ds, Counter: &bfC})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, err := SinglePass(cands, SinglePassOptions{})
+			sp, err := SinglePass(cands, SinglePassOptions{Store: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var smC valfile.ReadCounter
-			sm, err := SpiderMerge(cands, SpiderMergeOptions{Counter: &smC})
+			sm, err := SpiderMerge(cands, SpiderMergeOptions{Store: ds, Counter: &smC})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +190,7 @@ func TestSpiderMergePropertyAgreement(t *testing.T) {
 			if smC.Total() > bfC.Total() {
 				t.Errorf("spider-merge read %d items, brute force %d", smC.Total(), bfC.Total())
 			}
-			checkMergeDifferential(t, attrs, sets)
+			checkMergeDifferential(t, ds, attrs, sets)
 		})
 	}
 }
@@ -200,15 +203,16 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
+			ds := store.NewFS(dir, valfile.FormatText)
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(10))
-			checkMergeDifferential(t, attrs, sets)
+			checkMergeDifferential(t, ds, attrs, sets)
 		})
 	}
 }
 
 // TestSpiderMergeEmptyCandidates covers the degenerate run.
 func TestSpiderMergeEmptyCandidates(t *testing.T) {
-	res, err := SpiderMerge(nil, SpiderMergeOptions{})
+	res, err := SpiderMerge(nil, SpiderMergeOptions{Store: store.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func TestSpiderMergeEmptyCandidates(t *testing.T) {
 func TestSpiderMergeUnexported(t *testing.T) {
 	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, NonNull: 1, Distinct: 1}
 	b := &Attribute{ID: 1, Ref: relstore.ColumnRef{Table: "t", Column: "b"}, NonNull: 1, Distinct: 1}
-	if _, err := SpiderMerge([]Candidate{{Dep: a, Ref: b}}, SpiderMergeOptions{}); err == nil {
+	if _, err := SpiderMerge([]Candidate{{Dep: a, Ref: b}}, SpiderMergeOptions{Store: store.NewFS(t.TempDir(), valfile.FormatText)}); err == nil {
 		t.Error("spider merge on unexported attributes must fail")
 	}
 }
@@ -233,25 +237,25 @@ func TestSpiderMergeUnexported(t *testing.T) {
 // must not be read to the end.
 func TestSpiderMergeClosesEarly(t *testing.T) {
 	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
 	big := make([]string, 1000)
 	for i := range big {
 		big[i] = fmt.Sprintf("x%04d", i)
 	}
 	depVals := []string{"a"} // sorts before every "x...": refuted at once
 	write := func(name string, vals []string, id int) *Attribute {
-		path := filepath.Join(dir, name)
-		if _, err := valfile.WriteAll(path, vals); err != nil {
+		if _, err := valfile.WriteAll(filepath.Join(dir, name), vals); err != nil {
 			t.Fatal(err)
 		}
 		return &Attribute{
 			ID: id, Ref: relstore.ColumnRef{Table: "t", Column: name},
-			Rows: len(vals), NonNull: len(vals), Distinct: len(vals), Unique: true, Path: path,
+			Rows: len(vals), NonNull: len(vals), Distinct: len(vals), Unique: true, Key: name,
 		}
 	}
 	dep := write("dep", depVals, 0)
 	ref := write("ref", big, 1)
 	var c valfile.ReadCounter
-	res, err := SpiderMerge([]Candidate{{Dep: dep, Ref: ref}}, SpiderMergeOptions{Counter: &c})
+	res, err := SpiderMerge([]Candidate{{Dep: dep, Ref: ref}}, SpiderMergeOptions{Store: ds, Counter: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +294,7 @@ func TestSpiderMergeStatsGolden(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		ds := store.NewFS(dir, format)
-		attrs, err := Prepare(db, ExportConfig{Dir: dir, Dataset: ds, Format: format})
+		attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,8 +424,8 @@ func TestMergeCursorErrorPath(t *testing.T) {
 // partialAttr exports one hand-built value set and returns its attribute.
 func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *Attribute {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("p%03d.val", id))
-	if _, err := valfile.WriteAll(path, vals); err != nil {
+	key := fmt.Sprintf("p%03d.val", id)
+	if _, err := valfile.WriteAll(filepath.Join(dir, key), vals); err != nil {
 		t.Fatal(err)
 	}
 	a := &Attribute{
@@ -431,7 +435,7 @@ func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *
 		NonNull:  len(vals),
 		Distinct: len(vals),
 		Unique:   true,
-		Path:     path,
+		Key:      key,
 	}
 	if len(vals) > 0 {
 		a.MinCanonical = vals[0]
@@ -445,6 +449,7 @@ func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *
 // miss — a second miss refutes.
 func TestPartialMergeIntegralThreshold(t *testing.T) {
 	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
 	ref := make([]string, 0, 20)
 	for i := 0; i < 20; i++ {
 		ref = append(ref, fmt.Sprintf("r%02d", i))
@@ -463,7 +468,7 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 		{Dep: oneMiss, Ref: refAttr},
 		{Dep: twoMiss, Ref: refAttr},
 	}
-	want, err := BruteForcePartial(cands, PartialOptions{Threshold: 0.9})
+	want, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +476,7 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 		want.Satisfied[0].Missing != 1 || want.Satisfied[0].Coverage != 0.9 {
 		t.Fatalf("brute-force baseline unexpected: %+v", want.Satisfied)
 	}
-	got, err := PartialSpiderMerge(cands, 0.9, SpiderMergeOptions{})
+	got, err := PartialSpiderMerge(cands, 0.9, SpiderMergeOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,15 +489,16 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 // dependent set is trivially (fully) included at every threshold.
 func TestPartialMergeEmptyDependent(t *testing.T) {
 	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
 	empty := partialAttr(t, dir, 0, "empty", nil)
 	ref := partialAttr(t, dir, 1, "ref", []string{"a", "b"})
 	cands := []Candidate{{Dep: empty, Ref: ref}}
 	for _, sigma := range []float64{0.5, 1.0} {
-		want, err := BruteForcePartial(cands, PartialOptions{Threshold: sigma})
+		want, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: sigma})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{})
+		got, err := PartialSpiderMerge(cands, sigma, SpiderMergeOptions{Store: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +514,7 @@ func TestPartialMergeEmptyDependent(t *testing.T) {
 // TestPartialMergeRejectsBadThreshold mirrors the brute-force validation.
 func TestPartialMergeRejectsBadThreshold(t *testing.T) {
 	for _, sigma := range []float64{0, -0.5, 1.5} {
-		if _, err := PartialSpiderMerge(nil, sigma, SpiderMergeOptions{}); err == nil {
+		if _, err := PartialSpiderMerge(nil, sigma, SpiderMergeOptions{Store: store.NewMem()}); err == nil {
 			t.Errorf("PartialSpiderMerge must reject threshold %v", sigma)
 		}
 	}
@@ -517,14 +523,19 @@ func TestPartialMergeRejectsBadThreshold(t *testing.T) {
 // TestPartialMergeCorruptFile mirrors the brute-force error path.
 func TestPartialMergeCorruptFile(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cands, _ := GenerateCandidates(attrs, GenOptions{PartialThreshold: 0.5})
 	for _, a := range attrs {
-		if err := writeCorrupt(a.Path); err != nil {
+		if err := writeCorrupt(filepath.Join(dir, a.Key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{}); err == nil {
+	if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{Store: ds}); err == nil {
 		t.Error("partial merge must report corrupt file")
 	}
 }
@@ -536,6 +547,7 @@ func TestPartialMergeCorruptFile(t *testing.T) {
 // the exact-IND prune.
 func TestPartialThresholdCardinalityBound(t *testing.T) {
 	dir := t.TempDir()
+	ds := store.NewFS(dir, valfile.FormatText)
 	// 100 distinct dependent values, 95 of them in the referenced set:
 	// coverage 0.95 ≥ σ = 0.9 even though 100 > 95.
 	dep := make([]string, 0, 100)
@@ -568,7 +580,7 @@ func TestPartialThresholdCardinalityBound(t *testing.T) {
 	if cand == nil {
 		t.Fatalf("σ=0.9 pretest wrongly pruned the viable candidate (stats %+v)", st)
 	}
-	res, err := PartialSpiderMerge([]Candidate{*cand}, 0.9, SpiderMergeOptions{})
+	res, err := PartialSpiderMerge([]Candidate{*cand}, 0.9, SpiderMergeOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}

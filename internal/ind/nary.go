@@ -2,7 +2,6 @@ package ind
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -30,11 +29,13 @@ import (
 // satisfied (the classic MIND pruning). Reflexive positions (a column
 // paired with itself) are trivial and excluded at every arity.
 //
-// Two verification engines are available per level: the in-memory
+// Two verification engines are available, and the engine alone decides
+// how every level, the unary seed included, is verified: the in-memory
 // reference engine (distinct-tuple hash sets, one probe loop per
 // candidate) and the merge-backed engine of narymerge.go, which carries
 // the Sec 6 belief through — the same sorted-stream heap merge that
-// verifies unary INDs verifies each level's composite tuples in one pass.
+// verifies unary INDs verifies each level's composite tuples in one pass,
+// over value sets it stages into an explicit dataset.
 
 // NaryIND is a satisfied n-ary inclusion dependency; Dep[i] pairs with
 // Ref[i].
@@ -97,28 +98,21 @@ type NaryOptions struct {
 	// default, in-memory reference) or NaryMerge (sorted tuple streams +
 	// one heap merge per level).
 	Algorithm NaryEngine
-	// WorkDir receives the sorted value files (unary seed and, for the
-	// NaryMerge engine, one encoded tuple file per column list and
-	// level). With the NaryTupleSets engine a non-empty WorkDir upgrades
-	// only the unary seed to the file-backed SpiderMerge path; levels ≥ 2
-	// stay in memory. The NaryMerge engine creates (and removes) a
-	// temporary directory when WorkDir is empty. The caller owns a
-	// non-empty WorkDir.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	WorkDir string
-	// Store serves the unary attributes' value sets to the merge engines
-	// (and, unless Scratch is set, receives the unary seed's exports);
-	// nil exports to and reads the sorted value files under WorkDir.
-	Store store.Dataset
-	// Scratch receives the per-level encoded tuple sets of the NaryMerge
-	// engine; nil selects a filesystem dataset rooted at WorkDir,
-	// reproducing the historical on-disk layout.
+	// Scratch receives the NaryMerge engine's staged sets: the unary
+	// seed's value sets and the per-level encoded tuple sets. Store
+	// serves them back to the merge; the two differ only when the
+	// dataset is split into a writable side and a read-only view (the
+	// snapshot shape). Both are required by NaryMerge and unread by
+	// NaryTupleSets, which keeps every level, the seed included, in
+	// memory.
+	Store   store.Dataset
 	Scratch store.Dataset
 	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
 	// GOMAXPROCS, 1 extracts sequentially.
 	ExportWorkers int
-	// Sort carries the value-file encoding: only Sort.Format is read, for
-	// the unary seed's exports and the per-level tuple files. Tuple sets
-	// are sorted in memory; no sorter runs.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Sort extsort.Config
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in,
@@ -261,14 +255,13 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	if opts.MaxCandidatesPerLevel <= 0 {
 		opts.MaxCandidatesPerLevel = 100_000
 	}
-	workDir := opts.WorkDir
-	if opts.Algorithm == NaryMerge && workDir == "" && opts.Scratch == nil {
-		tmp, err := os.MkdirTemp("", "spider-nary-*")
-		if err != nil {
+	if opts.Algorithm == NaryMerge {
+		if err := requireDataset(opts.Store, "NaryOptions.Store"); err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(tmp)
-		workDir = tmp
+		if err := requireDataset(opts.Scratch, "NaryOptions.Scratch"); err != nil {
+			return nil, err
+		}
 	}
 	start := time.Now()
 	res := &NaryResult{}
@@ -281,11 +274,7 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	verifier := newTupleVerifier(db, &res.Stats)
 	var levels levelVerifier
 	if opts.Algorithm == NaryMerge {
-		scratch := opts.Scratch
-		if scratch == nil {
-			scratch = store.NewFS(workDir, opts.Sort.Format)
-		}
-		levels = &mergeLevelVerifier{db: db, opts: opts, scratch: scratch, stats: &res.Stats}
+		levels = &mergeLevelVerifier{db: db, opts: opts, stats: &res.Stats}
 	} else {
 		levels = &tupleLevelVerifier{v: verifier}
 	}
@@ -319,7 +308,7 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 		}
 	}
 	satisfiedKeys := make(map[string]bool)
-	current, err := unarySeed(db, eligible, opts, workDir, verifier, res, satisfiedKeys)
+	current, err := unarySeed(db, eligible, opts, verifier, res, satisfiedKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -370,10 +359,10 @@ func naryWorkers(n int) int {
 
 // unarySeed computes the satisfied arity-1 inclusions over the eligible
 // columns, recording them into res and satisfiedKeys. The NaryMerge
-// engine (or, for the tuple-sets engine, a non-empty WorkDir) verifies
-// all pairs in one SpiderMerge pass over the staged value sets;
-// otherwise each pair probes the in-memory tuple sets.
-func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, workDir string, verifier *tupleVerifier, res *NaryResult, satisfiedKeys map[string]bool) ([]naryCand, error) {
+// engine verifies all pairs in one SpiderMerge pass over the staged
+// value sets; the tuple-sets engine probes its in-memory tuple sets
+// pair by pair.
+func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, verifier *tupleVerifier, res *NaryResult, satisfiedKeys map[string]bool) ([]naryCand, error) {
 	record := func(dep, ref relstore.ColumnRef) naryCand {
 		c := naryCand{
 			depTable: dep.Table, refTable: ref.Table,
@@ -384,7 +373,7 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 		return c
 	}
 
-	if opts.Algorithm == NaryMerge || workDir != "" || opts.Store != nil {
+	if opts.Algorithm == NaryMerge {
 		var cands []Candidate
 		for _, d := range eligible {
 			for _, r := range eligible {
@@ -399,7 +388,7 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 			}
 		}
 		var counter valfile.ReadCounter
-		merged, err := mergeUnarySeed(db, eligible, cands, opts, workDir, &counter)
+		merged, err := mergeUnarySeed(db, eligible, cands, opts, &counter)
 		if err != nil {
 			return nil, err
 		}
@@ -440,22 +429,13 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 	return current, nil
 }
 
-// mergeUnarySeed verifies the unary seed candidates with the requested
-// backend — the same plumbing FindINDs uses, reusing the real attribute
-// value sets.
-func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, workDir string, counter *valfile.ReadCounter) (*Result, error) {
-	// Exports go to the write side: Scratch when the caller split the
-	// dataset into a writable scratch and a read-only serving view
-	// (the snapshot shape), Store otherwise.
-	seedDS := opts.Store
-	if opts.Scratch != nil {
-		seedDS = opts.Scratch
-	}
+// mergeUnarySeed verifies the unary seed candidates the way FindINDs
+// does: export the attribute value sets into Scratch, merge them out
+// of Store.
+func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, counter *valfile.ReadCounter) (*Result, error) {
 	err := ExportAttributes(db, eligible, ExportConfig{
-		Dir:     workDir,
-		Dataset: seedDS,
+		Dataset: opts.Scratch,
 		Workers: naryWorkers(opts.ExportWorkers),
-		Format:  opts.Sort.Format,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package ind
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"spider/internal/relstore"
 	"spider/internal/store"
+	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -146,9 +148,9 @@ func TestDiscoverNaryFindsPlantedBinary(t *testing.T) {
 	}
 }
 
-// The file-backed unary seed (NaryOptions.WorkDir) must agree exactly
-// with the in-memory tuple-set seed: same satisfied INDs, same per-level
-// counts, and the file path must account its I/O.
+// The tuple-set engine keeps every level, the unary seed included, in
+// memory whatever WorkDir and the datasets say: given them, it returns
+// the same INDs and counts, reads no items and stages nothing.
 func TestDiscoverNaryWorkDirMatchesInMemory(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		db := randomDB(seed)
@@ -156,25 +158,33 @@ func TestDiscoverNaryWorkDirMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		file, err := DiscoverNary(db, NaryOptions{MaxArity: 3, WorkDir: t.TempDir()})
+		dir := t.TempDir()
+		ds := store.NewFS(dir, valfile.FormatText)
+		given, err := DiscoverNary(db, NaryOptions{MaxArity: 3, WorkDir: dir, Store: ds, Scratch: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(file.Satisfied, mem.Satisfied) {
-			t.Errorf("seed %d: file-backed seed changed results:\ngot  %v\nwant %v",
-				seed, naryStrings(file.Satisfied), naryStrings(mem.Satisfied))
+		if !reflect.DeepEqual(given.Satisfied, mem.Satisfied) {
+			t.Errorf("seed %d: a given dataset changed results:\ngot  %v\nwant %v",
+				seed, naryStrings(given.Satisfied), naryStrings(mem.Satisfied))
 		}
-		if !reflect.DeepEqual(file.Stats.SatisfiedByArity, mem.Stats.SatisfiedByArity) ||
-			!reflect.DeepEqual(file.Stats.CandidatesByArity, mem.Stats.CandidatesByArity) {
-			t.Errorf("seed %d: level counts differ: %+v vs %+v", seed, file.Stats, mem.Stats)
+		if !reflect.DeepEqual(given.Stats.SatisfiedByArity, mem.Stats.SatisfiedByArity) ||
+			!reflect.DeepEqual(given.Stats.CandidatesByArity, mem.Stats.CandidatesByArity) {
+			t.Errorf("seed %d: level counts differ: %+v vs %+v", seed, given.Stats, mem.Stats)
 		}
-		if file.Stats.ItemsRead == 0 {
-			t.Errorf("seed %d: file-backed seed read no items", seed)
+		if given.Stats.ItemsRead != 0 || mem.Stats.ItemsRead != 0 {
+			t.Errorf("seed %d: in-memory engine claims file I/O: %d, %d", seed, given.Stats.ItemsRead, mem.Stats.ItemsRead)
 		}
-		if mem.Stats.ItemsRead != 0 {
-			t.Errorf("seed %d: in-memory seed claims file I/O: %d", seed, mem.Stats.ItemsRead)
+		if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+			t.Errorf("seed %d: in-memory engine staged %d files (%v)", seed, len(left), err)
 		}
 	}
+}
+
+// mergeOpts returns NaryMerge options over a fresh filesystem dataset.
+func mergeOpts(t *testing.T, maxArity int) NaryOptions {
+	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	return NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge, Store: ds, Scratch: ds}
 }
 
 // Decoy unary inclusions must exist (the precondition of the decoy test
@@ -438,15 +448,10 @@ func TestNaryMergeMatchesTupleSets(t *testing.T) {
 			higherArity += len(want.Satisfied)
 			for _, backend := range []string{"files", "mem"} {
 				name := fmt.Sprintf("seed=%d arity=%d backend=%s", seed, maxArity, backend)
-				opts := NaryOptions{
-					MaxArity:  maxArity,
-					Algorithm: NaryMerge,
-				}
+				opts := mergeOpts(t, maxArity)
 				if backend == "mem" {
 					mem := store.NewMem()
 					opts.Store, opts.Scratch = mem, mem
-				} else {
-					opts.WorkDir = t.TempDir()
 				}
 				got, err := DiscoverNary(db, opts)
 				if err != nil {
@@ -499,7 +504,7 @@ func TestNarySeparatorBytesDoNotConflateTuples(t *testing.T) {
 	ref.MustInsert(value.NewString("w"), value.NewString("y"))
 	for _, opts := range []NaryOptions{
 		{MaxArity: 2},
-		{MaxArity: 2, Algorithm: NaryMerge},
+		mergeOpts(t, 2),
 	} {
 		res, err := DiscoverNary(db, opts)
 		if err != nil {
@@ -535,7 +540,7 @@ func TestNaryColumnListsWithSeparatorNamesStayApart(t *testing.T) {
 	q.MustInsert(one, two, one, one)
 	q.MustInsert(two, one, two, two)
 
-	want, err := DiscoverNary(db, NaryOptions{MaxArity: 2, Algorithm: NaryMerge})
+	want, err := DiscoverNary(db, mergeOpts(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +573,7 @@ func TestNaryColumnListsWithSeparatorNamesStayApart(t *testing.T) {
 // streams; the totals must add up.
 func TestNaryMergeItemsReadByArity(t *testing.T) {
 	db := naryDB(t)
-	res, err := DiscoverNary(db, NaryOptions{MaxArity: 3, Algorithm: NaryMerge})
+	res, err := DiscoverNary(db, mergeOpts(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +640,9 @@ func TestNaryDottedNamesKeepCandidatesApart(t *testing.T) {
 	want := []string{key(pl, rl), key(pl, pxl), key(pxl, rl), key(pxl, pl)}
 	slices.Sort(want)
 	for _, engine := range []NaryEngine{NaryTupleSets, NaryMerge} {
-		res, err := DiscoverNary(db, NaryOptions{MaxArity: 2, Algorithm: engine})
+		opts := mergeOpts(t, 2)
+		opts.Algorithm = engine
+		res, err := DiscoverNary(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"spider/internal/relstore"
-	"spider/internal/store"
 	"spider/internal/valfile"
 	"spider/internal/value"
 )
@@ -111,13 +110,9 @@ func listIdent(table string, cols []relstore.ColumnRef) relstore.ColumnRef {
 // mergeLevelVerifier verifies one level at a time with the SpiderMerge
 // heap merge over encoded tuple streams.
 type mergeLevelVerifier struct {
-	db   *relstore.Database
-	opts NaryOptions
-	// scratch receives each level's encoded tuple sets; a filesystem
-	// dataset rooted at the work directory unless the caller supplied a
-	// backend.
-	scratch store.Dataset
-	stats   *NaryStats
+	db    *relstore.Database
+	opts  NaryOptions
+	stats *NaryStats
 }
 
 // verifyLevel decides a whole level in a single heap merge. Every
@@ -183,7 +178,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 	defer func() {
 		for _, k := range keys {
 			if k != "" {
-				m.scratch.Remove(k)
+				m.opts.Scratch.Remove(k)
 			}
 		}
 	}()
@@ -193,7 +188,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 			return err
 		}
 		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, i)
-		n, _, err := stageSorted(m.scratch, lists[i].attr, key, tuples, int64(lists[i].attr.NonNull), nil, nil)
+		n, _, err := stageSorted(m.opts.Scratch, lists[i].attr, key, tuples, int64(lists[i].attr.NonNull), nil, nil)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -96,8 +95,9 @@ func TestNaryMergeTruncationLeaksNothing(t *testing.T) {
 		// The 42 two-ary candidates pass (C(7,2) per direction), the 70
 		// three-ary ones do not.
 		MaxCandidatesPerLevel: 50,
-		WorkDir:               dir,
 	}
+	opts.Store = store.NewFS(dir, valfile.FormatText)
+	opts.Scratch = opts.Store
 	res, err := DiscoverNary(db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,8 @@ func TestNaryMergeLeaksNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dir := t.TempDir()
 
-	res, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, MaxArity: 3, WorkDir: dir})
+	ds := store.NewFS(dir, valfile.FormatText)
+	res, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, MaxArity: 3, Store: ds, Scratch: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +233,7 @@ func TestNaryLevelStagesPresorted(t *testing.T) {
 	rows := db.Table("parent").RowCount()
 	for name, ds := range stagingBackends(t) {
 		rec := &runMetaRecorder{Dataset: ds, metas: make(map[string]valfile.RunMeta)}
-		// Staging goes through the recorder too, so that the merge opens
-		// the sets through it, not by path.
-		opts := NaryOptions{Algorithm: NaryMerge, MaxArity: 3, Store: rec, Scratch: rec}
-		opts.Sort = extsort.Config{Format: valfile.FormatBlock}
-		res, err := DiscoverNary(db, opts)
+		res, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, MaxArity: 3, Store: rec, Scratch: rec})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

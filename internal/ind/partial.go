@@ -26,8 +26,7 @@ type PartialOptions struct {
 	Threshold float64
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path.
+	// Store serves the attributes' value sets; it is required.
 	Store store.Dataset
 }
 
@@ -59,9 +58,12 @@ func BruteForcePartial(cands []Candidate, opts PartialOptions) (*PartialResult, 
 	res := &PartialResult{}
 	res.Stats.Candidates = len(cands)
 	res.Stats.MaxOpenFiles = 2
-	src := newSource(opts.Store, opts.Counter)
+	src, err := newSource(opts.Store, opts.Counter)
+	if err != nil {
+		return nil, err
+	}
 	for _, c := range cands {
-		if c.Dep.StoreKey() == "" || c.Ref.StoreKey() == "" {
+		if c.Dep.Key == "" || c.Ref.Key == "" {
 			return nil, fmt.Errorf("ind: candidate %s has unexported attributes", c)
 		}
 		matched, missing, err := partialTest(c, src, opts.Threshold, &res.Stats)

@@ -13,10 +13,10 @@ import (
 // satisfied set, and ItemsRead must come back zero.
 func TestEnginesNilCounterSafe(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
 
-	want, err := BruteForce(cands, BruteForceOptions{})
+	want, err := BruteForce(cands, BruteForceOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +24,12 @@ func TestEnginesNilCounterSafe(t *testing.T) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"brute-force", func() (*Result, error) { return BruteForce(cands, BruteForceOptions{}) }},
-		{"brute-force-parallel", func() (*Result, error) { return BruteForceParallel(cands, ParallelOptions{}) }},
-		{"single-pass", func() (*Result, error) { return SinglePass(cands, SinglePassOptions{}) }},
+		{"brute-force", func() (*Result, error) { return BruteForce(cands, BruteForceOptions{Store: ds}) }},
+		{"single-pass", func() (*Result, error) { return SinglePass(cands, SinglePassOptions{Store: ds}) }},
 		{"single-pass-blocked", func() (*Result, error) {
-			return SinglePassBlocked(cands, BlockedOptions{DepBlock: 2, RefBlock: 2})
+			return SinglePassBlocked(cands, BlockedOptions{Store: ds, DepBlock: 2, RefBlock: 2})
 		}},
-		{"spider-merge", func() (*Result, error) { return SpiderMerge(cands, SpiderMergeOptions{}) }},
+		{"spider-merge", func() (*Result, error) { return SpiderMerge(cands, SpiderMergeOptions{Store: ds}) }},
 	}
 	for _, e := range engines {
 		res, err := e.run()
@@ -49,17 +48,17 @@ func TestEnginesNilCounterSafe(t *testing.T) {
 // The partial engines share the same nil-Counter contract.
 func TestPartialEnginesNilCounterSafe(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{PartialThreshold: 0.8})
 
-	want, err := BruteForcePartial(cands, PartialOptions{Threshold: 0.8})
+	want, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 0.8})
 	if err != nil {
 		t.Fatalf("brute-force-partial with nil Counter: %v", err)
 	}
 	if want.Stats.ItemsRead != 0 {
 		t.Errorf("brute-force-partial: nil Counter must disable counting, got %d", want.Stats.ItemsRead)
 	}
-	merge, err := PartialSpiderMerge(cands, 0.8, SpiderMergeOptions{})
+	merge, err := PartialSpiderMerge(cands, 0.8, SpiderMergeOptions{Store: ds})
 	if err != nil {
 		t.Fatalf("partial-merge with nil Counter: %v", err)
 	}
@@ -74,8 +73,8 @@ func TestPartialEnginesNilCounterSafe(t *testing.T) {
 // FindEmbedded also promises "nil disables external counting".
 func TestFindEmbeddedNilCounterSafe(t *testing.T) {
 	db := buildDB(t)
-	attrs := prepare(t, db)
-	res, err := FindEmbedded(db, attrs, EmbeddedOptions{Dir: t.TempDir()})
+	attrs, ds := prepare(t, db)
+	res, err := FindEmbedded(db, attrs, EmbeddedOptions{Scratch: ds, Store: ds})
 	if err != nil {
 		t.Fatalf("FindEmbedded with nil Counter: %v", err)
 	}

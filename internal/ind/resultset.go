@@ -6,9 +6,9 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"spider/internal/relstore"
+	"spider/internal/store"
 	"spider/internal/value"
 )
 
@@ -56,21 +56,20 @@ const ResultSetSchema = "spider-inds/v1"
 // NewResultSet builds the persistable form of a finished run. Every
 // attribute must have been exported (Key non-empty) — a result set
 // referencing value sets that no longer exist is useless to a server —
-// under a key that names a file inside the dataset directory (see
-// checkKey), and every IND must name catalogued attributes.
+// under a plain key (store.CheckKey), and every IND must name
+// catalogued attributes.
 func NewResultSet(dataset, algorithm string, attrs []*Attribute, inds []IND) (*ResultSet, error) {
 	rs := &ResultSet{Schema: ResultSetSchema, Dataset: dataset, Algorithm: algorithm}
 	byRef := make(map[string]int, len(attrs))
 	for _, a := range attrs {
-		// The bare staging key, not the resolved file path: the result
-		// set then stays valid when the export directory moves, because
-		// filesystem datasets re-root bare keys under their own
-		// directory.
+		// Keys are plain names, so the result set stays valid when the
+		// export directory moves: filesystem datasets join them under
+		// their own root.
 		key := a.Key
 		if key == "" {
 			return nil, fmt.Errorf("ind: result set: attribute %s was never exported to a dataset", a.Ref)
 		}
-		if err := checkKey(key); err != nil {
+		if err := store.CheckKey(key); err != nil {
 			return nil, fmt.Errorf("ind: result set: attribute %s: %w", a.Ref, err)
 		}
 		byRef[a.Ref.String()] = a.ID
@@ -144,17 +143,6 @@ func dirOf(path string) string {
 	return "."
 }
 
-// checkKey rejects a dataset key that does not name a file directly
-// inside the dataset directory. store.FS uses absolute and
-// separator-bearing keys verbatim, so such a key would make a server
-// read a file outside the directory it was pointed at.
-func checkKey(key string) error {
-	if key == "." || key == ".." || strings.ContainsRune(key, '/') || strings.ContainsRune(key, os.PathSeparator) {
-		return fmt.Errorf("dataset key %q is not a plain file name", key)
-	}
-	return nil
-}
-
 // maxResultSetBytes bounds a decoded result set; a corrupted length
 // cannot drive an unbounded read.
 const maxResultSetBytes = 1 << 30
@@ -192,7 +180,7 @@ func DecodeResultSet(r io.Reader) (*ResultSet, error) {
 		case a.Key == "":
 			return nil, fmt.Errorf("ind: result set: attribute %s has no dataset key", ref)
 		}
-		if err := checkKey(a.Key); err != nil {
+		if err := store.CheckKey(a.Key); err != nil {
 			return nil, fmt.Errorf("ind: result set: attribute %s: %w", ref, err)
 		}
 		if _, ok := value.ParseKind(a.Kind); !ok {
@@ -220,9 +208,8 @@ func ReadResultSetFile(path string) (*ResultSet, error) {
 }
 
 // Attributes reconstructs the attribute catalog, indexed by ID exactly
-// as CollectAttributes assigned them. Attribute.Key carries the dataset
-// key; Path stays empty (the serving side resolves keys through
-// whatever dataset it staged, not the original file layout). Sketches
+// as CollectAttributes assigned them, with the dataset key in
+// Attribute.Key. Sketches
 // are not loaded here — LoadSketches fills them from the dataset's
 // persisted sections.
 func (rs *ResultSet) Attributes() ([]*Attribute, error) {

@@ -13,9 +13,9 @@ import (
 func discoverResultSet(t *testing.T) ([]*Attribute, []IND, *ResultSet) {
 	t.Helper()
 	db := buildDB(t)
-	attrs := prepare(t, db)
+	attrs, ds := prepare(t, db)
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	res, err := SpiderMerge(cands, SpiderMergeOptions{})
+	res, err := SpiderMerge(cands, SpiderMergeOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +115,16 @@ var escapingKeys = []string{
 }
 
 func TestNewResultSetRejectsEscapingKeys(t *testing.T) {
-	attrs := prepare(t, buildDB(t))
+	attrs, _ := prepare(t, buildDB(t))
 	for _, key := range escapingKeys {
 		attrs[0].Key = key
 		if _, err := NewResultSet("unit", "spider-merge", attrs, nil); err == nil {
 			t.Errorf("key %q accepted", key)
 		}
 	}
-	// A file path without a key is not a substitute for one.
-	attrs[0].Path, attrs[0].Key = "/abs/a.val", ""
+	attrs[0].Key = ""
 	if _, err := NewResultSet("unit", "spider-merge", attrs, nil); err == nil {
-		t.Error("attribute with a path but no key accepted")
+		t.Error("attribute without a key accepted")
 	}
 }
 

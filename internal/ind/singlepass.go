@@ -13,8 +13,7 @@ import (
 type SinglePassOptions struct {
 	// Counter receives every item read; nil disables external counting.
 	Counter *valfile.ReadCounter
-	// Store serves the attributes' value sets; nil reads the value files
-	// ExportAttributes wrote, by path.
+	// Store serves the attributes' value sets; it is required.
 	Store store.Dataset
 }
 
@@ -31,7 +30,11 @@ type SinglePassOptions struct {
 // that overhead.
 func SinglePass(cands []Candidate, opts SinglePassOptions) (*Result, error) {
 	start := time.Now()
-	sp, err := newSinglePass(cands, newSource(opts.Store, opts.Counter))
+	src, err := newSource(opts.Store, opts.Counter)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := newSinglePass(cands, src)
 	if err != nil {
 		return nil, err
 	}

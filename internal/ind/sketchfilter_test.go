@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"spider/internal/sketch"
 	"spider/internal/store"
+	"spider/internal/valfile"
 )
 
 // sketchFromSet builds a sketch directly from an in-memory value set.
@@ -37,13 +39,14 @@ func TestSketchPretestNeverDropsTrueIND(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for ci, cfg := range configs {
 			dir := t.TempDir()
+			ds := store.NewFS(dir, valfile.FormatText)
 			rng := rand.New(rand.NewSource(seed*31 + int64(ci)))
 			attrs, sets := randomAttrs(t, rng, dir, 10+rng.Intn(8))
 			for _, a := range attrs {
 				a.Sketch = sketchFromSet(cfg, sets[a.ID])
 			}
 			cands := allPairs(attrs)
-			ref, err := BruteForce(cands, BruteForceOptions{})
+			ref, err := BruteForce(cands, BruteForceOptions{Store: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +57,7 @@ func TestSketchPretestNeverDropsTrueIND(t *testing.T) {
 			if st.PrunedEstimate != 0 {
 				t.Fatalf("seed %d cfg %d: estimate pruning fired in sound mode", seed, ci)
 			}
-			got, err := BruteForce(pruned, BruteForceOptions{})
+			got, err := BruteForce(pruned, BruteForceOptions{Store: ds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +165,8 @@ func TestExportPersistsSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := ExportAttributes(db, attrs, ExportConfig{Dir: dir, Sketches: true}); err != nil {
+	ds := store.NewFS(dir, valfile.FormatText)
+	if err := ExportAttributes(db, attrs, ExportConfig{Dataset: ds, Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
 	saved := make([]*sketch.Sketch, len(attrs))
@@ -170,12 +174,12 @@ func TestExportPersistsSketches(t *testing.T) {
 		if a.Sketch == nil {
 			t.Fatalf("%s: no sketch built", a.Ref)
 		}
-		if _, err := os.Stat(a.Path + sketch.FileSuffix); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, a.Key+sketch.FileSuffix)); err != nil {
 			t.Fatalf("%s: sketch not persisted: %v", a.Ref, err)
 		}
 		saved[i], a.Sketch = a.Sketch, nil
 	}
-	if err := LoadSketches(nil, attrs); err != nil {
+	if err := LoadSketches(ds, attrs); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range attrs {
@@ -195,7 +199,7 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportAttributes(db, exported, ExportConfig{Dir: t.TempDir(), Sketches: true}); err != nil {
+	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir(), valfile.FormatText), Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +241,7 @@ func TestBuildAttributeSketchesMatchesExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportAttributes(db, exported, ExportConfig{Dir: t.TempDir(), Sketches: true}); err != nil {
+	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir(), valfile.FormatText), Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
 	scanned, err := CollectAttributes(db)

@@ -224,14 +224,14 @@ func (s *Server) handleAttrs(st *State, r *http.Request) (interface{}, *apiError
 	for _, a := range d.Attrs {
 		resp.Attributes = append(resp.Attributes, AttrInfo{
 			Attr:     a.Ref.String(),
-			Key:      a.StoreKey(),
+			Key:      a.Key,
 			Kind:     a.Kind.String(),
 			Rows:     a.Rows,
 			NonNull:  a.NonNull,
 			Distinct: a.Distinct,
 			Unique:   a.Unique,
 			Sketch:   a.Sketch != nil,
-			Cached:   d.Snap.Cached(a.StoreKey()),
+			Cached:   d.Snap.Cached(a.Key),
 		})
 	}
 	return resp, nil
@@ -282,7 +282,7 @@ func (s *Server) handleMember(st *State, r *http.Request) (interface{}, *apiErro
 		return resp, nil
 	}
 	resp.Source = "cursor"
-	member, err := d.Snap.Contains(a.StoreKey(), c)
+	member, err := d.Snap.Contains(a.Key, c)
 	if err != nil {
 		return nil, errUnprocessable("%s: %v", req.Attr, err)
 	}

@@ -20,6 +20,7 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/store"
+	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -602,12 +603,13 @@ func TestGracefulShutdown(t *testing.T) {
 func TestLoadFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	db := buildDB(t)
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dir: dir, Sketches: true})
+	ds := store.NewFS(dir, valfile.FormatText)
+	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: ds, Sketches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{})
-	res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{})
+	res, err := ind.SpiderMerge(cands, ind.SpiderMergeOptions{Store: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +657,7 @@ func TestLoadFromDisk(t *testing.T) {
 // or a parent-relative one — fails to load instead of staging that file.
 func TestLoadStateRejectsEscapingKeys(t *testing.T) {
 	dir, outside := t.TempDir(), t.TempDir()
-	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dir: dir})
+	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dataset: store.NewFS(dir, valfile.FormatText)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func stageDataset(src Source) (*Dataset, error) {
 	if src.Preload {
 		keys := make([]string, 0, len(attrs))
 		for _, a := range attrs {
-			keys = append(keys, a.StoreKey())
+			keys = append(keys, a.Key)
 		}
 		if err := snap.Warm(keys); err != nil {
 			return nil, err
@@ -216,7 +216,7 @@ func stageDataset(src Source) (*Dataset, error) {
 // stageKey copies one attribute's sorted distinct values and sketch
 // section from base into mem.
 func stageKey(base store.Dataset, mem *store.Mem, a *ind.Attribute) error {
-	key := a.StoreKey()
+	key := a.Key
 	cur, err := base.Open(key, nil)
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.Ref, err)

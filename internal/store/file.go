@@ -21,11 +21,6 @@ func CreateFile(path string, format valfile.Format) (*valfile.Writer, error) {
 	return valfile.CreateFormat(path, format)
 }
 
-// ReadFileValues reads the whole value file at path into memory.
-func ReadFileValues(path string) ([]string, error) {
-	return valfile.ReadAll(path)
-}
-
 // FileSection returns the named embedded section of the value file at
 // path; ok is false when the file carries no such section (always the
 // case for the text encoding, whose sections live in sidecars).

@@ -1,22 +1,19 @@
 package store
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"spider/internal/sketch"
 	"spider/internal/valfile"
 )
 
 // FS is the filesystem backend: one dataset per directory of value
-// files in the text or block encoding. Keys are file names relative to
-// Dir; absolute keys (and every key when Dir is empty) are used
-// verbatim, so one FS handle can serve value files spread over several
-// directories — the shape the embedded-IND path produces, with
-// original attributes in one work directory and derived ones in
-// another.
+// files in the text or block encoding. Every key is a plain file name
+// (see CheckKey) joined under the root directory, so a dataset never
+// reads or writes outside it.
 //
 // Reads auto-detect the per-file encoding; Format only selects the
 // encoding of newly created keys. On the text encoding, which cannot
@@ -30,7 +27,8 @@ type FS struct {
 }
 
 // NewFS returns a filesystem dataset rooted at dir writing new keys in
-// format. An empty dir makes every key a verbatim path.
+// format. The directory is created on the first Create; every call on
+// a dataset with an empty dir fails.
 func NewFS(dir string, format valfile.Format) *FS {
 	return &FS{dir: dir, format: format}
 }
@@ -38,30 +36,35 @@ func NewFS(dir string, format valfile.Format) *FS {
 // Format returns the encoding used for newly created keys.
 func (f *FS) Format() valfile.Format { return f.format }
 
-// Path resolves key to the underlying file path. Keys created by the
-// dataset itself are plain file names joined under Dir; anything that
-// already looks like a path — absolute, or containing a separator — is
-// used verbatim, which is how one FS handle serves value files spread
-// over several directories.
-func (f *FS) Path(key string) string {
-	if f.dir == "" || filepath.IsAbs(key) || strings.ContainsRune(key, os.PathSeparator) {
-		return key
+// path resolves key to its file under the root.
+func (f *FS) path(key string) (string, error) {
+	if f.dir == "" {
+		return "", errors.New("store: filesystem dataset has no root directory")
 	}
-	return filepath.Join(f.dir, key)
+	if err := CheckKey(key); err != nil {
+		return "", err
+	}
+	return filepath.Join(f.dir, key), nil
 }
 
 // Open returns a cursor over key's value file.
 func (f *FS) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
-	return OpenFile(f.Path(key), counter)
+	path, err := f.path(key)
+	if err != nil {
+		return nil, err
+	}
+	return OpenFile(path, counter)
 }
 
-// Create stages a value file for key in the dataset's encoding.
+// Create stages a value file for key in the dataset's encoding,
+// creating the root directory when it does not exist yet.
 func (f *FS) Create(key string) (ValueWriter, error) {
-	path := f.Path(key)
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o777); err != nil {
-			return nil, err
-		}
+	path, err := f.path(key)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(f.dir, 0o777); err != nil {
+		return nil, err
 	}
 	w, err := CreateFile(path, f.format)
 	if err != nil {
@@ -72,7 +75,10 @@ func (f *FS) Create(key string) (ValueWriter, error) {
 
 // Remove deletes key's value file and any sketch sidecar.
 func (f *FS) Remove(key string) error {
-	path := f.Path(key)
+	path, err := f.path(key)
+	if err != nil {
+		return err
+	}
 	if err := os.Remove(path); err != nil {
 		return err
 	}
@@ -86,7 +92,10 @@ func (f *FS) Remove(key string) error {
 // Section returns key's named section, falling back to the sketch
 // sidecar for SketchSection on text-encoded files.
 func (f *FS) Section(key, tag string) ([]byte, bool, error) {
-	path := f.Path(key)
+	path, err := f.path(key)
+	if err != nil {
+		return nil, false, err
+	}
 	data, ok, err := FileSection(path, tag)
 	if err != nil || ok {
 		return data, ok, err

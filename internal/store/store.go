@@ -13,6 +13,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 
 	"spider/internal/valfile"
 )
@@ -20,6 +23,18 @@ import (
 // ErrReadOnly is returned by mutating calls on read-only datasets
 // (Snapshot, or any future backend that serves frozen data).
 var ErrReadOnly = errors.New("store: dataset is read-only")
+
+// CheckKey rejects a key that is not a plain file name: empty, "." or
+// "..", or containing a path separator (so every absolute path). FS refuses such keys,
+// so a dataset never reaches outside its directory, and result-set
+// loaders apply the same rule to the keys they read from disk.
+func CheckKey(key string) error {
+	if key == "" || key == "." || key == ".." ||
+		strings.ContainsRune(key, '/') || strings.ContainsRune(key, os.PathSeparator) {
+		return fmt.Errorf("store: key %q is not a plain file name", key)
+	}
+	return nil
+}
 
 // Cursor streams one key's sorted distinct values in strictly
 // increasing order. Next returns ok=false at end of stream or on
@@ -49,8 +64,7 @@ type ValueWriter interface {
 }
 
 // Dataset is one logical collection of sorted-distinct value sets,
-// keyed by opaque string keys (file paths under fsstore, plain names
-// under memstore). All read methods must be safe for concurrent use;
+// keyed by plain names (file names under fsstore; see CheckKey). All read methods must be safe for concurrent use;
 // writes to distinct keys may proceed concurrently, but a key must not
 // be read before its writer has been closed.
 type Dataset interface {

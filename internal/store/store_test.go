@@ -361,23 +361,42 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestFSPathResolution pins the key-resolution contract: plain names
-// join under the root, path-like keys pass through verbatim.
-func TestFSPathResolution(t *testing.T) {
-	ds := NewFS("/root/data", valfile.FormatText)
-	if got := ds.Path("a.val"); got != filepath.Join("/root/data", "a.val") {
-		t.Errorf("plain key resolved to %q", got)
+// TestFSRejectsNonPlainKeys pins the key rule: a plain name joins
+// under the root, and every other key fails on Open, Create, Remove and
+// Section — even when it names a readable value file outside the root.
+func TestFSRejectsNonPlainKeys(t *testing.T) {
+	dir := t.TempDir()
+	writeSet(t, NewFS(dir, valfile.FormatText), "x.val", []string{"a"})
+	ds := NewFS(filepath.Join(dir, "root"), valfile.FormatText)
+	writeSet(t, ds, "a.val", []string{"b"})
+	if _, err := os.Stat(filepath.Join(dir, "root", "a.val")); err != nil {
+		t.Fatalf("plain key not joined under the root: %v", err)
 	}
-	if got := ds.Path("/abs/b.val"); got != "/abs/b.val" {
-		t.Errorf("absolute key resolved to %q", got)
+	for _, key := range []string{
+		"", ".", "..", "../x.val", filepath.Join(dir, "x.val"), "/etc/passwd", "sub/a.val",
+		string(os.PathSeparator) + "a.val",
+	} {
+		if _, err := ds.Open(key, nil); err == nil {
+			t.Errorf("Open(%q) succeeded", key)
+		}
+		if _, err := ds.Create(key); err == nil {
+			t.Errorf("Create(%q) succeeded", key)
+		}
+		if err := ds.Remove(key); err == nil {
+			t.Errorf("Remove(%q) succeeded", key)
+		}
+		if _, _, err := ds.Section(key, valfile.SketchSection); err == nil {
+			t.Errorf("Section(%q) succeeded", key)
+		}
+		if err := CheckKey(key); err == nil {
+			t.Errorf("CheckKey(%q) accepted", key)
+		}
 	}
-	rel := filepath.Join("derived", "c.val")
-	if got := ds.Path(rel); got != rel {
-		t.Errorf("path-like key resolved to %q", got)
+	if _, err := os.Stat(filepath.Join(dir, "x.val")); err != nil {
+		t.Errorf("a rejected Remove touched the file outside the root: %v", err)
 	}
-	unrooted := NewFS("", valfile.FormatText)
-	if got := unrooted.Path("a.val"); got != "a.val" {
-		t.Errorf("unrooted key resolved to %q", got)
+	if _, err := NewFS("", valfile.FormatText).Open("a.val", nil); err == nil {
+		t.Error("an FS without a root opened a key")
 	}
 }
 

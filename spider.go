@@ -12,13 +12,14 @@
 // heuristics, the Sec 4.2 block-wise single pass, and the Sec 5 schema
 // discovery heuristics (foreign-key evaluation, accession-number
 // candidates, primary relation, and the five-step Aladin pipeline).
-// Beyond the paper it adds modern extensions: a parallel brute force, an
-// in-memory baseline, and SpiderMerge — a k-way heap merge over streaming
-// value cursors that keeps the single-pass I/O optimum without its
-// synchronisation overhead — with parallel attribute export into one of
-// four storage backends (Options.Store): value files, memory, a
-// read-only snapshot, or a per-call in-memory set that is dropped when
-// the call returns.
+// Beyond the paper it adds modern extensions: an in-memory baseline, and
+// SpiderMerge — a k-way heap merge over streaming value cursors that
+// keeps the single-pass I/O optimum without its synchronisation
+// overhead — with parallel attribute export into one of four storage
+// backends (Options.Store): value files, memory, a read-only snapshot,
+// or a per-call in-memory set that is dropped when the call returns.
+// Every value set a call extracts, derived sets included, goes into
+// and comes out of that one backend.
 //
 // Quick start:
 //
@@ -31,7 +32,6 @@ package spider
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"spider/internal/datagen"
@@ -91,9 +91,6 @@ const (
 	// constraints plus transitivity inference. It applies its own
 	// pretests regardless of Options.
 	BellBrockhausenBaseline
-	// BruteForceParallel runs Algorithm 1 on a worker pool — a modern
-	// extension beyond the paper's single-threaded implementations.
-	BruteForceParallel
 	// SpiderMerge tests all candidates in one pass via a k-way min-heap
 	// merge over all attribute cursors — the production fast path: the
 	// single-pass I/O optimum without the event-driven synchronisation
@@ -122,8 +119,6 @@ func (a Algorithm) String() string {
 		return "demarchi"
 	case BellBrockhausenBaseline:
 		return "bell-brockhausen"
-	case BruteForceParallel:
-		return "brute-force-parallel"
 	case SpiderMerge:
 		return "spider-merge"
 	default:
@@ -175,8 +170,9 @@ func (f Format) internal() valfile.Format {
 type Options struct {
 	// Algorithm defaults to BruteForce.
 	Algorithm Algorithm
-	// WorkDir receives sorted value files; a temporary directory is
-	// created (and removed) when empty.
+	// WorkDir roots the fs backend when Store is nil or a NewFSStore
+	// without its own directory; a temporary directory is created (and
+	// removed) when empty.
 	WorkDir string
 	// MaxValuePretest enables the Sec 4.1 pruning: drop candidates whose
 	// dependent maximum exceeds the referenced maximum.
@@ -190,8 +186,6 @@ type Options struct {
 	Transitivity bool
 	// DepBlock/RefBlock bound open files for SinglePassBlocked.
 	DepBlock, RefBlock int
-	// Workers sizes the BruteForceParallel pool (default GOMAXPROCS).
-	Workers int
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
 	ExportWorkers int
@@ -221,12 +215,12 @@ type Options struct {
 	// behaviour the paper could not obtain from the commercial optimizer.
 	SQLEarlyStop bool
 	// Format selects the value-file encoding (FormatText or FormatBlock)
-	// for exported attributes. The discovered INDs are identical under
-	// either format.
+	// of the fs backend a nil Store stands for; NewFSStore carries its
+	// own. The discovered INDs are identical under either format.
 	Format Format
 	// Store selects the dataset backend extraction writes to and the
 	// engines read from: NewFSStore, NewMemStore, NewSnapshotStore or
-	// NewSpillStore. nil keeps the historical layout: value files under
+	// NewSpillStore. nil is the fs backend in Format, rooted at
 	// WorkDir.
 	Store *Store
 }
@@ -394,17 +388,11 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		// > 1 would silently prune every candidate (estimates cap at 1).
 		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
 	}
-	exportFiles := needsFiles(opts.Algorithm)
-	workDir := opts.WorkDir
-	if exportFiles && workDir == "" && opts.Store.needsDir() {
-		tmp, err := os.MkdirTemp("", "spider-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		workDir = tmp
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	if err != nil {
+		return nil, err
 	}
-	writeDS, readDS := opts.Store.datasets(workDir)
+	defer cleanup()
 
 	attrs, err := ind.CollectAttributes(db.rel)
 	if err != nil {
@@ -416,12 +404,10 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	// pre-filter runs.
 	var counter valfile.ReadCounter
 	switch {
-	case exportFiles:
+	case needsFiles(opts.Algorithm):
 		err := ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-			Dataset: writeDS,
-			Dir:     workDir, Workers: exportWorkers(opts),
+			Dataset: writeDS, Workers: exportWorkers(opts),
 			Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
-			Format: opts.Format.internal(),
 		})
 		if err != nil {
 			return nil, err
@@ -455,8 +441,6 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	switch opts.Algorithm {
 	case BruteForce:
 		res, err = ind.BruteForce(cands, ind.BruteForceOptions{Counter: &counter, Store: readDS, Transitivity: opts.Transitivity})
-	case BruteForceParallel:
-		res, err = ind.BruteForceParallel(cands, ind.ParallelOptions{Counter: &counter, Store: readDS, Workers: opts.Workers})
 	case SinglePass:
 		res, err = ind.SinglePass(cands, ind.SinglePassOptions{Counter: &counter, Store: readDS})
 	case SinglePassBlocked:
@@ -515,7 +499,7 @@ func exportWorkers(opts Options) int {
 
 func needsFiles(a Algorithm) bool {
 	switch a {
-	case BruteForce, BruteForceParallel, SinglePass, SinglePassBlocked, SpiderMerge:
+	case BruteForce, SinglePass, SinglePassBlocked, SpiderMerge:
 		return true
 	default:
 		return false

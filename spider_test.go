@@ -126,7 +126,7 @@ func TestFindINDsAllAlgorithms(t *testing.T) {
 		BruteForce, SinglePass, SinglePassBlocked,
 		SQLJoin, SQLMinus, SQLNotIn,
 		InMemory, DeMarchiBaseline, BellBrockhausenBaseline,
-		BruteForceParallel, SpiderMerge,
+		SpiderMerge,
 	}
 	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -162,7 +162,6 @@ func TestAlgorithmNames(t *testing.T) {
 		InMemory:                "in-memory",
 		DeMarchiBaseline:        "demarchi",
 		BellBrockhausenBaseline: "bell-brockhausen",
-		BruteForceParallel:      "brute-force-parallel",
 		SpiderMerge:             "spider-merge",
 	}
 	for a, want := range names {

@@ -2,14 +2,17 @@ package spider
 
 import (
 	"fmt"
+	"os"
 
 	"spider/internal/store"
 )
 
 // Store selects the dataset backend attribute value sets are extracted
-// into and the discovery engines read from. The zero value of the
-// option structs (a nil *Store) keeps the historical behaviour: sorted
-// value files under the run's work directory.
+// into and the discovery engines read from. Every value set a discovery
+// call stages, the derived sets of FindEmbeddedINDsWith included, goes
+// into this one backend under plain keys (file names, for the fs
+// backend). The zero value of the option structs (a nil *Store) is the
+// fs backend in the options' Format, rooted at their WorkDir.
 //
 // Four backends exist:
 //
@@ -48,8 +51,10 @@ const (
 )
 
 // NewFSStore returns a filesystem-backed store rooted at dir, writing
-// newly extracted value sets in format. An empty dir defers to the
-// run's work directory (Options.WorkDir, or a temporary directory).
+// newly extracted value sets in format; dir is created on the first
+// write. An empty dir defers to the run's work directory
+// (Options.WorkDir, or a temporary directory removed when the call
+// returns).
 func NewFSStore(dir string, format Format) *Store {
 	return &Store{kind: storeKindFS, dir: dir, format: format}
 }
@@ -94,9 +99,6 @@ func ParseBackend(name, dir string, format Format) (*Store, error) {
 
 // String names the backend.
 func (s *Store) String() string {
-	if s == nil {
-		return "fs"
-	}
 	switch s.kind {
 	case storeKindMem:
 		return "mem"
@@ -109,47 +111,45 @@ func (s *Store) String() string {
 	}
 }
 
-// needsDir reports whether the run must provide a work directory for
-// the store's extraction output (the fs backend without its own root).
-func (s *Store) needsDir() bool {
-	return s == nil || (s.kind == storeKindFS && s.dir == "")
-}
-
-// noValueFiles reports whether extraction never writes value files
-// (the mem, snapshot and spill backends).
-func (s *Store) noValueFiles() bool {
-	return s != nil && s.kind != storeKindFS
-}
-
 // spill reports whether the store is the spill backend.
 func (s *Store) spill() bool {
 	return s != nil && s.kind == storeKindSpill
 }
 
-// datasets resolves the store to its extraction-side and engine-side
-// datasets for one call rooted at workDir. A nil store resolves to nil datasets: value files under
-// workDir, read back by path. For the snapshot backend the two differ:
-// writes land in the backing memory, reads go through a fresh read-only
-// snapshot of it. The spill backend creates a fresh in-memory dataset,
-// so no value set outlives the call.
-func (s *Store) datasets(workDir string) (write, read store.Dataset) {
+// open resolves the store for one discovery call into the dataset
+// extraction writes to, the dataset the engines read from, and a
+// cleanup the caller defers. Every public entry point resolves its
+// storage here. A nil store is the fs backend in format. The fs
+// backend is rooted at its own directory, else at workDir, else at a
+// temporary directory the cleanup removes. The snapshot backend reads
+// through a fresh read-only snapshot of its memory; the spill backend
+// gets a fresh in-memory dataset, so no value set outlives the call.
+func (s *Store) open(workDir string, format Format) (write, read store.Dataset, cleanup func(), err error) {
 	if s == nil {
-		return nil, nil
+		s = NewFSStore("", format)
 	}
+	cleanup = func() {}
 	switch s.kind {
 	case storeKindMem:
-		return s.mem, s.mem
+		return s.mem, s.mem, cleanup, nil
 	case storeKindSnapshot:
-		return s.mem, store.NewSnapshot(s.mem)
+		return s.mem, store.NewSnapshot(s.mem), cleanup, nil
 	case storeKindSpill:
 		mem := store.NewMem()
-		return mem, mem
-	default:
-		dir := s.dir
-		if dir == "" {
-			dir = workDir
-		}
-		fs := store.NewFS(dir, s.format.internal())
-		return fs, fs
+		return mem, mem, cleanup, nil
 	}
+	dir := s.dir
+	if dir == "" {
+		dir = workDir
+	}
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "spider-*")
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		dir = tmp
+		cleanup = func() { os.RemoveAll(tmp) }
+	}
+	fs := store.NewFS(dir, s.format.internal())
+	return fs, fs, cleanup, nil
 }
