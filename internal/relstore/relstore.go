@@ -10,6 +10,12 @@
 // Row readers take one value at a time (Table.Value) or fill a buffer
 // they reuse (Table.AppendRow).
 //
+// CSV ingest reads each file whole into one string and scans it once,
+// splitting it by encoding/csv's default reading rules and typing every
+// field as it goes: an INTEGER field is parsed once, into its column's
+// int64 vector, and a VARCHAR value is a slice of the file's text.
+// AddRecords types string rows with the same routine.
+//
 // The store parses and computes statistics in parallel. LoadCSVDir
 // parses its files concurrently and then registers the tables in file
 // name order, and the first statistics call runs the column pass of

@@ -255,12 +255,12 @@ func Parse(raw string, kind Kind) Value {
 		}
 		return NewString(raw)
 	case Int:
-		if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
+		if i, ok := ParseInt(raw); ok {
 			return NewInt(i)
 		}
 		return NewString(raw)
 	case Float:
-		if f, err := strconv.ParseFloat(raw, 64); err == nil {
+		if f, ok := ParseFloat(raw); ok {
 			return NewFloat(f)
 		}
 		return NewString(raw)
@@ -275,24 +275,18 @@ func Parse(raw string, kind Kind) Value {
 // FLOAT, then BOOLEAN, then VARCHAR. Empty strings carry no information and
 // infer as NULL.
 //
-// Infer runs once per loaded field, so it never lets strconv fail: a
-// failed parse allocates a *strconv.NumError holding a copy of the input.
-// ParseInt is tried only on an optionally signed run of decimal digits,
-// the only text it accepts in base 10, and ParseFloat only when the first
-// byte can begin a float literal.
+// Infer runs once per loaded field, so it parses with ParseInt and
+// ParseFloat, which do not allocate on failure but for the rare text
+// that mayBeFloat passes on and strconv rejects (1e400, 1__0).
 func Infer(raw string) Kind {
 	if raw == "" {
 		return Null
 	}
-	if isDecimal(raw) {
-		if _, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			return Int
-		}
+	if _, ok := ParseInt(raw); ok {
+		return Int
 	}
-	if mayStartFloat(raw[0]) {
-		if _, err := strconv.ParseFloat(raw, 64); err == nil {
-			return Float
-		}
+	if _, ok := ParseFloat(raw); ok {
+		return Float
 	}
 	if isBoolWord(raw) {
 		return Bool
@@ -300,52 +294,111 @@ func Infer(raw string) Kind {
 	return String
 }
 
-// isDecimal reports whether s is an optional sign followed by one or more
-// ASCII digits.
-func isDecimal(s string) bool {
-	if s[0] == '+' || s[0] == '-' {
-		s = s[1:]
+// ParseInt returns the integer that s denotes in base 10. ok is false
+// exactly where strconv.ParseInt(s, 10, 64) fails, when s is not an
+// optional sign and one or more ASCII digits or its integer is out of
+// int64's range, but no failure allocates.
+func ParseInt(s string) (int64, bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg, s = s[0] == '-', s[1:]
 	}
 	if s == "" {
-		return false
+		return 0, false
 	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var u uint64
 	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
+		d := uint64(s[i] - '0')
+		if d > 9 || u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return int64(-u), true
+	}
+	return int64(u), true
+}
+
+// ParseFloat returns strconv.ParseFloat(s, 64) and whether it succeeded.
+// It calls strconv only on text that mayBeFloat accepts, because a
+// failed parse allocates a *strconv.NumError holding a copy of s.
+func ParseFloat(s string) (float64, bool) {
+	if !mayBeFloat(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// mayBeFloat reports whether strconv.ParseFloat might accept s, so that
+// text it must reject, such as a date, an identifier or a word that
+// starts like a number, never reaches it. Decimal text must follow
+// ParseFloat's grammar: an optional sign, digits with an optional point
+// (one digit at least), then an optional exponent [eE][+-]digits.
+// Underscores among the digits, a 0x-prefixed hexadecimal literal and
+// the words inf, infinity and nan are left to ParseFloat to judge.
+func mayBeFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if len(s) > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
+		return true
+	}
+	i, digits := skipDigits(s, 0)
+	if i < len(s) && s[i] == '.' {
+		var frac int
+		i, frac = skipDigits(s, i+1)
+		digits += frac
+	}
+	if digits == 0 {
+		return asciiFold(s, "inf") || asciiFold(s, "infinity") || asciiFold(s, "nan")
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		var exp int
+		if i, exp = skipDigits(s, i); exp == 0 {
 			return false
 		}
 	}
-	return true
+	return i == len(s)
 }
 
-// mayStartFloat reports whether c can be the first byte of text that
-// strconv.ParseFloat accepts: a digit (also of a 0x hex literal), a sign,
-// a decimal point, or the first letter of inf, infinity or nan.
-func mayStartFloat(c byte) bool {
-	switch {
-	case c >= '0' && c <= '9':
-		return true
-	case c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
-		return true
+// skipDigits returns the index of the first byte at or after i in s
+// that is neither an ASCII digit nor an underscore, which Go's float
+// syntax allows between digits, and the number of digits skipped.
+func skipDigits(s string, i int) (int, int) {
+	digits := 0
+	for ; i < len(s); i++ {
+		if '0' <= s[i] && s[i] <= '9' {
+			digits++
+		} else if s[i] != '_' {
+			break
+		}
 	}
-	return false
+	return i, digits
 }
 
 // isBoolWord reports whether s is "true" or "false" in any ASCII case.
 // No non-ASCII rune lowercases to a letter of either word, so this
 // matches strings.ToLower(s) == "true" || == "false" without allocating.
 func isBoolWord(s string) bool {
-	switch len(s) {
-	case 4:
-		return asciiFold(s, "true")
-	case 5:
-		return asciiFold(s, "false")
-	}
-	return false
+	return asciiFold(s, "true") || asciiFold(s, "false")
 }
 
 // asciiFold reports whether s equals the lowercase ASCII word w once its
-// ASCII upper-case letters are lowered. len(s) must equal len(w).
+// ASCII upper-case letters are lowered.
 func asciiFold(s, w string) bool {
+	if len(s) != len(w) {
+		return false
+	}
 	for i := 0; i < len(w); i++ {
 		c := s[i]
 		if 'A' <= c && c <= 'Z' {

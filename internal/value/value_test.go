@@ -294,15 +294,19 @@ func inferReference(raw string) Kind {
 	return String
 }
 
-// FuzzInfer: Infer gives every string the kind inferReference gives it.
-// The seeds cover Unicode case folding (ſ folds to s but lowercases to
-// itself), the float spellings strconv accepts beyond digits, lone signs
-// and points, and the boolean spellings Infer must not widen.
+// FuzzInfer: Infer gives every string the kind inferReference gives it,
+// and ParseInt and ParseFloat succeed where strconv succeeds, with its
+// result. The seeds cover Unicode case folding (ſ folds to s but
+// lowercases to itself), the float spellings strconv accepts beyond
+// digits, lone signs and points, the int64 range edges, and the
+// boolean spellings Infer must not widen.
 func FuzzInfer(f *testing.F) {
 	for _, s := range []string{
 		"ſ", "falſe", "Inf", "-infinity", "nan", "0x1p-2", "1_000",
 		"+", "-", ".", "TRUE", "yes", "P12345",
 		"NaN", "infinity", ".5", "+7", "99999999999999999999",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"-0", "007", "1e", "1e+5", "1.", "2023-01-01", "_1", "1__0", "+nan",
 	} {
 		f.Add(s)
 	}
@@ -310,11 +314,28 @@ func FuzzInfer(f *testing.F) {
 		if got, want := Infer(s), inferReference(s); got != want {
 			t.Fatalf("Infer(%q) = %v, want %v", s, got, want)
 		}
+		i, ok := ParseInt(s)
+		wi, err := strconv.ParseInt(s, 10, 64)
+		if ok != (err == nil) || (ok && i != wi) {
+			t.Fatalf("ParseInt(%q) = %d, %v; strconv gives %d, %v", s, i, ok, wi, err)
+		}
+		x, ok := ParseFloat(s)
+		wx, err := strconv.ParseFloat(s, 64)
+		if ok != (err == nil) || (ok && math.Float64bits(x) != math.Float64bits(wx)) {
+			t.Fatalf("ParseFloat(%q) = %v, %v; strconv gives %v, %v", s, x, ok, wx, err)
+		}
 	})
 }
 
+// TestInferAllocations: Infer allocates for no input, also where a
+// strconv parse would fail: words and identifiers that start like a
+// number, and integers out of int64's range.
 func TestInferAllocations(t *testing.T) {
-	for _, s := range []string{"P12345", "3.14", "-infinity", "FALSE", "ſ"} {
+	for _, s := range []string{
+		"P12345", "3.14", "-infinity", "FALSE", "ſ",
+		"note", "inferred", "N-terminal", "12 kDa", ".hidden", "-x",
+		"99999999999999999999", "-99999999999999999999", "2023-01-01", "1e",
+	} {
 		if n := testing.AllocsPerRun(100, func() { Infer(s) }); n != 0 {
 			t.Errorf("Infer(%q) allocates %.0f times per call", s, n)
 		}
