@@ -2,7 +2,6 @@ package ind
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -258,7 +257,8 @@ func sortEmbedded(inds []EmbeddedIND) {
 // Attribute IDs continue past the originals', so deriveds and originals
 // can share one merge. Each set is built the way the column pass builds
 // a column's: the transform's results are collected into one reused
-// slice, sorted and compacted in memory, and staged.
+// slice, sorted and deduplicated in place by relstore.SortDistinct,
+// and staged.
 func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOptions) ([]derivedAttr, error) {
 	scratch := opts.Scratch
 	nextID := 0
@@ -290,8 +290,7 @@ func deriveAttributes(db *relstore.Database, attrs []*Attribute, opts EmbeddedOp
 				return nil, err
 			}
 			added := int64(len(vals))
-			slices.Sort(vals)
-			vals = slices.Compact(vals)
+			vals = relstore.SortDistinct(vals)
 			derived := &Attribute{
 				ID:   nextID,
 				Ref:  derivedRef(a.Ref, tr.Name),

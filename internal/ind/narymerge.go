@@ -2,7 +2,6 @@ package ind
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"spider/internal/relstore"
@@ -20,7 +19,8 @@ import (
 // heap merge, exactly as the unary engine decides its candidates. The
 // tuple set is built the way the column pass builds a column's set: the
 // table is already in memory, so its tuples are encoded into one arena,
-// sorted and compacted in memory, and staged presorted. With a file
+// sorted in place by relstore.SortDistinct, which drops duplicates as
+// it partitions, and staged presorted. With a file
 // scratch dataset at most one tuple set per extraction worker is in
 // memory at a time; memory datasets keep a level's sets until
 // the level is decided.
@@ -244,6 +244,5 @@ func (m *mergeLevelVerifier) tupleSet(l *tupleList) ([]string, error) {
 	}
 	l.attr.Rows = rows
 	l.attr.NonNull = len(tuples)
-	slices.Sort(tuples)
-	return slices.Compact(tuples), nil
+	return relstore.SortDistinct(tuples), nil
 }

@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"iter"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -31,7 +33,7 @@ func newColumn(kind value.Kind, rows int) column {
 	return column{boxed: true, vals: make([]value.Value, 0, rows)}
 }
 
-func (c *column) isNull(r int) bool { return c.nulls[r/64]&(1<<(r%64)) != 0 }
+func (c *column) isNull(r int) bool { return c.nulls[uint(r)/64]&(1<<(uint(r)%64)) != 0 }
 
 // value returns the value in row r.
 func (c *column) value(r int) value.Value {
@@ -98,39 +100,119 @@ func (c *column) canonical() []string {
 
 // sortedSet returns the sorted distinct set of the column's canonical
 // values and the number of non-null values. An INTEGER vector whose
-// values intKey can order is sorted on its keys and only its distinct
-// values are formatted, into one arena; any other column is formatted
-// value by value and its strings are sorted.
+// values intKey can order goes to intSet, which formats only the
+// distinct values; any other column is formatted value by value and
+// its strings go to SortDistinct.
 func (c *column) sortedSet() ([]string, int) {
-	if keys, ok := c.intKeys(); ok {
-		nonNull := len(keys)
-		radixSort(keys)
-		return formatKeys(slices.Compact(keys)), nonNull
+	if !c.boxed {
+		if set, nonNull, ok := c.intSet(); ok {
+			return set, nonNull
+		}
 	}
 	vals := c.canonical()
-	nonNull := len(vals)
-	slices.Sort(vals)
-	return slices.Compact(vals), nonNull
+	return SortDistinct(vals), len(vals)
 }
 
-// intKeys returns the intKey of every non-null value of an INTEGER
-// vector. ok is false for a value vector and when a value is out of
+// intSet returns the sorted distinct set of an INTEGER vector and its
+// number of non-null values. ok is false when a value is out of
 // intKey's range.
-func (c *column) intKeys() ([]uint64, bool) {
-	if c.boxed {
-		return nil, false
-	}
-	keys := make([]uint64, 0, len(c.ints))
+//
+// When the values span fewer than eight integers per non-null value,
+// one presence bit per integer of the span, at most a byte per value,
+// lists the distinct values in numeric order. Non-negative values of
+// one digit count sort as text in numeric order, so they are formatted
+// straight off the bits; the distinct values of any other dense span
+// are sorted on their keys. A sparser column sorts the keys of all its
+// values.
+func (c *column) intSet() (set []string, nonNull int, ok bool) {
+	lo, hi := int64(maxKeyed), int64(-maxKeyed)
 	for r, v := range c.ints {
 		if c.isNull(r) {
 			continue
 		}
 		if v <= -maxKeyed || v >= maxKeyed {
-			return nil, false
+			return nil, 0, false
 		}
+		lo, hi = min(lo, v), max(hi, v)
+		nonNull++
+	}
+	if nonNull == 0 {
+		return []string{}, 0, true
+	}
+	if uint64(hi-lo) >= 8*uint64(nonNull) {
+		keys := make([]uint64, 0, nonNull)
+		for r, v := range c.ints {
+			if !c.isNull(r) {
+				keys = append(keys, intKey(v))
+			}
+		}
+		radixSort(keys)
+		return formatKeys(slices.Compact(keys)), nonNull, true
+	}
+	present := make([]uint64, (hi-lo)/64+1)
+	for r, v := range c.ints {
+		if !c.isNull(r) {
+			o := uint64(v - lo)
+			present[o/64] |= 1 << (o % 64)
+		}
+	}
+	distinct := 0
+	for _, w := range present {
+		distinct += bits.OnesCount64(w)
+	}
+	if d := digits(uint64(hi)); lo >= 0 && digits(uint64(lo)) == d {
+		return formatDigits(present, lo, distinct, d), nonNull, true
+	}
+	keys := make([]uint64, 0, distinct)
+	for v := range members(present, lo) {
 		keys = append(keys, intKey(v))
 	}
-	return keys, true
+	radixSort(keys)
+	return formatKeys(keys), nonNull, true
+}
+
+// formatDigits formats the distinct non-negative integers of present,
+// all d digits long, into one arena and returns them as slices of it,
+// in increasing order. The digits go into a buffer that is copied to
+// the arena whenever it fills, and the arena is sliced every d bytes.
+func formatDigits(present []uint64, lo int64, distinct, d int) []string {
+	var (
+		arena strings.Builder
+		buf   [1024]byte
+	)
+	arena.Grow(distinct * d)
+	n := 0
+	for v := range members(present, lo) {
+		if n+d > len(buf) {
+			arena.Write(buf[:n])
+			n = 0
+		}
+		for j, u := n+d-1, uint64(v); j >= n; j, u = j-1, u/10 {
+			buf[j] = byte('0' + u%10)
+		}
+		n += d
+	}
+	arena.Write(buf[:n])
+	text := arena.String()
+	set := make([]string, distinct)
+	for i := range set {
+		set[i] = text[i*d : (i+1)*d]
+	}
+	return set
+}
+
+// members yields the integers whose bits are set in present, bit 0
+// standing for lo, in increasing order.
+func members(present []uint64, lo int64) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		for w, word := range present {
+			for ; word != 0; word &= word - 1 {
+				if !yield(lo + int64(w*64+bits.TrailingZeros64(word))) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // The canonical encoding of an INTEGER is its decimal text, and the
@@ -162,11 +244,17 @@ func intKey(v int64) uint64 {
 		base, v = 0, -v
 	}
 	a := uint64(v)
-	d := uint64(1)
+	d := uint64(digits(a))
+	return base + a*pow10[17-d]*18 + d
+}
+
+// digits returns the number of decimal digits of a < 10^17.
+func digits(a uint64) int {
+	d := 1
 	for d < 17 && a >= pow10[d] {
 		d++
 	}
-	return base + a*pow10[17-d]*18 + d
+	return d
 }
 
 // keyInt inverts intKey: it returns the integer a key stands for and
@@ -192,19 +280,27 @@ func formatKeys(keys []uint64) []string {
 		_, n := keyInt(k)
 		size += n
 	}
-	var (
-		arena strings.Builder
-		buf   [20]byte
-	)
+	var arena intArena
 	arena.Grow(size)
 	vals := make([]string, len(keys))
 	for i, k := range keys {
 		v, _ := keyInt(k)
-		start := arena.Len()
-		arena.Write(strconv.AppendInt(buf[:0], v, 10))
-		vals[i] = arena.String()[start:]
+		vals[i] = arena.add(v)
 	}
 	return vals
+}
+
+// intArena formats integers into one string, grown once to their total
+// length, and hands each text out as a slice of it.
+type intArena struct {
+	strings.Builder
+	buf [20]byte
+}
+
+func (a *intArena) add(v int64) string {
+	start := a.Len()
+	a.Write(strconv.AppendInt(a.buf[:0], v, 10))
+	return a.String()[start:]
 }
 
 // radixSort sorts keys in place: an LSD radix sort on 8-bit digits that

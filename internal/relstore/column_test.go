@@ -86,18 +86,43 @@ func TestIntColumnPass(t *testing.T) {
 		}
 		many = append(many, x)
 	}
+	span := func(lo int64, n, width int) []int64 { // n values from lo, the last at lo+width
+		out := []int64{lo + int64(width)}
+		for i := 0; i < n-1; i++ {
+			out = append(out, lo+int64(i*width/n))
+		}
+		return out
+	}
+	seq := func(lo, hi int64) []int64 {
+		var out []int64
+		for x := hi; x >= lo; x-- {
+			out = append(out, x, x/2*2)
+		}
+		return out
+	}
 	null := value.NewNull()
 	cases := map[string][]value.Value{
-		"zero and units":  ints(0, 1, -1, 2, -2, 9, -9, 0, 1),
-		"powers of ten":   ints(powers[:6*17]...), // |v| ≤ 10^16+1
-		"keyed edge":      ints(maxKeyed-1, -(maxKeyed - 1), 1e16, -1e16, 0),
-		"past the edge":   ints(maxKeyed, -maxKeyed, 5, -5, 10),
-		"int64 extremes":  ints(math.MinInt64, math.MaxInt64, 0, -1, 1),
-		"all powers":      ints(powers...),
-		"all NULL":        {null, null, null},
-		"empty":           {},
-		"mixed NULLs":     append(ints(3, 30, 3), null, value.NewInt(-3), null, value.NewInt(300)),
-		"many duplicates": ints(many...),
+		"dense span":       ints(span(-50, 100, 799)...), // 799 < 8·100: presence bits
+		"sparse span":      ints(span(-50, 100, 800)...), // 800 = 8·100: keys of every value
+		"one value":        ints(7, 7, 7, 7, 7),
+		"one digit count":  ints(seq(1000, 9999)...),
+		"mixed digits":     ints(9, 10, 99, 100, 9, 100, 11, 98),
+		"negatives only":   ints(seq(-500, -1)...),
+		"mixed signs":      ints(seq(-300, 300)...),
+		"dense top edge":   ints(seq(maxKeyed-200, maxKeyed-1)...),
+		"dense low edge":   ints(seq(-(maxKeyed - 1), -(maxKeyed - 200))...),
+		"dense past edge":  append(ints(seq(0, 100)...), value.NewInt(maxKeyed)),
+		"dense with NULLs": append(ints(seq(10, 99)...), null, null, value.NewInt(50), null),
+		"zero and units":   ints(0, 1, -1, 2, -2, 9, -9, 0, 1),
+		"powers of ten":    ints(powers[:6*17]...), // |v| ≤ 10^16+1
+		"keyed edge":       ints(maxKeyed-1, -(maxKeyed - 1), 1e16, -1e16, 0),
+		"past the edge":    ints(maxKeyed, -maxKeyed, 5, -5, 10),
+		"int64 extremes":   ints(math.MinInt64, math.MaxInt64, 0, -1, 1),
+		"all powers":       ints(powers...),
+		"all NULL":         {null, null, null},
+		"empty":            {},
+		"mixed NULLs":      append(ints(3, 30, 3), null, value.NewInt(-3), null, value.NewInt(300)),
+		"many duplicates":  ints(many...),
 	}
 	for name, vals := range cases {
 		t.Run(name, func(t *testing.T) { checkIntPass(t, vals) })
@@ -112,6 +137,15 @@ func FuzzIntColumnPass(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0}, uint8(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0xff, 0x7f, 3, 0, 0, 0, 0, 0x80}, 40), uint8(5), uint8(9))
 	f.Add(bytes.Repeat([]byte{9, 8, 7, 6, 5, 4, 3, 2}, 300), uint8(0), uint8(40))
+	var dense, negative []byte
+	for i := 0; i < 64; i++ {
+		dense = binary.LittleEndian.AppendUint64(dense, uint64(i*5%97))
+		negative = binary.LittleEndian.AppendUint64(negative, uint64(-int64(i%40)))
+	}
+	f.Add(dense, uint8(0), uint8(0))
+	f.Add(dense, uint8(1), uint8(3))
+	f.Add(negative, uint8(0), uint8(0x81))
+	f.Add(bytes.Repeat([]byte{42, 0, 0, 0, 0, 0, 0, 0}, 30), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, shift, nulls uint8) {
 		var vals []value.Value
 		for i := 0; i+8 <= len(data); i += 8 {

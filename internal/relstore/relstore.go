@@ -25,10 +25,14 @@
 // One column pass serves statistics and extraction alike: it sorts the
 // column's canonical values once into the sorted distinct set s(a),
 // the paper's SELECT DISTINCT … ORDER BY (Sec 3), and reads the
-// statistics off that set. An INTEGER vector is sorted on integer keys
-// in the order of its values' decimal text, and only its distinct
-// values are formatted. The table keeps each set next to its
-// statistics until DistinctCanonical hands it over.
+// statistics off that set. Strings are sorted by SortDistinct, an
+// in-place MSD radix sort that drops duplicates while it partitions.
+// An INTEGER vector never sorts strings: a dense one sets a presence
+// bit per value and reads its distinct values off the bits, a sparse
+// one is sorted on integer keys in the order of its values' decimal
+// text, and either formats only its distinct values. The table keeps
+// each set next to its statistics until DistinctCanonical hands it
+// over.
 package relstore
 
 import (

@@ -505,18 +505,44 @@ type hashJoinIter struct {
 	st          *ExecStats
 	sch         schema
 
-	built   bool
-	table   map[string][][]value.Value
-	pending [][]value.Value
+	built bool
+	// keep lists the positions of a build row that the right input
+	// fills; a table scan leaves the columns no statement reads NULL.
+	// rows holds those values of every build row, one row after
+	// another. table maps a join key to its entry in chains, and after
+	// links each row to the following row with the same key, so every
+	// key's rows are probed in build order.
+	keep    []int
+	nulls   []value.Value // a right row of NULLs
+	rows    []value.Value
+	table   map[string]int
+	chains  []chain
+	after   []int
+	key     []byte
+	pending int // the next build row to join to curLeft, or -1
 	curLeft []value.Value
 	out     []value.Value
 }
+
+// chain is the first and last build row with one join key.
+type chain struct{ first, last int }
 
 func (h *hashJoinIter) columns() []string { return h.sch.names }
 func (h *hashJoinIter) close()            { h.left.close(); h.right.close() }
 
 func (h *hashJoinIter) build() error {
-	h.table = make(map[string][][]value.Value)
+	h.nulls = make([]value.Value, len(h.right.columns()))
+	h.table = make(map[string]int)
+	h.pending = -1
+	if s, ok := h.right.(*scanIter); ok {
+		h.keep = s.cols
+		h.rows = make([]value.Value, 0, s.t.RowCount()*len(h.keep))
+		h.after = make([]int, 0, s.t.RowCount())
+	} else {
+		for c := range h.nulls {
+			h.keep = append(h.keep, c)
+		}
+	}
 	for {
 		row, ok, err := h.right.next()
 		if err != nil {
@@ -529,8 +555,19 @@ func (h *hashJoinIter) build() error {
 		if v.IsNull() {
 			continue
 		}
-		k := v.Canonical()
-		h.table[k] = append(h.table[k], append([]value.Value(nil), row...))
+		r := len(h.after)
+		for _, c := range h.keep {
+			h.rows = append(h.rows, row[c])
+		}
+		h.after = append(h.after, -1)
+		h.key = v.AppendCanonical(h.key[:0])
+		if c, ok := h.table[string(h.key)]; ok {
+			h.after[h.chains[c].last] = r
+			h.chains[c].last = r
+		} else {
+			h.table[string(h.key)] = len(h.chains)
+			h.chains = append(h.chains, chain{r, r})
+		}
 		h.st.RowsMaterialized++
 	}
 	h.built = true
@@ -544,12 +581,13 @@ func (h *hashJoinIter) next() ([]value.Value, bool, error) {
 		}
 	}
 	for {
-		if len(h.pending) > 0 {
-			r := h.pending[0]
-			h.pending = h.pending[1:]
-			h.out = h.out[:0]
-			h.out = append(h.out, h.curLeft...)
-			h.out = append(h.out, r...)
+		if r := h.pending; r >= 0 {
+			h.pending = h.after[r]
+			h.out = append(append(h.out[:0], h.curLeft...), h.nulls...)
+			right, vals := h.out[len(h.curLeft):], h.rows[r*len(h.keep):]
+			for i, c := range h.keep {
+				right[c] = vals[i]
+			}
 			return h.out, true, nil
 		}
 		row, ok, err := h.left.next()
@@ -561,9 +599,10 @@ func (h *hashJoinIter) next() ([]value.Value, bool, error) {
 			continue
 		}
 		h.st.HashProbes++
-		if matches := h.table[v.Canonical()]; len(matches) > 0 {
+		h.key = v.AppendCanonical(h.key[:0])
+		if c, ok := h.table[string(h.key)]; ok {
 			h.curLeft = append(h.curLeft[:0], row...)
-			h.pending = matches
+			h.pending = h.chains[c].first
 		}
 	}
 }

@@ -310,6 +310,33 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
+// TestJoinKeepsBuildOrder: every left row meets the build rows of its
+// key in the order the build side gave them, with all their columns.
+func TestJoinKeepsBuildOrder(t *testing.T) {
+	db := relstore.NewDatabase("o")
+	l := db.MustCreateTable("l", []relstore.Column{{Name: "k", Kind: value.Int}, {Name: "tag", Kind: value.String}})
+	r := db.MustCreateTable("r", []relstore.Column{{Name: "k", Kind: value.Int}, {Name: "v", Kind: value.String}, {Name: "w", Kind: value.Int}})
+	for i, k := range []int64{2, 1, 2, 3, 2, 1} {
+		r.MustInsert(value.NewInt(k), value.NewString(fmt.Sprintf("v%d", i)), value.NewInt(int64(10*i)))
+	}
+	r.MustInsert(value.NewNull(), value.NewString("null"), value.NewInt(-1))
+	l.MustInsert(value.NewInt(1), value.NewString("a"))
+	l.MustInsert(value.NewInt(4), value.NewString("b"))
+	l.MustInsert(value.NewInt(2), value.NewString("c"))
+	res, err := (&Engine{DB: db}).Query("select * from (l JOIN r on l.k = r.k)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, row := range res.Rows {
+		rows = append(rows, fmt.Sprint(row))
+	}
+	want := "[1 a 1 v1 10] [1 a 1 v5 50] [2 c 2 v0 0] [2 c 2 v2 20] [2 c 2 v4 40]"
+	if got := strings.Join(rows, " "); got != want {
+		t.Errorf("join rows %s, want %s", got, want)
+	}
+}
+
 func TestNotInIgnoresInnerNulls(t *testing.T) {
 	db := relstore.NewDatabase("n")
 	dep := db.MustCreateTable("dep", []relstore.Column{{Name: "v", Kind: value.Int}})
