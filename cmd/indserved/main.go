@@ -8,11 +8,11 @@
 // Each -dataset names a directory of exported value files (text or
 // block encoding, auto-detected) holding the result set the batch run
 // wrote (INDS.json by default; override per dataset with -inds). The
-// daemon stages everything into immutable in-memory snapshots at
-// startup and answers:
+// daemon copies every value set into memory once at startup and
+// answers:
 //
 //	GET  /healthz        liveness + current generation
-//	GET  /metrics        per-endpoint counters, cache and snapshot stats
+//	GET  /metrics        per-endpoint counters, cache and in-memory dataset stats
 //	GET  /v1/datasets    loaded datasets
 //	GET  /v1/attrs       one dataset's attribute catalog
 //	GET  /v1/member      value-membership probe (bloom first, then cursor)
@@ -93,7 +93,6 @@ func main() {
 	flag.Var(&datasets, "dataset", "dataset to serve, as name=dir or a bare dir (repeatable)")
 	var inds indsFlags
 	flag.Var(&inds, "inds", "result-set path override, as name=path (repeatable; default DIR/INDS.json)")
-	preload := flag.Bool("preload", false, "fault every value set into the snapshot cache at load time")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "response cache entries per generation (negative disables)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "grace period for in-flight requests on SIGTERM/SIGINT")
 	flag.Parse()
@@ -107,7 +106,6 @@ func main() {
 		if path, ok := inds.paths[sp.Name]; ok {
 			sp.Results = path
 		}
-		sp.Preload = *preload
 	}
 	for name := range inds.paths {
 		found := false

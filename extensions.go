@@ -383,7 +383,7 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		return nil, Stats{}, err
 	}
 	// Derived value sets join the base exports in the same dataset; the
-	// snapshot read side faults them in on first open.
+	// snapshot read side is a view of it and sees them at once.
 	var counter valfile.ReadCounter
 	res, err := ind.FindEmbedded(db.rel, attrs, ind.EmbeddedOptions{
 		Counter:   &counter,

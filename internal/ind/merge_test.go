@@ -389,9 +389,10 @@ func TestMergeCursorErrorPath(t *testing.T) {
 				before := runtime.NumGoroutine()
 				var ds *faultyDataset
 				err := func() error {
-					var base store.Dataset = memSource(attrs, sets)
+					mem := memSource(attrs, sets)
+					var base store.Dataset = mem
 					if backend == "snapshot" {
-						base = store.NewSnapshot(base)
+						base = store.NewSnapshot(mem)
 					}
 					ds = &faultyDataset{Dataset: base, failAt: failAt}
 					opts := SpiderMergeOptions{Store: ds}

@@ -122,7 +122,7 @@ func (s *Server) handleHealthz(st *State, _ *http.Request) (interface{}, *apiErr
 
 // --------------------------------------------------------------- metrics
 
-// DatasetCacheMetrics reports one dataset's snapshot-pool occupancy.
+// DatasetCacheMetrics reports what one dataset holds in memory.
 type DatasetCacheMetrics struct {
 	CachedKeys     int   `json:"cached_keys"`
 	CachedValues   int64 `json:"cached_values"`
@@ -231,7 +231,7 @@ func (s *Server) handleAttrs(st *State, r *http.Request) (interface{}, *apiError
 			Distinct: a.Distinct,
 			Unique:   a.Unique,
 			Sketch:   a.Sketch != nil,
-			Cached:   d.Snap.Cached(a.Key),
+			Cached:   true, // staging holds every attribute's set in memory
 		})
 	}
 	return resp, nil

@@ -1,7 +1,7 @@
 // Package serve is the HTTP layer of indserved, the long-lived
 // IND-serving daemon: it loads one or more exported datasets (value
-// files, persisted sketches, and the batch run's result set) into
-// read-only store.Snapshot views and answers SPIDER-style containment
+// files, persisted sketches, and the batch run's result set) into one
+// store.Mem each, read through a store.Snapshot view, and answers SPIDER-style containment
 // questions at high QPS without re-running discovery —
 // value-membership probes (bloom first, a binary search over the value
 // set only on a bloom hit), KMV/bloom containment estimates between
@@ -10,7 +10,7 @@
 // merge engines.
 //
 // Refresh is an atomic snapshot swap: a reload stages everything into
-// a scratch store.Mem, re-snapshots, and swaps one pointer; in-flight
+// a fresh store.Mem, puts a new view over it, and swaps one pointer; in-flight
 // requests finish on the generation they started on. See README.md in
 // this directory for the endpoint contract.
 package serve

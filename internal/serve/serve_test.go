@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -597,14 +598,14 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestLoadFromDisk drives the Specs path: export to a directory with
-// sidecar sketches, persist the result set, and serve from the files —
-// the exact layout indfind -out leaves behind.
-func TestLoadFromDisk(t *testing.T) {
+// diskDataset exports the fixture to a directory with sidecar
+// sketches and persists the result set next to it — the exact layout
+// indfind -out leaves behind.
+func diskDataset(t testing.TB) string {
+	t.Helper()
 	dir := t.TempDir()
-	db := buildDB(t)
 	ds := store.NewFS(dir, valfile.FormatText)
-	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: ds, Sketches: true})
+	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dataset: ds, Sketches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,8 +621,13 @@ func TestLoadFromDisk(t *testing.T) {
 	if err := rs.WriteFile(dir + "/" + DefaultResultsName); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
 
-	s, err := New(Config{Specs: []DatasetSpec{{Name: "disk", Dir: dir, Preload: true}}})
+// TestLoadFromDisk drives the Specs path: serve from the files a batch
+// run exported.
+func TestLoadFromDisk(t *testing.T) {
+	s, err := New(Config{Specs: []DatasetSpec{{Name: "disk", Dir: diskDataset(t)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +640,7 @@ func TestLoadFromDisk(t *testing.T) {
 	if code != 200 || body["refutes_exact"] != false {
 		t.Fatalf("containment from disk = %d %v", code, body)
 	}
-	// Preload faulted every value set into the snapshot cache.
+	// Staging holds every value set in memory.
 	code, body = doJSON(t, h, "GET", "/v1/attrs?dataset=disk", "")
 	if code != 200 {
 		t.Fatalf("attrs = %d %v", code, body)
@@ -642,13 +648,34 @@ func TestLoadFromDisk(t *testing.T) {
 	for _, raw := range body["attributes"].([]interface{}) {
 		a := raw.(map[string]interface{})
 		if a["cached"] != true {
-			t.Errorf("preload missed %v", a["attr"])
+			t.Errorf("%v not cached after staging", a["attr"])
 		}
 	}
 	// Reload re-resolves the same specs from disk.
 	code, body = doJSON(t, h, "POST", "/v1/reload", "")
 	if code != 200 || body["generation"] != float64(2) {
 		t.Fatalf("reload from disk = %d %v", code, body)
+	}
+}
+
+// TestLoadStatePreloadIsNoOp pins that staging copies each value set
+// once: the deprecated DatasetSpec.Preload changes nothing, so loading
+// a disk dataset allocates the same with it as without it.
+func TestLoadStatePreloadIsNoOp(t *testing.T) {
+	dir := diskDataset(t)
+	// A collection empties sync.Pools, and refilling them allocates;
+	// with no collection during the runs the count is exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(preload bool) float64 {
+		specs := []DatasetSpec{{Name: "disk", Dir: dir, Preload: preload}}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := LoadState(specs, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if without, with := allocs(false), allocs(true); with != without {
+		t.Errorf("LoadState allocs: %v with Preload, %v without", with, without)
 	}
 }
 
@@ -717,7 +744,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("member metrics = %v", mem)
 	}
 	dsets := body["datasets"].(map[string]interface{})
-	if _, ok := dsets["unit"]; !ok {
+	unit, ok := dsets["unit"].(map[string]interface{})
+	if !ok {
 		t.Fatalf("dataset cache stats missing: %v", dsets)
+	}
+	// Every staged attribute's set is resident from load on.
+	if unit["cached_keys"] != unit["attributes"] || unit["cached_keys"] == float64(0) {
+		t.Errorf("dataset cache stats = %v", unit)
 	}
 }

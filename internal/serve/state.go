@@ -19,7 +19,8 @@ const DefaultResultsName = "INDS.json"
 // DatasetSpec names one dataset to load from disk: a directory of
 // exported value files (text or block encoding, auto-detected per
 // file, sketches embedded or in sidecars) plus the result set persisted
-// by the batch run.
+// by the batch run. Loading copies every value set into memory once;
+// requests never touch the directory.
 type DatasetSpec struct {
 	// Name is the dataset's serving name; empty defaults to the
 	// directory's base name.
@@ -29,8 +30,7 @@ type DatasetSpec struct {
 	// Results is the result-set path; empty defaults to
 	// Dir/INDS.json.
 	Results string
-	// Preload faults every value set into the snapshot cache at load
-	// time, so no request pays the first-open cost.
+	// Deprecated: no effect; perfbench/serving.go still sets it.
 	Preload bool
 }
 
@@ -58,11 +58,10 @@ type Source struct {
 	Name    string
 	Base    store.Dataset
 	Results *ind.ResultSet
-	Preload bool
 }
 
-// Dataset is one loaded dataset: an immutable snapshot of its value
-// sets, the reconstructed attribute catalog (sketches included, where
+// Dataset is one loaded dataset: a read-only view of its value sets,
+// the reconstructed attribute catalog (sketches included, where
 // persisted), and the batch run's verdicts.
 type Dataset struct {
 	Name      string
@@ -114,8 +113,8 @@ func (st *State) Dataset(name string) (*Dataset, bool) {
 func (st *State) Names() []string { return st.names }
 
 // LoadState resolves specs against the filesystem and stages every
-// dataset into a fresh State: scratch store.Mem per dataset, one
-// read-only Snapshot over it, catalog and verdicts from the result
+// dataset into a fresh State: one store.Mem per dataset, one
+// read-only Snapshot view over it, catalog and verdicts from the result
 // set. It is the reload path — the old State keeps serving until the
 // returned one is swapped in.
 func LoadState(specs []DatasetSpec, generation, cacheSize int) (*State, error) {
@@ -134,7 +133,6 @@ func LoadState(specs []DatasetSpec, generation, cacheSize int) (*State, error) {
 			// only matters for writes, which never happen.
 			Base:    store.NewFS(sp.Dir, valfile.FormatText),
 			Results: rs,
-			Preload: sp.Preload,
 		})
 	}
 	return BuildState(sources, generation, cacheSize)
@@ -167,10 +165,11 @@ func BuildState(sources []Source, generation, cacheSize int) (*State, error) {
 }
 
 // stageDataset copies one source's value sets (and their persisted
-// sections) into a scratch in-memory dataset, snapshots it read-only,
-// and rebuilds the catalog. Staging validates the result set against
-// the data: a value set whose cardinality disagrees with the persisted
-// catalog is an error, not a silently wrong answer at query time.
+// sections) into an in-memory dataset, the only copy the server holds,
+// puts a read-only view over it, and rebuilds the catalog. Staging
+// validates the result set against the data: a value set whose
+// cardinality disagrees with the persisted catalog is an error, not a
+// silently wrong answer at query time.
 func stageDataset(src Source) (*Dataset, error) {
 	attrs, err := src.Results.Attributes()
 	if err != nil {
@@ -183,15 +182,6 @@ func stageDataset(src Source) (*Dataset, error) {
 		}
 	}
 	snap := store.NewSnapshot(mem)
-	if src.Preload {
-		keys := make([]string, 0, len(attrs))
-		for _, a := range attrs {
-			keys = append(keys, a.Key)
-		}
-		if err := snap.Warm(keys); err != nil {
-			return nil, err
-		}
-	}
 	if err := ind.LoadSketches(snap, attrs); err != nil {
 		return nil, err
 	}

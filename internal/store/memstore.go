@@ -35,20 +35,24 @@ func (m *Mem) SetValues(key string, sorted []string) {
 	m.vals[key] = append([]string(nil), sorted...)
 }
 
-func (m *Mem) get(key string) ([]string, bool) {
+// values returns key's committed slice, which nothing writes to again.
+func (m *Mem) values(key string) ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	vals, ok := m.vals[key]
-	return vals, ok
+	if !ok {
+		return nil, fmt.Errorf("store: no in-memory value set for key %q", key)
+	}
+	return vals, nil
 }
 
 // Open returns a cursor over key's sorted values. Delivered items
 // count 1 each and their byte length (plus a newline, mirroring the
 // text encoding) toward counter.
 func (m *Mem) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
-	vals, ok := m.get(key)
-	if !ok {
-		return nil, fmt.Errorf("store: no in-memory value set for key %q", key)
+	vals, err := m.values(key)
+	if err != nil {
+		return nil, err
 	}
 	return NewSliceCursor(vals, counter), nil
 }

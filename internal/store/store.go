@@ -3,9 +3,9 @@
 // persisted sketch and named section flows through a Dataset. The
 // merge engines, the extraction path and the CLIs never open a value
 // file directly — fsstore (FS) wraps the text/block valfile encodings,
-// memstore (Mem) holds datasets in memory, and Snapshot wraps any
-// backend read-only with cursor pooling for concurrent readers (the
-// indserved precondition).
+// memstore (Mem) holds datasets in memory, and Snapshot is a read-only
+// view of one Mem that any number of concurrent readers share without
+// a second copy (the indserved precondition).
 //
 // See README.md in this directory for the interface contract
 // (ownership and close rules, section names).

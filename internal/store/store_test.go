@@ -259,9 +259,11 @@ func TestSnapshotReadOnly(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadThrough: keys staged in the base after the snapshot
-// was taken fault into the cache on first open — the property the
-// n-ary and embedded scratch writes rely on.
+// TestSnapshotReadThrough: a view reads the Mem as it is now. A key
+// staged after the view was taken is visible, a key replaced or removed
+// in the Mem is what the next Open sees — the property the n-ary and
+// embedded scratch writes rely on — and an already open cursor keeps
+// the slice it started on.
 func TestSnapshotReadThrough(t *testing.T) {
 	base := NewMem()
 	base.SetValues("early.val", []string{"e"})
@@ -273,10 +275,26 @@ func TestSnapshotReadThrough(t *testing.T) {
 	if got := mustDrain(t, snap, "late.val"); !reflect.DeepEqual(got, []string{"l1", "l2"}) {
 		t.Errorf("late = %q", got)
 	}
-	// Cached keys are immutable: a base overwrite is not observed.
-	base.SetValues("early.val", []string{"changed"})
-	if got := mustDrain(t, snap, "early.val"); !reflect.DeepEqual(got, []string{"e"}) {
-		t.Errorf("cached key changed after base overwrite: %q", got)
+
+	held, err := snap.Open("early.val", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSet(t, base, "early.val", []string{"changed", "twice"})
+	if got := mustDrain(t, snap, "early.val"); !reflect.DeepEqual(got, []string{"changed", "twice"}) {
+		t.Errorf("after a base overwrite early = %q", got)
+	}
+	if err := base.Remove("early.val"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Open("early.val", nil); err == nil {
+		t.Error("Open of a key removed from the base succeeded")
+	}
+	if _, _, err := snap.Section("early.val", valfile.SketchSection); err == nil {
+		t.Error("Section of a key removed from the base succeeded")
+	}
+	if got := drainCursor(t, held); !reflect.DeepEqual(got, []string{"e"}) {
+		t.Errorf("cursor opened before the overwrite read %q", got)
 	}
 }
 
@@ -289,12 +307,12 @@ func mustDrain(t *testing.T, ds Dataset, key string) []string {
 	return drainCursor(t, cur)
 }
 
-// TestSnapshotConcurrentReaders hammers one snapshot with concurrent
+// TestSnapshotConcurrentReaders hammers one view with concurrent
 // readers (full cursors and Contains probes, across keys) — run under
-// -race this is the pooled-cursor safety property the indserved daemon
+// -race this is the shared-slice safety property the indserved daemon
 // needs. 16 readers exceed the ≥8 acceptance bar.
 func TestSnapshotConcurrentReaders(t *testing.T) {
-	base := NewFS(t.TempDir(), valfile.FormatBlock)
+	base := NewMem()
 	want := make(map[string][]string)
 	for k := 0; k < 4; k++ {
 		key := fmt.Sprintf("a%02d.val", k)
@@ -415,44 +433,80 @@ func TestMemWriterDoubleClose(t *testing.T) {
 	}
 }
 
-// TestSnapshotServingHelpers covers the read-path additions the serving
-// daemon uses: Len, Cached, Warm and CacheStats.
+// TestSnapshotServingHelpers covers CacheStats, the occupancy the
+// serving daemon's metrics endpoint reports: it counts what the viewed
+// Mem holds, keys staged or removed after the view was taken included.
 func TestSnapshotServingHelpers(t *testing.T) {
 	base := NewMem()
-	base.SetValues("a.val", []string{"1", "2", "3"})
-	base.SetValues("b.val", []string{"x"})
 	snap := NewSnapshot(base)
-
-	if snap.Cached("a.val") {
-		t.Error("a.val cached before any read")
+	if st := snap.CacheStats(); st != (CacheStats{}) {
+		t.Errorf("stats of an empty Mem = %+v", st)
 	}
-	if st := snap.CacheStats(); st.Keys != 0 {
-		t.Errorf("fresh stats = %+v", st)
-	}
-
-	if n, err := snap.Len("a.val"); err != nil || n != 3 {
-		t.Fatalf("Len(a.val) = %d, %v", n, err)
-	}
-	if !snap.Cached("a.val") || snap.Cached("b.val") {
-		t.Error("Len must fault only its key into the cache")
-	}
-
-	if err := snap.Warm([]string{"a.val", "b.val"}); err != nil {
+	base.SetValues("a.val", []string{"1", "2", "3"})
+	w, err := base.Create("b.val")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Cached("b.val") {
-		t.Error("Warm missed b.val")
+	if err := w.Append("x"); err != nil {
+		t.Fatal(err)
 	}
-	st := snap.CacheStats()
-	if st.Keys != 2 || st.Values != 4 {
-		t.Errorf("stats after warm = %+v", st)
+	if err := w.SetSection(valfile.SketchSection, []byte{1}); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.CacheStats(); st != (CacheStats{Keys: 2, Values: 4, Sections: 1}) {
+		t.Errorf("stats = %+v", st)
+	}
+	if err := base.Remove("b.val"); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.CacheStats(); st != (CacheStats{Keys: 1, Values: 3}) {
+		t.Errorf("stats after a remove = %+v", st)
+	}
+}
 
-	if _, err := snap.Len("missing.val"); err == nil {
-		t.Error("Len of a missing key must fail")
+// TestSnapshotHoldsOneCopy pins that a view copies no values: opening
+// and probing every key through a fresh view allocates in proportion to
+// the number of keys, the same for a Mem of 100 values per key as for
+// one of 10,000.
+func TestSnapshotHoldsOneCopy(t *testing.T) {
+	const keys = 8
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("a%d.val", k)
 	}
-	if err := snap.Warm([]string{"missing.val"}); err == nil {
-		t.Error("Warm of a missing key must fail")
+	allocs := func(perKey int) float64 {
+		mem := NewMem()
+		for k, key := range names {
+			vals := make([]string, perKey)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("k%d-%06d", k, i)
+			}
+			mem.SetValues(key, vals)
+		}
+		return testing.AllocsPerRun(20, func() {
+			snap := NewSnapshot(mem)
+			for _, key := range names {
+				cur, err := snap.Open(key, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur.Close()
+				if _, err := snap.Contains(key, "k0-000001"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	small, large := allocs(100), allocs(10_000)
+	if small != large {
+		t.Errorf("allocs per run: %v over %d×100 values, %v over %d×10,000", small, keys, large, keys)
+	}
+	// One cursor per Open, and the view itself.
+	if limit := float64(keys + 1); large > limit {
+		t.Errorf("allocs per run = %v, want at most %v for %d keys", large, limit, keys)
 	}
 }
 
@@ -496,16 +550,11 @@ func TestSnapshotContains(t *testing.T) {
 		}
 	}
 
-	// A key is faulted in on its first probe; an unknown key errors.
+	// A key staged after the view was taken is probed; an unknown key
+	// errors.
 	base.SetValues("late.val", []string{"x"})
-	if snap.Cached("late.val") {
-		t.Fatal("late.val cached before its first probe")
-	}
 	if ok, err := snap.Contains("late.val", "x"); err != nil || !ok {
 		t.Errorf("Contains(late.val, x) = %v, %v; want true", ok, err)
-	}
-	if !snap.Cached("late.val") {
-		t.Error("Contains did not fault late.val in")
 	}
 	if _, err := snap.Contains("missing.val", "a"); err == nil {
 		t.Error("Contains on an unknown key must fail")

@@ -36,8 +36,8 @@ grep -q "transcripts.gene_id ⊆ genes.gene_id" <<<"$out" \
 [ -s "$workdir/INDS.json" ] || fail "indfind -out wrote no result set"
 
 # Boot the daemon on an ephemeral port and parse the listen line.
-echo "+ indserved -addr 127.0.0.1:0 -dataset smoke=$workdir -preload"
-"$bindir/indserved" -addr 127.0.0.1:0 -dataset "smoke=$workdir" -preload \
+echo "+ indserved -addr 127.0.0.1:0 -dataset smoke=$workdir"
+"$bindir/indserved" -addr 127.0.0.1:0 -dataset "smoke=$workdir" \
   >"$workdir/serve.out" 2>"$workdir/serve.err" &
 serverpid=$!
 base=""

@@ -22,8 +22,8 @@ import (
 //   - NewMemStore: everything in memory. No files are created;
 //     extraction and verification run against sorted in-memory slices.
 //   - NewSnapshotStore: extraction lands in memory, and the engines
-//     read through an immutable read-only snapshot that caches each
-//     value set on first use — the serving shape a long-lived IND
+//     read through a read-only snapshot view of that memory, which
+//     holds no copy of its own — the serving shape a long-lived IND
 //     service needs, safe for any number of concurrent readers.
 //   - NewSpillStore: no value files at all, and nothing kept between
 //     calls. Every discovery call stages its value sets into a fresh
@@ -66,8 +66,8 @@ func NewMemStore() *Store {
 }
 
 // NewSnapshotStore returns a store whose extraction side is in-memory
-// and whose engine side is a read-only snapshot over it, safe for
-// concurrent readers.
+// and whose engine side is a read-only view of that memory, safe for
+// concurrent readers. Each value set is held once.
 func NewSnapshotStore() *Store {
 	return &Store{kind: storeKindSnapshot, mem: store.NewMem()}
 }
@@ -122,7 +122,7 @@ func (s *Store) spill() bool {
 // storage here. A nil store is the fs backend in format. The fs
 // backend is rooted at its own directory, else at workDir, else at a
 // temporary directory the cleanup removes. The snapshot backend reads
-// through a fresh read-only snapshot of its memory; the spill backend
+// through a fresh read-only view of its memory; the spill backend
 // gets a fresh in-memory dataset, so no value set outlives the call.
 func (s *Store) open(workDir string, format Format) (write, read store.Dataset, cleanup func(), err error) {
 	if s == nil {
