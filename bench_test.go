@@ -851,6 +851,7 @@ func BenchmarkBlockStore(b *testing.B) {
 	}
 	for _, format := range []valfile.Format{valfile.FormatText, valfile.FormatBlock} {
 		b.Run(fmt.Sprintf("write/%s", format), func(b *testing.B) {
+			b.ReportAllocs()
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
 				path := fmt.Sprintf("%s/w%d.val", dir, i)
@@ -867,6 +868,7 @@ func BenchmarkBlockStore(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("read/%s", format), func(b *testing.B) {
+			b.ReportAllocs()
 			path := fmt.Sprintf("%s/r.val", b.TempDir())
 			if _, err := valfile.WriteAllFormat(path, vals, format); err != nil {
 				b.Fatal(err)

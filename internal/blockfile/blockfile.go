@@ -52,6 +52,13 @@ const (
 	// length field cannot force a multi-gigabyte allocation.
 	maxBlockPayload = 16 << 20
 
+	// maxRunBytes bounds the decoded bytes a reader materialises at
+	// once. Front coding lets a small payload expand quadratically
+	// (every record may repeat the whole previous value), so a block
+	// that decodes to more is decoded in several runs of about this
+	// size; a run always holds at least one value.
+	maxRunBytes = 1 << 20
+
 	// maxSections bounds the section directory for the same reason.
 	maxSections = 1024
 )

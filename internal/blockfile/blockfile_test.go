@@ -2,10 +2,12 @@ package blockfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -387,5 +389,145 @@ func TestLongValues(t *testing.T) {
 	got := readAll(t, path)
 	if len(got) != 3 || got[0] != vals[0] || got[2] != vals[2] {
 		t.Fatalf("long-value roundtrip failed: %d values", len(got))
+	}
+}
+
+// TestDecodeRuns: a block whose values share long prefixes decodes to
+// far more than its payload, so the reader decodes it in runs of about
+// maxRunBytes. The values and a damaged record's error position stay
+// those of the per-record reference.
+func TestDecodeRuns(t *testing.T) {
+	long := strings.Repeat("x", 2000)
+	vals := make([]string, 3000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("%s%05d", long, i)
+	}
+	path := writeFile(t, vals, Options{}, nil)
+	if got := readAll(t, path); !slices.Equal(got, vals) {
+		t.Fatalf("roundtrip: %d values out, %d in", len(got), len(vals))
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Next(); !ok || len(r.run) > maxRunBytes+len(vals[0]) {
+		t.Errorf("first run holds %d bytes, want at most %d", len(r.run), maxRunBytes+len(vals[0]))
+	}
+	r.Close()
+
+	// Raise the shared-prefix length of record k, well past the first
+	// run, above its predecessor's length (both fit a 2-byte varint).
+	const k = 900
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := b[headerSize+blockHeaderSize : headerSize+blockHeaderSize+int(u32(b[headerSize:]))]
+	pos := 0
+	for i := 0; i < k; i++ {
+		_, n1 := binary.Uvarint(payload[pos:])
+		suffixLen, n2 := binary.Uvarint(payload[pos+n1:])
+		pos += n1 + n2 + int(suffixLen)
+	}
+	binary.PutUvarint(payload[pos:], uint64(len(vals[k-1])+1))
+	putU32(b[headerSize+4:], crcOf(payload))
+	bad := filepath.Join(t.TempDir(), "bad.val")
+	if err := os.WriteFile(bad, b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeAll(bad, false)
+	if !slices.Equal(got, vals[:k]) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("delivered %d values, err %v; want %d values, then ErrCorrupt", len(got), err, k)
+	}
+	sameAsReference(t, bad)
+}
+
+// TestScanAllocsPerBlock pins the reader's allocation shape: a full
+// scan, Open included, allocates one decoded string per block, never
+// one per value.
+func TestScanAllocsPerBlock(t *testing.T) {
+	for _, n := range []int{10_000, 100_000} {
+		path := writeFile(t, genVals(n), Options{}, nil)
+		blocks := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			r, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := 0
+			for _, ok := r.Next(); ok; _, ok = r.Next() {
+				got++
+			}
+			if err := r.Err(); err != nil || got != n {
+				t.Fatalf("read %d of %d values: %v", got, n, err)
+			}
+			blocks = r.NumBlocks()
+		})
+		// Two per block: under -race the first record's comparison with
+		// the index copies its bytes, a conversion the compiler
+		// otherwise elides.
+		if limit := float64(2*blocks + 32); allocs > limit {
+			t.Errorf("%d values in %d blocks: %.0f allocations per scan, want at most %.0f", n, blocks, allocs, limit)
+		}
+	}
+}
+
+// TestDecodeErrorPosition damages block payloads behind valid checksums,
+// so the decoder's own checks must catch each defect. The values before
+// the bad record are delivered, then Err reports it, exactly as the
+// per-record reference decoder does.
+func TestDecodeErrorPosition(t *testing.T) {
+	// Two blocks of three values: "a" "b" "cc" | "d" "e" "f". No two
+	// values share a prefix, so each record is 00 len bytes.
+	vals := []string{"a", "b", "cc", "d", "e", "f"}
+	path := writeFile(t, vals, Options{TargetBlockSize: 10}, nil)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block0 := headerSize + blockHeaderSize
+	if want := []byte{0, 1, 'a', 0, 1, 'b', 0, 2, 'c', 'c'}; !bytes.Equal(orig[block0:block0+len(want)], want) {
+		t.Fatalf("unexpected first block payload % x", orig[block0:block0+len(want)])
+	}
+	block1 := block0 + 10 + blockHeaderSize
+	for _, tc := range []struct {
+		name    string
+		edits   map[int]byte // payload offset → new byte
+		want    []string
+		message string
+	}{
+		{"order", map[int]byte{block0 + 5: 'a'}, vals[:1], `value "a" not increasing after "a"`},
+		{"prefix", map[int]byte{block0 + 6: 2}, vals[:2], "prefix 2 exceeds previous value length 1"},
+		{"firstPrefix", map[int]byte{block0: 1}, nil, "first record has prefix 1"},
+		{"firstValue", map[int]byte{block0 + 2: 'A'}, nil, `first record "A" disagrees with index "a"`},
+		{"suffixOverrun", map[int]byte{block0 + 7: 3}, vals[:2], "bad suffix length"},
+		{"trailing", map[int]byte{block0 + 7: 1}, vals[:2], "1 trailing payload bytes"},
+		{"orderBeforeTrailing", map[int]byte{block0 + 7: 1, block0 + 8: 'a'}, vals[:2], `value "a" not increasing after "b"`},
+		{"crossBlock", map[int]byte{block0 + 8: 'e'}, []string{"a", "b", "ec"}, `value "d" not increasing after "ec"`},
+		{"laterBlock", map[int]byte{block1 + 5: 'd'}, vals[:4], `value "d" not increasing after "d"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := bytes.Clone(orig)
+			for at, v := range tc.edits {
+				b[at] = v
+			}
+			for _, off := range []int{block0, block1} {
+				hdr := b[off-blockHeaderSize : off]
+				putU32(hdr[4:8], crcOf(b[off:off+int(u32(hdr[0:4]))]))
+			}
+			p := filepath.Join(t.TempDir(), "bad.val")
+			if err := os.WriteFile(p, b, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeAll(p, false)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("delivered %q, want %q", got, tc.want)
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.message) {
+				t.Errorf("err = %v, want ErrCorrupt with %q", err, tc.message)
+			}
+			sameAsReference(t, p)
+		})
 	}
 }

@@ -2,6 +2,8 @@ package blockfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,7 +18,14 @@ import (
 //     silently different stream;
 //  3. hostile decode — the raw input itself opened as a block file
 //     must never panic, and anything it does return must be strictly
-//     increasing.
+//     increasing;
+//  4. resealed mutation — the flip lands in a block payload whose
+//     checksum is then recomputed, so the decoder's own checks, not
+//     the CRC, must catch it.
+//
+// On every damaged input (2–4) Reader must also agree with refDecoder,
+// the per-record decoder it replaced: the same values delivered, and an
+// error, with the same message, exactly where the reference errs.
 //
 // Together these are the invariants the rest of the pipeline assumes:
 // what the writer stores is what readers see, and damage is loud.
@@ -85,6 +94,23 @@ func FuzzBlockFile(f *testing.F) {
 					t.Fatalf("mutated file silently misread value %d: %q != %q", i, mgot[i], vals[i])
 				}
 			}
+			sameAsReference(t, mpath)
+
+			// (4) Resealed mutation: the same flip, with the CRC of the
+			// block it lands in recomputed.
+			if rmut, ok := resealedFlip(t, path, enc, int(mutPos)%len(enc), mutXor); ok {
+				rpath := filepath.Join(dir, "reseal.val")
+				if err := os.WriteFile(rpath, rmut, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				rgot, _ := scan(rpath)
+				for i := 1; i < len(rgot); i++ {
+					if rgot[i] <= rgot[i-1] {
+						t.Fatalf("resealed file decoded to non-increasing values %q, %q", rgot[i-1], rgot[i])
+					}
+				}
+				sameAsReference(t, rpath)
+			}
 		}
 
 		// (3) Hostile decode: the raw input as a file.
@@ -98,7 +124,200 @@ func FuzzBlockFile(f *testing.F) {
 				t.Fatalf("hostile input decoded to non-increasing values %q, %q", hvals[i-1], hvals[i])
 			}
 		}
+		sameAsReference(t, hpath)
 	})
+}
+
+// resealedFlip returns enc with enc[at] ^= xor and, when at falls in a
+// block payload, that block's checksum recomputed. ok is false when at
+// is outside every payload.
+func resealedFlip(t *testing.T, path string, enc []byte, at int, xor byte) ([]byte, bool) {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open of just-written file: %v", err)
+	}
+	defer r.Close()
+	for _, e := range r.index {
+		hdr := enc[e.off : e.off+blockHeaderSize]
+		lo, hi := int(e.off)+blockHeaderSize, int(e.off)+blockHeaderSize+int(u32(hdr[0:4]))
+		if at < lo || at >= hi {
+			continue
+		}
+		mut := bytes.Clone(enc)
+		mut[at] ^= xor
+		putU32(mut[e.off+4:e.off+8], crcOf(mut[lo:hi]))
+		return mut, true
+	}
+	return nil, false
+}
+
+// sameAsReference requires Reader and refDecoder to deliver the same
+// values from path and to stop with the same error (or none).
+func sameAsReference(t *testing.T, path string) {
+	t.Helper()
+	got, gerr := decodeAll(path, false)
+	want, werr := decodeAll(path, true)
+	if len(got) != len(want) {
+		t.Fatalf("Reader delivered %d values (err %v), reference %d (err %v)", len(got), gerr, len(want), werr)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("value %d: Reader %q, reference %q", i, got[i], want[i])
+		}
+	}
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("after %d values: Reader err %v, reference err %v", len(got), gerr, werr)
+	}
+}
+
+// decodeAll opens path and reads every value with Reader.Next, or with
+// refDecoder over the same open file when ref is set.
+func decodeAll(path string, ref bool) ([]string, error) {
+	r, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	next, errOf := r.Next, r.Err
+	if ref {
+		d := &refDecoder{r: r}
+		next, errOf = d.next, func() error { return d.err }
+	}
+	var out []string
+	for {
+		v, ok := next()
+		if !ok {
+			return out, errOf()
+		}
+		out = append(out, v)
+	}
+}
+
+// refDecoder is the per-record decoder Reader used before it decoded a
+// block at a time: a new payload buffer per block, one string per
+// value, and every check made as its record is decoded. It reads
+// through an open Reader's file and index, so only block decoding
+// differs between the two. One fix is carried over: the suffix bound
+// counts the length varint's own bytes, where the old decoder sliced
+// past the payload on a block whose checksum matched.
+type refDecoder struct {
+	r         *Reader
+	curBlock  int
+	payload   []byte
+	pos       int
+	remaining int
+	prev      string
+	havePrev  bool
+	err       error
+	done      bool
+}
+
+func (d *refDecoder) next() (string, bool) {
+	if d.err != nil || d.done {
+		return "", false
+	}
+	if d.remaining == 0 && !d.loadBlock() {
+		return "", false
+	}
+	return d.decodeRecord()
+}
+
+func (d *refDecoder) loadBlock() bool {
+	r := d.r
+	if d.curBlock >= len(r.index) {
+		d.done = true
+		return false
+	}
+	e := r.index[d.curBlock]
+	var hdr [blockHeaderSize]byte
+	if _, err := r.f.ReadAt(hdr[:], e.off); err != nil {
+		d.fail(err)
+		return false
+	}
+	payloadLen := int64(u32(hdr[0:4]))
+	wantCrc := u32(hdr[4:8])
+	cnt := int64(u32(hdr[8:12]))
+	if payloadLen > maxBlockPayload || e.off+blockHeaderSize+payloadLen > r.size-footerSize {
+		d.fail(corruptf("%s: block at %d: payload length %d out of bounds", r.path, e.off, payloadLen))
+		return false
+	}
+	if cnt != int64(e.count) {
+		d.fail(corruptf("%s: block at %d: header count %d disagrees with index count %d", r.path, e.off, cnt, e.count))
+		return false
+	}
+	payload := make([]byte, payloadLen)
+	if _, err := r.f.ReadAt(payload, e.off+blockHeaderSize); err != nil {
+		d.fail(err)
+		return false
+	}
+	if crcOf(payload) != wantCrc {
+		d.fail(corruptf("%s: block at %d: payload checksum mismatch", r.path, e.off))
+		return false
+	}
+	d.payload = payload
+	d.pos = 0
+	d.remaining = e.count
+	d.curBlock++
+	return true
+}
+
+func (d *refDecoder) decodeRecord() (string, bool) {
+	r := d.r
+	e := r.index[d.curBlock-1]
+	firstOfBlock := d.remaining == e.count
+	prefix, n1 := binary.Uvarint(d.payload[d.pos:])
+	if n1 <= 0 {
+		d.fail(corruptf("%s: block at %d: bad prefix varint", r.path, e.off))
+		return "", false
+	}
+	d.pos += n1
+	suffixLen, n2 := binary.Uvarint(d.payload[d.pos:])
+	if n2 <= 0 || suffixLen > uint64(len(d.payload)-d.pos-n2) {
+		d.fail(corruptf("%s: block at %d: bad suffix length", r.path, e.off))
+		return "", false
+	}
+	d.pos += n2
+	suffix := d.payload[d.pos : d.pos+int(suffixLen)]
+	d.pos += int(suffixLen)
+
+	var v string
+	if firstOfBlock {
+		if prefix != 0 {
+			d.fail(corruptf("%s: block at %d: first record has prefix %d", r.path, e.off, prefix))
+			return "", false
+		}
+		v = string(suffix)
+		if v != e.first {
+			d.fail(corruptf("%s: block at %d: first record %q disagrees with index %q", r.path, e.off, v, e.first))
+			return "", false
+		}
+	} else {
+		if !d.havePrev || prefix > uint64(len(d.prev)) {
+			d.fail(corruptf("%s: block at %d: prefix %d exceeds previous value length %d", r.path, e.off, prefix, len(d.prev)))
+			return "", false
+		}
+		v = d.prev[:prefix] + string(suffix)
+	}
+	if d.havePrev && v <= d.prev {
+		d.fail(corruptf("%s: block at %d: value %q not increasing after %q", r.path, e.off, v, d.prev))
+		return "", false
+	}
+	d.remaining--
+	if d.remaining == 0 && d.pos != len(d.payload) {
+		d.fail(corruptf("%s: block at %d: %d trailing payload bytes", r.path, e.off, len(d.payload)-d.pos))
+		return "", false
+	}
+	d.prev = v
+	d.havePrev = true
+	return v, true
+}
+
+func (d *refDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.done = true
 }
 
 // deriveValues turns fuzz bytes into a sorted, distinct value list

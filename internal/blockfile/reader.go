@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
 
 // Reader iterates a block-format file in value order. Open validates
@@ -22,15 +24,21 @@ type Reader struct {
 	count   int64
 	max     string
 
-	// Iteration state.
-	curBlock  int    // next index entry to load
-	payload   []byte // current decoded block payload
-	pos       int    // cursor into payload
-	remaining int    // records left in the current block
-	prev      string // last value returned (front-coding base)
-	havePrev  bool   // prev holds a decoded value
-	err       error
-	done      bool
+	// Iteration state. A block's payload is read into buf and decoded
+	// in runs: each run is one string holding its values back to back,
+	// and Next hands out substrings of it.
+	curBlock int     // next index entry to load
+	buf      []byte  // current block's payload; reused across blocks
+	pos      int     // offset of the next undecoded record in buf
+	left     int     // records of the current block not yet decoded
+	run      string  // decoded values of the current run
+	ends     []int32 // ends[i] is the end offset of value i in run; reused
+	next     int     // index of the next value to deliver
+	runErr   error   // the error at record len(ends), surfaced when Next gets there
+	prev     string  // last decoded value (front-coding base)
+	havePrev bool    // prev holds a decoded value
+	err      error
+	done     bool
 
 	bytes  int64
 	closed bool
@@ -192,20 +200,29 @@ func (r *Reader) parseIndex(idx []byte, indexOff int64) error {
 }
 
 // Next returns the next value in order, or false at the end of the
-// file or on error (check Err).
+// file or on error (check Err). The value is a substring of the string
+// its run of the block decoded into, so keeping it keeps that run alive
+// (at most maxRunBytes plus one value).
 func (r *Reader) Next() (string, bool) {
 	if r.err != nil || r.done {
 		return "", false
 	}
-	if r.remaining == 0 {
-		if !r.loadBlock() {
+	for r.next == len(r.ends) {
+		if r.runErr != nil {
+			r.fail(r.runErr)
 			return "", false
 		}
+		if r.left == 0 && !r.loadBlock() {
+			return "", false
+		}
+		r.decodeRun()
 	}
-	v, ok := r.decodeRecord()
-	if !ok {
-		return "", false
+	start := 0
+	if r.next > 0 {
+		start = int(r.ends[r.next-1])
 	}
+	v := r.run[start:r.ends[r.next]]
+	r.next++
 	return v, true
 }
 
@@ -231,76 +248,108 @@ func (r *Reader) loadBlock() bool {
 		r.fail(corruptf("%s: block at %d: header count %d disagrees with index count %d", r.path, e.off, cnt, e.count))
 		return false
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := r.f.ReadAt(payload, e.off+blockHeaderSize); err != nil {
+	r.buf = slices.Grow(r.buf[:0], int(payloadLen))[:payloadLen]
+	if _, err := r.f.ReadAt(r.buf, e.off+blockHeaderSize); err != nil {
 		r.fail(err)
 		return false
 	}
-	if crcOf(payload) != wantCrc {
+	if crcOf(r.buf) != wantCrc {
 		r.fail(corruptf("%s: block at %d: payload checksum mismatch", r.path, e.off))
 		return false
 	}
 	r.bytes += int64(blockHeaderSize + payloadLen)
-	r.payload = payload
 	r.pos = 0
-	r.remaining = e.count
+	r.left = e.count
+	r.ends = slices.Grow(r.ends[:0], e.count)
 	r.curBlock++
 	return true
 }
 
-func (r *Reader) decodeRecord() (string, bool) {
+// decodeRun decodes the next records of the current block into one
+// string of exact size: a first pass checks each record's framing and
+// sums the value lengths, a second fills the string and checks order.
+// It stops after maxRunBytes, so a hostile block whose records repeat
+// long prefixes cannot force one huge allocation. A record that fails a
+// check ends the run; the values before it are delivered first, and
+// runErr surfaces when Next reaches it.
+func (r *Reader) decodeRun() {
 	e := r.index[r.curBlock-1]
-	firstOfBlock := r.remaining == e.count
-	prefix, n1 := binary.Uvarint(r.payload[r.pos:])
-	if n1 <= 0 {
-		r.fail(corruptf("%s: block at %d: bad prefix varint", r.path, e.off))
-		return "", false
-	}
-	r.pos += n1
-	suffixLen, n2 := binary.Uvarint(r.payload[r.pos:])
-	if n2 <= 0 || suffixLen > uint64(len(r.payload)-r.pos) {
-		r.fail(corruptf("%s: block at %d: bad suffix length", r.path, e.off))
-		return "", false
-	}
-	r.pos += n2
-	suffix := r.payload[r.pos : r.pos+int(suffixLen)]
-	r.pos += int(suffixLen)
+	p := r.buf
+	r.ends, r.next = r.ends[:0], 0
 
-	var v string
-	if firstOfBlock {
-		// The first record of every block is self-contained so blocks
-		// decode independently of one another.
-		if prefix != 0 {
-			r.fail(corruptf("%s: block at %d: first record has prefix %d", r.path, e.off, prefix))
-			return "", false
+	// Pass 1: framing, prefix bounds, the first record, trailing bytes.
+	pos, total, prevLen := r.pos, 0, len(r.prev)
+	var tailErr error
+	for r.left > len(r.ends) && (total < maxRunBytes || len(r.ends) == 0) {
+		prefix, n1 := binary.Uvarint(p[pos:])
+		if n1 <= 0 {
+			r.runErr = corruptf("%s: block at %d: bad prefix varint", r.path, e.off)
+			break
 		}
-		v = string(suffix)
-		if v != e.first {
-			r.fail(corruptf("%s: block at %d: first record %q disagrees with index %q", r.path, e.off, v, e.first))
-			return "", false
+		pos += n1
+		suffixLen, n2 := binary.Uvarint(p[pos:])
+		if n2 <= 0 || suffixLen > uint64(len(p)-pos-n2) {
+			r.runErr = corruptf("%s: block at %d: bad suffix length", r.path, e.off)
+			break
 		}
-	} else {
-		if !r.havePrev || prefix > uint64(len(r.prev)) {
-			r.fail(corruptf("%s: block at %d: prefix %d exceeds previous value length %d", r.path, e.off, prefix, len(r.prev)))
-			return "", false
+		pos += n2
+		suffix := p[pos : pos+int(suffixLen)]
+		pos += int(suffixLen)
+		if r.left-len(r.ends) == e.count {
+			// The first record of every block is self-contained so
+			// blocks decode independently of one another.
+			if prefix != 0 {
+				r.runErr = corruptf("%s: block at %d: first record has prefix %d", r.path, e.off, prefix)
+				break
+			}
+			if string(suffix) != e.first {
+				r.runErr = corruptf("%s: block at %d: first record %q disagrees with index %q", r.path, e.off, string(suffix), e.first)
+				break
+			}
+		} else if prefix > uint64(prevLen) {
+			r.runErr = corruptf("%s: block at %d: prefix %d exceeds previous value length %d", r.path, e.off, prefix, prevLen)
+			break
 		}
-		v = r.prev[:prefix] + string(suffix)
+		prevLen = int(prefix) + len(suffix)
+		total += prevLen
+		r.ends = append(r.ends, int32(total))
+		if r.left == len(r.ends) && pos != len(p) {
+			// Reported after the record's order check, as a record
+			// that fails both is reported for its order.
+			tailErr = corruptf("%s: block at %d: %d trailing payload bytes", r.path, e.off, len(p)-pos)
+		}
 	}
-	// Strictly-increasing check against the last decoded value. The
-	// first record has nothing to compare to; cross-block first-value
-	// order is already enforced by the index.
-	if r.havePrev && v <= r.prev {
-		r.fail(corruptf("%s: block at %d: value %q not increasing after %q", r.path, e.off, v, r.prev))
-		return "", false
+
+	// Pass 2: fill the string. Strictly increasing against the last
+	// value; the common prefix is equal, so comparing the suffix with
+	// the rest of the previous value decides it. A block's first record
+	// is compared with the previous block's last value.
+	var b strings.Builder
+	b.Grow(total)
+	pos, start := r.pos, 0
+	for i, end := range r.ends {
+		prefix, n1 := binary.Uvarint(p[pos:])
+		suffixLen, n2 := binary.Uvarint(p[pos+n1:])
+		pos += n1 + n2
+		suffix := p[pos : pos+int(suffixLen)]
+		pos += int(suffixLen)
+		if r.havePrev && string(suffix) <= r.prev[prefix:] {
+			r.runErr = corruptf("%s: block at %d: value %q not increasing after %q", r.path, e.off, r.prev[:prefix]+string(suffix), r.prev)
+			r.ends = r.ends[:i]
+			break
+		}
+		b.WriteString(r.prev[:prefix])
+		b.Write(suffix)
+		r.prev, r.havePrev = b.String()[start:end], true
+		start = int(end)
 	}
-	r.remaining--
-	if r.remaining == 0 && r.pos != len(r.payload) {
-		r.fail(corruptf("%s: block at %d: %d trailing payload bytes", r.path, e.off, len(r.payload)-r.pos))
-		return "", false
+	if r.runErr == nil && tailErr != nil {
+		r.runErr = tailErr
+		r.ends = r.ends[:len(r.ends)-1]
 	}
-	r.prev = v
-	r.havePrev = true
-	return v, true
+	r.pos = pos
+	r.left -= len(r.ends)
+	r.run = b.String()
 }
 
 func (r *Reader) fail(err error) {
@@ -381,13 +430,16 @@ func (r *Reader) Close() error {
 }
 
 // uvarintReader decodes a sequence of uvarints and length-prefixed
-// strings from a byte slice without panicking on truncation.
+// strings from a byte slice without panicking on truncation. The
+// strings are substrings of one copy of the slice, so the index's
+// first values and max cost one allocation, not one per block.
 type uvarintReader struct {
 	b   []byte
+	s   string // b, copied once
 	pos int
 }
 
-func newUvarintReader(b []byte) *uvarintReader { return &uvarintReader{b: b} }
+func newUvarintReader(b []byte) *uvarintReader { return &uvarintReader{b: b, s: string(b)} }
 
 func (u *uvarintReader) next() (uint64, bool) {
 	v, n := binary.Uvarint(u.b[u.pos:])
@@ -403,7 +455,7 @@ func (u *uvarintReader) str() (string, bool) {
 	if !ok || n > uint64(len(u.b)-u.pos) {
 		return "", false
 	}
-	s := string(u.b[u.pos : u.pos+int(n)])
+	s := u.s[u.pos : u.pos+int(n)]
 	u.pos += int(n)
 	return s, true
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spider/internal/blockfile"
 	"spider/internal/datagen"
 	"spider/internal/relstore"
 	"spider/internal/store"
@@ -587,5 +588,55 @@ func TestPartialThresholdCardinalityBound(t *testing.T) {
 	}
 	if len(res.Satisfied) != 1 || res.Satisfied[0].Missing != 5 || res.Satisfied[0].Coverage != 0.95 {
 		t.Errorf("partial IND not found: %+v", res.Satisfied)
+	}
+}
+
+// TestSpiderMergeAllocsPerBlock pins the merge's allocation shape over
+// block files: a SpiderMerge that reads every value of three
+// block-format sets allocates in proportion to the blocks it reads, not
+// to the values.
+func TestSpiderMergeAllocsPerBlock(t *testing.T) {
+	for _, n := range []int{10_000, 100_000} {
+		dir := t.TempDir()
+		ds := store.NewFS(dir, valfile.FormatBlock)
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("value/%08d", i)
+		}
+		attrs := make([]*Attribute, 3)
+		blocks := 0
+		for i := range attrs {
+			attrs[i] = &Attribute{ID: i, Distinct: n, NonNull: n, Rows: n}
+			if _, _, err := stageSorted(ds, attrs[i], fmt.Sprintf("a%d.val", i), vals, int64(n), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			r, err := blockfile.Open(filepath.Join(dir, attrs[i].Key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks += r.NumBlocks()
+			r.Close()
+		}
+		cands := allPairs(attrs)
+		var read int64
+		allocs := testing.AllocsPerRun(3, func() {
+			var counter valfile.ReadCounter
+			res, err := SpiderMerge(cands, SpiderMergeOptions{Store: ds, Counter: &counter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Satisfied) != len(cands) {
+				t.Fatalf("%d of %d candidates satisfied", len(res.Satisfied), len(cands))
+			}
+			read = counter.Total()
+		})
+		if read != int64(3*n) {
+			t.Fatalf("merge read %d items, want %d", read, 3*n)
+		}
+		// Two per block, as in blockfile's TestScanAllocsPerBlock: -race
+		// adds one.
+		if limit := float64(2*blocks + 200); allocs > limit {
+			t.Errorf("%d values in %d blocks: %.0f allocations per merge, want at most %.0f", read, blocks, allocs, limit)
+		}
 	}
 }

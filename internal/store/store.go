@@ -40,6 +40,13 @@ func CheckKey(key string) error {
 // increasing order. Next returns ok=false at end of stream or on
 // error, distinguished by Err. Close releases underlying resources and
 // must be called exactly once by the opener.
+//
+// Values are immutable strings that a caller may keep past Close. A
+// block-format cursor's values are substrings of one string per
+// decoded block, so keeping one value keeps its block (at most one
+// decoded block) alive; a caller that keeps a few values of a large set
+// should strings.Clone them. indserved's staging keeps whole sets, so
+// it pins nothing extra.
 type Cursor interface {
 	Next() (v string, ok bool)
 	Err() error

@@ -13,6 +13,11 @@
 // block magic starts with '\n', a byte no non-empty text file can start
 // with — so every consumer works on either format unchanged.
 //
+// Values a Reader returns stay valid after Close. A block-format
+// Reader decodes each block into one string and returns substrings of
+// it, so a kept value keeps its block's decoded values (at most one
+// decoded block) alive; the text Reader allocates each value on its own.
+//
 // Readers count every item delivered; the counters regenerate the paper's
 // Figure 5 (number of items read, brute force vs single pass) and, since
 // the block format landed, also tally raw bytes read so the formats'
