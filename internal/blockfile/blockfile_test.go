@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -442,6 +443,50 @@ func TestDecodeRuns(t *testing.T) {
 	sameAsReference(t, bad)
 }
 
+// TestHugeHeaderCount gives a one-value block a record count of 2³²−1
+// in its header, the index and the footer, every checksum valid. The
+// count agrees everywhere, so only the payload can refute it: the
+// reader must fail where the reference does, once the payload runs
+// out, without allocating in proportion to the claimed count.
+func TestHugeHeaderCount(t *testing.T) {
+	orig, err := os.ReadFile(writeFile(t, []string{"a"}, Options{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1<<32 - 1
+	ftr := bytes.Clone(orig[len(orig)-footerSize:])
+	indexOff := int(u64(ftr[0:8]))
+	idx := []byte{1, headerSize, 1, 1, 'a', 1, 'a'} // blocks, off, count, first, max
+	if !bytes.Equal(orig[indexOff:len(orig)-footerSize], idx) {
+		t.Fatalf("unexpected index % x", orig[indexOff:len(orig)-footerSize])
+	}
+	idx = binary.AppendUvarint([]byte{1, headerSize}, huge)
+	idx = append(idx, 1, 'a', 1, 'a')
+	putU64(ftr[8:16], uint64(len(idx)))
+	putU32(ftr[16:20], crcOf(idx))
+	putU64(ftr[36:44], huge)
+	putU32(ftr[44:48], crcOf(ftr[:44]))
+	b := append(bytes.Clone(orig[:indexOff]), idx...)
+	b = append(b, ftr...)
+	putU32(b[headerSize+8:headerSize+12], huge)
+	p := filepath.Join(t.TempDir(), "huge.val")
+	if err := os.WriteFile(p, b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := decodeAll(p, false)
+	runtime.ReadMemStats(&after)
+	if !slices.Equal(got, []string{"a"}) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad prefix varint") {
+		t.Errorf("delivered %q, err %v; want [a], then ErrCorrupt with bad prefix varint", got, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("decoding allocated %d bytes, want at most 1 MiB", n)
+	}
+	sameAsReference(t, p)
+}
+
 // TestScanAllocsPerBlock pins the reader's allocation shape: a full
 // scan, Open included, allocates one decoded string per block, never
 // one per value.
@@ -464,10 +509,7 @@ func TestScanAllocsPerBlock(t *testing.T) {
 			}
 			blocks = r.NumBlocks()
 		})
-		// Two per block: under -race the first record's comparison with
-		// the index copies its bytes, a conversion the compiler
-		// otherwise elides.
-		if limit := float64(2*blocks + 32); allocs > limit {
+		if limit := float64(allocsPerBlock*blocks + 32); allocs > limit {
 			t.Errorf("%d values in %d blocks: %.0f allocations per scan, want at most %.0f", n, blocks, allocs, limit)
 		}
 	}

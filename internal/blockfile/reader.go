@@ -260,7 +260,9 @@ func (r *Reader) loadBlock() bool {
 	r.bytes += int64(blockHeaderSize + payloadLen)
 	r.pos = 0
 	r.left = e.count
-	r.ends = slices.Grow(r.ends[:0], e.count)
+	// Every record takes at least two payload bytes, so the payload,
+	// not the header's count, bounds the offsets a block can need.
+	r.ends = slices.Grow(r.ends[:0], min(e.count, int(payloadLen)/2+1))
 	r.curBlock++
 	return true
 }

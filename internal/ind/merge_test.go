@@ -633,9 +633,7 @@ func TestSpiderMergeAllocsPerBlock(t *testing.T) {
 		if read != int64(3*n) {
 			t.Fatalf("merge read %d items, want %d", read, 3*n)
 		}
-		// Two per block, as in blockfile's TestScanAllocsPerBlock: -race
-		// adds one.
-		if limit := float64(2*blocks + 200); allocs > limit {
+		if limit := float64(allocsPerBlock*blocks + 120); allocs > limit {
 			t.Errorf("%d values in %d blocks: %.0f allocations per merge, want at most %.0f", read, blocks, allocs, limit)
 		}
 	}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package ind
+
+// allocsPerBlock is the allocations a block-format scan may make per
+// block: the one string its values are decoded into.
+const allocsPerBlock = 1
