@@ -11,16 +11,56 @@ import (
 
 // This file is the cross-backend acceptance property: every discovery
 // mode must return the identical IND set whichever storage backend
-// holds the sorted value sets — files in either encoding, plain
-// memory, a read-only snapshot, or the per-call memory of the spill
-// backend. The backends differ in where bytes live, never in values
-// delivered.
+// holds the sorted value sets — block files, plain memory, a read-only
+// snapshot, or the per-call memory of the spill backend. The backends
+// differ in where bytes live, never in values delivered.
+
+// adversarialDatabase exercises the storage edge cases: values
+// containing newlines, NUL bytes (the tuple separator escape), values
+// starting with the block magic bytes, empty strings, and long shared
+// prefixes (the front-coding path).
+func adversarialDatabase(t *testing.T) *Database {
+	t.Helper()
+	db := NewDatabase("adversarial")
+	prefix := "shared/prefix/that/front/codes/away/"
+	parent := [][]string{
+		{"", "\nSPB"}, // empty value; block-magic leading bytes
+		{"a\nb", "line\nbreak"},
+		{"nul\x00byte", "x"},
+		{prefix + "0001", prefix + "0002"},
+		{prefix + "0003", "BPS\n"},
+		{"1", "plain"},
+		{"3", "z"},
+	}
+	child := [][]string{
+		{"", prefix + "0001"},
+		{"a\nb", prefix + "0003"},
+		{"1", ""},
+		{"3", "a\nb"},
+	}
+	if err := db.AddTable("parent", []string{"id", "code"}, parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTable("child", []string{"pid", "pcode"}, child); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// formatDatabases are the property test's subjects: the adversarial
+// schema plus a paper-shaped dataset with real IND structure.
+func formatDatabases(t *testing.T) map[string]func() *Database {
+	t.Helper()
+	return map[string]func() *Database{
+		"adversarial": func() *Database { return adversarialDatabase(t) },
+		"uniprot":     func() *Database { return GenerateUniProt(DatasetConfig{Scale: 0.05}) },
+	}
+}
 
 // storeBackends returns one fresh Store per backend under test.
 func storeBackends() map[string]func() *Store {
 	return map[string]func() *Store{
-		"fs-text":  func() *Store { return NewFSStore("", FormatText) },
-		"fs-block": func() *Store { return NewFSStore("", FormatBlock) },
+		"fs-block": func() *Store { return NewFSStore("") },
 		"mem":      func() *Store { return NewMemStore() },
 		"snapshot": func() *Store { return NewSnapshotStore() },
 		"spill":    func() *Store { return NewSpillStore() },
@@ -48,9 +88,7 @@ func TestExactINDsIdenticalAcrossBackends(t *testing.T) {
 					if !reflect.DeepEqual(got.INDs, want.INDs) {
 						t.Errorf("%s: INDs = %v, want %v", label, got.INDs, want.INDs)
 					}
-					// Spill cursors count only bytes read from run files;
-					// value sets that fit the sort buffer read none.
-					if got.Stats.BytesRead == 0 && len(got.INDs) > 0 && backend != "spill" {
+					if got.Stats.BytesRead == 0 && len(got.INDs) > 0 {
 						t.Errorf("%s: BytesRead = 0 with results delivered", label)
 					}
 				}
@@ -131,6 +169,71 @@ func TestEmbeddedINDsIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
+// The format tests below pin the deprecated format arguments
+// (Options.Format, NaryOptions.Format and NewFSStore's format) as
+// unread: on the fs backend every discovery mode must find the
+// identical INDs and read the identical bytes whether a caller leaves
+// them unset, as every caller in this module does, or passes
+// FormatBlock, as perfbench/ does. The …AcrossBackends tests above
+// check the INDs themselves against the in-memory reference. All of
+// these go with the deprecated names (ROADMAP item 1).
+
+// sameForFormatArgs runs one discovery mode on each database of
+// formatDatabases, once with the format arguments unset and once with
+// FormatBlock, and requires identical outcomes.
+func sameForFormatArgs(t *testing.T, run func(db *Database, format Format) (any, error)) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("dataset generation in -short mode")
+	}
+	for name, mk := range formatDatabases(t) {
+		t.Run(name, func(t *testing.T) {
+			unset, err := run(mk(), 0)
+			if err != nil {
+				t.Fatalf("unset: %v", err)
+			}
+			block, err := run(mk(), FormatBlock)
+			if err != nil {
+				t.Fatalf("FormatBlock: %v", err)
+			}
+			if !reflect.DeepEqual(unset, block) {
+				t.Errorf("with FormatBlock: %v, unset: %v", block, unset)
+			}
+		})
+	}
+}
+
+func TestExactINDsIdenticalAcrossFormats(t *testing.T) {
+	sameForFormatArgs(t, func(db *Database, format Format) (any, error) {
+		r, err := FindINDs(db, Options{Algorithm: SpiderMerge, Format: format, Store: NewFSStore("", format)})
+		if err != nil {
+			return nil, err
+		}
+		return []any{r.INDs, r.Stats.BytesRead}, nil
+	})
+}
+
+func TestPartialINDsIdenticalAcrossFormats(t *testing.T) {
+	sameForFormatArgs(t, func(db *Database, format Format) (any, error) {
+		got, stats, err := FindPartialINDs(db, PartialOptions{Threshold: 0.5, Algorithm: SpiderMerge, Store: NewFSStore("", format)})
+		return []any{got, stats.BytesRead}, err
+	})
+}
+
+func TestNaryINDsIdenticalAcrossFormats(t *testing.T) {
+	sameForFormatArgs(t, func(db *Database, format Format) (any, error) {
+		got, stats, err := FindNaryINDs(db, NaryOptions{MaxArity: 3, Algorithm: SpiderMerge, Format: format, Store: NewFSStore("", format)})
+		return []any{got, stats.BytesReadByArity}, err
+	})
+}
+
+func TestEmbeddedINDsIdenticalAcrossFormats(t *testing.T) {
+	sameForFormatArgs(t, func(db *Database, format Format) (any, error) {
+		got, stats, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: SpiderMerge, Store: NewFSStore("", format)})
+		return []any{got, stats.BytesRead}, err
+	})
+}
+
 // TestSnapshotBackendConcurrentReaders runs concurrent FindINDs calls
 // that share one snapshot store: each stages into the shared memory
 // and reads through its own snapshot of it while the others write, and
@@ -181,7 +284,7 @@ func TestEmbeddedDerivedSetsShareTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{BruteForce, SpiderMerge} {
-		got, _, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: algo, Store: NewFSStore(dir, FormatText)})
+		got, _, err := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: algo, Store: NewFSStore(dir)})
 		if err != nil {
 			t.Fatal(err)
 		}

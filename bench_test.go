@@ -284,7 +284,7 @@ func BenchmarkExportWorkers(b *testing.B) {
 					cp := *a
 					attrs[j] = &cp
 				}
-				out := store.NewFS(b.TempDir(), valfile.FormatText)
+				out := store.NewFS(b.TempDir())
 				if err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{Dataset: out, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
@@ -838,100 +838,75 @@ func uniprotCSVDir(b *testing.B) (string, int64) {
 	return dir, csvBytes
 }
 
-// --- Columnar block store: text vs block encoding ------------------------
+// --- Columnar block store --------------------------------------------------
 
 // BenchmarkBlockStore times writing and scanning one sorted value file
-// in each encoding over a prefix-heavy value population (the shape of
-// accession numbers and encoded tuples). bytes/value reports the on-disk
-// or read I/O cost per delivered value.
+// over a prefix-heavy value population (the shape of accession numbers
+// and encoded tuples). bytes/value reports the on-disk or read I/O cost
+// per delivered value.
 func BenchmarkBlockStore(b *testing.B) {
 	vals := make([]string, 100_000)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("sg_accession/P%07d/rev-%03d", i/7, i%7)
 	}
-	for _, format := range []valfile.Format{valfile.FormatText, valfile.FormatBlock} {
-		b.Run(fmt.Sprintf("write/%s", format), func(b *testing.B) {
-			b.ReportAllocs()
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				path := fmt.Sprintf("%s/w%d.val", dir, i)
-				if _, err := valfile.WriteAllFormat(path, vals, format); err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					fi, err := os.Stat(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(fi.Size())/float64(len(vals)), "bytes/value")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("read/%s", format), func(b *testing.B) {
-			b.ReportAllocs()
-			path := fmt.Sprintf("%s/r.val", b.TempDir())
-			if _, err := valfile.WriteAllFormat(path, vals, format); err != nil {
+	write := func(b *testing.B, path string) {
+		w, err := store.CreateFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range vals {
+			if err := w.Append(v); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var counter valfile.ReadCounter
-				r, err := valfile.Open(path, &counter)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("write/block", func(b *testing.B) {
+		b.ReportAllocs()
+		dir := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			path := fmt.Sprintf("%s/w%d.val", dir, i)
+			write(b, path)
+			if i == b.N-1 {
+				fi, err := os.Stat(path)
 				if err != nil {
 					b.Fatal(err)
 				}
-				n := 0
-				for {
-					if _, ok := r.Next(); !ok {
-						break
-					}
-					n++
-				}
-				if err := r.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if n != len(vals) {
-					b.Fatalf("read %d values, want %d", n, len(vals))
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(counter.TotalBytes())/float64(n), "bytes/value")
-				}
+				b.ReportMetric(float64(fi.Size())/float64(len(vals)), "bytes/value")
 			}
-		})
-	}
-}
-
-// BenchmarkNaryFormat runs the merge-backed n-ary engine in both value
-// file encodings: tuplebytes/op is the raw I/O of the encoded-tuple
-// levels (arity ≥ 2), the stream the front-coded block format exists to
-// shrink — encoded tuples share the long prefixes of their components.
-func BenchmarkNaryFormat(b *testing.B) {
-	ds := benchDataset(b, "uniprot")
-	for _, format := range []valfile.Format{valfile.FormatText, valfile.FormatBlock} {
-		b.Run(format.String(), func(b *testing.B) {
-			fs := store.NewFS(b.TempDir(), format)
-			for i := 0; i < b.N; i++ {
-				res, err := ind.DiscoverNary(ds.DB, ind.NaryOptions{
-					MaxArity:  3,
-					Algorithm: ind.NaryMerge,
-					Scratch:   fs,
-					Store:     fs,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					var tupleBytes int64
-					for arity := 2; arity < len(res.Stats.BytesReadByArity); arity++ {
-						tupleBytes += res.Stats.BytesReadByArity[arity]
-					}
-					b.ReportMetric(float64(tupleBytes), "tuplebytes/op")
-					b.ReportMetric(float64(res.Stats.BytesRead), "bytes/op")
-					b.ReportMetric(float64(len(res.Satisfied)), "nary-INDs")
-				}
+		}
+	})
+	b.Run("read/block", func(b *testing.B) {
+		b.ReportAllocs()
+		path := fmt.Sprintf("%s/r.val", b.TempDir())
+		write(b, path)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var counter valfile.ReadCounter
+			r, err := store.OpenFile(path, &counter)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			n := 0
+			for {
+				if _, ok := r.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if err := r.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if n != len(vals) {
+				b.Fatalf("read %d values, want %d", n, len(vals))
+			}
+			if i == b.N-1 {
+				b.ReportMetric(float64(counter.TotalBytes())/float64(n), "bytes/value")
+			}
+		}
+	})
 }
 
 // BenchmarkEmbeddedMerge times embedded-IND discovery (the Sec 7
@@ -979,7 +954,7 @@ func BenchmarkEmbeddedMerge(b *testing.B) {
 
 // BenchmarkStoreBackends runs the full extraction + spider-merge
 // pipeline on UniProt with each storage backend holding the sorted
-// value sets: files in both encodings, plain memory, and a read-only
+// value sets: block files, plain memory, and a read-only
 // snapshot over memory. Same INDs everywhere; the spread is the cost of
 // where the bytes live.
 func BenchmarkStoreBackends(b *testing.B) {
@@ -988,8 +963,7 @@ func BenchmarkStoreBackends(b *testing.B) {
 		name  string
 		store func(dir string) *Store
 	}{
-		{"fs-text", func(dir string) *Store { return NewFSStore(dir, FormatText) }},
-		{"fs-block", func(dir string) *Store { return NewFSStore(dir, FormatBlock) }},
+		{"fs-block", func(dir string) *Store { return NewFSStore(dir) }},
 		{"mem", func(string) *Store { return NewMemStore() }},
 		{"snapshot", func(string) *Store { return NewSnapshotStore() }},
 	} {

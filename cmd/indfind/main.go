@@ -36,7 +36,6 @@ func main() {
 	embedded := flag.Bool("embedded", false, "also discover embedded INDs (transformed values; -algo spider-merge selects the merge-front engine)")
 	workDir := flag.String("workdir", "", "directory for sorted value files (temporary when empty)")
 	backendName := flag.String("backend", "fs", "storage backend for extracted value sets: fs|mem|snapshot|spill (mem/snapshot/spill never write value files; spill drops its sets when the run returns)")
-	formatName := flag.String("format", "text", "value-file encoding: text|block (block = columnar binary with front coding)")
 	sketchOn := flag.Bool("sketch", false, "enable the sketch pre-filter (min-hash + bloom; sound on the exact path)")
 	sketchContainment := flag.Float64("sketch-containment", 0,
 		"also prune candidates with estimated containment below this bound (approximate; 0 = off on the exact path, σ on the partial path)")
@@ -57,13 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	format, err := spider.ParseFormat(*formatName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
-		os.Exit(1)
-	}
-
-	backend, err := spider.ParseBackend(*backendName, *workDir, format)
+	backend, err := spider.ParseBackend(*backendName, *workDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
 		os.Exit(1)
@@ -88,7 +81,6 @@ func main() {
 			SketchMinContainment:    *sketchContainment,
 			SketchK:                 *sketchK,
 			SketchBloomBitsPerValue: *sketchBloomBits,
-			Format:                  format,
 			Store:                   backend,
 		})
 		if err != nil {
@@ -114,7 +106,6 @@ func main() {
 		SketchMinContainment:    *sketchContainment,
 		SketchK:                 *sketchK,
 		SketchBloomBitsPerValue: *sketchBloomBits,
-		Format:                  format,
 		Store:                   backend,
 	})
 	if err != nil {
@@ -146,7 +137,6 @@ func main() {
 			Algorithm:     naryAlgo,
 			WorkDir:       *workDir,
 			ExportWorkers: *exportWorkers,
-			Format:        format,
 			Store:         backend,
 			// Per-level progress arrives as each level finishes, not after
 			// the whole search: long levels report while later ones run.
@@ -179,7 +169,6 @@ func main() {
 		embINDs, embStats, err := spider.FindEmbeddedINDsWith(db, spider.EmbeddedOptions{
 			Algorithm: embAlgo,
 			WorkDir:   *workDir,
-			Format:    format,
 			Store:     backend,
 		})
 		if err != nil {

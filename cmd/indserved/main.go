@@ -5,9 +5,9 @@
 //	indfind -csv ./data -algo spider-merge -sketch -workdir ./run -out ./run/INDS.json
 //	indserved -addr 127.0.0.1:8080 -dataset mydata=./run
 //
-// Each -dataset names a directory of exported value files (text or
-// block encoding, auto-detected) holding the result set the batch run
-// wrote (INDS.json by default; override per dataset with -inds). The
+// Each -dataset names a directory of exported block value files (a text
+// export converts with valconvert -format block -dir) holding the
+// result set the batch run wrote (INDS.json by default; override per dataset with -inds). The
 // daemon copies every value set into memory once at startup and
 // answers:
 //

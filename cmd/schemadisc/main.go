@@ -26,7 +26,7 @@ func main() {
 	backendName := flag.String("backend", "fs", "storage backend for the IND discovery pass: fs|mem|snapshot|spill")
 	flag.Parse()
 
-	backend, err := spider.ParseBackend(*backendName, "", spider.FormatText)
+	backend, err := spider.ParseBackend(*backendName, "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schemadisc: %v\n", err)
 		os.Exit(1)

@@ -1,16 +1,19 @@
-// Command valconvert converts sorted value files between the text
-// encoding (escaped newline-separated values) and the columnar block
-// encoding (front-coded blocks, checksums, embedded sections):
+// Command valconvert converts sorted value files between the block
+// encoding every dataset reads and writes (front-coded blocks,
+// checksums, embedded sections) and the text interchange encoding (one
+// value per line, backslash and newline escaped):
 //
 //	valconvert file.val                    # flip the detected encoding in place
 //	valconvert -format block -dir export/  # convert a whole export directory
 //	valconvert -verify -out b.val a.val    # convert to a new path, re-checked
 //	valconvert -backend mem -verify a.val  # stage in memory, write nothing
 //
-// Sketch payloads move with the file: a .sketch sidecar becomes the
-// embedded SKCH section on text→block, and the SKCH section becomes a
-// sidecar on block→text. Embedded run metadata (RUNM) has no text
-// representation and is dropped with a notice.
+// Text exports from before block became the only encoding must be
+// converted with -format block before indfind or indserved read them.
+// On text→block, a <file>.sketch sidecar, which such exports carry,
+// becomes the embedded SKCH section (and is removed when converting in
+// place). block→text writes values only: every section is dropped with
+// a notice.
 package main
 
 import (
@@ -26,6 +29,57 @@ import (
 	"spider/internal/store"
 	"spider/internal/valfile"
 )
+
+// sidecarSuffix names the sketch file a text export keeps next to a
+// value file.
+const sidecarSuffix = ".sketch"
+
+// encoding is a value file's encoding.
+type encoding int
+
+const (
+	encText encoding = iota
+	encBlock
+)
+
+func (e encoding) String() string {
+	if e == encBlock {
+		return "block"
+	}
+	return "text"
+}
+
+func parseEncoding(s string) (encoding, error) {
+	switch s {
+	case "text":
+		return encText, nil
+	case "block":
+		return encBlock, nil
+	default:
+		return 0, fmt.Errorf("unknown format %q (want text or block)", s)
+	}
+}
+
+// detect reports the encoding of the file at path from its first bytes.
+// The text encoding escapes every newline inside a value, so a text
+// file matches the block magic "\nSPB" only when its first value is
+// empty and its second starts with "SPB"; such a file reads as block.
+func detect(path string) (encoding, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var magic [4]byte
+	n, err := f.ReadAt(magic[:], 0)
+	if err != nil && err != io.EOF {
+		return 0, err
+	}
+	if blockfile.HasMagic(magic[:n]) {
+		return encBlock, nil
+	}
+	return encText, nil
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -54,11 +108,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown backend %q (want fs or mem)", *backendName)
 	}
 
-	var target valfile.Format
+	var target encoding
 	haveTarget := *formatName != ""
 	if haveTarget {
 		var err error
-		target, err = valfile.ParseFormat(*formatName)
+		target, err = parseEncoding(*formatName)
 		if err != nil {
 			return err
 		}
@@ -89,11 +143,14 @@ func run(args []string, out io.Writer) error {
 		}
 		tgt := target
 		if !haveTarget {
-			detected, err := valfile.DetectFormat(src)
+			detected, err := detect(src)
 			if err != nil {
 				return err
 			}
-			tgt = flip(detected)
+			tgt = encBlock
+			if detected == encBlock {
+				tgt = encText
+			}
 		}
 		if err := convertFile(src, dst, tgt, *verify, stageInMem, out); err != nil {
 			return fmt.Errorf("%s: %w", src, err)
@@ -102,27 +159,27 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// flip returns the other encoding.
-func flip(f valfile.Format) valfile.Format {
-	if f == valfile.FormatText {
-		return valfile.FormatBlock
-	}
-	return valfile.FormatText
-}
-
 // convertDir converts every .val file under dir (recursively) to the
-// target format in place. Files already in the target format are left
-// untouched.
-func convertDir(dir string, target valfile.Format, verify, stageInMem bool, out io.Writer) error {
+// target encoding in place. Files already in the target encoding are
+// left untouched; one that only looks like a block file fails here, so
+// -dir never reports success on a file the store cannot open.
+func convertDir(dir string, target encoding, verify, stageInMem bool, out io.Writer) error {
 	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".val") {
 			return err
 		}
-		have, err := valfile.DetectFormat(path)
+		have, err := detect(path)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if have == target {
+			if target == encBlock {
+				c, err := store.OpenFile(path, nil)
+				if err != nil {
+					return fmt.Errorf("%s: starts with the block magic but is not a readable block file: %w", path, err)
+				}
+				c.Close()
+			}
 			return nil
 		}
 		if err := convertFile(path, path, target, verify, stageInMem, out); err != nil {
@@ -132,70 +189,58 @@ func convertDir(dir string, target valfile.Format, verify, stageInMem bool, out 
 	})
 }
 
+// openValues opens the value file at path in the given encoding.
+func openValues(path string, enc encoding) (store.Cursor, error) {
+	var (
+		c   store.Cursor
+		err error
+	)
+	if enc == encBlock {
+		c, err = store.OpenFile(path, nil)
+	} else {
+		c, err = openText(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // convertFile streams src into a freshly written dst in the target
-// format, migrating sketch payloads across the sidecar/section boundary.
-// The output lands in a temp file first and replaces dst only after it
-// is complete (and, with verify, proven value-identical to the source).
-// With stageInMem the converted value set only ever exists in an
-// in-memory dataset: the pipeline (including verify) runs end to end,
-// then reports and discards — nothing on disk changes.
-func convertFile(src, dst string, target valfile.Format, verify, stageInMem bool, out io.Writer) error {
-	source, err := valfile.DetectFormat(src)
+// encoding, carrying sketch payloads across the sidecar/section
+// boundary. The output lands in a temp file first and replaces dst only
+// after it is complete (and, with verify, proven value-identical to the
+// source). With stageInMem the converted value set only ever exists in
+// an in-memory dataset: the pipeline (including verify) runs end to
+// end, then reports and discards — nothing on disk changes.
+func convertFile(src, dst string, target encoding, verify, stageInMem bool, out io.Writer) error {
+	source, err := detect(src)
 	if err != nil {
 		return err
 	}
-
-	if stageInMem {
-		mem := store.NewMem()
-		w, err := mem.Create(dst)
-		if err != nil {
-			return err
-		}
-		n, err := copyValues(src, w)
-		if err != nil {
-			w.Close()
-			return err
-		}
-		// The mem backend carries any section, so nothing is dropped and
-		// no sidecar is needed: every payload lands in the section map.
-		if err := migrateSections(src, source, w, valfile.FormatBlock, "", out); err != nil {
-			w.Close()
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		if verify {
-			ra, err := store.OpenFile(src, nil)
-			if err != nil {
-				return err
-			}
-			defer ra.Close()
-			rb, err := mem.Open(dst, nil)
-			if err != nil {
-				return err
-			}
-			defer rb.Close()
-			if err := compareCursors(ra, rb); err != nil {
-				return fmt.Errorf("verify: %w", err)
-			}
-		}
-		fmt.Fprintf(out, "%s: %s → %s (%d values, staged in memory, not written)\n", dst, source, target, n)
-		return nil
+	var (
+		w   store.ValueWriter
+		mem *store.Mem
+		tmp = dst + ".convert.tmp"
+	)
+	switch {
+	case stageInMem:
+		mem = store.NewMem()
+		w, err = mem.Create(dst)
+	case target == encBlock:
+		w, err = store.CreateFile(tmp)
+	default:
+		w, err = createText(tmp)
 	}
-
-	tmp := dst + ".convert.tmp"
-	defer os.Remove(tmp)
-	w, err := store.CreateFile(tmp, target)
 	if err != nil {
 		return err
 	}
-	n, err := copyValues(src, w)
-	if err != nil {
-		w.Close()
-		return err
+	if !stageInMem {
+		defer os.Remove(tmp)
 	}
-	if err := migrateSections(src, source, w, target, dst, out); err != nil {
+	// Block files and the mem backend carry any section; text drops them.
+	n, err := copyValues(src, source, w, stageInMem || target == encBlock, out)
+	if err != nil {
 		w.Close()
 		return err
 	}
@@ -204,25 +249,43 @@ func convertFile(src, dst string, target valfile.Format, verify, stageInMem bool
 	}
 
 	if verify {
-		if err := compareValues(src, tmp); err != nil {
+		var rb store.Cursor
+		if stageInMem {
+			rb, err = mem.Open(dst, nil)
+		} else {
+			rb, err = openValues(tmp, target)
+		}
+		if err != nil {
+			return err
+		}
+		err = compareWith(src, source, rb)
+		rb.Close()
+		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
+	}
+	if stageInMem {
+		fmt.Fprintf(out, "%s: %s → %s (%d values, staged in memory, not written)\n", dst, source, target, n)
+		return nil
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		return err
 	}
 	// In-place text→block: the sidecar's payload now lives inside the
-	// block file; leaving it would shadow the embedded copy.
-	if src == dst && source == valfile.FormatText && target == valfile.FormatBlock {
-		os.Remove(src + ".sketch")
+	// block file, so the sidecar goes.
+	if src == dst && source == encText && target == encBlock {
+		os.Remove(src + sidecarSuffix)
 	}
 	fmt.Fprintf(out, "%s: %s → %s (%d values)\n", dst, source, target, n)
 	return nil
 }
 
-// copyValues streams every value of src into w.
-func copyValues(src string, w store.ValueWriter) (int, error) {
-	r, err := store.OpenFile(src, nil)
+// copyValues streams every value of src into w, then its sections: with
+// keepSections a text source's sketch sidecar and a block source's
+// embedded sections go to w; without, every embedded section is dropped
+// with a notice.
+func copyValues(src string, source encoding, w store.ValueWriter, keepSections bool, out io.Writer) (int, error) {
+	r, err := openValues(src, source)
 	if err != nil {
 		return 0, err
 	}
@@ -236,71 +299,48 @@ func copyValues(src string, w store.ValueWriter) (int, error) {
 			return 0, err
 		}
 	}
-	return w.Len(), r.Err()
-}
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
 
-// migrateSections carries sketch payloads across the conversion: a
-// sidecar file feeds the SKCH section on text→block, embedded sections
-// feed the block output or (SKCH only) a sidecar on block→text.
-func migrateSections(src string, source valfile.Format, w store.ValueWriter, target valfile.Format, dst string, out io.Writer) error {
-	if source == valfile.FormatText {
-		if target != valfile.FormatBlock {
-			return nil
+	if source == encText {
+		if !keepSections {
+			return w.Len(), nil
 		}
-		data, err := os.ReadFile(src + ".sketch")
+		data, err := os.ReadFile(src + sidecarSuffix)
 		if os.IsNotExist(err) {
-			return nil
+			return w.Len(), nil
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return w.SetSection(valfile.SketchSection, data)
+		return w.Len(), w.SetSection(valfile.SketchSection, data)
 	}
-	br, err := blockfile.Open(src)
-	if err != nil {
-		return err
-	}
-	defer br.Close()
-	for _, tag := range br.Sections() {
-		data, _, err := br.Section(tag)
-		if err != nil {
-			return err
-		}
-		switch {
-		case target == valfile.FormatBlock:
-			if err := w.SetSection(tag, data); err != nil {
-				return err
-			}
-		case tag == valfile.SketchSection:
-			if err := os.WriteFile(dst+".sketch", data, 0o644); err != nil {
-				return err
-			}
-		default:
+	fc := r.(*store.FileCursor)
+	for _, tag := range fc.Sections() {
+		if !keepSections {
 			fmt.Fprintf(out, "%s: dropping %s section (no text representation)\n", src, tag)
+			continue
+		}
+		data, _, err := fc.Section(tag)
+		if err != nil {
+			return 0, err
+		}
+		if err := w.SetSection(tag, data); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	return w.Len(), nil
 }
 
-// compareValues re-reads both files and fails on the first diverging
-// value, extra value, or missing value.
-func compareValues(a, b string) error {
-	ra, err := store.OpenFile(a, nil)
+// compareWith re-reads src and fails on the first value where it and
+// rb diverge, or on a value one of them lacks.
+func compareWith(src string, source encoding, rb store.Cursor) error {
+	ra, err := openValues(src, source)
 	if err != nil {
 		return err
 	}
 	defer ra.Close()
-	rb, err := store.OpenFile(b, nil)
-	if err != nil {
-		return err
-	}
-	defer rb.Close()
-	return compareCursors(ra, rb)
-}
-
-// compareCursors drains two cursors in lockstep and fails on the first
-// divergence.
-func compareCursors(ra, rb store.Cursor) error {
 	for i := 0; ; i++ {
 		va, oka := ra.Next()
 		vb, okb := rb.Next()

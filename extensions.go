@@ -63,9 +63,6 @@ type PartialOptions struct {
 	// package defaults).
 	SketchK                 int
 	SketchBloomBitsPerValue int
-	// Format selects the on-disk encoding of exported value files; see
-	// Options.Format.
-	Format Format
 	// Store selects the dataset backend; see Options.Store.
 	Store *Store
 	// MaxValuePretest is NOT applied: a dependent maximum above the
@@ -91,7 +88,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: partial IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -216,8 +213,7 @@ type NaryOptions struct {
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in.
 	LevelProgress func(NaryLevelProgress)
-	// Format selects the on-disk encoding of the sorted value and tuple
-	// files; see Options.Format.
+	// Deprecated: unread; perfbench/ still sets it.
 	Format Format
 	// Store selects the dataset backend for SpiderMerge's unary seed
 	// value sets and per-level encoded tuple sets; see Options.Store.
@@ -245,9 +241,8 @@ type NaryStats struct {
 	CandidatesByArity []int
 	SatisfiedByArity  []int
 	ItemsReadByArity  []int64
-	// BytesReadByArity counts the raw value-file bytes pulled per level;
-	// it is the per-arity breakdown of Stats.BytesRead and the metric
-	// that compares the text and block encodings' tuple-stream I/O.
+	// BytesReadByArity counts the raw value-set bytes pulled per level;
+	// it is the per-arity breakdown of Stats.BytesRead.
 	BytesReadByArity []int64
 	LevelDurations   []time.Duration
 	// Truncated reports that a level exceeded the candidate cap; the
@@ -275,7 +270,7 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	default:
 		return nil, NaryStats{}, fmt.Errorf("spider: n-ary discovery supports InMemory or SpiderMerge, not %v", opts.Algorithm)
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
 	if err != nil {
 		return nil, NaryStats{}, err
 	}
@@ -344,9 +339,6 @@ type EmbeddedOptions struct {
 	Algorithm Algorithm
 	// WorkDir roots the fs backend; see Options.WorkDir.
 	WorkDir string
-	// Format selects the on-disk encoding of the exported and derived
-	// value files; see Options.Format.
-	Format Format
 	// Store selects the dataset backend; see Options.Store. The
 	// exported value sets and the derived ones (keys derived_*) share
 	// it.
@@ -373,7 +365,7 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	if opts.Algorithm == SpiderMerge {
 		engine = ind.EmbeddedMerge
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
 	if err != nil {
 		return nil, Stats{}, err
 	}

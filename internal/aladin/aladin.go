@@ -21,7 +21,6 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/store"
-	"spider/internal/valfile"
 )
 
 // Source is one imported data source (pipeline step 1).
@@ -107,7 +106,7 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 	nextID := 0
 	// Attribute IDs are unique across sources, and so are the keys
 	// derived from them: every source shares one dataset.
-	ds := store.NewFS(cfg.WorkDir, valfile.FormatText)
+	ds := store.NewFS(cfg.WorkDir)
 
 	for _, src := range sources {
 		if src.DB == nil {

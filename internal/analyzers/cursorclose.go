@@ -9,7 +9,7 @@ import (
 )
 
 // CursorClose enforces the resource invariant behind every engine:
-// a Cursor, store.ValueWriter, valfile.Reader/Writer or
+// a Cursor, store.ValueWriter, store.FileCursor or
 // blockfile.Reader/Writer obtained in a function must be released on
 // every path — closed (or discarded) before each return, or
 // handed off to an owner (returned, stored in a field/map, passed to
@@ -31,7 +31,7 @@ var CursorClose = &framework.Analyzer{
 	Name: "cursorclose",
 	Doc: `cursors and value-set writers must be closed on all paths
 
-Module types with a Close or Discard method (ind.Cursor, valfile.Reader,
+Module types with a Close or Discard method (ind.Cursor, store.FileCursor,
 blockfile.Reader, blockfile.Writer, store.ValueWriter, ...) obtained
 from a call must be released before every
 subsequent return, or escape to a returned/stored owner. Assigning one

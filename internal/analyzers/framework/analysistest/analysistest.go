@@ -8,7 +8,7 @@
 // against the standard library. Expectations are written on the line
 // they apply to:
 //
-//	r, _ := valfile.Open(path, nil) // want `never closed`
+//	r, _ := store.OpenFile(path, nil) // want `never closed`
 //
 // Each backquoted or double-quoted argument is a regexp that must match
 // one diagnostic reported on that line; diagnostics and expectations

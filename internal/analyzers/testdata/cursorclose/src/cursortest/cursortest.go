@@ -6,18 +6,17 @@ import (
 	"spider/internal/blockfile"
 	"spider/internal/extsort"
 	"spider/internal/store"
-	"spider/internal/valfile"
 )
 
 // leakOnErrorPath is the seeded bug class: the defer Close that should
 // follow the first open was removed, so the second open's error return
 // leaks the first reader.
 func leakOnErrorPath(a, b string) error {
-	ra, err := valfile.Open(a, nil)
+	ra, err := store.OpenFile(a, nil)
 	if err != nil {
 		return err // ra is nil on its own failure check: clean
 	}
-	rb, err := valfile.Open(b, nil)
+	rb, err := store.OpenFile(b, nil)
 	if err != nil {
 		return err // want `ra may not be closed on this return path`
 	}
@@ -28,12 +27,12 @@ func leakOnErrorPath(a, b string) error {
 
 // closedProperly is the same shape with the defers where they belong.
 func closedProperly(a, b string) error {
-	ra, err := valfile.Open(a, nil)
+	ra, err := store.OpenFile(a, nil)
 	if err != nil {
 		return err
 	}
 	defer ra.Close()
-	rb, err := valfile.Open(b, nil)
+	rb, err := store.OpenFile(b, nil)
 	if err != nil {
 		return err
 	}
@@ -41,24 +40,26 @@ func closedProperly(a, b string) error {
 	return nil
 }
 
-// neverClosed acquires a reader, uses it, and forgets it entirely.
-func neverClosed(path string) int64 {
-	r, err := valfile.Open(path, nil) // want `r is never closed in this function`
+// neverClosed acquires a cursor through the blessed pass-through,
+// uses it, and forgets it entirely.
+func neverClosed(path string) (string, error) {
+	r, err := store.OpenFile(path, nil) // want `r is never closed in this function and never escapes to an owner`
 	if err != nil {
-		return 0
+		return "", err
 	}
-	return r.Read()
+	v, _ := r.Next()
+	return v, nil
 }
 
 // blankDiscard can never close what it throws away.
 func blankDiscard(path string) {
-	_, err := valfile.Open(path, nil) // want `result discarded with _`
+	_, err := store.OpenFile(path, nil) // want `result discarded with _`
 	_ = err
 }
 
 // escapesToCaller hands ownership out through the return value.
-func escapesToCaller(path string) (*valfile.Reader, error) {
-	r, err := valfile.Open(path, nil)
+func escapesToCaller(path string) (*store.FileCursor, error) {
+	r, err := store.OpenFile(path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -66,8 +67,8 @@ func escapesToCaller(path string) (*valfile.Reader, error) {
 }
 
 // handedToOwner transfers ownership to a callee.
-func handedToOwner(path string, own func(*valfile.Reader)) error {
-	r, err := valfile.Open(path, nil)
+func handedToOwner(path string, own func(*store.FileCursor)) error {
+	r, err := store.OpenFile(path, nil)
 	if err != nil {
 		return err
 	}
@@ -77,7 +78,7 @@ func handedToOwner(path string, own func(*valfile.Reader)) error {
 
 // deferredInClosure releases through a deferred function literal.
 func deferredInClosure(path string) error {
-	r, err := valfile.Open(path, nil)
+	r, err := store.OpenFile(path, nil)
 	if err != nil {
 		return err
 	}
@@ -209,15 +210,4 @@ func datasetWriterNeverClosed(key string) error {
 func datasetWriterHandoff(key string) (store.ValueWriter, error) {
 	mem := store.NewMem()
 	return mem.Create(key)
-}
-
-// passthroughLeak acquires through the blessed pass-through and never
-// releases.
-func passthroughLeak(path string) (string, error) {
-	r, err := store.OpenFile(path, nil) // want `r is never closed in this function and never escapes to an owner`
-	if err != nil {
-		return "", err
-	}
-	v, _ := r.Next()
-	return v, nil
 }

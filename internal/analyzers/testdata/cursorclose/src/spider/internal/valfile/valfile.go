@@ -1,14 +1,6 @@
 // Package valfile is a fixture stub mirroring spider/internal/valfile:
-// just enough surface for cursorclose to recognize its closeable types.
+// the read counter the store stub's signatures name.
 package valfile
-
-// Reader mirrors the sorted value-file reader.
-type Reader struct{}
-
-func (r *Reader) Next() (string, bool) { return "", false }
-func (r *Reader) Read() int64          { return 0 }
-func (r *Reader) Err() error           { return nil }
-func (r *Reader) Close() error         { return nil }
 
 // ReadCounter mirrors the shared read counter.
 type ReadCounter struct{ n int64 }
@@ -20,6 +12,3 @@ func (c *ReadCounter) Total() int64 {
 	}
 	return c.n
 }
-
-// Open mirrors the real constructor's (closeable, error) shape.
-func Open(path string, counter *ReadCounter) (*Reader, error) { return &Reader{}, nil }

@@ -1,55 +1,34 @@
 // Package ind exercises storeseam outside the allowed packages: every
-// gated valfile entry point must be flagged, format plumbing must not.
+// gated blockfile entry point must be flagged, format plumbing must not.
 package ind
 
-import "spider/internal/valfile"
+import "spider/internal/blockfile"
 
 func openDirect(path string) error {
-	r, err := valfile.Open(path, nil) // want `direct valfile\.Open call outside internal/store`
+	r, err := blockfile.Open(path) // want `direct blockfile\.Open call outside internal/store; .* store\.OpenFile or FileSection pass-through`
 	if err != nil {
 		return err
 	}
 	return r.Close()
 }
 
-func createDirect(path string, format valfile.Format) error {
-	if _, err := valfile.Create(path); err != nil { // want `direct valfile\.Create call outside internal/store`
-		return err
-	}
-	w, err := valfile.CreateFormat(path, format) // want `direct valfile\.CreateFormat call outside internal/store`
+func createDirect(path string) error {
+	w, err := blockfile.Create(path, blockfile.Options{}) // want `direct blockfile\.Create call outside internal/store; .* store\.CreateFile pass-through`
 	if err != nil {
 		return err
 	}
 	return w.Close()
 }
 
-func bulkDirect(path string, vals []string, format valfile.Format) error {
-	if _, err := valfile.WriteAll(path, vals); err != nil { // want `direct valfile\.WriteAll call outside internal/store`
-		return err
-	}
-	if _, err := valfile.WriteAllFormat(path, vals, format); err != nil { // want `direct valfile\.WriteAllFormat call outside internal/store`
-		return err
-	}
-	if _, err := valfile.ReadAll(path); err != nil { // want `direct valfile\.ReadAll call outside internal/store; .* store\.OpenFile pass-through`
-		return err
-	}
-	_, _, err := valfile.ReadSection(path, "SKCH") // want `direct valfile\.ReadSection call outside internal/store`
-	return err
-}
-
-// formatPlumbing inspects encodings without opening a stream: allowed.
-func formatPlumbing(path, name string) error {
-	if _, err := valfile.ParseFormat(name); err != nil {
-		return err
-	}
-	_, err := valfile.DetectFormat(path)
-	return err
+// formatPlumbing inspects bytes without opening a stream: allowed.
+func formatPlumbing(head []byte) bool {
+	return blockfile.HasMagic(head)
 }
 
 // suppressed documents a justified escape hatch.
 func suppressed(path string) error {
 	//lint:indlint-ignore storeseam fixture proves the directive works
-	r, err := valfile.Open(path, nil)
+	r, err := blockfile.Open(path)
 	if err != nil {
 		return err
 	}

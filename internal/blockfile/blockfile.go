@@ -7,14 +7,15 @@
 // together.
 //
 // The format is documented in README.md next to this file. Layering:
-// blockfile knows nothing about valfile, sketches or sorting — it
-// stores ordered byte strings and opaque sections. valfile wraps it
-// behind the Format seam and owns the read counters.
+// blockfile knows nothing about datasets, sketches or sorting — it
+// stores ordered byte strings and opaque sections. internal/store opens
+// and creates these files and owns the read counting.
 //
-// The first magic byte is '\n' (0x0A). The legacy text format escapes
-// every newline inside a value, so a non-empty text value file can
-// never begin with 0x0A — sniffing the first four bytes therefore
-// classifies the two formats exactly, not heuristically.
+// The magic is checked first, so a file in another encoding fails with
+// ErrNoMagic. Its first byte is '\n' (0x0A): the text interchange
+// encoding of cmd/valconvert escapes every newline inside a value, so a
+// text file starts with 0x0A only when its first value is empty, and
+// matches the whole magic only when its second value starts with "SPB".
 package blockfile
 
 import (
@@ -67,7 +68,7 @@ const (
 // unknown tags are preserved by readers and the valconvert tool.
 const (
 	// SectionSketch holds a sketch.Encode payload (KMV minima + bloom
-	// filter) for the attribute, replacing the .sketch sidecar file.
+	// filter) for the attribute.
 	SectionSketch = "SKCH"
 	// SectionRunMeta holds staging provenance for the file: values
 	// observed before dedup and the number of spill runs merged (0 for
@@ -80,6 +81,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt wraps every structural decoding failure so callers can
 // distinguish a damaged file from an I/O error.
 var ErrCorrupt = errors.New("blockfile: corrupt file")
+
+// ErrNoMagic reports a file that does not start with Magic: not a
+// damaged block file but one in another encoding. It wraps ErrCorrupt.
+var ErrNoMagic = fmt.Errorf("%w: no block-format magic", ErrCorrupt)
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -19,9 +19,10 @@ import (
 //  3. hostile decode — the raw input itself opened as a block file
 //     must never panic, and anything it does return must be strictly
 //     increasing;
-//  4. resealed mutation — the flip lands in a block payload whose
-//     checksum is then recomputed, so the decoder's own checks, not
-//     the CRC, must catch it.
+//  4. resealed mutation — the flip lands in a block payload, the block
+//     index or the section directory, and the checksum covering it is
+//     then recomputed (with the footer's own), so the decoder's and
+//     Open's own checks, not the CRC, must catch it.
 //
 // On every damaged input (2–4) Reader must also agree with refDecoder,
 // the per-record decoder it replaced: the same values delivered, and an
@@ -96,21 +97,9 @@ func FuzzBlockFile(f *testing.F) {
 			}
 			sameAsReference(t, mpath)
 
-			// (4) Resealed mutation: the same flip, with the CRC of the
-			// block it lands in recomputed.
-			if rmut, ok := resealedFlip(t, path, enc, int(mutPos)%len(enc), mutXor); ok {
-				rpath := filepath.Join(dir, "reseal.val")
-				if err := os.WriteFile(rpath, rmut, 0o666); err != nil {
-					t.Fatal(err)
-				}
-				rgot, _ := scan(rpath)
-				for i := 1; i < len(rgot); i++ {
-					if rgot[i] <= rgot[i-1] {
-						t.Fatalf("resealed file decoded to non-increasing values %q, %q", rgot[i-1], rgot[i])
-					}
-				}
-				sameAsReference(t, rpath)
-			}
+			// (4) Resealed mutation: the same flip, with the CRC
+			// covering it recomputed.
+			checkResealed(t, path, enc, int(mutPos)%len(enc), mutXor)
 		}
 
 		// (3) Hostile decode: the raw input as a file.
@@ -128,9 +117,53 @@ func FuzzBlockFile(f *testing.F) {
 	})
 }
 
-// resealedFlip returns enc with enc[at] ^= xor and, when at falls in a
-// block payload, that block's checksum recomputed. ok is false when at
-// is outside every payload.
+// checkResealed writes enc with enc[at] ^= xor resealed (see
+// resealedFlip) next to path and requires what any damaged input must
+// give: strictly increasing values and the reference decoder's values
+// and error, never a panic.
+func checkResealed(t *testing.T, path string, enc []byte, at int, xor byte) {
+	t.Helper()
+	rmut, ok := resealedFlip(t, path, enc, at, xor)
+	if !ok {
+		return
+	}
+	rpath := filepath.Join(filepath.Dir(path), "reseal.val")
+	if err := os.WriteFile(rpath, rmut, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	rgot, _ := scan(rpath)
+	for i := 1; i < len(rgot); i++ {
+		if rgot[i] <= rgot[i-1] {
+			t.Fatalf("resealed file decoded to non-increasing values %q, %q", rgot[i-1], rgot[i])
+		}
+	}
+	sameAsReference(t, rpath)
+}
+
+// TestResealedIndexAndDirectory flips every byte of a multi-block
+// file's block index and section directory, resealed, so each of
+// Open's index and directory checks meets damage its checksum cannot
+// catch.
+func TestResealedIndexAndDirectory(t *testing.T) {
+	path := writeFile(t, genVals(40), Options{TargetBlockSize: 128},
+		map[string][]byte{SectionSketch: []byte("sketchy"), SectionRunMeta: []byte("meta")})
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftr := enc[len(enc)-footerSize:]
+	dirOff, indexEnd := int(u64(ftr[20:28])), int(u64(ftr[0:8])+u64(ftr[8:16]))
+	for at := dirOff; at < indexEnd; at++ {
+		for _, xor := range []byte{0x01, 0x80, 0xFF} {
+			checkResealed(t, path, enc, at, xor)
+		}
+	}
+}
+
+// resealedFlip returns enc with enc[at] ^= xor and the checksum that
+// covers at recomputed: a block's, or the footer's checksum of the block
+// index or of the section directory, followed by the footer's own. ok
+// is false when at is outside all of them.
 func resealedFlip(t *testing.T, path string, enc []byte, at int, xor byte) ([]byte, bool) {
 	t.Helper()
 	r, err := Open(path)
@@ -138,18 +171,30 @@ func resealedFlip(t *testing.T, path string, enc []byte, at int, xor byte) ([]by
 		t.Fatalf("Open of just-written file: %v", err)
 	}
 	defer r.Close()
+	mut := bytes.Clone(enc)
+	mut[at] ^= xor
 	for _, e := range r.index {
 		hdr := enc[e.off : e.off+blockHeaderSize]
 		lo, hi := int(e.off)+blockHeaderSize, int(e.off)+blockHeaderSize+int(u32(hdr[0:4]))
-		if at < lo || at >= hi {
-			continue
+		if at >= lo && at < hi {
+			putU32(mut[e.off+4:e.off+8], crcOf(mut[lo:hi]))
+			return mut, true
 		}
-		mut := bytes.Clone(enc)
-		mut[at] ^= xor
-		putU32(mut[e.off+4:e.off+8], crcOf(mut[lo:hi]))
-		return mut, true
 	}
-	return nil, false
+	// The regions come from the intact footer: at may lie in the footer.
+	orig, ftr := enc[len(enc)-footerSize:], mut[len(mut)-footerSize:]
+	indexOff, indexEnd := int(u64(orig[0:8])), int(u64(orig[0:8])+u64(orig[8:16]))
+	dirOff, dirEnd := int(u64(orig[20:28])), int(u64(orig[20:28]))+int(u32(orig[28:32]))*dirEntrySize
+	switch {
+	case at >= indexOff && at < indexEnd:
+		putU32(ftr[16:20], crcOf(mut[indexOff:indexEnd]))
+	case at >= dirOff && at < dirEnd:
+		putU32(ftr[32:36], crcOf(mut[dirOff:dirEnd]))
+	default:
+		return nil, false
+	}
+	putU32(ftr[44:48], crcOf(ftr[:44]))
+	return mut, true
 }
 
 // sameAsReference requires Reader and refDecoder to deliver the same

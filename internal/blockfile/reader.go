@@ -2,6 +2,7 @@ package blockfile
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"slices"
@@ -64,16 +65,19 @@ func (r *Reader) load() error {
 		return err
 	}
 	r.size = fi.Size()
-	if r.size < headerSize+footerSize {
-		return corruptf("%s: %d bytes is smaller than header+footer", r.path, r.size)
-	}
 
+	// The magic comes first, so that a file in another encoding of any
+	// length, the empty file included, fails with ErrNoMagic.
 	var hdr [headerSize]byte
-	if _, err := r.f.ReadAt(hdr[:], 0); err != nil {
+	n, err := r.f.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
 		return err
 	}
-	if !HasMagic(hdr[:]) {
-		return corruptf("%s: bad magic", r.path)
+	if !HasMagic(hdr[:n]) {
+		return fmt.Errorf("%w: %s", ErrNoMagic, r.path)
+	}
+	if r.size < headerSize+footerSize {
+		return corruptf("%s: %d bytes is smaller than header+footer", r.path, r.size)
 	}
 	r.version = hdr[4]
 	if r.version == 0 || r.version > Version {

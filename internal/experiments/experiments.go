@@ -115,7 +115,7 @@ func BuildDataset(name string, cfg Config, opts ind.GenOptions) (*Dataset, error
 		ds.workDir = tmp
 		ds.cleanup = true
 	}
-	ds.Store = store.NewFS(ds.workDir, valfile.FormatText)
+	ds.Store = store.NewFS(ds.workDir)
 	attrs, err := ind.Prepare(db, ind.ExportConfig{Dataset: ds.Store})
 	if err != nil {
 		ds.Close()

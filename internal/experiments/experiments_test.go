@@ -9,7 +9,6 @@ import (
 
 	"spider/internal/ind"
 	"spider/internal/store"
-	"spider/internal/valfile"
 )
 
 // Table 1 shape (Sec 2.2): all SQL variants agree on satisfied counts per
@@ -350,7 +349,7 @@ func TestParallelExportMatchesSequential(t *testing.T) {
 	}
 	defer par.Close()
 	dir := t.TempDir()
-	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dataset: store.NewFS(dir, valfile.FormatText), Workers: 8}); err != nil {
+	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dataset: store.NewFS(dir), Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Attrs) != len(par.Attrs) {

@@ -20,12 +20,12 @@ import (
 	"spider/internal/valfile"
 )
 
-// Config is kept for the option fields that still carry one. Only
-// Format is read, and only by the n-ary engine, for its value files;
-// the Sorter reads neither field.
+// Config is kept for the option fields that still carry one; nothing
+// reads either field.
 type Config struct {
 	TempDir string
-	Format  valfile.Format
+	// Deprecated: unread; perfbench/ still sets it.
+	Format valfile.Format
 }
 
 // Sorter accumulates values in memory and produces their sorted

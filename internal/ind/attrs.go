@@ -121,8 +121,7 @@ type ExportConfig struct {
 	// Sketches additionally builds each attribute's pre-filter sketch
 	// (KMV min-hash signature + partitioned bloom filter) in the same
 	// streaming pass, observing each distinct value once as it is
-	// staged. The sketch is persisted as a section of the value set
-	// (a sketch.FileSuffix sidecar next to text value files).
+	// staged. The sketch is persisted as a section of the value set.
 	Sketches bool
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
@@ -210,8 +209,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig) erro
 	// each distinct value is observed exactly once, so the builder does
 	// per-distinct work instead of per-row work. The finished sketch is
 	// staged as a section of the value set itself: block files embed it,
-	// text files persist the byte-identical sidecar, memory datasets
-	// keep the payload in their section map.
+	// memory datasets keep the payload in their section map.
 	builder, observe := sketchObserver(cfg, a)
 	var sections func(store.ValueWriter) error
 	if builder != nil {
@@ -239,8 +237,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig) erro
 // under key through Create and points a at it — the one way a sorted
 // value set enters a dataset. observe (may be nil) sees every value in
 // order, the run metadata (added is the number of values vals was
-// deduplicated from) rides along as a section (backends that cannot
-// carry it, like the text encoding, drop it), and sections (may be nil)
+// deduplicated from) rides along as a section, and sections (may be nil)
 // attaches further sections once the stream is complete. On error the
 // key is removed. It returns the distinct count and the maximum value
 // ("" when empty).
@@ -287,8 +284,7 @@ func abortStaging(ds store.Dataset, key string, w store.ValueWriter, err error) 
 
 // LoadSketches fills Attribute.Sketch from the sketches persisted in
 // ds: the SketchSection staged next to each value set (embedded in
-// block-format value files, sidecars next to text files, the section
-// map of memory datasets); ds is required. Attributes without an
+// block value files, in the section map of memory datasets); ds is required. Attributes without an
 // exported value set or without a persisted sketch are skipped; a
 // present but unreadable sketch is an error.
 func LoadSketches(ds store.Dataset, attrs []*Attribute) error {

@@ -19,7 +19,7 @@ import (
 // and spill backends of the public API all stage into a store.Mem).
 func stagingBackends(t *testing.T) map[string]store.Dataset {
 	return map[string]store.Dataset{
-		"fs":  store.NewFS(t.TempDir(), valfile.FormatBlock),
+		"fs":  store.NewFS(t.TempDir()),
 		"mem": store.NewMem(),
 	}
 }
@@ -107,7 +107,7 @@ func TestStageSortedRejectsUnsorted(t *testing.T) {
 func TestRunMetaSectionGolden(t *testing.T) {
 	db, _ := columnPassDB()
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatBlock)
+	ds := store.NewFS(dir)
 	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)

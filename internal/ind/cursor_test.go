@@ -10,6 +10,22 @@ import (
 	"spider/internal/valfile"
 )
 
+// writeValueFile writes an already sorted, distinct slice as the value
+// file at path and returns the number of values written.
+func writeValueFile(path string, sorted []string) (int, error) {
+	w, err := store.CreateFile(path)
+	if err != nil {
+		return 0, err
+	}
+	for _, v := range sorted {
+		if err := w.Append(v); err != nil {
+			w.Close()
+			return 0, err
+		}
+	}
+	return w.Len(), w.Close()
+}
+
 func drain(t *testing.T, c Cursor) []string {
 	t.Helper()
 	var out []string
@@ -62,12 +78,12 @@ func TestStoreSource(t *testing.T) {
 // its root holds under the attribute's key; a nil dataset is refused.
 func TestFileSourceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := valfile.WriteAll(filepath.Join(dir, "a.val"), []string{"1", "2", "3"}); err != nil {
+	if _, err := writeValueFile(filepath.Join(dir, "a.val"), []string{"1", "2", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, Key: "a.val"}
 	var counter valfile.ReadCounter
-	src, err := newSource(store.NewFS(dir, valfile.FormatText), &counter)
+	src, err := newSource(store.NewFS(dir), &counter)
 	if err != nil {
 		t.Fatal(err)
 	}

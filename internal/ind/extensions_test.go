@@ -1,6 +1,8 @@
 package ind
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,9 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"spider/internal/blockfile"
 	"spider/internal/relstore"
 	"spider/internal/store"
-	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -128,17 +130,17 @@ func TestPartialSigmaOneMatchesExact(t *testing.T) {
 // full-scan coverage computation on random data.
 func TestPartialEarlyStopSound(t *testing.T) {
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		depVals := randomSortedSet(rng, 40, 60)
 		refVals := randomSortedSet(rng, 40, 60)
 		depKey := fmt.Sprintf("d%d.val", trial)
 		refKey := fmt.Sprintf("r%d.val", trial)
-		if _, err := valfile.WriteAll(filepath.Join(dir, depKey), depVals); err != nil {
+		if _, err := writeValueFile(filepath.Join(dir, depKey), depVals); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := valfile.WriteAll(filepath.Join(dir, refKey), refVals); err != nil {
+		if _, err := writeValueFile(filepath.Join(dir, refKey), refVals); err != nil {
 			t.Fatal(err)
 		}
 		dep := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "d"},
@@ -343,32 +345,82 @@ func TestStandardTransforms(t *testing.T) {
 func TestCorruptFileFailsCleanly(t *testing.T) {
 	db := buildDB(t)
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	// Corrupt every exported file with a dangling escape so the first
-	// tested candidate trips over it.
+	// Replace every exported file with one that opens cleanly and fails
+	// partway through, so the error surfaces mid-stream, not at Open.
 	for _, a := range attrs {
 		if err := writeCorrupt(filepath.Join(dir, a.Key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := BruteForce(cands, BruteForceOptions{Store: ds}); err == nil {
-		t.Error("brute force must report corrupt file")
+	if _, err := BruteForce(cands, BruteForceOptions{Store: ds}); !isMidStreamCorruption(err) {
+		t.Errorf("brute force must report the corrupt block, got %v", err)
 	}
-	if _, err := SinglePass(cands, SinglePassOptions{Store: ds}); err == nil {
-		t.Error("single pass must report corrupt file")
+	if _, err := SinglePass(cands, SinglePassOptions{Store: ds}); !isMidStreamCorruption(err) {
+		t.Errorf("single pass must report the corrupt block, got %v", err)
 	}
-	if _, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 0.5}); err == nil {
-		t.Error("partial must report corrupt file")
+	if _, err := BruteForcePartial(cands, PartialOptions{Store: ds, Threshold: 0.5}); !isMidStreamCorruption(err) {
+		t.Errorf("partial must report the corrupt block, got %v", err)
 	}
 }
 
+// writeCorrupt replaces path with a block file that opens cleanly and
+// then fails: it holds several blocks, and one byte of the second
+// block's payload is flipped, so a cursor delivers the first block's
+// values before Err reports the checksum mismatch. Every file gets the
+// same values, so each dependent set lies in each referenced one and an
+// engine reads on until it reaches the damage.
 func writeCorrupt(path string) error {
-	return os.WriteFile(path, []byte("ok\nbroken\\\n"), 0o644)
+	w, err := store.CreateFile(path)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 5000; i++ {
+		if err := w.Append(fmt.Sprintf("v%05d", i)); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	// The documented layout: a 16-byte file header, then the blocks,
+	// each a 12-byte block header that starts with the payload length.
+	const fileHeader, blockHeader = 16, 12
+	second := fileHeader + blockHeader + int(binary.LittleEndian.Uint32(b[fileHeader:]))
+	b[second+blockHeader] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		return err
+	}
+	// Check the fixture: values first, then the corruption error.
+	c, err := store.OpenFile(path, nil)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	n := 0
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+		n++
+	}
+	if n == 0 || !isMidStreamCorruption(c.Err()) {
+		return fmt.Errorf("%s: %d values before error %v; want some, then a corrupt block", path, n, c.Err())
+	}
+	return nil
+}
+
+// isMidStreamCorruption reports a damaged block file, as opposed to a
+// file in another encoding, which already fails at Open.
+func isMidStreamCorruption(err error) bool {
+	return errors.Is(err, blockfile.ErrCorrupt) && !errors.Is(err, blockfile.ErrNoMagic)
 }
 
 // The merge-front embedded engine must agree byte-for-byte with the

@@ -11,7 +11,6 @@ import (
 
 	"spider/internal/relstore"
 	"spider/internal/store"
-	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -26,7 +25,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		dir := t.TempDir()
-		ds := store.NewFS(dir, valfile.FormatText)
+		ds := store.NewFS(dir)
 
 		// Random universe of attributes with random sorted value sets.
 		nAttrs := 2 + rng.Intn(8)
@@ -42,7 +41,7 @@ func TestSinglePassFuzzTopologies(t *testing.T) {
 				vals = randomSortedSet(rng, 12+rng.Intn(20), 1+rng.Intn(25))
 			}
 			key := fmt.Sprintf("a%02d.val", i)
-			if _, err := valfile.WriteAll(filepath.Join(dir, key), vals); err != nil {
+			if _, err := writeValueFile(filepath.Join(dir, key), vals); err != nil {
 				t.Fatal(err)
 			}
 			max := ""
@@ -234,7 +233,7 @@ func FuzzNaryMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		mem := knobs&1 != 0
-		var ds store.Dataset = store.NewFS(t.TempDir(), valfile.FormatText)
+		var ds store.Dataset = store.NewFS(t.TempDir())
 		if mem {
 			ds = store.NewMem()
 		}
@@ -392,18 +391,18 @@ func TestAlgorithmOneAdversarialValues(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			depPath := filepath.Join(dir, fmt.Sprintf("ad%d.val", i))
 			refPath := filepath.Join(dir, fmt.Sprintf("ar%d.val", i))
-			if _, err := valfile.WriteAll(depPath, tc.dep); err != nil {
+			if _, err := writeValueFile(depPath, tc.dep); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := valfile.WriteAll(refPath, tc.ref); err != nil {
+			if _, err := writeValueFile(refPath, tc.ref); err != nil {
 				t.Fatal(err)
 			}
-			dep, err := valfile.Open(depPath, nil)
+			dep, err := store.OpenFile(depPath, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer dep.Close()
-			ref, err := valfile.Open(refPath, nil)
+			ref, err := store.OpenFile(refPath, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

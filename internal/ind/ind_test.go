@@ -48,7 +48,7 @@ func buildDB(t testing.TB) *relstore.Database {
 // dataset and returns the attributes with the dataset.
 func prepare(t testing.TB, db *relstore.Database) ([]*Attribute, *store.FS) {
 	t.Helper()
-	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	ds := store.NewFS(t.TempDir())
 	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestAlgorithmOneEdgeCases(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(name string, vals ...string) string {
 		p := filepath.Join(dir, name)
-		if _, err := valfile.WriteAll(p, vals); err != nil {
+		if _, err := writeValueFile(p, vals); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -300,12 +300,12 @@ func TestAlgorithmOneEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			depPath := mk(fmt.Sprintf("d%d.val", i), tc.dep...)
 			refPath := mk(fmt.Sprintf("r%d.val", i), tc.ref...)
-			dep, err := valfile.Open(depPath, nil)
+			dep, err := store.OpenFile(depPath, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer dep.Close()
-			ref, err := valfile.Open(refPath, nil)
+			ref, err := store.OpenFile(refPath, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -595,7 +595,7 @@ func TestUnexportedCandidatesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands, _ := GenerateCandidates(attrs, GenOptions{})
-	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	ds := store.NewFS(t.TempDir())
 	if _, err := BruteForce(cands, BruteForceOptions{Store: ds}); err == nil {
 		t.Error("brute force on unexported attributes must fail")
 	}

@@ -40,7 +40,7 @@ func randomAttrs(t *testing.T, rng *rand.Rand, dir string, nAttrs int) ([]*Attri
 		}
 		sort.Strings(sorted)
 		key := fmt.Sprintf("%03d.val", i)
-		n, err := valfile.WriteAll(filepath.Join(dir, key), sorted)
+		n, err := writeValueFile(filepath.Join(dir, key), sorted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestSpiderMergePropertyAgreement(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			ds := store.NewFS(dir, valfile.FormatText)
+			ds := store.NewFS(dir)
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
 			cands := allPairs(attrs)
 			want := Reference(cands, sets)
@@ -204,7 +204,7 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			ds := store.NewFS(dir, valfile.FormatText)
+			ds := store.NewFS(dir)
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(10))
 			checkMergeDifferential(t, ds, attrs, sets)
 		})
@@ -227,7 +227,7 @@ func TestSpiderMergeEmptyCandidates(t *testing.T) {
 func TestSpiderMergeUnexported(t *testing.T) {
 	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}, NonNull: 1, Distinct: 1}
 	b := &Attribute{ID: 1, Ref: relstore.ColumnRef{Table: "t", Column: "b"}, NonNull: 1, Distinct: 1}
-	if _, err := SpiderMerge([]Candidate{{Dep: a, Ref: b}}, SpiderMergeOptions{Store: store.NewFS(t.TempDir(), valfile.FormatText)}); err == nil {
+	if _, err := SpiderMerge([]Candidate{{Dep: a, Ref: b}}, SpiderMergeOptions{Store: store.NewFS(t.TempDir())}); err == nil {
 		t.Error("spider merge on unexported attributes must fail")
 	}
 }
@@ -238,14 +238,14 @@ func TestSpiderMergeUnexported(t *testing.T) {
 // must not be read to the end.
 func TestSpiderMergeClosesEarly(t *testing.T) {
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	big := make([]string, 1000)
 	for i := range big {
 		big[i] = fmt.Sprintf("x%04d", i)
 	}
 	depVals := []string{"a"} // sorts before every "x...": refuted at once
 	write := func(name string, vals []string, id int) *Attribute {
-		if _, err := valfile.WriteAll(filepath.Join(dir, name), vals); err != nil {
+		if _, err := writeValueFile(filepath.Join(dir, name), vals); err != nil {
 			t.Fatal(err)
 		}
 		return &Attribute{
@@ -270,7 +270,7 @@ func TestSpiderMergeClosesEarly(t *testing.T) {
 
 // TestSpiderMergeStatsGolden pins the merge's work counters —
 // items and bytes read, comparisons, files opened, peak open files — on
-// a UniProt-shaped fixture in both value-file formats, exact and at
+// a UniProt-shaped fixture, exact and at
 // σ = 0.8. The figures are the paper's cost metrics (Figure 5, Sec 4.2);
 // a change to the kernel must leave them exactly where they are.
 func TestSpiderMergeStatsGolden(t *testing.T) {
@@ -283,45 +283,38 @@ func TestSpiderMergeStatsGolden(t *testing.T) {
 		partialItems, partialCmps       int64
 		partialOpened, partialMaxOpened int
 	}
-	for format, want := range map[valfile.Format]golden{
-		valfile.FormatText: {
-			1716, 22, 5191, 90676, 3742, 78, 78,
-			1759, 23, 5502, 17551, 78, 78,
-		},
-		valfile.FormatBlock: {
-			1716, 22, 5191, 70645, 3742, 78, 78,
-			1759, 23, 5502, 17551, 78, 78,
-		},
-	} {
-		dir := t.TempDir()
-		ds := store.NewFS(dir, format)
-		attrs, err := Prepare(db, ExportConfig{Dataset: ds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands, _ := GenerateCandidates(attrs, GenOptions{})
-		res, err := SpiderMerge(cands, SpiderMergeOptions{Counter: &valfile.ReadCounter{}, Store: ds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stats
-		got := golden{cands: st.Candidates, sat: st.Satisfied, items: st.ItemsRead, bytes: st.BytesRead,
-			cmps: st.Comparisons, opened: st.FilesOpened, maxOpen: st.MaxOpenFiles}
+	want := golden{
+		1716, 22, 5191, 70645, 3742, 78, 78,
+		1759, 23, 5502, 17551, 78, 78,
+	}
+	dir := t.TempDir()
+	ds := store.NewFS(dir)
+	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, _ := GenerateCandidates(attrs, GenOptions{})
+	res, err := SpiderMerge(cands, SpiderMergeOptions{Counter: &valfile.ReadCounter{}, Store: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	got := golden{cands: st.Candidates, sat: st.Satisfied, items: st.ItemsRead, bytes: st.BytesRead,
+		cmps: st.Comparisons, opened: st.FilesOpened, maxOpen: st.MaxOpenFiles}
 
-		pcands, _ := GenerateCandidates(attrs, GenOptions{PartialThreshold: 0.8})
-		pres, err := PartialSpiderMerge(pcands, 0.8, SpiderMergeOptions{Counter: &valfile.ReadCounter{}, Store: ds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pst := pres.Stats
-		got.partialCands, got.partialSat, got.partialItems = pst.Candidates, pst.Satisfied, pst.ItemsRead
-		got.partialCmps, got.partialOpened, got.partialMaxOpened = pst.Comparisons, pst.FilesOpened, pst.MaxOpenFiles
-		if pst.BytesRead != want.bytes {
-			t.Errorf("%v: partial BytesRead = %d, want %d", format, pst.BytesRead, want.bytes)
-		}
-		if got != want {
-			t.Errorf("%v stats drifted:\ngot  %+v\nwant %+v", format, got, want)
-		}
+	pcands, _ := GenerateCandidates(attrs, GenOptions{PartialThreshold: 0.8})
+	pres, err := PartialSpiderMerge(pcands, 0.8, SpiderMergeOptions{Counter: &valfile.ReadCounter{}, Store: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pst := pres.Stats
+	got.partialCands, got.partialSat, got.partialItems = pst.Candidates, pst.Satisfied, pst.ItemsRead
+	got.partialCmps, got.partialOpened, got.partialMaxOpened = pst.Comparisons, pst.FilesOpened, pst.MaxOpenFiles
+	if pst.BytesRead != want.bytes {
+		t.Errorf("partial BytesRead = %d, want %d", pst.BytesRead, want.bytes)
+	}
+	if got != want {
+		t.Errorf("stats drifted:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -427,7 +420,7 @@ func TestMergeCursorErrorPath(t *testing.T) {
 func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *Attribute {
 	t.Helper()
 	key := fmt.Sprintf("p%03d.val", id)
-	if _, err := valfile.WriteAll(filepath.Join(dir, key), vals); err != nil {
+	if _, err := writeValueFile(filepath.Join(dir, key), vals); err != nil {
 		t.Fatal(err)
 	}
 	a := &Attribute{
@@ -451,7 +444,7 @@ func partialAttr(t *testing.T, dir string, id int, name string, vals []string) *
 // miss — a second miss refutes.
 func TestPartialMergeIntegralThreshold(t *testing.T) {
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	ref := make([]string, 0, 20)
 	for i := 0; i < 20; i++ {
 		ref = append(ref, fmt.Sprintf("r%02d", i))
@@ -491,7 +484,7 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 // dependent set is trivially (fully) included at every threshold.
 func TestPartialMergeEmptyDependent(t *testing.T) {
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	empty := partialAttr(t, dir, 0, "empty", nil)
 	ref := partialAttr(t, dir, 1, "ref", []string{"a", "b"})
 	cands := []Candidate{{Dep: empty, Ref: ref}}
@@ -526,7 +519,7 @@ func TestPartialMergeRejectsBadThreshold(t *testing.T) {
 func TestPartialMergeCorruptFile(t *testing.T) {
 	db := buildDB(t)
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	attrs, err := Prepare(db, ExportConfig{Dataset: ds})
 	if err != nil {
 		t.Fatal(err)
@@ -537,8 +530,8 @@ func TestPartialMergeCorruptFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{Store: ds}); err == nil {
-		t.Error("partial merge must report corrupt file")
+	if _, err := PartialSpiderMerge(cands, 0.5, SpiderMergeOptions{Store: ds}); !isMidStreamCorruption(err) {
+		t.Errorf("partial merge must report the corrupt block, got %v", err)
 	}
 }
 
@@ -549,7 +542,7 @@ func TestPartialMergeCorruptFile(t *testing.T) {
 // the exact-IND prune.
 func TestPartialThresholdCardinalityBound(t *testing.T) {
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	// 100 distinct dependent values, 95 of them in the referenced set:
 	// coverage 0.95 ≥ σ = 0.9 even though 100 > 95.
 	dep := make([]string, 0, 100)
@@ -598,7 +591,7 @@ func TestPartialThresholdCardinalityBound(t *testing.T) {
 func TestSpiderMergeAllocsPerBlock(t *testing.T) {
 	for _, n := range []int{10_000, 100_000} {
 		dir := t.TempDir()
-		ds := store.NewFS(dir, valfile.FormatBlock)
+		ds := store.NewFS(dir)
 		vals := make([]string, n)
 		for i := range vals {
 			vals[i] = fmt.Sprintf("value/%08d", i)

@@ -141,8 +141,8 @@ type NaryStats struct {
 	ItemsReadByArity []int64
 	// BytesReadByArity counts raw bytes pulled from the per-level value
 	// streams (merge-backed levels only). Levels >= 2 stream encoded
-	// tuples with long shared prefixes, so this is where the block
-	// format's front coding shows up against the text format.
+	// tuples with long shared prefixes, which the block files' front
+	// coding stores once per block.
 	BytesReadByArity []int64
 	// TuplesCompared counts tuple probes: hash-set probes for the
 	// reference engine, merge-front comparisons for the merge engine.

@@ -11,7 +11,6 @@ import (
 
 	"spider/internal/relstore"
 	"spider/internal/store"
-	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -159,7 +158,7 @@ func TestDiscoverNaryWorkDirMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		ds := store.NewFS(dir, valfile.FormatText)
+		ds := store.NewFS(dir)
 		given, err := DiscoverNary(db, NaryOptions{MaxArity: 3, WorkDir: dir, Store: ds, Scratch: ds})
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +182,7 @@ func TestDiscoverNaryWorkDirMatchesInMemory(t *testing.T) {
 
 // mergeOpts returns NaryMerge options over a fresh filesystem dataset.
 func mergeOpts(t *testing.T, maxArity int) NaryOptions {
-	ds := store.NewFS(t.TempDir(), valfile.FormatText)
+	ds := store.NewFS(t.TempDir())
 	return NaryOptions{MaxArity: maxArity, Algorithm: NaryMerge, Store: ds, Scratch: ds}
 }
 

@@ -96,7 +96,7 @@ func TestNaryMergeTruncationLeaksNothing(t *testing.T) {
 		// three-ary ones do not.
 		MaxCandidatesPerLevel: 50,
 	}
-	opts.Store = store.NewFS(dir, valfile.FormatText)
+	opts.Store = store.NewFS(dir)
 	opts.Scratch = opts.Store
 	res, err := DiscoverNary(db, opts)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestNaryMergeLeaksNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dir := t.TempDir()
 
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	res, err := DiscoverNary(db, NaryOptions{Algorithm: NaryMerge, MaxArity: 3, Store: ds, Scratch: ds})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package ind
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -39,7 +38,7 @@ func TestSketchPretestNeverDropsTrueIND(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for ci, cfg := range configs {
 			dir := t.TempDir()
-			ds := store.NewFS(dir, valfile.FormatText)
+			ds := store.NewFS(dir)
 			rng := rand.New(rand.NewSource(seed*31 + int64(ci)))
 			attrs, sets := randomAttrs(t, rng, dir, 10+rng.Intn(8))
 			for _, a := range attrs {
@@ -156,7 +155,7 @@ func TestSketchPretestMinContainment(t *testing.T) {
 }
 
 // TestExportPersistsSketches: ExportAttributes with Sketches builds one
-// sketch per attribute, persists it next to the value file, and
+// sketch per attribute, persists it in the value file, and
 // LoadSketches reads back the identical structure.
 func TestExportPersistsSketches(t *testing.T) {
 	db := randomDB(21)
@@ -165,7 +164,7 @@ func TestExportPersistsSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	if err := ExportAttributes(db, attrs, ExportConfig{Dataset: ds, Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +173,8 @@ func TestExportPersistsSketches(t *testing.T) {
 		if a.Sketch == nil {
 			t.Fatalf("%s: no sketch built", a.Ref)
 		}
-		if _, err := os.Stat(filepath.Join(dir, a.Key+sketch.FileSuffix)); err != nil {
-			t.Fatalf("%s: sketch not persisted: %v", a.Ref, err)
+		if _, ok, err := store.FileSection(filepath.Join(dir, a.Key), valfile.SketchSection); err != nil || !ok {
+			t.Fatalf("%s: sketch not persisted in the value file: ok=%v err=%v", a.Ref, ok, err)
 		}
 		saved[i], a.Sketch = a.Sketch, nil
 	}
@@ -199,7 +198,7 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir(), valfile.FormatText), Sketches: true}); err != nil {
+	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir()), Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +240,7 @@ func TestBuildAttributeSketchesMatchesExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir(), valfile.FormatText), Sketches: true}); err != nil {
+	if err := ExportAttributes(db, exported, ExportConfig{Dataset: store.NewFS(t.TempDir()), Sketches: true}); err != nil {
 		t.Fatal(err)
 	}
 	scanned, err := CollectAttributes(db)

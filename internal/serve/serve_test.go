@@ -21,7 +21,6 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/store"
-	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -598,13 +597,13 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// diskDataset exports the fixture to a directory with sidecar
-// sketches and persists the result set next to it — the exact layout
+// diskDataset exports the fixture to a directory of block value files
+// with embedded sketches and persists the result set next to it — the exact layout
 // indfind -out leaves behind.
 func diskDataset(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
-	ds := store.NewFS(dir, valfile.FormatText)
+	ds := store.NewFS(dir)
 	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dataset: ds, Sketches: true})
 	if err != nil {
 		t.Fatal(err)
@@ -684,7 +683,7 @@ func TestLoadStatePreloadIsNoOp(t *testing.T) {
 // or a parent-relative one — fails to load instead of staging that file.
 func TestLoadStateRejectsEscapingKeys(t *testing.T) {
 	dir, outside := t.TempDir(), t.TempDir()
-	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dataset: store.NewFS(dir, valfile.FormatText)})
+	attrs, err := ind.Prepare(buildDB(t), ind.ExportConfig{Dataset: store.NewFS(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,6 +712,26 @@ func TestLoadStateRejectsEscapingKeys(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "not a plain file name") {
 			t.Errorf("key %q: LoadState = %v, want a rejected key", key, err)
 		}
+	}
+}
+
+// TestLoadStateRejectsTextExport: a dataset directory holding a value
+// file in the text encoding fails to load with an error that names the
+// file and valconvert. The file's first value is empty, so it starts
+// with '\n' like the block magic does.
+func TestLoadStateRejectsTextExport(t *testing.T) {
+	dir := diskDataset(t)
+	rs, err := ind.ReadResultSetFile(filepath.Join(dir, DefaultResultsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, rs.Attrs[0].Key)
+	if err := os.WriteFile(path, []byte("\nalpha\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadState([]DatasetSpec{{Name: "disk", Dir: dir}}, 1, 0)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "valconvert -format block") {
+		t.Fatalf("LoadState on a text value file = %v, want an error naming %s and valconvert", err, path)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 const DefaultResultsName = "INDS.json"
 
 // DatasetSpec names one dataset to load from disk: a directory of
-// exported value files (text or block encoding, auto-detected per
-// file, sketches embedded or in sidecars) plus the result set persisted
-// by the batch run. Loading copies every value set into memory once;
+// exported block value files (sketches embedded; text exports convert
+// with valconvert -format block -dir) plus the result set persisted by
+// the batch run. Loading copies every value set into memory once;
 // requests never touch the directory.
 type DatasetSpec struct {
 	// Name is the dataset's serving name; empty defaults to the
@@ -128,10 +128,8 @@ func LoadState(specs []DatasetSpec, generation, cacheSize int) (*State, error) {
 			return nil, fmt.Errorf("serve: dataset %s: %w", sp.name(), err)
 		}
 		sources = append(sources, Source{
-			Name: sp.name(),
-			// Reads auto-detect the per-file encoding; the format here
-			// only matters for writes, which never happen.
-			Base:    store.NewFS(sp.Dir, valfile.FormatText),
+			Name:    sp.name(),
+			Base:    store.NewFS(sp.Dir),
 			Results: rs,
 		})
 	}

@@ -20,9 +20,10 @@
 // false-positive error — no KMV-vs-KMV truncation error.
 //
 // Sketches serialise to a compact binary format (Encode/Decode,
-// WriteFile/ReadFile) so they persist next to the sorted value files and
-// survive across runs. The value hash is an unseeded FNV-1a, stable
-// across processes, so persisted sketches remain probeable forever.
+// WriteFile/ReadFile) so they persist inside the sorted value files (as
+// their SKCH section) and survive across runs. The value hash is an
+// unseeded FNV-1a, stable across processes, so persisted sketches
+// remain probeable forever.
 package sketch
 
 import (
@@ -478,8 +479,7 @@ func skipSample(br *bufio.Reader, readU64 func() (uint64, error), nMinima uint64
 	return nil
 }
 
-// WriteFile persists the sketch at path (typically the attribute's value
-// file path plus the ".sketch" suffix).
+// WriteFile persists the sketch's encoding as the file at path.
 func (s *Sketch) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -509,7 +509,3 @@ func ReadFile(path string) (*Sketch, error) {
 	}
 	return s, nil
 }
-
-// FileSuffix is the canonical suffix of a persisted sketch, appended to
-// the attribute's value-file path.
-const FileSuffix = ".sketch"

@@ -226,7 +226,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestReadFileWriteFile exercises the on-disk persistence path.
 func TestReadFileWriteFile(t *testing.T) {
 	s := buildFrom(Config{K: 16}, []string{"x", "y", "z"}, 3)
-	path := filepath.Join(t.TempDir(), "a.val"+FileSuffix)
+	path := filepath.Join(t.TempDir(), "a.sketch")
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

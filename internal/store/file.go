@@ -1,29 +1,100 @@
 package store
 
-import "spider/internal/valfile"
+import (
+	"errors"
+	"fmt"
 
-// This file holds the blessed path-level pass-throughs into the
-// valfile seam. They exist so that code which legitimately works on
-// bare value files — the valconvert migration tool — still routes
-// through the store package: the
-// storeseam analyzer forbids direct valfile open/create calls
-// everywhere else, which keeps the Dataset abstraction from eroding
-// one call site at a time.
+	"spider/internal/blockfile"
+	"spider/internal/valfile"
+)
 
-// OpenFile opens the value file at path with format auto-detection,
-// counting delivered items and bytes into counter (nil disables).
-func OpenFile(path string, counter *valfile.ReadCounter) (*valfile.Reader, error) {
-	return valfile.Open(path, counter)
+// This file is the only door to block files outside the blockfile
+// package. FS goes through it, and so does the valconvert migration
+// tool, which works on bare file paths: the storeseam analyzer forbids
+// blockfile.Open and blockfile.Create everywhere else, which keeps the
+// Dataset abstraction from eroding one call site at a time.
+
+// openBlock opens the block file at path. A file without the block
+// magic, such as a text export from before block became the only
+// encoding, fails with an error that names the file and the tool that
+// converts it.
+func openBlock(path string) (*blockfile.Reader, error) {
+	r, err := blockfile.Open(path)
+	if errors.Is(err, blockfile.ErrNoMagic) {
+		return nil, fmt.Errorf("store: %s is not a block-format value file; convert it with valconvert -format block: %w", path, blockfile.ErrNoMagic)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return r, nil
 }
 
-// CreateFile creates a value file at path in the given encoding.
-func CreateFile(path string, format valfile.Format) (*valfile.Writer, error) {
-	return valfile.CreateFormat(path, format)
+// OpenFile opens the value file at path, counting delivered items and,
+// at Close, the bytes read into counter (nil disables).
+func OpenFile(path string, counter *valfile.ReadCounter) (*FileCursor, error) {
+	r, err := openBlock(path)
+	if err != nil {
+		return nil, err
+	}
+	return &FileCursor{r: r, counter: counter}, nil
+}
+
+// CreateFile creates a value file at path, truncating any existing
+// file. Append enforces the strictly increasing order, and the file is
+// readable only after Close.
+func CreateFile(path string) (ValueWriter, error) {
+	w, err := blockfile.Create(path, blockfile.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return w, nil
 }
 
 // FileSection returns the named embedded section of the value file at
-// path; ok is false when the file carries no such section (always the
-// case for the text encoding, whose sections live in sidecars).
+// path; ok is false when the file carries no such section.
 func FileSection(path, tag string) (data []byte, ok bool, err error) {
-	return valfile.ReadSection(path, tag)
+	r, err := openBlock(path)
+	if err != nil {
+		return nil, false, err
+	}
+	defer r.Close()
+	return r.Section(tag)
+}
+
+// FileCursor is the file-backed Cursor: a block file's values in order,
+// each counted as it is delivered.
+type FileCursor struct {
+	r       *blockfile.Reader
+	counter *valfile.ReadCounter
+	closed  bool
+}
+
+// Next returns the next value.
+func (c *FileCursor) Next() (string, bool) {
+	v, ok := c.r.Next()
+	if ok {
+		c.counter.Add(1)
+	}
+	return v, ok
+}
+
+// Err returns the first error encountered, if any.
+func (c *FileCursor) Err() error { return c.r.Err() }
+
+// Sections lists the tags of the file's embedded sections.
+func (c *FileCursor) Sections() []string { return c.r.Sections() }
+
+// Section returns the named embedded section; ok is false when the file
+// carries no such section. It does not move the cursor.
+func (c *FileCursor) Section(tag string) (data []byte, ok bool, err error) {
+	return c.r.Section(tag)
+}
+
+// Close releases the file, adding the bytes read to the counter once.
+func (c *FileCursor) Close() error {
+	if !c.closed {
+		c.closed = true
+		c.counter.AddBytes(c.r.BytesRead())
+	}
+	return c.r.Close()
 }

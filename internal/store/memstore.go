@@ -47,8 +47,8 @@ func (m *Mem) values(key string) ([]string, error) {
 }
 
 // Open returns a cursor over key's sorted values. Delivered items
-// count 1 each and their byte length (plus a newline, mirroring the
-// text encoding) toward counter.
+// count 1 each and their byte length plus one (a one-byte record
+// frame) toward counter.
 func (m *Mem) Open(key string, counter *valfile.ReadCounter) (Cursor, error) {
 	vals, err := m.values(key)
 	if err != nil {

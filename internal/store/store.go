@@ -2,7 +2,7 @@
 // value stream the engines read, every staged extraction output, every
 // persisted sketch and named section flows through a Dataset. The
 // merge engines, the extraction path and the CLIs never open a value
-// file directly — fsstore (FS) wraps the text/block valfile encodings,
+// file directly — fsstore (FS) holds block value files,
 // memstore (Mem) holds datasets in memory, and Snapshot is a read-only
 // view of one Mem that any number of concurrent readers share without
 // a second copy (the indserved precondition).
@@ -53,15 +53,14 @@ type Cursor interface {
 	Close() error
 }
 
-// *valfile.Reader is the canonical file-backed cursor.
-var _ Cursor = (*valfile.Reader)(nil)
+// *FileCursor is the file-backed cursor.
+var _ Cursor = (*FileCursor)(nil)
 
 // ValueWriter stages one key's sorted distinct value stream plus any
 // named sections. Append enforces the strictly-increasing invariant.
-// SetSection attaches a named payload (SketchSection, RunMetaSection);
-// backends that cannot embed a section in the value stream itself
-// persist it out of band (the text encoding's sidecar files) or keep
-// it in the dataset's section map. The staged key becomes readable
+// SetSection attaches a named payload (SketchSection, RunMetaSection):
+// block files embed it, memory datasets keep it in their section map.
+// The staged key becomes readable
 // only after Close returns nil; Close must be called exactly once.
 type ValueWriter interface {
 	Append(v string) error

@@ -7,10 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
-	"spider/internal/sketch"
+	"spider/internal/blockfile"
 	"spider/internal/valfile"
 )
 
@@ -19,8 +20,7 @@ import (
 func backends(t *testing.T) map[string]Dataset {
 	t.Helper()
 	return map[string]Dataset{
-		"fs-text":  NewFS(t.TempDir(), valfile.FormatText),
-		"fs-block": NewFS(t.TempDir(), valfile.FormatBlock),
+		"fs-block": NewFS(t.TempDir()),
 		"mem":      NewMem(),
 	}
 }
@@ -145,8 +145,7 @@ func TestBackendSortedDistinctEnforced(t *testing.T) {
 }
 
 // TestBackendSections checks section storage per backend: block files
-// embed any tag, text files persist the sketch as a sidecar and drop
-// the rest (the historical behaviour), mem carries everything.
+// embed any tag, mem carries everything.
 func TestBackendSections(t *testing.T) {
 	sketchData := []byte("sketch-payload")
 	metaData := []byte("meta-payload")
@@ -169,32 +168,8 @@ func TestBackendSections(t *testing.T) {
 		}
 	}
 
-	t.Run("fs-text", func(t *testing.T) {
-		dir := t.TempDir()
-		ds := NewFS(dir, valfile.FormatText)
-		stage(t, ds)
-		data, ok, err := ds.Section("k.val", valfile.SketchSection)
-		if err != nil || !ok || !reflect.DeepEqual(data, sketchData) {
-			t.Errorf("sketch section = (%q, %v, %v)", data, ok, err)
-		}
-		// The sidecar file is the on-disk representation.
-		if _, err := os.Stat(filepath.Join(dir, "k.val"+sketch.FileSuffix)); err != nil {
-			t.Errorf("sketch sidecar missing: %v", err)
-		}
-		if _, ok, _ := ds.Section("k.val", valfile.RunMetaSection); ok {
-			t.Error("text encoding must drop non-sketch sections")
-		}
-		// Remove takes the sidecar with it.
-		if err := ds.Remove("k.val"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "k.val"+sketch.FileSuffix)); !os.IsNotExist(err) {
-			t.Errorf("sidecar survived Remove: %v", err)
-		}
-	})
-
 	t.Run("fs-block", func(t *testing.T) {
-		ds := NewFS(t.TempDir(), valfile.FormatBlock)
+		ds := NewFS(t.TempDir())
 		stage(t, ds)
 		for tag, want := range map[string][]byte{
 			valfile.SketchSection:  sketchData,
@@ -225,26 +200,41 @@ func TestBackendSections(t *testing.T) {
 	})
 }
 
-// TestFSAutoDetectsPerFile mixes encodings in one directory: reads
-// auto-detect each file's framing regardless of the dataset's write
-// format.
-func TestFSAutoDetectsPerFile(t *testing.T) {
+// TestFSRejectsTextFiles: value files in the text encoding — two
+// values, a first value that is empty so the file starts with '\n' like
+// the block magic, and the empty file — are not read. Open and Section
+// fail with an error that names the file and valconvert; no cursor
+// comes back.
+func TestFSRejectsTextFiles(t *testing.T) {
 	dir := t.TempDir()
-	text := NewFS(dir, valfile.FormatText)
-	block := NewFS(dir, valfile.FormatBlock)
-	writeSet(t, text, "t.val", []string{"1", "2"})
-	writeSet(t, block, "b.val", []string{"3", "4"})
-	// Each handle reads both files.
-	for _, ds := range []Dataset{text, block} {
-		for key, want := range map[string][]string{"t.val": {"1", "2"}, "b.val": {"3", "4"}} {
-			cur, err := ds.Open(key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := drainCursor(t, cur); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s = %q, want %q", key, got, want)
+	ds := NewFS(dir)
+	for key, content := range map[string]string{
+		"plain.val":   "alpha\nbeta\n",
+		"newline.val": "\nalpha\n",
+		"empty.val":   "",
+	} {
+		path := filepath.Join(dir, key)
+		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		check := func(op string, err error) {
+			t.Helper()
+			if err == nil || !errors.Is(err, blockfile.ErrNoMagic) ||
+				!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "valconvert -format block") {
+				t.Errorf("%s(%s) = %v, want an error naming the file and valconvert", op, key, err)
 			}
 		}
+		cur, err := ds.Open(key, nil)
+		if cur != nil {
+			cur.Close()
+			t.Errorf("Open(%s) returned a cursor", key)
+		}
+		check("Open", err)
+		_, ok, err := ds.Section(key, valfile.SketchSection)
+		if ok {
+			t.Errorf("Section(%s) found a section", key)
+		}
+		check("Section", err)
 	}
 }
 
@@ -384,8 +374,8 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 // Section — even when it names a readable value file outside the root.
 func TestFSRejectsNonPlainKeys(t *testing.T) {
 	dir := t.TempDir()
-	writeSet(t, NewFS(dir, valfile.FormatText), "x.val", []string{"a"})
-	ds := NewFS(filepath.Join(dir, "root"), valfile.FormatText)
+	writeSet(t, NewFS(dir), "x.val", []string{"a"})
+	ds := NewFS(filepath.Join(dir, "root"))
 	writeSet(t, ds, "a.val", []string{"b"})
 	if _, err := os.Stat(filepath.Join(dir, "root", "a.val")); err != nil {
 		t.Fatalf("plain key not joined under the root: %v", err)
@@ -413,7 +403,7 @@ func TestFSRejectsNonPlainKeys(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "x.val")); err != nil {
 		t.Errorf("a rejected Remove touched the file outside the root: %v", err)
 	}
-	if _, err := NewFS("", valfile.FormatText).Open("a.val", nil); err == nil {
+	if _, err := NewFS("").Open("a.val", nil); err == nil {
 		t.Error("an FS without a root opened a key")
 	}
 }

@@ -1,31 +1,71 @@
-package valfile
+package valfile_test
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"spider/internal/store"
+	"spider/internal/valfile"
 )
+
+// These tests drive ReadCounter and the value-file contract (sorted
+// distinct values, written once and read back exactly) through the
+// store package's file cursor and writer, the one reader and writer of
+// value files.
 
 func tmpPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "attr.val")
 }
 
+// writeAll writes an already sorted, distinct slice as a value file.
+func writeAll(path string, sorted []string) (int, error) {
+	w, err := store.CreateFile(path)
+	if err != nil {
+		return 0, err
+	}
+	for _, v := range sorted {
+		if err := w.Append(v); err != nil {
+			w.Close()
+			return 0, err
+		}
+	}
+	return w.Len(), w.Close()
+}
+
+// readAll reads every value of the value file at path.
+func readAll(path string) ([]string, error) {
+	r, err := store.OpenFile(path, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var out []string
+	for {
+		v, ok := r.Next()
+		if !ok {
+			break
+		}
+		out = append(out, v)
+	}
+	return out, r.Err()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	path := tmpPath(t)
 	vals := []string{"", "a", "b\nc", `d\e`, "z"}
 	sort.Strings(vals)
-	n, err := WriteAll(path, vals)
+	n, err := writeAll(path, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(vals) {
 		t.Fatalf("wrote %d, want %d", n, len(vals))
 	}
-	got, err := ReadAll(path)
+	got, err := readAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +75,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestWriterRejectsUnsorted(t *testing.T) {
-	w, err := Create(tmpPath(t))
+	w, err := store.CreateFile(tmpPath(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +96,11 @@ func TestWriterRejectsUnsorted(t *testing.T) {
 
 func TestReaderCounts(t *testing.T) {
 	path := tmpPath(t)
-	if _, err := WriteAll(path, []string{"a", "b", "c"}); err != nil {
+	if _, err := writeAll(path, []string{"a", "b", "c"}); err != nil {
 		t.Fatal(err)
 	}
-	var c ReadCounter
-	r, err := Open(path, &c)
+	var c valfile.ReadCounter
+	r, err := store.OpenFile(path, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +110,8 @@ func TestReaderCounts(t *testing.T) {
 			t.Fatal("unexpected EOF")
 		}
 	}
-	if r.Read() != 2 || c.Total() != 2 {
-		t.Errorf("reader=%d counter=%d, want 2/2", r.Read(), c.Total())
+	if c.Total() != 2 {
+		t.Errorf("counter=%d, want 2", c.Total())
 	}
 	for {
 		if _, ok := r.Next(); !ok {
@@ -81,8 +121,8 @@ func TestReaderCounts(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if r.Read() != 3 || c.Total() != 3 {
-		t.Errorf("after EOF reader=%d counter=%d, want 3/3", r.Read(), c.Total())
+	if c.Total() != 3 {
+		t.Errorf("after EOF counter=%d, want 3", c.Total())
 	}
 	// Next after EOF stays false and does not inflate counts.
 	if _, ok := r.Next(); ok {
@@ -95,12 +135,12 @@ func TestReaderCounts(t *testing.T) {
 
 func TestCounterSharedAcrossReaders(t *testing.T) {
 	path := tmpPath(t)
-	if _, err := WriteAll(path, []string{"a", "b"}); err != nil {
+	if _, err := writeAll(path, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	var c ReadCounter
+	var c valfile.ReadCounter
 	for i := 0; i < 3; i++ {
-		r, err := Open(path, &c)
+		r, err := store.OpenFile(path, &c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +161,7 @@ func TestCounterSharedAcrossReaders(t *testing.T) {
 }
 
 func TestNilCounterSafe(t *testing.T) {
-	var c *ReadCounter
+	var c *valfile.ReadCounter
 	c.Add(5)
 	if c.Total() != 0 {
 		t.Error("nil counter Total must be 0")
@@ -130,41 +170,17 @@ func TestNilCounterSafe(t *testing.T) {
 }
 
 func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
+	if _, err := store.OpenFile(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
 		t.Error("missing file must fail")
-	}
-}
-
-func TestCorruptEscapeDetected(t *testing.T) {
-	dir := t.TempDir()
-	for name, content := range map[string]string{
-		"dangling.val": "abc\\\n",
-		"unknown.val":  "ab\\qcd\n",
-	} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.Next(); ok {
-			t.Errorf("%s: corrupt escape must not yield a value", name)
-		}
-		if r.Err() == nil {
-			t.Errorf("%s: corrupt escape must surface an error", name)
-		}
-		r.Close()
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
 	path := tmpPath(t)
-	if _, err := WriteAll(path, nil); err != nil {
+	if _, err := writeAll(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(path)
+	got, err := readAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +206,10 @@ func TestRoundTripProperty(t *testing.T) {
 		sort.Strings(vals)
 		i++
 		path := filepath.Join(dir, "p"+string(rune('a'+i%26)))
-		if _, err := WriteAll(path, vals); err != nil {
+		if _, err := writeAll(path, vals); err != nil {
 			return false
 		}
-		got, err := ReadAll(path)
+		got, err := readAll(path)
 		if err != nil {
 			return false
 		}
@@ -208,17 +224,6 @@ func TestRoundTripProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: escape/unescape is the identity for every string.
-func TestEscapeRoundTripProperty(t *testing.T) {
-	f := func(s string) bool {
-		got, err := unescape(escape(s))
-		return err == nil && got == s
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }

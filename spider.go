@@ -126,45 +126,18 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Format selects the on-disk encoding of exported value files. Readers
-// auto-detect the encoding per file, so results are identical under
-// either format — only the I/O profile changes.
+// Format names the encoding of value files.
+//
+// Deprecated: unread; perfbench/ still sets it. Value files are block
+// files (front-coded checksummed blocks, a block index, and the
+// attribute's sketch embedded in the same file); text exports convert
+// with cmd/valconvert.
 type Format int
 
-const (
-	// FormatText is the seed encoding: newline-framed, backslash-escaped
-	// records, one value per line. Human-inspectable.
-	FormatText Format = iota
-	// FormatBlock is the columnar binary encoding: front-coded
-	// checksummed blocks, a block index, and the attribute's
-	// sketch embedded in the same file.
-	FormatBlock
-)
-
-// String names the format ("text" or "block").
-func (f Format) String() string { return f.internal().String() }
-
-// ParseFormat converts a format name ("text" or "block") to a Format.
-func ParseFormat(s string) (Format, error) {
-	v, err := valfile.ParseFormat(s)
-	if err != nil {
-		return 0, fmt.Errorf("spider: unknown format %q (want text or block)", s)
-	}
-	switch v {
-	case valfile.FormatBlock:
-		return FormatBlock, nil
-	default:
-		return FormatText, nil
-	}
-}
-
-// internal maps the public format onto the storage enum.
-func (f Format) internal() valfile.Format {
-	if f == FormatBlock {
-		return valfile.FormatBlock
-	}
-	return valfile.FormatText
-}
+// FormatBlock is the block encoding.
+//
+// Deprecated: unread; perfbench/ still sets it.
+const FormatBlock Format = 1
 
 // Options tunes FindINDs.
 type Options struct {
@@ -214,14 +187,11 @@ type Options struct {
 	// SQLEarlyStop lets ROWNUM stop the embedded engine early — the
 	// behaviour the paper could not obtain from the commercial optimizer.
 	SQLEarlyStop bool
-	// Format selects the value-file encoding (FormatText or FormatBlock)
-	// of the fs backend a nil Store stands for; NewFSStore carries its
-	// own. The discovered INDs are identical under either format.
+	// Deprecated: unread; perfbench/ still sets it.
 	Format Format
 	// Store selects the dataset backend extraction writes to and the
 	// engines read from: NewFSStore, NewMemStore, NewSnapshotStore or
-	// NewSpillStore. nil is the fs backend in Format, rooted at
-	// WorkDir.
+	// NewSpillStore. nil is the fs backend rooted at WorkDir.
 	Store *Store
 }
 
@@ -240,10 +210,9 @@ type Stats struct {
 	// algorithms) or base-table tuples scanned (SQL approaches) — the
 	// paper's Figure 5 metric.
 	ItemsRead int64
-	// BytesRead counts raw bytes pulled from value files by the
-	// file-backed engines, the metric that compares FormatText and
-	// FormatBlock I/O for the same delivered items. Zero for engines
-	// that never open value files.
+	// BytesRead counts raw bytes pulled from value sets by the
+	// order-based engines, the I/O behind the same delivered items.
+	// Zero for engines that never open value sets.
 	BytesRead int64
 	// Comparisons counts value comparisons.
 	Comparisons int64
@@ -388,7 +357,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		// > 1 would silently prune every candidate (estimates cap at 1).
 		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir, opts.Format)
+	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
 	if err != nil {
 		return nil, err
 	}

@@ -12,13 +12,13 @@ import (
 // call stages, the derived sets of FindEmbeddedINDsWith included, goes
 // into this one backend under plain keys (file names, for the fs
 // backend). The zero value of the option structs (a nil *Store) is the
-// fs backend in the options' Format, rooted at their WorkDir.
+// fs backend rooted at their WorkDir.
 //
 // Four backends exist:
 //
-//   - NewFSStore: value files on disk, in the text or block encoding —
-//     the paper's layout. Extraction output survives the run and can be
-//     inspected or re-served.
+//   - NewFSStore: block value files on disk — the paper's layout.
+//     Extraction output survives the run and can be inspected or
+//     re-served.
 //   - NewMemStore: everything in memory. No files are created;
 //     extraction and verification run against sorted in-memory slices.
 //   - NewSnapshotStore: extraction lands in memory, and the engines
@@ -35,10 +35,9 @@ import (
 // backends then accumulate and re-serve the same attribute value sets,
 // while the spill backend starts empty on every call.
 type Store struct {
-	kind   storeKind
-	dir    string
-	format Format
-	mem    *store.Mem
+	kind storeKind
+	dir  string
+	mem  *store.Mem
 }
 
 type storeKind int
@@ -50,13 +49,14 @@ const (
 	storeKindSpill
 )
 
-// NewFSStore returns a filesystem-backed store rooted at dir, writing
-// newly extracted value sets in format; dir is created on the first
-// write. An empty dir defers to the run's work directory
-// (Options.WorkDir, or a temporary directory removed when the call
-// returns).
-func NewFSStore(dir string, format Format) *Store {
-	return &Store{kind: storeKindFS, dir: dir, format: format}
+// NewFSStore returns a filesystem-backed store rooted at dir; dir is
+// created on the first write. An empty dir defers to the run's work
+// directory (Options.WorkDir, or a temporary directory removed when
+// the call returns).
+//
+// The format argument is deprecated: unread; perfbench/ still sets it.
+func NewFSStore(dir string, format ...Format) *Store {
+	return &Store{kind: storeKindFS, dir: dir}
 }
 
 // NewMemStore returns an in-memory store: extraction writes sorted
@@ -80,12 +80,12 @@ func NewSpillStore() *Store {
 }
 
 // ParseBackend maps a backend name ("fs", "mem", "snapshot" or "spill";
-// "" means fs) onto a store; dir and format configure the fs backend
-// and are ignored by the others.
-func ParseBackend(name, dir string, format Format) (*Store, error) {
+// "" means fs) onto a store; dir roots the fs backend and is ignored by
+// the others.
+func ParseBackend(name, dir string) (*Store, error) {
 	switch name {
 	case "", "fs":
-		return NewFSStore(dir, format), nil
+		return NewFSStore(dir), nil
 	case "mem":
 		return NewMemStore(), nil
 	case "snapshot":
@@ -119,14 +119,14 @@ func (s *Store) spill() bool {
 // open resolves the store for one discovery call into the dataset
 // extraction writes to, the dataset the engines read from, and a
 // cleanup the caller defers. Every public entry point resolves its
-// storage here. A nil store is the fs backend in format. The fs
+// storage here. A nil store is the fs backend. The fs
 // backend is rooted at its own directory, else at workDir, else at a
 // temporary directory the cleanup removes. The snapshot backend reads
 // through a fresh read-only view of its memory; the spill backend
 // gets a fresh in-memory dataset, so no value set outlives the call.
-func (s *Store) open(workDir string, format Format) (write, read store.Dataset, cleanup func(), err error) {
+func (s *Store) open(workDir string) (write, read store.Dataset, cleanup func(), err error) {
 	if s == nil {
-		s = NewFSStore("", format)
+		s = NewFSStore("")
 	}
 	cleanup = func() {}
 	switch s.kind {
@@ -150,6 +150,6 @@ func (s *Store) open(workDir string, format Format) (write, read store.Dataset, 
 		dir = tmp
 		cleanup = func() { os.RemoveAll(tmp) }
 	}
-	fs := store.NewFS(dir, s.format.internal())
+	fs := store.NewFS(dir)
 	return fs, fs, cleanup, nil
 }
