@@ -11,7 +11,7 @@
 //	                       the ROWNUM/hash early stop the paper wished for
 //	BenchmarkModern_*    — the spider-merge heap engine vs the faithful
 //	                       event-driven single pass (UniProt, scale 0.25)
-//	BenchmarkExportWorkers — parallel attribute export
+//	BenchmarkExportWorkers — attribute export at GOMAXPROCS 1, 2, 4, 8
 //
 // Times are not comparable to the paper's absolute numbers (its datasets
 // are ~100x larger and ran on a 2005 commercial RDBMS); the shapes — who
@@ -270,12 +270,14 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 	})
 }
 
-// BenchmarkExportWorkers sweeps the attribute-export worker pool on the
-// UniProt dataset: extraction is embarrassingly parallel per attribute.
+// BenchmarkExportWorkers sweeps the width of the attribute-export pool
+// on the UniProt dataset by setting GOMAXPROCS, which the pool follows:
+// extraction is embarrassingly parallel per attribute.
 func BenchmarkExportWorkers(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
 				// Export copies so the cached dataset's attributes stay
 				// untouched.
@@ -285,7 +287,7 @@ func BenchmarkExportWorkers(b *testing.B) {
 					attrs[j] = &cp
 				}
 				out := store.NewFS(b.TempDir())
-				if err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{Dataset: out, Workers: workers}); err != nil {
+				if err := ind.ExportAttributes(ds.DB, attrs, ind.ExportConfig{Dataset: out}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -478,7 +480,7 @@ func BenchmarkAblation_SketchPrefilter(b *testing.B) {
 					for _, a := range ds.Attrs {
 						a.Sketch = nil // rebuild each iteration: the build is part of the cost
 					}
-					if err := ind.BuildAttributeSketches(ds.DB, ds.Attrs, sketch.Config{}, 0); err != nil {
+					if err := ind.BuildAttributeSketches(ds.DB, ds.Attrs, sketch.Config{}); err != nil {
 						b.Fatal(err)
 					}
 					var st ind.SketchPretestStats
@@ -714,7 +716,7 @@ func BenchmarkAblation_ResemblancePretest(b *testing.B) {
 				for _, a := range copies {
 					a.Sketch = nil // the build is part of the measured pretest
 				}
-				if err := ind.BuildAttributeSketches(ds.DB, copies, sketch.Config{K: size}, 0); err != nil {
+				if err := ind.BuildAttributeSketches(ds.DB, copies, sketch.Config{K: size}); err != nil {
 					b.Fatal(err)
 				}
 				kept, _ := ind.SketchPretest(cands, ind.SketchPretestOptions{MinContainment: 1})
@@ -806,7 +808,7 @@ func BenchmarkSubstrate_ColumnPass(b *testing.B) {
 			b.Fatal(err)
 		}
 		mem := store.NewMem()
-		if err := ind.ExportAttributes(db, attrs, ind.ExportConfig{Dataset: mem, Workers: runtime.GOMAXPROCS(0)}); err != nil {
+		if err := ind.ExportAttributes(db, attrs, ind.ExportConfig{Dataset: mem}); err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {

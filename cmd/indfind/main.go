@@ -30,7 +30,6 @@ func main() {
 	transitivity := flag.Bool("transitivity", false, "enable transitivity inference (brute force)")
 	depBlock := flag.Int("depblock", 64, "dependent block size (single-pass-blocked)")
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
-	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 	embedded := flag.Bool("embedded", false, "also discover embedded INDs (transformed values; -algo spider-merge selects the merge-front engine)")
@@ -76,7 +75,6 @@ func main() {
 			Threshold:               *partial,
 			WorkDir:                 *workDir,
 			Algorithm:               algorithm,
-			ExportWorkers:           *exportWorkers,
 			SketchPrefilter:         *sketchOn,
 			SketchMinContainment:    *sketchContainment,
 			SketchK:                 *sketchK,
@@ -101,7 +99,6 @@ func main() {
 		Transitivity:            *transitivity,
 		DepBlock:                *depBlock,
 		RefBlock:                *refBlock,
-		ExportWorkers:           *exportWorkers,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
 		SketchK:                 *sketchK,
@@ -133,11 +130,10 @@ func main() {
 			naryAlgo = spider.SpiderMerge
 		}
 		naryOpts := spider.NaryOptions{
-			MaxArity:      *nary,
-			Algorithm:     naryAlgo,
-			WorkDir:       *workDir,
-			ExportWorkers: *exportWorkers,
-			Store:         backend,
+			MaxArity:  *nary,
+			Algorithm: naryAlgo,
+			WorkDir:   *workDir,
+			Store:     backend,
 			// Per-level progress arrives as each level finishes, not after
 			// the whole search: long levels report while later ones run.
 			LevelProgress: func(p spider.NaryLevelProgress) {

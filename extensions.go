@@ -2,7 +2,6 @@ package spider
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"spider/internal/ind"
@@ -42,9 +41,6 @@ type PartialOptions struct {
 	// pass over all attributes via the count-carrying k-way heap merge).
 	// Both return identical results.
 	Algorithm Algorithm
-	// ExportWorkers bounds the attribute-export worker pool; 0 selects
-	// GOMAXPROCS, 1 exports sequentially.
-	ExportWorkers int
 	// SketchPrefilter enables the sketch pre-filter on the partial
 	// path. Unlike the exact path there is no sound refutation rule
 	// here — a few provably missing values refute only the exact IND —
@@ -101,7 +97,7 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	// Extraction, hoisted before candidate generation so that sketches
 	// (built in the same pass) exist by the time the pre-filter runs.
 	err = ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-		Dataset: writeDS, Workers: workerPool(opts.ExportWorkers),
+		Dataset:  writeDS,
 		Sketches: opts.SketchPrefilter,
 		SketchConfig: sketch.Config{
 			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
@@ -145,14 +141,6 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 		})
 	}
 	return out, convertStats(res.Stats), nil
-}
-
-// workerPool resolves a worker-count option to a pool size.
-func workerPool(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // EmbeddedIND is an inclusion between transformed dependent values and a
@@ -207,9 +195,6 @@ type NaryOptions struct {
 	// tuple sets); InMemory keeps every level, the unary seed included,
 	// in memory whatever WorkDir and Store say.
 	WorkDir string
-	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
-	// GOMAXPROCS, 1 extracts sequentially.
-	ExportWorkers int
 	// LevelProgress, when non-nil, receives one report per completed
 	// level (including the arity-1 seed) as soon as its verdicts are in.
 	LevelProgress func(NaryLevelProgress)
@@ -276,11 +261,10 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	}
 	defer cleanup()
 	inOpts := ind.NaryOptions{
-		MaxArity:      opts.MaxArity,
-		Algorithm:     engine,
-		ExportWorkers: opts.ExportWorkers,
-		Scratch:       writeDS,
-		Store:         readDS,
+		MaxArity:  opts.MaxArity,
+		Algorithm: engine,
+		Scratch:   writeDS,
+		Store:     readDS,
 	}
 	if opts.LevelProgress != nil {
 		inOpts.LevelProgress = func(p ind.LevelProgress) {

@@ -3,6 +3,7 @@ package spider
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,13 @@ func dirtyDatabase(t *testing.T) *Database {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// setGOMAXPROCS sets GOMAXPROCS, and with it the width of the export
+// pool, to n until the test ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func TestFindPartialINDs(t *testing.T) {
@@ -89,21 +97,25 @@ func TestFindPartialINDsEngineAgreement(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("baseline found nothing")
 	}
-	for name, opts := range map[string]PartialOptions{
-		"spider-merge":         {Threshold: 0.9, Algorithm: SpiderMerge},
-		"streaming":            {Threshold: 0.9, Algorithm: SpiderMerge, Store: NewSpillStore()},
-		"brute-force spill":    {Threshold: 0.9, Store: NewSpillStore()},
-		"sequential exporters": {Threshold: 0.9, Algorithm: SpiderMerge, ExportWorkers: 1},
-	} {
-		got, stats, err := FindPartialINDs(db, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s disagrees with brute force:\ngot  %v\nwant %v", name, got, want)
-		}
-		if stats.ItemsRead == 0 {
-			t.Errorf("%s: ItemsRead not counted", name)
+	// GOMAXPROCS 1 exports one attribute at a time, the paper's
+	// sequential export; 4 exports on a four-wide pool.
+	for _, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		for name, opts := range map[string]PartialOptions{
+			"spider-merge":      {Threshold: 0.9, Algorithm: SpiderMerge},
+			"streaming":         {Threshold: 0.9, Algorithm: SpiderMerge, Store: NewSpillStore()},
+			"brute-force spill": {Threshold: 0.9, Store: NewSpillStore()},
+		} {
+			got, stats, err := FindPartialINDs(db, opts)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %s: %v", procs, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("GOMAXPROCS=%d: %s disagrees with brute force:\ngot  %v\nwant %v", procs, name, got, want)
+			}
+			if stats.ItemsRead == 0 {
+				t.Errorf("GOMAXPROCS=%d: %s: ItemsRead not counted", procs, name)
+			}
 		}
 	}
 	if _, _, err := FindPartialINDs(db, PartialOptions{Threshold: 0.9, Algorithm: SinglePass}); err == nil {
@@ -231,25 +243,28 @@ func TestFindNaryINDs(t *testing.T) {
 	}
 
 	// The merge-backed engine must return the same INDs and level counts,
-	// on the value-file and spill backends.
-	for _, opts := range []NaryOptions{
-		{MaxArity: 2, Algorithm: SpiderMerge},
-		{MaxArity: 2, Algorithm: SpiderMerge, Store: NewSpillStore()},
-		{MaxArity: 2, Algorithm: SpiderMerge, ExportWorkers: 2},
-	} {
-		merged, mergedStats, err := FindNaryINDs(db, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if !reflect.DeepEqual(merged, nary) {
-			t.Errorf("%+v: merge engine differs:\ngot  %v\nwant %v", opts, merged, nary)
-		}
-		if !reflect.DeepEqual(mergedStats.SatisfiedByArity, naryStats.SatisfiedByArity) {
-			t.Errorf("%+v: level counts differ: %v vs %v",
-				opts, mergedStats.SatisfiedByArity, naryStats.SatisfiedByArity)
-		}
-		if mergedStats.ItemsRead == 0 {
-			t.Errorf("%+v: merge engine read no items", opts)
+	// on the value-file and spill backends, staging one list at a time
+	// (GOMAXPROCS 1) and on a two-wide pool.
+	for _, procs := range []int{1, 2} {
+		setGOMAXPROCS(t, procs)
+		for _, opts := range []NaryOptions{
+			{MaxArity: 2, Algorithm: SpiderMerge},
+			{MaxArity: 2, Algorithm: SpiderMerge, Store: NewSpillStore()},
+		} {
+			merged, mergedStats, err := FindNaryINDs(db, opts)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %+v: %v", procs, opts, err)
+			}
+			if !reflect.DeepEqual(merged, nary) {
+				t.Errorf("GOMAXPROCS=%d: %+v: merge engine differs:\ngot  %v\nwant %v", procs, opts, merged, nary)
+			}
+			if !reflect.DeepEqual(mergedStats.SatisfiedByArity, naryStats.SatisfiedByArity) {
+				t.Errorf("GOMAXPROCS=%d: %+v: level counts differ: %v vs %v",
+					procs, opts, mergedStats.SatisfiedByArity, naryStats.SatisfiedByArity)
+			}
+			if mergedStats.ItemsRead == 0 {
+				t.Errorf("GOMAXPROCS=%d: %+v: merge engine read no items", procs, opts)
+			}
 		}
 	}
 

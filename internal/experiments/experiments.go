@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"runtime"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -561,7 +560,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	// only): the pruned candidate set must verify to the byte-identical
 	// satisfied INDs while reading fewer items.
 	sketchStart := time.Now()
-	if err := ind.BuildAttributeSketches(ds.DB, ds.Attrs, sketch.Config{}, runtime.GOMAXPROCS(0)); err != nil {
+	if err := ind.BuildAttributeSketches(ds.DB, ds.Attrs, sketch.Config{}); err != nil {
 		return nil, err
 	}
 	prunedCands, sketchSt := ind.SketchPretest(ds.Candidates, ind.SketchPretestOptions{ExactRefutation: true})

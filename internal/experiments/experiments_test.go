@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -336,20 +337,24 @@ func TestSpiderMergeShape(t *testing.T) {
 	}
 }
 
-// Parallel export shape: worker pools produce byte-identical value files.
+// Parallel export shape: the export pool produces byte-identical value
+// files at GOMAXPROCS 1 (one attribute at a time) and at GOMAXPROCS 8.
 func TestParallelExportMatchesSequential(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	seq, err := BuildDataset("scop", Quick(), ind.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seq.Close()
+	runtime.GOMAXPROCS(8)
 	par, err := BuildDataset("scop", Quick(), ind.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
 	dir := t.TempDir()
-	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dataset: store.NewFS(dir), Workers: 8}); err != nil {
+	if err := ind.ExportAttributes(par.DB, par.Attrs, ind.ExportConfig{Dataset: store.NewFS(dir)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Attrs) != len(par.Attrs) {

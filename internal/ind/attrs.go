@@ -10,8 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"spider/internal/extsort"
 	"spider/internal/relstore"
@@ -114,9 +112,7 @@ type ExportConfig struct {
 	Dir string
 	// Deprecated: unread; perfbench/batch.go still sets it.
 	Sort extsort.Config
-	// Workers bounds the export worker pool. Attributes are independent —
-	// each worker stages its own column's set into its own file — so
-	// extraction scales with cores. Zero or one exports sequentially.
+	// Deprecated: unread; perfbench/batch.go still sets it.
 	Workers int
 	// Sketches additionally builds each attribute's pre-filter sketch
 	// (KMV min-hash signature + partitioned bloom filter) in the same
@@ -138,63 +134,17 @@ type ExportConfig struct {
 // Sec 1.2. The sort is the column pass that computed the attribute's
 // statistics: the export takes the sorted set the table kept
 // (relstore.Table.DistinctCanonical) and stages it as it is, with no
-// second sort. With cfg.Workers > 1 the attributes are exported by a
-// bounded worker pool.
+// second sort. Attributes are independent — each stages its own set
+// under its own key — so they are exported on relstore.Parallel's
+// GOMAXPROCS-wide pool; GOMAXPROCS=1 gives the paper's sequential
+// export.
 func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig) error {
 	if err := requireDataset(cfg.Dataset, "ExportConfig.Dataset"); err != nil {
 		return err
 	}
-	return forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		return exportAttribute(db, a, cfg)
+	return relstore.Parallel(len(attrs), func(i int) error {
+		return exportAttribute(db, attrs[i], cfg)
 	})
-}
-
-// forEachAttribute applies fn to every attribute on a pool of at most
-// workers goroutines (sequentially when workers <= 1), returning the
-// first error. fn runs at most once per attribute; later work is skipped
-// after a failure.
-func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error) error {
-	if workers > len(attrs) {
-		workers = len(attrs)
-	}
-	if workers <= 1 {
-		for _, a := range attrs {
-			if err := fn(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(attrs) || failed.Load() {
-					return
-				}
-				if err := fn(attrs[i]); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // exportAttribute stages one attribute's sorted value set into

@@ -14,11 +14,11 @@ type Stats struct {
 	Candidates int
 	Satisfied  int
 	ItemsRead  int64
-	// BytesRead is the raw bytes pulled from value files (both formats
-	// count; block files include headers, index and checksums), filled by
-	// the file-backed engines from the same counter as ItemsRead. It is
-	// the metric that compares the text and block encodings' I/O for
-	// identical delivered items.
+	// BytesRead is the raw bytes pulled from the value sets, filled from
+	// the same counter as ItemsRead: a block file counts its headers,
+	// index and checksums as well as its payload, and an in-memory set
+	// counts each value's length plus one. It measures the I/O behind
+	// the items read.
 	BytesRead    int64
 	Comparisons  int64
 	FilesOpened  int

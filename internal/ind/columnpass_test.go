@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -131,13 +132,14 @@ func TestRunMetaSectionGolden(t *testing.T) {
 // column pass sorted in memory: every backend receives the column's
 // sorted distinct set with Added equal to NonNull and no spill runs.
 func TestColumnExportStagesWithoutRuns(t *testing.T) {
+	setGOMAXPROCS(t, 2)
 	db := randomDB(31)
 	for name, ds := range stagingBackends(t) {
 		attrs, err := CollectAttributes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = ExportAttributes(db, attrs, ExportConfig{Dataset: ds, Workers: 2, Sketches: true})
+		err = ExportAttributes(db, attrs, ExportConfig{Dataset: ds, Sketches: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -154,6 +156,13 @@ func TestColumnExportStagesWithoutRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// setGOMAXPROCS sets GOMAXPROCS, and with it the width of the export
+// pool, to n until the test ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // columnPassDB is one table whose columns range from unique to heavily
@@ -175,10 +184,11 @@ func columnPassDB() (*relstore.Database, *relstore.Table) {
 }
 
 // TestColumnPassConcurrentStatsAndExport: concurrent ColumnStats calls
-// and a four-worker export share one table whose statistics do not
+// and an export on a four-wide pool share one table whose statistics do not
 // exist yet. Run under -race; every caller must see the same statistics
 // and the export must stage every column's full set.
 func TestColumnPassConcurrentStatsAndExport(t *testing.T) {
+	setGOMAXPROCS(t, 4)
 	db, tab := columnPassDB()
 	refs := db.Columns()
 	var wg sync.WaitGroup
@@ -200,7 +210,7 @@ func TestColumnPassConcurrentStatsAndExport(t *testing.T) {
 	mem := store.NewMem()
 	attrs, err := CollectAttributes(db)
 	if err == nil {
-		err = ExportAttributes(db, attrs, ExportConfig{Dataset: mem, Workers: 4})
+		err = ExportAttributes(db, attrs, ExportConfig{Dataset: mem})
 	}
 	wg.Wait()
 	if err != nil {

@@ -3,11 +3,8 @@ package ind
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spider/internal/store"
@@ -433,50 +430,4 @@ func (f *mergeFront) pop() int32 {
 	}
 	*f = h
 	return top
-}
-
-// runPool runs fn(i) for every index on a bounded worker pool (zero
-// workers selects min(n, GOMAXPROCS)), returning the first error.
-// Remaining indices are skipped after a failure.
-func runPool(n, workers int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errMu.Lock()
-				failed := firstErr != nil
-				errMu.Unlock()
-				if failed {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -2,7 +2,6 @@ package ind
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -109,9 +108,6 @@ type NaryOptions struct {
 	// memory.
 	Store   store.Dataset
 	Scratch store.Dataset
-	// ExportWorkers bounds the tuple-extraction worker pool; 0 selects
-	// GOMAXPROCS, 1 extracts sequentially.
-	ExportWorkers int
 	// Deprecated: unread; perfbench/batch.go still sets it.
 	Sort extsort.Config
 	// LevelProgress, when non-nil, receives one report per completed
@@ -349,14 +345,6 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	return res, nil
 }
 
-// naryWorkers resolves a worker-count option to a pool size.
-func naryWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // unarySeed computes the satisfied arity-1 inclusions over the eligible
 // columns, recording them into res and satisfiedKeys. The NaryMerge
 // engine verifies all pairs in one SpiderMerge pass over the staged
@@ -433,11 +421,7 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, v
 // does: export the attribute value sets into Scratch, merge them out
 // of Store.
 func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, counter *valfile.ReadCounter) (*Result, error) {
-	err := ExportAttributes(db, eligible, ExportConfig{
-		Dataset: opts.Scratch,
-		Workers: naryWorkers(opts.ExportWorkers),
-	})
-	if err != nil {
+	if err := ExportAttributes(db, eligible, ExportConfig{Dataset: opts.Scratch}); err != nil {
 		return nil, err
 	}
 	return SpiderMerge(cands, SpiderMergeOptions{Counter: counter, Store: opts.Store})

@@ -182,7 +182,7 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 			}
 		}
 	}()
-	err := runPool(len(lists), m.opts.ExportWorkers, func(i int) error {
+	err := relstore.Parallel(len(lists), func(i int) error {
 		tuples, err := m.tupleSet(lists[i])
 		if err != nil {
 			return err

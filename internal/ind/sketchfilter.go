@@ -105,10 +105,11 @@ func SketchPretest(cands []Candidate, opts SketchPretestOptions) ([]Candidate, S
 // sorted distinct values — the fallback for paths that never export
 // value files (the SQL and in-memory engines). It takes the set the
 // column pass made, as an export does, and observes each distinct value
-// once. workers bounds the pool as in ExportAttributes. Attributes that
-// already carry a sketch are skipped.
-func BuildAttributeSketches(db *relstore.Database, attrs []*Attribute, cfg sketch.Config, workers int) error {
-	return forEachAttribute(attrs, workers, func(a *Attribute) error {
+// once, on the same pool as ExportAttributes. Attributes that already
+// carry a sketch are skipped.
+func BuildAttributeSketches(db *relstore.Database, attrs []*Attribute, cfg sketch.Config) error {
+	return relstore.Parallel(len(attrs), func(i int) error {
+		a := attrs[i]
 		if a.Sketch != nil {
 			return nil
 		}

@@ -202,13 +202,14 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
 		staged, err := CollectAttributes(db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mem := store.NewMem()
-		err = ExportAttributes(db, staged, ExportConfig{Dataset: mem, Workers: workers, Sketches: true})
+		err = ExportAttributes(db, staged, ExportConfig{Dataset: mem, Sketches: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,10 +224,10 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 		}
 		for i := range exported {
 			if !reflect.DeepEqual(staged[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: memory sketch differs from export sketch", workers, exported[i].Ref)
+				t.Fatalf("GOMAXPROCS=%d: %s: memory sketch differs from export sketch", procs, exported[i].Ref)
 			}
 			if !reflect.DeepEqual(loaded[i].Sketch, exported[i].Sketch) {
-				t.Fatalf("workers=%d: %s: persisted memory sketch differs from export sketch", workers, exported[i].Ref)
+				t.Fatalf("GOMAXPROCS=%d: %s: persisted memory sketch differs from export sketch", procs, exported[i].Ref)
 			}
 		}
 	}
@@ -247,7 +248,8 @@ func TestBuildAttributeSketchesMatchesExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildAttributeSketches(db, scanned, sketch.Config{}, 2); err != nil {
+	setGOMAXPROCS(t, 2)
+	if err := BuildAttributeSketches(db, scanned, sketch.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range exported {

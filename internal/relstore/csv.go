@@ -53,7 +53,12 @@ func (db *Database) LoadCSVDir(dir string) ([]*Table, error) {
 	}
 	tables := make([]*Table, len(paths))
 	errs := make([]error, len(paths))
-	parallel(len(paths), func(i int) { tables[i], errs[i] = parseCSVFile(paths[i], "") })
+	// Each file keeps its own error, so the first file in name order
+	// that fails is the one reported; fn itself never fails.
+	_ = Parallel(len(paths), func(i int) error {
+		tables[i], errs[i] = parseCSVFile(paths[i], "")
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

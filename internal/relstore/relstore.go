@@ -19,8 +19,8 @@
 // The store parses and computes statistics in parallel. LoadCSVDir
 // parses its files concurrently and then registers the tables in file
 // name order, and the first statistics call runs the column pass of
-// every stale column in the database on one pool. Both pools hold
-// GOMAXPROCS workers, and neither changes what is loaded or computed.
+// every stale column in the database at once. Both run on Parallel's
+// GOMAXPROCS-wide pool, and neither changes what is loaded or computed.
 //
 // One column pass serves statistics and extraction alike: it sorts the
 // column's canonical values once into the sorted distinct set s(a),
@@ -393,9 +393,11 @@ func (db *Database) columnStats(t *Table) []ColumnStats {
 		stats[tb] = make([]ColumnStats, len(tb.Columns))
 		sets[tb] = make([][]string, len(tb.Columns))
 	}
-	parallel(len(tasks), func(i int) {
+	// A column pass cannot fail, so neither can the pool.
+	_ = Parallel(len(tasks), func(i int) error {
 		k := tasks[i]
 		sets[k.t][k.ci], stats[k.t][k.ci] = k.t.columnPass(k.ci)
+		return nil
 	})
 	for _, tb := range stale {
 		tb.mu.Lock()
@@ -421,30 +423,45 @@ func (t *Table) columnPass(ci int) ([]string, ColumnStats) {
 	return vals, s
 }
 
-// parallel calls fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
-// goroutines and returns when all calls have returned.
-func parallel(n int, fn func(i int)) {
+// Parallel calls fn(i) for every i in [0, n) on min(n, GOMAXPROCS)
+// goroutines, one after another when that width is 1, and returns when
+// every call it started has returned. It returns the first error fn
+// returns; once a call has failed no new index starts. This is the one
+// worker pool of the module: CSV parsing, the column pass, attribute
+// export, sketch builds and n-ary level staging all run on it, so
+// GOMAXPROCS=1 runs each of them sequentially.
+func Parallel(n int, fn func(i int) error) error {
 	workers := min(n, runtime.GOMAXPROCS(0))
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
+			for i := int(next.Add(1)) - 1; i < n && !failed.Load(); i = int(next.Add(1)) - 1 {
+				if err := fn(i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	return firstErr
 }
 
 // DistinctCanonical returns the sorted set s(a) of distinct canonical

@@ -19,9 +19,9 @@
 // resemblance idea the paper's Sec 6 cites, with only bloom
 // false-positive error — no KMV-vs-KMV truncation error.
 //
-// Sketches serialise to a compact binary format (Encode/Decode,
-// WriteFile/ReadFile) so they persist inside the sorted value files (as
-// their SKCH section) and survive across runs. The value hash is an
+// Sketches serialise to a compact binary format (Encode/Decode) so they
+// persist inside the sorted value files (as their SKCH section) and
+// survive across runs. The value hash is an
 // unseeded FNV-1a, stable across processes, so persisted sketches
 // remain probeable forever.
 package sketch
@@ -33,7 +33,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math/bits"
-	"os"
 	"sort"
 )
 
@@ -477,35 +476,4 @@ func skipSample(br *bufio.Reader, readU64 func() (uint64, error), nMinima uint64
 		}
 	}
 	return nil
-}
-
-// WriteFile persists the sketch's encoding as the file at path.
-func (s *Sketch) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sketch: %w", err)
-	}
-	if err := s.Encode(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("sketch: %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("sketch: %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadFile loads a sketch persisted by WriteFile.
-func ReadFile(path string) (*Sketch, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sketch: %w", err)
-	}
-	defer f.Close()
-	s, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("sketch: %s: %w", path, err)
-	}
-	return s, nil
 }

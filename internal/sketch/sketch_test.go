@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -220,25 +219,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, s) {
 			t.Fatalf("trial %d: round trip mismatch", trial)
 		}
-	}
-}
-
-// TestReadFileWriteFile exercises the on-disk persistence path.
-func TestReadFileWriteFile(t *testing.T) {
-	s := buildFrom(Config{K: 16}, []string{"x", "y", "z"}, 3)
-	path := filepath.Join(t.TempDir(), "a.sketch")
-	if err := s.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatal("file round trip mismatch")
-	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 

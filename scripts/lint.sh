@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local lint gate mirroring the CI lint job: gofmt, go vet with the
-# repo's indlint invariant suite, and staticcheck/shellcheck when they
-# are installed. Run it before pushing:
+# repo's indlint invariant suite, go vet of the perfbench module, and
+# staticcheck/shellcheck when they are installed. Run it before pushing:
 #
 #   ./scripts/lint.sh
 set -euo pipefail
@@ -26,6 +26,12 @@ echo "+ go build -o indlint ./cmd/indlint"
 go build -o "$bindir/indlint" ./cmd/indlint
 echo "+ go vet -vettool=indlint ./..."
 go vet -vettool="$bindir/indlint" ./... || fail=1
+
+# perfbench is its own module, so ./... above does not reach it; vet it
+# as CI's perfbench job does, so that a deleted name it still uses
+# fails here rather than in the benchmark run.
+echo "+ go -C perfbench vet ./..."
+go -C perfbench vet ./... || fail=1
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "+ staticcheck ./..."

@@ -159,9 +159,6 @@ type Options struct {
 	Transitivity bool
 	// DepBlock/RefBlock bound open files for SinglePassBlocked.
 	DepBlock, RefBlock int
-	// ExportWorkers bounds the attribute-export worker pool; 0 selects
-	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
-	ExportWorkers int
 	// SketchPrefilter enables the per-attribute sketch pre-filter: a
 	// KMV min-hash signature plus a partitioned bloom filter, built for
 	// every attribute in the same streaming pass that extracts its
@@ -170,7 +167,7 @@ type Options struct {
 	// only when a sampled dependent value is provably absent from the
 	// referenced attribute (bloom filters have no false negatives) — so
 	// the discovered INDs are identical; only refuted candidates skip
-	// their tests. File-backed runs persist each sketch next to the
+	// their tests. Each sketch is stored as the SKCH section of its
 	// attribute's value file.
 	SketchPrefilter bool
 	// SketchMinContainment, in (0, 1], additionally drops candidates
@@ -375,7 +372,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	switch {
 	case needsFiles(opts.Algorithm):
 		err := ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-			Dataset: writeDS, Workers: exportWorkers(opts),
+			Dataset:  writeDS,
 			Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
 		})
 		if err != nil {
@@ -384,7 +381,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	case opts.SketchPrefilter:
 		// Engines that never extract value sets (SQL, in-memory,
 		// baselines) still get sketches, from the columns' sorted sets.
-		if err := ind.BuildAttributeSketches(db.rel, attrs, opts.sketchConfig(), exportWorkers(opts)); err != nil {
+		if err := ind.BuildAttributeSketches(db.rel, attrs, opts.sketchConfig()); err != nil {
 			return nil, err
 		}
 	}
@@ -459,11 +456,6 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	out.algorithm = opts.Algorithm.String()
 	out.spilled = opts.Store.spill()
 	return out, nil
-}
-
-// exportWorkers resolves Options.ExportWorkers to a pool size.
-func exportWorkers(opts Options) int {
-	return workerPool(opts.ExportWorkers)
 }
 
 func needsFiles(a Algorithm) bool {
