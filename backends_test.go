@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -322,6 +323,25 @@ func TestEntryPointsLeaveNoTempFiles(t *testing.T) {
 	}
 	if _, _, err := FindEmbeddedINDs(db); err != nil {
 		t.Fatal(err)
+	}
+	assertEmptyDir(t, tmp)
+
+	// Invalid options fail before any storage is opened: with TMPDIR
+	// missing, making a temporary directory would fail another way.
+	t.Setenv("TMPDIR", filepath.Join(tmp, "missing"))
+	_, errExact := FindINDs(db, Options{Algorithm: Algorithm(99), SketchPrefilter: true})
+	_, _, errPartial := FindPartialINDs(db, PartialOptions{Threshold: 1.5})
+	_, _, errNary := FindNaryINDs(db, NaryOptions{Algorithm: SQLJoin})
+	_, _, errEmbedded := FindEmbeddedINDsWith(db, EmbeddedOptions{Algorithm: InMemory})
+	for want, err := range map[string]error{
+		"unknown algorithm":               errExact,
+		"partial threshold must be in":    errPartial,
+		"n-ary discovery supports":        errNary,
+		"embedded IND discovery supports": errEmbedded,
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("got error %v, want one containing %q", err, want)
+		}
 	}
 	assertEmptyDir(t, tmp)
 }

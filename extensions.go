@@ -1,12 +1,12 @@
 package spider
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"spider/internal/ind"
 	"spider/internal/sketch"
-	"spider/internal/valfile"
 )
 
 // This file exposes the paper's Sec 7 future-work extensions: partial
@@ -76,71 +76,50 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	if opts.Threshold <= 0 || opts.Threshold > 1 {
 		return nil, Stats{}, fmt.Errorf("spider: partial threshold must be in (0, 1], got %v", opts.Threshold)
 	}
-	if opts.SketchMinContainment < 0 || opts.SketchMinContainment > 1 {
-		return nil, Stats{}, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
+	if err := checkContainment(opts.SketchMinContainment); err != nil {
+		return nil, Stats{}, err
 	}
 	switch opts.Algorithm {
 	case BruteForce, SpiderMerge:
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: partial IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
+	r, err := openRun(db, opts.Store, opts.WorkDir)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer cleanup()
-	attrs, err := ind.CollectAttributes(db.rel)
-	if err != nil {
+	defer r.close()
+	if err := r.collect(); err != nil {
 		return nil, Stats{}, err
 	}
-
-	// Extraction, hoisted before candidate generation so that sketches
-	// (built in the same pass) exist by the time the pre-filter runs.
-	err = ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-		Dataset:  writeDS,
-		Sketches: opts.SketchPrefilter,
-		SketchConfig: sketch.Config{
-			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
-		},
-	})
-	if err != nil {
+	cfg := sketch.Config{K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue}
+	if err := r.extract(true, opts.SketchPrefilter, cfg); err != nil {
 		return nil, Stats{}, err
 	}
-
-	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{PartialThreshold: opts.Threshold})
-	var sketchStats ind.SketchPretestStats
+	var pre *ind.SketchPretestOptions
 	if opts.SketchPrefilter {
-		cut := opts.SketchMinContainment
-		if cut == 0 {
-			cut = opts.Threshold // validated to (0, 1] above
-		}
 		// No ExactRefutation here: a provably missing value refutes the
-		// exact IND, never a partial one.
-		cands, sketchStats = ind.SketchPretest(cands, ind.SketchPretestOptions{MinContainment: cut})
+		// exact IND, never a partial one. The cut-off defaults to σ.
+		pre = &ind.SketchPretestOptions{MinContainment: cmp.Or(opts.SketchMinContainment, opts.Threshold)}
+	}
+	if err := r.candidates(ind.GenOptions{PartialThreshold: opts.Threshold}, 0, pre); err != nil {
+		return nil, Stats{}, err
 	}
 
-	var counter valfile.ReadCounter
 	var res *ind.PartialResult
 	if opts.Algorithm == BruteForce {
-		res, err = ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS})
+		res, err = ind.BruteForcePartial(r.cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &r.counter, Store: r.read})
 	} else {
-		res, err = ind.PartialSpiderMerge(cands, opts.Threshold, ind.SpiderMergeOptions{Counter: &counter, Store: readDS})
+		res, err = ind.PartialSpiderMerge(r.cands, opts.Threshold, ind.SpiderMergeOptions{Counter: &r.counter, Store: r.read})
 	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res.Stats.CandidatesPruned = sketchStats.Pruned
-	res.Stats.SketchBytes = sketchStats.SketchBytes
 	var out []PartialIND
 	for _, m := range res.Satisfied {
-		out = append(out, PartialIND{
-			Dep:      ColumnRef{Table: m.Dep.Table, Column: m.Dep.Column},
-			Ref:      ColumnRef{Table: m.Ref.Table, Column: m.Ref.Column},
-			Coverage: m.Coverage,
-			Missing:  m.Missing,
-		})
+		out = append(out, PartialIND{Dep: ColumnRef(m.Dep), Ref: ColumnRef(m.Ref), Coverage: m.Coverage, Missing: m.Missing})
 	}
-	return out, convertStats(res.Stats), nil
+	return out, r.trailer(res.Stats), nil
 }
 
 // EmbeddedIND is an inclusion between transformed dependent values and a
@@ -255,40 +234,27 @@ func FindNaryINDs(db *Database, opts NaryOptions) ([]NaryIND, NaryStats, error) 
 	default:
 		return nil, NaryStats{}, fmt.Errorf("spider: n-ary discovery supports InMemory or SpiderMerge, not %v", opts.Algorithm)
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
+	r, err := openRun(db, opts.Store, opts.WorkDir)
 	if err != nil {
 		return nil, NaryStats{}, err
 	}
-	defer cleanup()
+	defer r.close()
 	inOpts := ind.NaryOptions{
 		MaxArity:  opts.MaxArity,
 		Algorithm: engine,
-		Scratch:   writeDS,
-		Store:     readDS,
+		Scratch:   r.write,
+		Store:     r.read,
 	}
 	if opts.LevelProgress != nil {
-		inOpts.LevelProgress = func(p ind.LevelProgress) {
-			opts.LevelProgress(NaryLevelProgress{
-				Arity:      p.Arity,
-				Candidates: p.Candidates,
-				Satisfied:  p.Satisfied,
-				ItemsRead:  p.ItemsRead,
-				Duration:   p.Duration,
-			})
-		}
+		inOpts.LevelProgress = func(p ind.LevelProgress) { opts.LevelProgress(NaryLevelProgress(p)) }
 	}
-	res, err := ind.DiscoverNary(db.rel, inOpts)
+	res, err := ind.DiscoverNary(r.db, inOpts)
 	if err != nil {
 		return nil, NaryStats{}, err
 	}
 	var out []NaryIND
 	for _, d := range res.Satisfied {
-		n := NaryIND{}
-		for i := range d.Dep {
-			n.Dep = append(n.Dep, ColumnRef{Table: d.Dep[i].Table, Column: d.Dep[i].Column})
-			n.Ref = append(n.Ref, ColumnRef{Table: d.Ref[i].Table, Column: d.Ref[i].Column})
-		}
-		out = append(out, n)
+		out = append(out, NaryIND{Dep: publicRefs(d.Dep), Ref: publicRefs(d.Ref)})
 	}
 	st := NaryStats{
 		Stats: Stats{
@@ -340,43 +306,39 @@ func FindEmbeddedINDs(db *Database) ([]EmbeddedIND, Stats, error) {
 // merge-front engine folds all derived value sets into one shared heap
 // merge instead of testing them one candidate at a time.
 func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, Stats, error) {
+	engine := ind.EmbeddedAlgorithmOne
 	switch opts.Algorithm {
-	case BruteForce, SpiderMerge:
+	case SpiderMerge:
+		engine = ind.EmbeddedMerge
+	case BruteForce:
 	default:
 		return nil, Stats{}, fmt.Errorf("spider: embedded IND discovery supports BruteForce or SpiderMerge, not %v", opts.Algorithm)
 	}
-	engine := ind.EmbeddedAlgorithmOne
-	if opts.Algorithm == SpiderMerge {
-		engine = ind.EmbeddedMerge
-	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
+	r, err := openRun(db, opts.Store, opts.WorkDir)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	defer cleanup()
-	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{Dataset: writeDS})
-	if err != nil {
+	defer r.close()
+	if err := r.collect(); err != nil {
+		return nil, Stats{}, err
+	}
+	if err := r.extract(true, false, sketch.Config{}); err != nil {
 		return nil, Stats{}, err
 	}
 	// Derived value sets join the base exports in the same dataset; the
 	// snapshot read side is a view of it and sees them at once.
-	var counter valfile.ReadCounter
-	res, err := ind.FindEmbedded(db.rel, attrs, ind.EmbeddedOptions{
-		Counter:   &counter,
+	res, err := ind.FindEmbedded(r.db, r.attrs, ind.EmbeddedOptions{
+		Counter:   &r.counter,
 		Algorithm: engine,
-		Scratch:   writeDS,
-		Store:     readDS,
+		Scratch:   r.write,
+		Store:     r.read,
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	var out []EmbeddedIND
 	for _, e := range res.Satisfied {
-		out = append(out, EmbeddedIND{
-			Dep:       ColumnRef{Table: e.Dep.Table, Column: e.Dep.Column},
-			Transform: e.Transform,
-			Ref:       ColumnRef{Table: e.Ref.Table, Column: e.Ref.Column},
-		})
+		out = append(out, EmbeddedIND{Dep: ColumnRef(e.Dep), Transform: e.Transform, Ref: ColumnRef(e.Ref)})
 	}
-	return out, convertStats(res.Stats), nil
+	return out, r.trailer(res.Stats), nil
 }

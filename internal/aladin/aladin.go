@@ -48,8 +48,6 @@ type SourceReport struct {
 	KeyCandidates []relstore.ColumnRef
 	// INDs are the satisfied intra-source INDs (step 3).
 	INDs []ind.IND
-	// Stats describes the discovery run.
-	Stats ind.Stats
 	// FKEvaluation compares against declared FKs when any exist.
 	FKEvaluation *discovery.FKEvaluation
 	// AccessionCandidates and PrimaryRelations feed step 4.
@@ -143,7 +141,6 @@ func Run(sources []Source, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		sr.INDs = res.Satisfied
-		sr.Stats = res.Stats
 		if len(src.DB.ForeignKeys()) > 0 {
 			eval := discovery.EvaluateForeignKeys(src.DB, res.Satisfied)
 			sr.FKEvaluation = &eval

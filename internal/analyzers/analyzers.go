@@ -6,16 +6,13 @@
 //
 //   - cursorclose: cursors, dataset writers and value-file readers must
 //     be closed on every path or escape to a returned owner.
-//   - nilcounter: engine result trailers must go through the nil-safe
-//     totalRead helper, never call (*valfile.ReadCounter).Total directly.
 //   - tupleencode: multi-value keys in internal/ind must use the
 //     injective escaped tuple encoding, never raw concatenation,
 //     strings.Join, or hand-rolled \x00-separated Sprintf keys.
 //   - statstrailer: every exported engine entry point returning Stats
 //     must fill ItemsRead before returning.
-//   - cancelleak: goroutines in internal/ind that send on a channel
-//     must have a cancellation path (select on done/cancel, a
-//     provably buffered channel, or a nonblocking send).
+//   - onepool: no code under internal/ starts a goroutine outside
+//     relstore.Parallel, the one bounded, waited-for worker pool.
 //   - storeseam: value streams flow through store.Dataset (or the store
 //     package's blessed pass-throughs); direct valfile open/create/read
 //     calls outside internal/store bypass the storage backends.
@@ -41,10 +38,9 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		CursorClose,
-		NilCounter,
 		TupleEncode,
 		StatsTrailer,
-		CancelLeak,
+		OnePool,
 		StoreSeam,
 	}
 }

@@ -11,11 +11,6 @@ func TestCursorClose(t *testing.T) {
 	analysistest.Run(t, "testdata/cursorclose", analyzers.CursorClose, "cursortest")
 }
 
-func TestNilCounter(t *testing.T) {
-	analysistest.Run(t, "testdata/nilcounter", analyzers.NilCounter,
-		"spider/internal/ind", "other")
-}
-
 func TestTupleEncode(t *testing.T) {
 	analysistest.Run(t, "testdata/tupleencode", analyzers.TupleEncode,
 		"spider/internal/ind", "other")
@@ -26,9 +21,9 @@ func TestStatsTrailer(t *testing.T) {
 		"spider/internal/ind")
 }
 
-func TestCancelLeak(t *testing.T) {
-	analysistest.Run(t, "testdata/cancelleak", analyzers.CancelLeak,
-		"spider/internal/ind")
+func TestOnePool(t *testing.T) {
+	analysistest.Run(t, "testdata/onepool", analyzers.OnePool,
+		"spider/internal/relstore", "spider/internal/ind", "spider/cmd/tool")
 }
 
 func TestStoreSeam(t *testing.T) {

@@ -45,7 +45,7 @@ func runStatsTrailer(pass *framework.Pass) error {
 			if hasItemsReadTrailer(pass, fd.Body) {
 				continue
 			}
-			pass.Reportf(fd.Name.Pos(), "%s returns Stats but never assigns ItemsRead; fill the result trailer (totalRead(opts.Counter)) or delegate to an engine that does — a zero ItemsRead silently corrupts the Figure 5 metric", fd.Name.Name)
+			pass.Reportf(fd.Name.Pos(), "%s returns Stats but never assigns ItemsRead; fill the result trailer (opts.Counter.Total()) or delegate to an engine that does — a zero ItemsRead silently corrupts the Figure 5 metric", fd.Name.Name)
 		}
 	}
 	return nil

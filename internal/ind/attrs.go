@@ -252,7 +252,7 @@ func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
 		if !ok {
 			continue
 		}
-		s, err := sketch.Decode(bytes.NewReader(data))
+		s, err := sketch.Decode(data)
 		if err != nil {
 			return fmt.Errorf("ind: %s: persisted sketch: %w", a.Ref, err)
 		}

@@ -70,8 +70,8 @@ func SinglePassBlocked(cands []Candidate, opts BlockedOptions) (*Result, error) 
 		}
 	}
 	total.Stats.Satisfied = len(total.Satisfied)
-	total.Stats.ItemsRead = totalRead(opts.Counter)
-	total.Stats.BytesRead = totalBytes(opts.Counter)
+	total.Stats.ItemsRead = opts.Counter.Total()
+	total.Stats.BytesRead = opts.Counter.TotalBytes()
 	total.Stats.Duration = time.Since(start)
 	sortINDs(total.Satisfied)
 	return total, nil

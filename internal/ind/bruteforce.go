@@ -113,8 +113,8 @@ func BruteForce(cands []Candidate, opts BruteForceOptions) (*Result, error) {
 		res.Stats.InferredRefuted = filter.InferredRefuted
 	}
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(opts.Counter)
-	res.Stats.BytesRead = totalBytes(opts.Counter)
+	res.Stats.ItemsRead = opts.Counter.Total()
+	res.Stats.BytesRead = opts.Counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	sortINDs(res.Satisfied)
 	return res, nil

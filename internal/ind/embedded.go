@@ -231,8 +231,8 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 	}
 	sortEmbedded(res.Satisfied)
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(opts.Counter)
-	res.Stats.BytesRead = totalBytes(opts.Counter)
+	res.Stats.ItemsRead = opts.Counter.Total()
+	res.Stats.BytesRead = opts.Counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	return res, nil
 }

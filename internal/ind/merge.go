@@ -55,8 +55,8 @@ func SpiderMerge(cands []Candidate, opts SpiderMergeOptions) (*Result, error) {
 	}
 	res.Stats.Candidates = len(cands)
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(opts.Counter)
-	res.Stats.BytesRead = totalBytes(opts.Counter)
+	res.Stats.ItemsRead = opts.Counter.Total()
+	res.Stats.BytesRead = opts.Counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	sortINDs(res.Satisfied)
 	return res, nil
@@ -124,8 +124,8 @@ func partialVerdict(row *mergeRow, sigma float64, dep, ref *Attribute) (PartialM
 func finishPartialResult(res *PartialResult, candidates int, counter *valfile.ReadCounter, start time.Time) {
 	res.Stats.Candidates = candidates
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(counter)
-	res.Stats.BytesRead = totalBytes(counter)
+	res.Stats.ItemsRead = counter.Total()
+	res.Stats.BytesRead = counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	sort.Slice(res.Satisfied, func(i, j int) bool {
 		if res.Satisfied[i].Dep != res.Satisfied[j].Dep {

@@ -89,8 +89,8 @@ func BruteForcePartial(cands []Candidate, opts PartialOptions) (*PartialResult, 
 		}
 	}
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(opts.Counter)
-	res.Stats.BytesRead = totalBytes(opts.Counter)
+	res.Stats.ItemsRead = opts.Counter.Total()
+	res.Stats.BytesRead = opts.Counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	sort.Slice(res.Satisfied, func(i, j int) bool {
 		if res.Satisfied[i].Dep != res.Satisfied[j].Dep {

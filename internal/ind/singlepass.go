@@ -46,8 +46,8 @@ func SinglePass(cands []Candidate, opts SinglePassOptions) (*Result, error) {
 	res.Stats = sp.stats
 	res.Stats.Candidates = len(cands)
 	res.Stats.Satisfied = len(res.Satisfied)
-	res.Stats.ItemsRead = totalRead(opts.Counter)
-	res.Stats.BytesRead = totalBytes(opts.Counter)
+	res.Stats.ItemsRead = opts.Counter.Total()
+	res.Stats.BytesRead = opts.Counter.TotalBytes()
 	res.Stats.Duration = time.Since(start)
 	sortINDs(res.Satisfied)
 	return res, nil

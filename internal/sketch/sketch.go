@@ -379,101 +379,92 @@ func (s *Sketch) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxDecodeLen bounds decoded array lengths so a corrupted header cannot
-// drive an enormous allocation.
+// maxDecodeLen bounds the bloom geometry fields, so their product
+// cannot overflow before it is checked against the bit-array length.
 const maxDecodeLen = 1 << 28
 
-// Decode reads a sketch written by Encode.
-func Decode(r io.Reader) (*Sketch, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("sketch: %w", err)
+// Decode parses a sketch written by Encode from its whole payload.
+// Every length in the header is checked against the payload, 8 bytes
+// per word, before anything is allocated, so a hostile header costs at
+// most its payload's size; a geometry that would make probing divide by
+// zero, a non-positive k and minima that are not strictly ascending
+// are rejected.
+func Decode(data []byte) (*Sketch, error) {
+	if len(data) < 4+6*8 {
+		return nil, fmt.Errorf("sketch: header: %w", io.ErrUnexpectedEOF)
 	}
+	m := [4]byte(data)
 	if m != magic && m != magicV2 {
 		return nil, fmt.Errorf("sketch: bad magic %q", m[:])
 	}
-	var u64 [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
+	rest := data[4:]
+	next := func() uint64 {
+		v := binary.LittleEndian.Uint64(rest)
+		rest = rest[8:]
+		return v
 	}
-	var header [6]uint64
-	for i := range header {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: header: %w", err)
-		}
-		header[i] = v
+	k, n, nMinima, partitions, partitionLen, nBits := next(), next(), next(), next(), next(), next()
+	if avail := uint64(len(rest) / 8); nMinima > avail || nBits > avail-nMinima {
+		return nil, fmt.Errorf("sketch: corrupt header (lengths %d, %d; payload holds %d words)", nMinima, nBits, avail)
 	}
-	nMinima, nBits := header[2], header[5]
-	if nMinima > maxDecodeLen || nBits > maxDecodeLen {
-		return nil, fmt.Errorf("sketch: corrupt header (lengths %d, %d)", nMinima, nBits)
+	if int(k) <= 0 {
+		return nil, fmt.Errorf("sketch: corrupt header (k %d)", int(k))
 	}
 	// The bloom geometry must agree with the bit-array length exactly as
-	// newBloom lays it out, or probing would index out of range on a
-	// corrupt file instead of failing here.
-	partitions, partitionLen := header[3], header[4]
-	if partitions > maxDecodeLen || partitionLen > maxDecodeLen ||
+	// newBloom lays it out, or probing would index out of range (or
+	// divide by a zero partition length) instead of failing here.
+	if partitions == 0 || partitionLen == 0 || partitions > maxDecodeLen || partitionLen > maxDecodeLen ||
 		(partitions*partitionLen+63)/64 != nBits {
 		return nil, fmt.Errorf("sketch: corrupt bloom geometry (%d partitions x %d bits, %d words)",
 			partitions, partitionLen, nBits)
 	}
 	s := &Sketch{
-		k:      int(header[0]),
-		n:      int64(header[1]),
+		k:      int(k),
+		n:      int64(n),
 		minima: make([]uint64, nMinima),
 		bloom: bloom{
-			partitions:   int(header[3]),
-			partitionLen: header[4],
+			partitions:   int(partitions),
+			partitionLen: partitionLen,
 			bits:         make([]uint64, nBits),
 		},
 	}
 	for i := range s.minima {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: minima: %w", err)
+		s.minima[i] = next()
+		if i > 0 && s.minima[i] <= s.minima[i-1] {
+			return nil, fmt.Errorf("sketch: corrupt minima (not strictly ascending at %d)", i)
 		}
-		s.minima[i] = v
 	}
 	for i := range s.bloom.bits {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: bloom: %w", err)
-		}
-		s.bloom.bits[i] = v
+		s.bloom.bits[i] = next()
 	}
 	if m == magicV2 {
-		if err := skipSample(br, readU64, nMinima); err != nil {
+		if err := skipSample(rest, nMinima); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// skipSample validates and discards a v2 file's value sample: a count of
+// skipSample validates a v2 payload's trailing value sample: a count of
 // at most nMinima length-prefixed strings.
-func skipSample(br *bufio.Reader, readU64 func() (uint64, error), nMinima uint64) error {
-	nSample, err := readU64()
-	if err != nil {
-		return fmt.Errorf("sketch: sample: %w", err)
+func skipSample(b []byte, nMinima uint64) error {
+	if len(b) < 8 {
+		return fmt.Errorf("sketch: sample: %w", io.ErrUnexpectedEOF)
 	}
+	nSample := binary.LittleEndian.Uint64(b)
 	if nSample > nMinima {
 		return fmt.Errorf("sketch: corrupt sample length %d (only %d minima)", nSample, nMinima)
 	}
+	b = b[8:]
 	for i := uint64(0); i < nSample; i++ {
-		vlen, err := readU64()
-		if err != nil {
-			return fmt.Errorf("sketch: sample: %w", err)
+		if len(b) < 8 {
+			return fmt.Errorf("sketch: sample: %w", io.ErrUnexpectedEOF)
 		}
-		if vlen > maxDecodeLen {
+		vlen := binary.LittleEndian.Uint64(b)
+		if b = b[8:]; vlen > uint64(len(b)) {
 			return fmt.Errorf("sketch: corrupt sample value length %d", vlen)
 		}
-		if _, err := br.Discard(int(vlen)); err != nil {
-			return fmt.Errorf("sketch: sample: %w", err)
-		}
+		b = b[vlen:]
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -212,7 +214,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err := s.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(&buf)
+		got, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,35 +224,58 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeCorrupt rejects corrupted headers instead of allocating.
+// TestDecodeCorrupt rejects corrupted payloads without allocating what
+// their headers claim: bad magic, array lengths the payload cannot hold
+// (the 52-byte headers ask for 2²² and 2²⁸ words per array), a bloom
+// geometry that disagrees with the bit array or would make probing
+// divide by zero, a non-positive k, and minima that are not strictly
+// ascending.
 func TestDecodeCorrupt(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
+	s := buildFrom(Config{K: 4}, []string{"a", "b", "c", "d", "e"}, 5)
 	var buf bytes.Buffer
-	s := buildFrom(Config{}, []string{"a"}, 1)
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	// Blow up the minima length field (third header word).
-	corrupt := append([]byte(nil), raw...)
-	for i := 4 + 16; i < 4+24; i++ {
-		corrupt[i] = 0xff
+	// Words 0-5 are the header: k, n, minima, partitions, partition
+	// length, bloom words; the minima follow.
+	set := func(word int, v uint64) []byte {
+		b := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(b[4+8*word:], v)
+		return b
 	}
-	if _, err := Decode(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt length accepted")
+	cases := map[string][]byte{
+		"bad magic":             []byte("nope"),
+		"huge minima length":    set(2, ^uint64(0)),
+		"2^22-word arrays":      words(128, 1, 1<<22, 64, 1<<22, 1<<22),
+		"2^28-word arrays":      words(128, 1, 1<<28, 64, 1<<28, 1<<28),
+		"inflated partitionLen": set(4, 0xffff),
+		"zero partition length": words(4, 5, 0, 1, 0, 0),
+		"zero partitions":       words(4, 5, 0, 0, 64, 0),
+		"zero k":                set(0, 0),
+		"negative k":            set(0, 1<<63),
+		"descending minima":     set(6, s.minima[1]+1),
+		"duplicate minima":      set(7, s.minima[0]),
 	}
-	// Inflate partitionLen (fifth header word) so the geometry no longer
-	// matches the bit array: probing such a sketch would index out of
-	// range, so Decode must reject it.
-	corrupt = append([]byte(nil), raw...)
-	corrupt[4+32] = 0xff
-	corrupt[4+33] = 0xff
-	s2, err := Decode(bytes.NewReader(corrupt))
-	if err == nil {
-		t.Fatalf("corrupt bloom geometry accepted: %+v", s2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, p := range cases {
+		if got, err := Decode(p); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, got)
+		}
 	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("decoding allocated %d bytes, want at most 1 MiB", n)
+	}
+}
+
+// words assembles a v1 payload from its header and array words.
+func words(ws ...uint64) []byte {
+	b := []byte("ske1")
+	for _, w := range ws {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
 }
 
 // TestDecodeV1Compat pins the v1 layout that Encode writes — magic
@@ -259,17 +284,9 @@ func TestDecodeCorrupt(t *testing.T) {
 // sample section existed decode into the same sketch.
 func TestDecodeV1Compat(t *testing.T) {
 	s := buildFrom(Config{K: 4}, []string{"a", "b", "c", "d", "e"}, 5)
-	v1 := []byte("ske1")
-	for _, w := range []uint64{uint64(s.k), uint64(s.n), uint64(len(s.minima)),
-		uint64(s.bloom.partitions), s.bloom.partitionLen, uint64(len(s.bloom.bits))} {
-		v1 = binary.LittleEndian.AppendUint64(v1, w)
-	}
-	for _, w := range s.minima {
-		v1 = binary.LittleEndian.AppendUint64(v1, w)
-	}
-	for _, w := range s.bloom.bits {
-		v1 = binary.LittleEndian.AppendUint64(v1, w)
-	}
+	v1 := words(slices.Concat([]uint64{uint64(s.k), uint64(s.n), uint64(len(s.minima)),
+		uint64(s.bloom.partitions), s.bloom.partitionLen, uint64(len(s.bloom.bits))},
+		s.minima, s.bloom.bits)...)
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -277,7 +294,7 @@ func TestDecodeV1Compat(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), v1) {
 		t.Fatalf("Encode wrote %d bytes that differ from the %d-byte v1 layout", buf.Len(), len(v1))
 	}
-	got, err := Decode(bytes.NewReader(v1))
+	got, err := Decode(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +305,8 @@ func TestDecodeV1Compat(t *testing.T) {
 
 // TestDecodeV2Compat: sketches persisted by builds that appended a KMV
 // value sample (magic "ske2") still decode, into exactly the sketch their
-// v1 twin holds; a corrupt sample section is rejected, not skipped over.
+// v1 twin holds (TestDecodeV1Compat); a corrupt sample section is
+// rejected, not skipped over.
 func TestDecodeV2Compat(t *testing.T) {
 	s := buildFrom(Config{K: 4}, []string{"a", "b", "c", "d", "e"}, 5)
 	var buf bytes.Buffer
@@ -305,31 +323,27 @@ func TestDecodeV2Compat(t *testing.T) {
 		}
 		return out
 	}
-	want, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sample := range [][]string{nil, {"a", "c", "e"}} {
-		got, err := Decode(bytes.NewReader(v2(sample...)))
+		got, err := Decode(v2(sample...))
 		if err != nil {
 			t.Fatalf("v2 with sample %q: %v", sample, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("v2 with sample %q decoded to %+v, want %+v", sample, got, want)
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("v2 with sample %q decoded to %+v, want %+v", sample, got, s)
 		}
 	}
 
 	tooMany := v2("a", "b", "c", "d", "e") // more sample values than minima
-	if _, err := Decode(bytes.NewReader(tooMany)); err == nil {
+	if _, err := Decode(tooMany); err == nil {
 		t.Error("v2 sample longer than the minima accepted")
 	}
 	huge := binary.LittleEndian.AppendUint64(append([]byte("ske2"), v1[4:]...), 1)
 	huge = binary.LittleEndian.AppendUint64(huge, 1<<40)
-	if _, err := Decode(bytes.NewReader(huge)); err == nil {
-		t.Error("v2 sample value length beyond the decode bound accepted")
+	if _, err := Decode(huge); err == nil {
+		t.Error("v2 sample value length beyond the payload accepted")
 	}
 	truncated := v2("abc")
-	if _, err := Decode(bytes.NewReader(truncated[:len(truncated)-1])); err == nil {
+	if _, err := Decode(truncated[:len(truncated)-1]); err == nil {
 		t.Error("truncated v2 sample accepted")
 	}
 }

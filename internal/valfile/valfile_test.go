@@ -163,8 +163,9 @@ func TestCounterSharedAcrossReaders(t *testing.T) {
 func TestNilCounterSafe(t *testing.T) {
 	var c *valfile.ReadCounter
 	c.Add(5)
-	if c.Total() != 0 {
-		t.Error("nil counter Total must be 0")
+	c.AddBytes(5)
+	if c.Total() != 0 || c.TotalBytes() != 0 {
+		t.Error("nil counter Total and TotalBytes must be 0")
 	}
 	c.Reset()
 }

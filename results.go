@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"spider/internal/ind"
-	"spider/internal/relstore"
 )
 
 // Result-set persistence: a discovery run's output — the attribute
@@ -35,14 +34,7 @@ func (r *Result) SaveResultSet(path string) error {
 	if len(r.attrs) == 0 {
 		return fmt.Errorf("spider: SaveResultSet: result carries no attribute catalog (not produced by FindINDs?)")
 	}
-	inds := make([]ind.IND, 0, len(r.INDs))
-	for _, d := range r.INDs {
-		inds = append(inds, ind.IND{
-			Dep: relstore.ColumnRef{Table: d.Dep.Table, Column: d.Dep.Column},
-			Ref: relstore.ColumnRef{Table: d.Ref.Table, Column: d.Ref.Column},
-		})
-	}
-	rs, err := ind.NewResultSet(r.dataset, r.algorithm, r.attrs, inds)
+	rs, err := ind.NewResultSet(r.dataset, r.algorithm, r.attrs, internalINDs(r.INDs))
 	if err != nil {
 		return fmt.Errorf("spider: SaveResultSet: %w", err)
 	}
@@ -104,11 +96,6 @@ func LoadResultSet(path string) (*ResultSet, error) {
 			Unique:   a.Unique,
 		})
 	}
-	for _, d := range rs.INDList(attrs) {
-		out.INDs = append(out.INDs, IND{
-			Dep: ColumnRef{Table: d.Dep.Table, Column: d.Dep.Column},
-			Ref: ColumnRef{Table: d.Ref.Table, Column: d.Ref.Column},
-		})
-	}
+	out.INDs = publicINDs(rs.INDList(attrs))
 	return out, nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"spider/internal/aladin"
 	"spider/internal/discovery"
-	"spider/internal/ind"
-	"spider/internal/relstore"
 )
 
 // SchemaOptions tunes DiscoverSchema.
@@ -70,59 +68,47 @@ func DiscoverSchema(db *Database, opts SchemaOptions) (*SchemaReport, error) {
 	}
 	report := &SchemaReport{INDs: res.INDs, Stats: res.Stats}
 
-	internalINDs := make([]ind.IND, len(res.INDs))
-	for i, d := range res.INDs {
-		internalINDs[i] = ind.IND{
-			Dep: relstore.ColumnRef{Table: d.Dep.Table, Column: d.Dep.Column},
-			Ref: relstore.ColumnRef{Table: d.Ref.Table, Column: d.Ref.Column},
-		}
-	}
-
+	internal := internalINDs(res.INDs)
 	if len(db.rel.ForeignKeys()) > 0 {
-		eval := discovery.EvaluateForeignKeys(db.rel, internalINDs)
+		eval := discovery.EvaluateForeignKeys(db.rel, internal)
 		report.FKEvaluation = convertFKEval(eval)
 	}
-
 	accs, err := discovery.AccessionCandidates(db.rel, discovery.AccessionOptions{
 		MinFraction: opts.AccessionMinFraction,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range accs {
-		report.AccessionCandidates = append(report.AccessionCandidates, AccessionCandidate{
-			Ref:      ColumnRef{Table: a.Ref.Table, Column: a.Ref.Column},
-			Fraction: a.Fraction,
-		})
-	}
-	for _, p := range discovery.PrimaryRelation(db.rel, internalINDs, accs) {
-		pc := PrimaryCandidate{Table: p.Table, ReferencingINDs: p.ReferencingINDs}
-		for _, c := range p.AccessionColumns {
-			pc.AccessionColumns = append(pc.AccessionColumns, ColumnRef{Table: c.Table, Column: c.Column})
-		}
-		report.PrimaryRelations = append(report.PrimaryRelations, pc)
-	}
+	report.AccessionCandidates = convertAccessions(accs)
+	report.PrimaryRelations = convertPrimaries(discovery.PrimaryRelation(db.rel, internal, accs))
 	return report, nil
 }
 
 func convertFKEval(eval discovery.FKEvaluation) *FKEvaluation {
-	out := &FKEvaluation{
+	return &FKEvaluation{
 		DeclaredFKs:     eval.DeclaredFKs,
 		FoundFKs:        eval.FoundFKs,
 		UnfindableEmpty: eval.UnfindableEmpty,
+		MissedFKs:       publicINDs(eval.MissedFKs),
 		TransitiveINDs:  eval.TransitiveINDs,
+		FalsePositives:  publicINDs(eval.FalsePositives),
 		Recall:          eval.Recall(),
 	}
-	for _, fk := range eval.MissedFKs {
-		out.MissedFKs = append(out.MissedFKs, IND{
-			Dep: ColumnRef{Table: fk.Dep.Table, Column: fk.Dep.Column},
-			Ref: ColumnRef{Table: fk.Ref.Table, Column: fk.Ref.Column},
-		})
+}
+
+func convertAccessions(accs []discovery.AccessionCandidate) []AccessionCandidate {
+	var out []AccessionCandidate
+	for _, a := range accs {
+		out = append(out, AccessionCandidate{Ref: ColumnRef(a.Ref), Fraction: a.Fraction})
 	}
-	for _, fp := range eval.FalsePositives {
-		out.FalsePositives = append(out.FalsePositives, IND{
-			Dep: ColumnRef{Table: fp.Dep.Table, Column: fp.Dep.Column},
-			Ref: ColumnRef{Table: fp.Ref.Table, Column: fp.Ref.Column},
+	return out
+}
+
+func convertPrimaries(ps []discovery.PrimaryCandidate) []PrimaryCandidate {
+	var out []PrimaryCandidate
+	for _, p := range ps {
+		out = append(out, PrimaryCandidate{
+			Table: p.Table, ReferencingINDs: p.ReferencingINDs, AccessionColumns: publicRefs(p.AccessionColumns),
 		})
 	}
 	return out
@@ -214,39 +200,21 @@ func RunAladin(sources []AladinSource, opts AladinOptions) (*AladinReport, error
 func convertAladin(rep *aladin.Report) *AladinReport {
 	out := &AladinReport{DuplicateCount: rep.DuplicateCount}
 	for _, sr := range rep.Sources {
-		asr := AladinSourceReport{Name: sr.Name}
-		for _, k := range sr.KeyCandidates {
-			asr.KeyCandidates = append(asr.KeyCandidates, ColumnRef{Table: k.Table, Column: k.Column})
-		}
-		for _, d := range sr.INDs {
-			asr.INDs = append(asr.INDs, IND{
-				Dep: ColumnRef{Table: d.Dep.Table, Column: d.Dep.Column},
-				Ref: ColumnRef{Table: d.Ref.Table, Column: d.Ref.Column},
-			})
+		asr := AladinSourceReport{
+			Name:                sr.Name,
+			KeyCandidates:       publicRefs(sr.KeyCandidates),
+			INDs:                publicINDs(sr.INDs),
+			AccessionCandidates: convertAccessions(sr.AccessionCandidates),
+			PrimaryRelations:    convertPrimaries(sr.PrimaryRelations),
 		}
 		if sr.FKEvaluation != nil {
 			asr.FKEvaluation = convertFKEval(*sr.FKEvaluation)
-		}
-		for _, a := range sr.AccessionCandidates {
-			asr.AccessionCandidates = append(asr.AccessionCandidates, AccessionCandidate{
-				Ref:      ColumnRef{Table: a.Ref.Table, Column: a.Ref.Column},
-				Fraction: a.Fraction,
-			})
-		}
-		for _, p := range sr.PrimaryRelations {
-			pc := PrimaryCandidate{Table: p.Table, ReferencingINDs: p.ReferencingINDs}
-			for _, c := range p.AccessionColumns {
-				pc.AccessionColumns = append(pc.AccessionColumns, ColumnRef{Table: c.Table, Column: c.Column})
-			}
-			asr.PrimaryRelations = append(asr.PrimaryRelations, pc)
 		}
 		out.Sources = append(out.Sources, asr)
 	}
 	for _, c := range rep.CrossIND {
 		out.CrossINDs = append(out.CrossINDs, CrossIND{
-			DepSource: c.DepSource, RefSource: c.RefSource,
-			Dep: ColumnRef{Table: c.Dep.Table, Column: c.Dep.Column},
-			Ref: ColumnRef{Table: c.Ref.Table, Column: c.Ref.Column},
+			DepSource: c.DepSource, RefSource: c.RefSource, Dep: ColumnRef(c.Dep), Ref: ColumnRef(c.Ref),
 		})
 	}
 	for _, d := range rep.Duplicates {

@@ -38,7 +38,6 @@ import (
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
-	"spider/internal/valfile"
 )
 
 // ColumnRef names a column as table.column.
@@ -263,10 +262,7 @@ func (d *Database) AddTable(name string, columns []string, rows [][]string) erro
 // DeclareForeignKey records a known foreign key, used as the gold standard
 // by DiscoverSchema's evaluation.
 func (d *Database) DeclareForeignKey(dep, ref ColumnRef) error {
-	return d.rel.DeclareForeignKey(
-		relstore.ColumnRef{Table: dep.Table, Column: dep.Column},
-		relstore.ColumnRef{Table: ref.Table, Column: ref.Column},
-	)
+	return d.rel.DeclareForeignKey(relstore.ColumnRef(dep), relstore.ColumnRef(ref))
 }
 
 // Tables lists the table names in creation order.
@@ -280,11 +276,7 @@ func (d *Database) Tables() []string {
 
 // Columns lists all columns in catalog order.
 func (d *Database) Columns() []ColumnRef {
-	var out []ColumnRef
-	for _, c := range d.rel.Columns() {
-		out = append(out, ColumnRef{Table: c.Table, Column: c.Column})
-	}
-	return out
+	return publicRefs(d.rel.Columns())
 }
 
 // RowCount returns the number of rows of the named table, or -1 if the
@@ -350,146 +342,95 @@ func GeneratePDB(cfg DatasetConfig) *Database {
 // FindINDs discovers all satisfied unary INDs of db using the selected
 // algorithm.
 func FindINDs(db *Database, opts Options) (*Result, error) {
-	if opts.SketchMinContainment < 0 || opts.SketchMinContainment > 1 {
-		// > 1 would silently prune every candidate (estimates cap at 1).
-		return nil, fmt.Errorf("spider: SketchMinContainment must be in [0, 1], got %v", opts.SketchMinContainment)
+	if err := checkContainment(opts.SketchMinContainment); err != nil {
+		return nil, err
 	}
-	writeDS, readDS, cleanup, err := opts.Store.open(opts.WorkDir)
+	export, err := exports(opts.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-
-	attrs, err := ind.CollectAttributes(db.rel)
+	r, err := openRun(db, opts.Store, opts.WorkDir)
 	if err != nil {
 		return nil, err
 	}
-
-	// Extraction runs before candidate generation, so that sketches
-	// (derived in the same extraction pass) exist by the time the
-	// pre-filter runs.
-	var counter valfile.ReadCounter
-	switch {
-	case needsFiles(opts.Algorithm):
-		err := ind.ExportAttributes(db.rel, attrs, ind.ExportConfig{
-			Dataset:  writeDS,
-			Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
-		})
-		if err != nil {
-			return nil, err
-		}
-	case opts.SketchPrefilter:
-		// Engines that never extract value sets (SQL, in-memory,
-		// baselines) still get sketches, from the columns' sorted sets.
-		if err := ind.BuildAttributeSketches(db.rel, attrs, opts.sketchConfig()); err != nil {
-			return nil, err
-		}
+	defer r.close()
+	if err := r.collect(); err != nil {
+		return nil, err
 	}
-
-	cands, _ := ind.GenerateCandidates(attrs, ind.GenOptions{MaxValuePretest: opts.MaxValuePretest})
-	if opts.SamplingPretest > 0 {
-		var serr error
-		cands, _, serr = ind.SamplingPretest(db.rel, cands, ind.SamplingOptions{
-			SampleSize: opts.SamplingPretest, Seed: 1,
-		})
-		if serr != nil {
-			return nil, serr
-		}
+	if err := r.extract(export, opts.SketchPrefilter, opts.sketchConfig()); err != nil {
+		return nil, err
 	}
-	var sketchStats ind.SketchPretestStats
+	var pre *ind.SketchPretestOptions
 	if opts.SketchPrefilter {
-		cands, sketchStats = ind.SketchPretest(cands, ind.SketchPretestOptions{
-			ExactRefutation: true, MinContainment: opts.SketchMinContainment,
-		})
+		pre = &ind.SketchPretestOptions{ExactRefutation: true, MinContainment: opts.SketchMinContainment}
+	}
+	if err := r.candidates(ind.GenOptions{MaxValuePretest: opts.MaxValuePretest}, opts.SamplingPretest, pre); err != nil {
+		return nil, err
 	}
 
+	// exports rejected every algorithm without a case here.
 	var res *ind.Result
 	switch opts.Algorithm {
 	case BruteForce:
-		res, err = ind.BruteForce(cands, ind.BruteForceOptions{Counter: &counter, Store: readDS, Transitivity: opts.Transitivity})
+		res, err = ind.BruteForce(r.cands, ind.BruteForceOptions{Counter: &r.counter, Store: r.read, Transitivity: opts.Transitivity})
 	case SinglePass:
-		res, err = ind.SinglePass(cands, ind.SinglePassOptions{Counter: &counter, Store: readDS})
+		res, err = ind.SinglePass(r.cands, ind.SinglePassOptions{Counter: &r.counter, Store: r.read})
 	case SinglePassBlocked:
-		res, err = ind.SinglePassBlocked(cands, ind.BlockedOptions{
-			DepBlock: opts.DepBlock, RefBlock: opts.RefBlock, Counter: &counter, Store: readDS,
+		res, err = ind.SinglePassBlocked(r.cands, ind.BlockedOptions{
+			DepBlock: opts.DepBlock, RefBlock: opts.RefBlock, Counter: &r.counter, Store: r.read,
 		})
 	case SpiderMerge:
-		res, err = ind.SpiderMerge(cands, ind.SpiderMergeOptions{Counter: &counter, Store: readDS})
+		res, err = ind.SpiderMerge(r.cands, ind.SpiderMergeOptions{Counter: &r.counter, Store: r.read})
 	case SQLJoin, SQLMinus, SQLNotIn:
 		variant := map[Algorithm]ind.SQLVariant{
 			SQLJoin: ind.SQLJoin, SQLMinus: ind.SQLMinus, SQLNotIn: ind.SQLNotIn,
 		}[opts.Algorithm]
-		res, err = ind.RunSQL(db.rel, cands, ind.SQLOptions{Variant: variant, EarlyStop: opts.SQLEarlyStop})
+		res, err = ind.RunSQL(r.db, r.cands, ind.SQLOptions{Variant: variant, EarlyStop: opts.SQLEarlyStop})
 	case InMemory:
-		sets := make(map[int][]string, len(attrs))
-		for _, a := range attrs {
-			vals, derr := db.rel.Table(a.Ref.Table).DistinctCanonical(a.Ref.Column)
+		sets := make(map[int][]string, len(r.attrs))
+		for _, a := range r.attrs {
+			vals, derr := r.db.Table(a.Ref.Table).DistinctCanonical(a.Ref.Column)
 			if derr != nil {
 				return nil, derr
 			}
 			sets[a.ID] = vals
 		}
-		res = ind.Reference(cands, sets)
+		res = ind.Reference(r.cands, sets)
 	case DeMarchiBaseline:
-		dm, derr := ind.DeMarchi(db.rel, attrs, cands, ind.DeMarchiOptions{})
+		dm, derr := ind.DeMarchi(r.db, r.attrs, r.cands, ind.DeMarchiOptions{})
 		if derr != nil {
 			return nil, derr
 		}
 		res = &ind.Result{Satisfied: dm.Satisfied, Stats: dm.Stats.Stats}
 	case BellBrockhausenBaseline:
-		bb, berr := ind.BellBrockhausen(db.rel, attrs)
+		bb, berr := ind.BellBrockhausen(r.db, r.attrs)
 		if berr != nil {
 			return nil, berr
 		}
 		res = &ind.Result{Satisfied: bb.Satisfied, Stats: bb.Stats.Stats}
-	default:
-		return nil, fmt.Errorf("spider: unknown algorithm %v", opts.Algorithm)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.CandidatesPruned = sketchStats.Pruned
-	res.Stats.SketchBytes = sketchStats.SketchBytes
-	out := convertResult(res)
-	out.attrs = attrs
-	out.dataset = db.rel.Name
-	out.algorithm = opts.Algorithm.String()
-	out.spilled = opts.Store.spill()
-	return out, nil
+	return &Result{
+		INDs:      publicINDs(res.Satisfied),
+		Stats:     r.trailer(res.Stats),
+		attrs:     r.attrs,
+		dataset:   r.db.Name,
+		algorithm: opts.Algorithm.String(),
+		spilled:   opts.Store.spill(),
+	}, nil
 }
 
-func needsFiles(a Algorithm) bool {
+// exports reports whether the algorithm reads extracted value sets (the
+// order-based engines) rather than the base tables, and rejects an
+// algorithm FindINDs does not know.
+func exports(a Algorithm) (bool, error) {
 	switch a {
 	case BruteForce, SinglePass, SinglePassBlocked, SpiderMerge:
-		return true
-	default:
-		return false
+		return true, nil
+	case SQLJoin, SQLMinus, SQLNotIn, InMemory, DeMarchiBaseline, BellBrockhausenBaseline:
+		return false, nil
 	}
-}
-
-// convertStats maps the internal stats onto the public ones.
-func convertStats(st ind.Stats) Stats {
-	return Stats{
-		Candidates:       st.Candidates,
-		Satisfied:        st.Satisfied,
-		ItemsRead:        st.ItemsRead,
-		BytesRead:        st.BytesRead,
-		Comparisons:      st.Comparisons,
-		MaxOpenFiles:     st.MaxOpenFiles,
-		Events:           st.Events,
-		CandidatesPruned: st.CandidatesPruned,
-		SketchBytes:      st.SketchBytes,
-		Duration:         st.Duration,
-	}
-}
-
-func convertResult(res *ind.Result) *Result {
-	out := &Result{Stats: convertStats(res.Stats)}
-	for _, d := range res.Satisfied {
-		out.INDs = append(out.INDs, IND{
-			Dep: ColumnRef{Table: d.Dep.Table, Column: d.Dep.Column},
-			Ref: ColumnRef{Table: d.Ref.Table, Column: d.Ref.Column},
-		})
-	}
-	return out
+	return false, fmt.Errorf("spider: unknown algorithm %v", a)
 }

@@ -2,7 +2,6 @@ package spider
 
 import (
 	"fmt"
-	"os"
 
 	"spider/internal/store"
 )
@@ -114,42 +113,4 @@ func (s *Store) String() string {
 // spill reports whether the store is the spill backend.
 func (s *Store) spill() bool {
 	return s != nil && s.kind == storeKindSpill
-}
-
-// open resolves the store for one discovery call into the dataset
-// extraction writes to, the dataset the engines read from, and a
-// cleanup the caller defers. Every public entry point resolves its
-// storage here. A nil store is the fs backend. The fs
-// backend is rooted at its own directory, else at workDir, else at a
-// temporary directory the cleanup removes. The snapshot backend reads
-// through a fresh read-only view of its memory; the spill backend
-// gets a fresh in-memory dataset, so no value set outlives the call.
-func (s *Store) open(workDir string) (write, read store.Dataset, cleanup func(), err error) {
-	if s == nil {
-		s = NewFSStore("")
-	}
-	cleanup = func() {}
-	switch s.kind {
-	case storeKindMem:
-		return s.mem, s.mem, cleanup, nil
-	case storeKindSnapshot:
-		return s.mem, store.NewSnapshot(s.mem), cleanup, nil
-	case storeKindSpill:
-		mem := store.NewMem()
-		return mem, mem, cleanup, nil
-	}
-	dir := s.dir
-	if dir == "" {
-		dir = workDir
-	}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "spider-*")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		dir = tmp
-		cleanup = func() { os.RemoveAll(tmp) }
-	}
-	fs := store.NewFS(dir)
-	return fs, fs, cleanup, nil
 }
